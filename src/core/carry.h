@@ -1,0 +1,86 @@
+/**
+ * @file
+ * The split-row carry fix-up shared by the merge-path sweep and the
+ * hybrid tail (internal to mps_core).
+ *
+ * A row split across schedule threads gets one partial sum per
+ * contributing thread. Instead of committing each with a float atomic,
+ * the thread holding the row's first part plain-stores it into the
+ * zero-filled output (nobody else writes that row during the sweep),
+ * and each thread that continues a split row parks that head part in
+ * its carry slot. After the sweep's barrier the fix-up adds each split
+ * row's carries onto the stored first part in thread order and then
+ * fires the row's epilogue. The summation order is a property of the
+ * schedule alone, so the output is bit-identical for a fixed schedule
+ * on any pool size, and equal to the sequential sweep.
+ */
+#ifndef MPS_CORE_CARRY_H
+#define MPS_CORE_CARRY_H
+
+#include <cstddef>
+#include <memory>
+#include <new>
+
+#include "mps/core/schedule.h"
+#include "mps/core/spmm.h"
+#include "mps/sparse/aligned_buffer.h"
+#include "mps/sparse/dense_matrix.h"
+
+namespace mps {
+
+struct RowKernels;
+
+/**
+ * One carry slot per schedule thread, each padded to whole lines,
+ * owned by the sweep that fills them. Left uninitialized: a sweep
+ * writes every slot it later reads. Each run allocates its own, so two
+ * concurrent runs never share one; freed with the sweep, the slots do
+ * not outlive it in the allocator's heap either.
+ */
+class CarrySlots
+{
+  public:
+    CarrySlots() = default;
+
+    /** Thread @p t's carry slot. */
+    value_t *slot(index_t t) const {
+        return base_.get() +
+               static_cast<size_t>(t) * static_cast<size_t>(stride_);
+    }
+
+  private:
+    friend CarrySlots carry_slots(index_t threads, index_t width);
+
+    struct Free
+    {
+        void operator()(value_t *p) const noexcept
+        {
+            ::operator delete(p, std::align_val_t(kRowAlignBytes));
+        }
+    };
+
+    std::unique_ptr<value_t[], Free> base_;
+    index_t stride_ = 0;
+};
+
+/**
+ * Carry slots for a @p threads-thread schedule at panel width
+ * @p width: threads * padded(width) floats.
+ */
+CarrySlots carry_slots(index_t threads, index_t width);
+
+/**
+ * The fix-up pass: for every row of @p split, add its carries into
+ * C[out, c_col : c_col + width) in slot order, where out is the row
+ * routed through @p scatter, then fire @p epi (if any) on the finished
+ * row with the unscattered row id. Runs on the caller in one pass; a
+ * CPU-sized schedule has at most one split row per thread boundary.
+ */
+void apply_carries(const SplitRowList &split, const CarrySlots &carries,
+                   DenseMatrix &c, index_t c_col, index_t width,
+                   const index_t *scatter, PanelEpilogue epi,
+                   const void *epi_ctx, const RowKernels &rk);
+
+} // namespace mps
+
+#endif // MPS_CORE_CARRY_H

@@ -75,23 +75,7 @@ FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
     MPS_CHECK(sched_ != nullptr, "fused plan needs a schedule");
     MPS_CHECK(dim_ > 0, "fused plan needs a positive dimension");
     derive_tiles();
-    // Split rows receive atomic commits from every contributing
-    // thread; the inline epilogue must skip them (the value is not
-    // final at any single commit), so resolve the schedule once and
-    // keep the sorted, deduplicated list for the post-barrier pass.
-    // resolve() marks any partial-row share atomic, so this list is
-    // exactly "rows the epilogue cannot fire on inline".
-    for (index_t t = 0; t < sched_->num_threads(); ++t) {
-        ResolvedWork w = sched_->resolve(t, a);
-        if (w.has_head() && w.head_atomic)
-            shared_rows_.push_back(w.head_row);
-        if (w.has_tail() && w.tail_atomic)
-            shared_rows_.push_back(w.tail_row);
-    }
-    std::sort(shared_rows_.begin(), shared_rows_.end());
-    shared_rows_.erase(
-        std::unique(shared_rows_.begin(), shared_rows_.end()),
-        shared_rows_.end());
+    split_ = sched_->split_row_list(a);
 }
 
 FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
@@ -103,29 +87,8 @@ FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
     MPS_CHECK(dim_ > 0, "fused plan needs a positive dimension");
     derive_tiles();
     // Only tail rows can be split across executors; dense-band rows
-    // are owned by exactly one dense chunk and epilogue inline. Map
-    // the tail schedule's atomic rows back to base ids for the
-    // post-barrier pass.
-    if (hybrid_->has_tail()) {
-        const CsrMatrix &tm =
-            hybrid_->tail_is_base() ? a : hybrid_->tail();
-        const MergePathSchedule &ts = hybrid_->tail_schedule();
-        const auto to_base = [&](index_t trow) {
-            return hybrid_->tail_is_base() ? trow
-                                           : hybrid_->tail_rows()[trow];
-        };
-        for (index_t t = 0; t < ts.num_threads(); ++t) {
-            ResolvedWork w = ts.resolve(t, tm);
-            if (w.has_head() && w.head_atomic)
-                shared_rows_.push_back(to_base(w.head_row));
-            if (w.has_tail() && w.tail_atomic)
-                shared_rows_.push_back(to_base(w.tail_row));
-        }
-        std::sort(shared_rows_.begin(), shared_rows_.end());
-        shared_rows_.erase(
-            std::unique(shared_rows_.begin(), shared_rows_.end()),
-            shared_rows_.end());
-    }
+    // are owned by exactly one dense chunk and epilogue inline.
+    split_ = hybrid_->split_row_list(a);
 }
 
 void
@@ -151,27 +114,13 @@ FusedLayerPlan::sweep_panel(const PanelSource &src, DenseMatrix &c,
                             bool count_census)
 {
     if (hybrid_ != nullptr) {
-        hybrid_spmm_panel(*a_, *hybrid_, *src.b, src.col_begin, c,
-                          c_col0, width, pool, loc, epi, epi_ctx,
+        hybrid_spmm_panel(*a_, *hybrid_, split_, *src.b, src.col_begin,
+                          c, c_col0, width, pool, loc, epi, epi_ctx,
                           count_census);
     } else {
         mergepath_spmm_panel(*a_, *src.b, src.col_begin, c, c_col0,
-                             width, *sched_, pool, loc, epi, epi_ctx,
-                             count_census);
-    }
-}
-
-void
-FusedLayerPlan::apply_shared_epilogue(DenseMatrix &c, index_t c_col0,
-                                      index_t width, PanelEpilogue epi,
-                                      const void *epi_ctx)
-{
-    if (epi == nullptr)
-        return;
-    const index_t *scatter = loc_.row_scatter;
-    for (index_t row : shared_rows_) {
-        const index_t out = scatter != nullptr ? scatter[row] : row;
-        epi(c.row(out) + c_col0, row, c_col0, width, epi_ctx);
+                             width, *sched_, split_, pool, loc, epi,
+                             epi_ctx, count_census);
     }
 }
 
@@ -193,7 +142,6 @@ FusedLayerPlan::run(const PanelSourceFn &source, DenseMatrix &c,
         quantize_source(src, width, pool);
         sweep_panel(src, c, col, width, pool, run_loc_, epi, epi_ctx,
                     /*count_census=*/col == 0);
-        apply_shared_epilogue(c, col, width, epi, epi_ctx);
         if (post_sweep)
             post_sweep(col, width, src);
         ++panels;
@@ -226,8 +174,6 @@ FusedLayerPlan::run_streaming(const PanelSourceFn &source,
         out_panel_.fill(0.0f);
         sweep_panel(src, out_panel_, /*c_col0=*/0, width, pool, loc_,
                     epi, epi_ctx, /*count_census=*/col == 0);
-        apply_shared_epilogue(out_panel_, /*c_col0=*/0, width, epi,
-                              epi_ctx);
         consume(col, width, out_panel_);
         ++panels;
     }

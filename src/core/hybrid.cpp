@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "carry.h"
 #include "mps/core/microkernel.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
@@ -101,8 +102,8 @@ classify_rows(const CsrMatrix &a, const HybridParams &p, index_t cost)
         const index_t deg = end - begin;
         if (deg == 0)
             return false; // empty rows cost the tail nothing
-        // Long rows would span merge-path shares and pay one atomic
-        // vector commit per contributing thread; the row-GEMM phase
+        // Long rows would span merge-path shares and pay one carry
+        // per contributing thread; the row-GEMM phase
         // processes them in one owned pass.
         if (deg >= long_deg)
             return true;
@@ -267,6 +268,16 @@ HybridSchedule::build(const CsrMatrix &a, index_t cost, index_t min_threads,
     return hs;
 }
 
+SplitRowList
+HybridSchedule::split_row_list(const CsrMatrix &a) const
+{
+    if (!has_tail())
+        return {};
+    return tail_is_base_ ? tail_sched_.split_row_list(a)
+                         : tail_sched_.split_row_list(tail_,
+                                                      tail_rows_.data());
+}
+
 HybridSchedule
 repair_hybrid_schedule(const HybridSchedule &old_hs, const CsrMatrix &old_a,
                        const CsrMatrix &new_a, index_t first_dirty_row)
@@ -386,6 +397,8 @@ struct HybridPanel
     const RowKernels *rk = nullptr;
     /** B's storage mode; both phases read the shadow rows when set. */
     StorageMode bmode = StorageMode::kF32;
+    /** Tail partial rows accumulate here (see carry.h). */
+    CarrySlots carries;
 
     index_t out_row(index_t base_row) const {
         return scatter != nullptr ? scatter[base_row] : base_row;
@@ -439,28 +452,30 @@ tail_accumulate(const CsrMatrix &m, const HybridPanel &p, index_t nz_begin,
     }
 }
 
-/** Commit @p acc to the base row behind tail-matrix row @p trow. */
+/**
+ * Plain-commit @p acc to the base row behind tail-matrix row @p trow:
+ * a row the share owns whole (@p final) or the first part of a split
+ * row. On a final row the fused epilogue fires here with the BASE row
+ * id so structural epilogues index side inputs of the executed matrix,
+ * not the compacted tail.
+ */
 inline void
 tail_commit(const HybridPanel &p, const index_t *tail_rows, index_t trow,
-            const value_t *acc, bool atomic)
+            const value_t *acc, bool final)
 {
     const index_t base_row =
         tail_rows != nullptr ? tail_rows[trow] : trow;
     value_t *crow = p.c->row(p.out_row(base_row)) + p.c_col;
-    if (atomic) {
-        p.rk->commit_atomic(crow, acc, p.width);
-    } else {
-        p.rk->commit_plain(crow, acc, p.width);
-        // Plain commit == full row ownership, value final: the fused
-        // epilogue fires here with the BASE row id so structural
-        // epilogues index side inputs of the executed matrix, not the
-        // compacted tail.
-        if (p.epi != nullptr)
-            p.epi(crow, base_row, p.c_col, p.width, p.epi_ctx);
-    }
+    p.rk->commit_plain(crow, acc, p.width);
+    if (final && p.epi != nullptr)
+        p.epi(crow, base_row, p.c_col, p.width, p.epi_ctx);
 }
 
-/** Execute tail share @p t (one merge-path thread of the tail). */
+/**
+ * Execute tail share @p t (one merge-path thread of the tail). A head
+ * that continues a split row accumulates into the share's carry slot
+ * for the fix-up pass.
+ */
 void
 run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
 {
@@ -470,20 +485,23 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
         hs.tail_is_base() ? nullptr : hs.tail_rows().data();
     value_t *acc = microkernel_scratch(p.width);
     ResolvedWork w = hs.tail_schedule().resolve(t, tm);
+    const auto share = [&](index_t row, index_t begin, index_t end,
+                           bool partial) {
+        if (begin > tm.row_begin(row)) {
+            tail_accumulate(tm, p, begin, end, p.carries.slot(t));
+        } else {
+            tail_accumulate(tm, p, begin, end, acc);
+            tail_commit(p, tail_rows, row, acc, !partial);
+        }
+    };
 
-    if (w.has_head()) {
-        tail_accumulate(tm, p, w.head_begin, w.head_end, acc);
-        tail_commit(p, tail_rows, w.head_row, acc, w.head_atomic);
-    }
+    if (w.has_head())
+        share(w.head_row, w.head_begin, w.head_end, w.head_atomic);
     for (index_t row = w.first_complete_row; row < w.last_complete_row;
-         ++row) {
-        tail_accumulate(tm, p, tm.row_begin(row), tm.row_end(row), acc);
-        tail_commit(p, tail_rows, row, acc, /*atomic=*/false);
-    }
-    if (w.has_tail()) {
-        tail_accumulate(tm, p, w.tail_begin, w.tail_end, acc);
-        tail_commit(p, tail_rows, w.tail_row, acc, w.tail_atomic);
-    }
+         ++row)
+        share(row, tm.row_begin(row), tm.row_end(row), false);
+    if (w.has_tail())
+        share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
 
     if (slot != nullptr) {
         if (w.has_head()) {
@@ -614,15 +632,16 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
 }
 
 /**
- * One two-phase panel sweep. Tail shares and dense chunks are sibling
- * indices of ONE parallel_for, so the pool's stealing rebalances
- * stragglers across the phases. @p slots (when non-null) receives the
- * census; @p timed additionally charges per-item wall time to the
- * owning phase.
+ * One two-phase panel sweep, then the tail's carry fix-up. Tail shares
+ * and dense chunks are sibling indices of ONE parallel_for on @p pool
+ * (nullptr: run them in index order on the caller), so the pool's
+ * stealing rebalances stragglers across the phases. @p slots (when
+ * non-null) receives the census; @p timed additionally charges
+ * per-item wall time to the owning phase.
  */
 void
-run_hybrid_panel(const HybridPanel &p, WorkStealPool &pool,
-                 PhaseSlot *slots, bool timed)
+run_hybrid_panel(const HybridPanel &p, const SplitRowList &split,
+                 WorkStealPool *pool, PhaseSlot *slots, bool timed)
 {
     const HybridSchedule &hs = *p.hs;
     const uint64_t tail_shares =
@@ -631,11 +650,7 @@ run_hybrid_panel(const HybridPanel &p, WorkStealPool &pool,
             : 0;
     const uint64_t items =
         tail_shares + static_cast<uint64_t>(hs.dense_chunks().size());
-    if (items == 0)
-        return;
-    pool.parallel_for(items, [&](uint64_t i) {
-        PhaseSlot *slot =
-            slots != nullptr ? &slots[pool.current_slot()] : nullptr;
+    const auto run_item = [&](uint64_t i, PhaseSlot *slot) {
         Timer wall;
         if (i < tail_shares) {
             run_tail_share(p, static_cast<index_t>(i), slot);
@@ -648,21 +663,18 @@ run_hybrid_panel(const HybridPanel &p, WorkStealPool &pool,
                 slot->dense_ns +=
                     static_cast<int64_t>(wall.elapsed_ns());
         }
-    });
-}
-
-/** Sequential counterpart of run_hybrid_panel (deterministic order). */
-void
-run_hybrid_panel_sequential(const HybridPanel &p, PhaseSlot *slot)
-{
-    const HybridSchedule &hs = *p.hs;
-    if (hs.has_tail()) {
-        const index_t threads = hs.tail_schedule().num_threads();
-        for (index_t t = 0; t < threads; ++t)
-            run_tail_share(p, t, slot);
+    };
+    if (pool != nullptr) {
+        pool->parallel_for(items, [&](uint64_t i) {
+            run_item(i, slots != nullptr ? &slots[pool->current_slot()]
+                                         : nullptr);
+        });
+    } else {
+        for (uint64_t i = 0; i < items; ++i)
+            run_item(i, slots);
     }
-    for (size_t i = 0; i < hs.dense_chunks().size(); ++i)
-        run_dense_chunk(p, i, slot);
+    apply_carries(split, p.carries, *p.c, p.c_col, p.width, p.scatter,
+                  p.epi, p.epi_ctx, *p.rk);
 }
 
 HybridPanel
@@ -685,6 +697,8 @@ make_panel(const CsrMatrix &a, const HybridSchedule &hs,
     p.epi_ctx = epi_ctx;
     p.rk = &rk;
     p.bmode = b.storage();
+    if (hs.has_tail())
+        p.carries = carry_slots(hs.tail_schedule().num_threads(), width);
     return p;
 }
 
@@ -692,8 +706,9 @@ make_panel(const CsrMatrix &a, const HybridSchedule &hs,
 
 void
 hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
-                  const DenseMatrix &b, index_t b_col0, DenseMatrix &c,
-                  index_t c_col0, index_t width, WorkStealPool &pool,
+                  const SplitRowList &split, const DenseMatrix &b,
+                  index_t b_col0, DenseMatrix &c, index_t c_col0,
+                  index_t width, WorkStealPool &pool,
                   const SpmmLocality &loc, PanelEpilogue epi,
                   const void *epi_ctx, bool count_census)
 {
@@ -706,29 +721,10 @@ hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
     const RowKernels &rk = select_row_kernels(width);
     const HybridPanel p = make_panel(a, hs, b, b_col0, c, c_col0, width,
                                      loc, epi, epi_ctx, rk);
-    run_hybrid_panel(p, pool, count ? slots.data() : nullptr,
+    run_hybrid_panel(p, split, &pool, count ? slots.data() : nullptr,
                      /*timed=*/false);
     if (count)
         flush_phase_counters(metrics, slots.data(), slots.size());
-}
-
-void
-hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
-                  const DenseMatrix &b, index_t b_col0, DenseMatrix &c,
-                  index_t c_col0, index_t width, const SpmmLocality &loc,
-                  PanelEpilogue epi, const void *epi_ctx,
-                  bool count_census)
-{
-    check_hybrid_shapes(a, hs, b, b_col0, c, c_col0, width);
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    const bool count = count_census && metrics.enabled();
-    PhaseSlot slot;
-    const RowKernels &rk = select_row_kernels(width);
-    const HybridPanel p = make_panel(a, hs, b, b_col0, c, c_col0, width,
-                                     loc, epi, epi_ctx, rk);
-    run_hybrid_panel_sequential(p, count ? &slot : nullptr);
-    if (count)
-        flush_phase_counters(metrics, &slot, 1);
 }
 
 void
@@ -744,6 +740,7 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
     c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
+    const SplitRowList split = hs.split_row_list(a);
     std::vector<PhaseSlot> slots;
     if (instrumented)
         slots.resize(pool.max_concurrency());
@@ -762,7 +759,7 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
                 slot.dense_rows = slot.dense_nnz = 0;
             }
         }
-        run_hybrid_panel(p, pool, s, /*timed=*/instrumented);
+        run_hybrid_panel(p, split, &pool, s, /*timed=*/instrumented);
         if (instrumented && col == 0)
             flush_phase_counters(metrics, slots.data(), slots.size());
         ++sweeps;
@@ -803,12 +800,13 @@ hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
     c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
+    const SplitRowList split = hs.split_row_list(a);
     for (index_t col = 0; col < dim; col += tile) {
         const index_t width = std::min(tile, dim - col);
         const RowKernels &rk = select_row_kernels(width);
         const HybridPanel p = make_panel(a, hs, b, col, c, col, width,
                                          loc, nullptr, nullptr, rk);
-        run_hybrid_panel_sequential(p, nullptr);
+        run_hybrid_panel(p, split, nullptr, nullptr, /*timed=*/false);
     }
 }
 

@@ -13,8 +13,8 @@
  * exactly like the locality layer's sweep loop. The activation (and
  * any bias) folds into the commit microkernel sweep: plain commits own
  * their whole row, so the epilogue fires the moment the row is final;
- * split (atomically committed) rows are finished in one pass over the
- * precomputed shared-row list after each panel's barrier.
+ * split rows get it in the carry fix-up, the pass over the precomputed
+ * split-row list that sums their carries after each panel's barrier.
  *
  * Two execution modes:
  *  - run():            materialize the layer output C (the common case);
@@ -30,9 +30,11 @@
  *
  * `MPS_FUSE=0` disables the fused routing at every call site and
  * restores the exact pre-fusion execution (see fusion_enabled()).
- * With a 1-thread schedule and panel widths that are multiples of 16,
- * the fused output is bit-identical to the unfused path; multi-thread
- * schedules differ only by the usual atomic-commit ordering.
+ * For a fixed schedule the fused output is the same on any pool size:
+ * split rows sum their carries in thread order, never in completion
+ * order. With panel widths that are multiples of 16, run() is also
+ * bit-identical to the unfused GEMM -> SpMM -> activation on the same
+ * schedule, at any thread count (tests/determinism_test.cpp).
  */
 #ifndef MPS_CORE_FUSION_H
 #define MPS_CORE_FUSION_H
@@ -111,7 +113,7 @@ using PanelConsumerFn = std::function<void(
 
 /**
  * Post-sweep hook of run(): called after each panel's sweep and
- * shared-row epilogue, with the panel's B source still valid. The
+ * carry fix-up, with the panel's B source still valid. The
  * serve path uses it for the dynamic-graph correction pass (which must
  * see the panel operand before the buffer is rewritten) followed by
  * the panel's activation.
@@ -122,8 +124,8 @@ using PanelPostSweepFn = std::function<void(
 /**
  * One prepared fused execution: sparse matrix + output dimension +
  * shared schedule + locality (fused tile width, prefetch, optional
- * reorder scatter) + the precomputed list of split rows that need the
- * epilogue applied out-of-band. Build once per (matrix, dim), run per
+ * reorder scatter) + the precomputed split-row list the carry fix-up
+ * walks after every panel. Build once per (matrix, dim), run per
  * layer call; panel buffers are lazily allocated and reused across
  * runs. The plan borrows @p a, the schedule and any scatter array —
  * it must not outlive them.
@@ -138,10 +140,10 @@ class FusedLayerPlan
     /**
      * Hybrid-dispatch plan: every panel sweep routes through
      * hybrid_spmm_panel() (dense-band row-GEMM + merge-path tail, see
-     * mps/core/hybrid.h) instead of the plain merge path. The shared
-     * (out-of-band epilogue) rows are the tail schedule's atomically
-     * committed rows mapped back to base row ids; dense-band rows are
-     * always epilogued inline since exactly one executor owns them.
+     * mps/core/hybrid.h) instead of the plain merge path. The split
+     * rows are the tail schedule's, mapped back to base row ids;
+     * dense-band rows are always epilogued inline since exactly one
+     * executor owns them.
      */
     FusedLayerPlan(const CsrMatrix &a, index_t dim,
                    std::shared_ptr<const HybridSchedule> hybrid,
@@ -189,9 +191,9 @@ class FusedLayerPlan
         derive_tiles();
     }
     StorageMode precision() const { return precision_; }
-    /** Traversal rows committed atomically (split across threads). */
+    /** Traversal rows split across threads (finished by the fix-up). */
     const std::vector<index_t> &shared_rows() const {
-        return shared_rows_;
+        return split_.rows;
     }
 
     /**
@@ -208,8 +210,9 @@ class FusedLayerPlan
      * Materialize C = epi(A * B) where B arrives panel-by-panel from
      * @p source. C is zero-filled first (commits add). @p epi (if any)
      * is applied exactly once to every output row of every panel: at
-     * plain commits inline, to shared rows in a pass after the panel
-     * barrier. @p post_sweep (if any) runs after that, per panel.
+     * plain commits inline, to split rows in the carry fix-up after
+     * the panel barrier. @p post_sweep (if any) runs after that, per
+     * panel.
      */
     void run(const PanelSourceFn &source, DenseMatrix &c,
              WorkStealPool &pool, PanelEpilogue epi = nullptr,
@@ -236,9 +239,6 @@ class FusedLayerPlan
                      index_t c_col0, index_t width, WorkStealPool &pool,
                      const SpmmLocality &loc, PanelEpilogue epi,
                      const void *epi_ctx, bool count_census);
-    void apply_shared_epilogue(DenseMatrix &c, index_t c_col0,
-                               index_t width, PanelEpilogue epi,
-                               const void *epi_ctx);
 
     const CsrMatrix *a_;
     index_t dim_;
@@ -249,7 +249,7 @@ class FusedLayerPlan
     SpmmLocality loc_;     ///< streaming-mode locality
     SpmmLocality run_loc_; ///< run()-mode locality (re-derived prefetch)
     StorageMode precision_ = StorageMode::kF32;
-    std::vector<index_t> shared_rows_;
+    SplitRowList split_;
     DenseMatrix out_panel_; ///< streaming output buffer (a.rows() x tile)
     DenseMatrix gemm_scratch_; ///< panel-source buffer (see gemm_scratch())
 };

@@ -5,8 +5,9 @@
  *
  * The merge-path decomposition solves load balance, but it makes every
  * row pay the schedule's costs: a scratch accumulate + commit round
- * trip per row, and one atomic vector commit per contributing thread on
- * every row long enough to span share boundaries. HC-SpMM (PAPERS.md)
+ * trip per row, and one carry (a partial row summed in the fix-up pass)
+ * per contributing thread on every row long enough to span share
+ * boundaries. HC-SpMM (PAPERS.md)
  * shows that real degree mixes are better served by routing row CLASSES
  * to different execution strategies; GE-SpMM makes the same argument
  * for dense row bands. The CPU transplant here classifies rows ONCE at
@@ -14,19 +15,19 @@
  *
  *  - dense class: rows the merge path serves poorly — long rows (deg >=
  *    the merge-path cost, i.e. rows the schedule would split across
- *    threads and commit atomically) and column-clustered rows (deg >=
+ *    threads) and column-clustered rows (deg >=
  *    min_degree with a column span within span_ratio * deg; after an
  *    RCM/BFS reorder, and on banded Type II graphs natively, these
  *    gather near-contiguously). Maximal runs of dense-class rows whose
  *    total nnz reaches min_band_nnz become dense BANDS, executed by a
  *    row_split-style per-row microkernel GEMM: direct accumulation into
  *    the output row (RowKernels axpy + gather prefetch), no scratch
- *    round trip, no atomics — each band row is owned by exactly one
+ *    round trip, no carries — each band row is owned by exactly one
  *    executor.
  *  - tail class: everything else (the power-law tail, empty rows, short
  *    scattered rows), compacted into a tail CSR and executed by the
- *    existing merge-path schedule with selective atomic split-row
- *    commit.
+ *    existing merge-path schedule, split rows finished by the carry
+ *    fix-up after the phases' barrier.
  *
  * Both phases are submitted to ONE WorkStealPool parallel_for as
  * sibling range jobs (tail shares first, dense chunks after), so a
@@ -34,10 +35,12 @@
  * other. The row sets are disjoint, so the phases never write the same
  * output row and need no cross-phase synchronization.
  *
- * Bit-identity: with a 1-thread tail schedule the hybrid output equals
- * plain merge-path bit for bit — the dense path's direct accumulation
- * computes 0 + sum(axpy) exactly like commit_plain(0-filled dst, acc)
- * does, in the same order with the same microkernels.
+ * Bit-identity: for a fixed schedule the output is the same on any
+ * pool size (the carry fix-up sums split rows in thread order). With a
+ * 1-thread tail schedule it also equals plain merge-path bit for bit —
+ * the dense path's direct accumulation computes 0 + sum(axpy) exactly
+ * like commit_plain(0-filled dst, acc) does, in the same order with the
+ * same microkernels.
  *
  * `MPS_HYBRID=0` turns classification off: every row lands in the tail
  * and the hybrid schedule degenerates to plain merge-path over the base
@@ -92,7 +95,7 @@ struct HybridParams
     index_t min_span = 128;
     /**
      * Degree at which a row is dense-class regardless of span — the
-     * merge path would split it across shares and commit atomically.
+     * merge path would split it across shares.
      * 0 = auto: the schedule's merge-path cost (MPS_HYBRID_LONG_DEGREE).
      */
     index_t long_degree = 0;
@@ -180,6 +183,13 @@ class HybridSchedule
     /** Merge-path schedule of the tail (empty when !has_tail()). */
     const MergePathSchedule &tail_schedule() const { return tail_sched_; }
 
+    /**
+     * The tail schedule's split-row fix-up list with rows mapped to
+     * @p a's (base) row ids; empty without a tail. @p a is the matrix
+     * this schedule was built for.
+     */
+    SplitRowList split_row_list(const CsrMatrix &a) const;
+
     /** Shape of the matrix this schedule was built for. */
     index_t rows() const { return rows_; }
     index_t cols() const { return cols_; }
@@ -237,25 +247,18 @@ HybridSchedule repair_hybrid_schedule(const HybridSchedule &old_hs,
  * One column panel of the two-phase execution (the fused pipeline's
  * entry point): C[:, c_col0:c_col0+width) += A * B[:, b_col0:+width),
  * tail shares + dense chunks submitted as sibling jobs of one
- * parallel_for. The caller zero-fills C's target columns (commits and
- * the dense accumulation both add). @p epi fires per finalized row with
- * the BASE-matrix row id (dense rows and plain tail commits inline;
- * atomically committed tail rows need the caller's shared-row pass,
- * exactly like mergepath_spmm_panel). @p count_census folds the tail
- * sweep into the spmm.mergepath.* write census on request.
+ * parallel_for, then the tail's carry fix-up over @p split
+ * (hs.split_row_list(a), reused across panels). The caller zero-fills
+ * C's target columns (commits and the dense accumulation both add).
+ * @p epi fires once per finished row with the BASE-matrix row id:
+ * inline for dense rows and plain tail commits, in the fix-up for
+ * split tail rows. @p count_census folds the tail sweep into the
+ * spmm.hybrid.* write census on request.
  */
 void hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
-                       const DenseMatrix &b, index_t b_col0,
-                       DenseMatrix &c, index_t c_col0, index_t width,
-                       WorkStealPool &pool, const SpmmLocality &loc,
-                       PanelEpilogue epi = nullptr,
-                       const void *epi_ctx = nullptr,
-                       bool count_census = false);
-
-/** Sequential panel sweep (deterministic reference for tests). */
-void hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
-                       const DenseMatrix &b, index_t b_col0,
-                       DenseMatrix &c, index_t c_col0, index_t width,
+                       const SplitRowList &split, const DenseMatrix &b,
+                       index_t b_col0, DenseMatrix &c, index_t c_col0,
+                       index_t width, WorkStealPool &pool,
                        const SpmmLocality &loc,
                        PanelEpilogue epi = nullptr,
                        const void *epi_ctx = nullptr,
@@ -274,7 +277,7 @@ void hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
                           const DenseMatrix &b, DenseMatrix &c,
                           WorkStealPool &pool);
 
-/** Sequential full execution (bit-identity tests). */
+/** Sequential full execution: the parallel result, on one thread. */
 void hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
                             const DenseMatrix &b, DenseMatrix &c,
                             const SpmmLocality &loc = SpmmLocality{});

@@ -11,6 +11,8 @@
  *   - d <  lanes: floor(lanes/d) threads are packed into one warp.
  * The default costs below are the paper's empirically tuned values
  * (Figure 6), re-validated by bench/fig06_cost_sweep on our model.
+ * They size GPU launches; the CPU kernels size their schedules with
+ * cpu_merge_path_cost() instead (DESIGN.md §14).
  */
 #ifndef MPS_CORE_POLICY_H
 #define MPS_CORE_POLICY_H
@@ -49,6 +51,28 @@ struct LaunchConfig
  * dimensions use the nearest tuned size below (minimum 15).
  */
 index_t default_merge_path_cost(index_t dim);
+
+/**
+ * The CPU merge-path cost for a (rows, nnz) matrix at dense dimension
+ * @p dim executed by @p executors pool workers: the paper's tuned cost,
+ * raised so the schedule asks for at most 64 logical threads per
+ * executor, i.e. max(default_merge_path_cost(dim),
+ * bit_ceil(ceil((rows + nnz) / (64 * executors)))). No minimum-thread
+ * floor applies. A CPU core gains nothing from the GPU table's warp
+ * occupancy, while every extra thread boundary can split a row and add
+ * a carry to the fix-up pass. Rounding up to a power of two keeps the
+ * cost, and every schedule-cache key derived from it, stable while
+ * edge churn drifts nnz. @p executors of 0 counts as 1.
+ */
+index_t cpu_merge_path_cost(index_t rows, int64_t nnz, index_t dim,
+                            unsigned executors);
+
+/**
+ * cpu_merge_path_cost() for the default pool width,
+ * std::thread::hardware_concurrency() — what a kernel uses when no
+ * explicit cost was given.
+ */
+index_t cpu_merge_path_cost(index_t rows, int64_t nnz, index_t dim);
 
 /**
  * Compute the launch configuration for a (rows, nnz) matrix at dense

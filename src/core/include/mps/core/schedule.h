@@ -2,9 +2,12 @@
  * @file
  * The MergePath-SpMM schedule: per-thread merge-path coordinates plus the
  * partial/complete row tracking that is the paper's core contribution
- * (Section III-B). Rows split across threads are committed with one
- * atomic vector update per contributing thread; rows fully owned by a
- * single thread are written with plain stores.
+ * (Section III-B). Rows fully owned by a single thread are written
+ * with plain stores. Rows split across threads take one partial sum
+ * per contributing thread: the paper (and the SIMT model) commit each
+ * with an atomic vector update, the CPU kernels park each in a
+ * per-thread carry slot and sum them in thread order after the sweep
+ * (SplitRowList).
  */
 #ifndef MPS_CORE_SCHEDULE_H
 #define MPS_CORE_SCHEDULE_H
@@ -47,7 +50,10 @@ struct ResolvedWork
     index_t head_row = 0;
     index_t head_begin = 0;
     index_t head_end = 0;
-    /** True when the head contribution must be committed atomically. */
+    /**
+     * True when the head contribution is a partial row: an atomic
+     * commit in the paper's kernel, a carry slot on the CPU.
+     */
     bool head_atomic = false;
 
     /** Fully-owned rows [first_complete_row, last_complete_row). */
@@ -113,6 +119,31 @@ struct ScheduleCensusPart
 };
 
 /**
+ * The split-row fix-up list of a schedule: every row more than one
+ * thread contributes to, with the carries to add into it in thread
+ * order. The first part of a split row (the one starting at the row's
+ * first non-zero) is plain-stored into the zero-filled output by its
+ * thread, since no other thread writes that row during the sweep. Every
+ * later part is the head of the thread that continues the row, and
+ * thread t parks its head in carry slot t. The fix-up pass then adds
+ * the listed carries onto the stored first part. That order is a
+ * property of the schedule alone, so the sums are bit-identical on any
+ * pool size.
+ */
+struct SplitRowList
+{
+    /** Distinct split rows, ascending (through the row map, if any). */
+    std::vector<index_t> rows;
+    /** rows.size() + 1 offsets into slots. */
+    std::vector<index_t> offsets{0};
+    /** Carry slot (= contributing thread) of each later part. */
+    std::vector<index_t> slots;
+
+    index_t size() const { return static_cast<index_t>(rows.size()); }
+    bool empty() const { return rows.empty(); }
+};
+
+/**
  * Load-balanced assignment of a CSR matrix's rows + non-zeros to a fixed
  * number of threads via the merge-path decomposition. Building a
  * schedule costs one O(log) diagonal search per thread and nothing else:
@@ -159,6 +190,16 @@ class MergePathSchedule
      * with atomicity decisions, per Algorithm 2.
      */
     ResolvedWork resolve(index_t t, const CsrMatrix &a) const;
+
+    /**
+     * The split-row fix-up list of this schedule over @p a. Partial
+     * rows are non-decreasing in thread order, so one walk over the
+     * threads yields the list already grouped by row. @p row_map, when
+     * non-null, translates each row id (the hybrid tail maps compacted
+     * tail rows back to base rows; the map must be increasing).
+     */
+    SplitRowList split_row_list(const CsrMatrix &a,
+                                const index_t *row_map = nullptr) const;
 
     /** Compute Figure-5-style write statistics for this schedule. */
     ScheduleCensus census(const CsrMatrix &a) const;

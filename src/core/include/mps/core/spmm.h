@@ -2,8 +2,12 @@
  * @file
  * MergePath-SpMM kernels (Algorithm 2): C = A * B with A sparse (CSR)
  * and B, C dense row-major. Thread-local accumulation buffers hold the
- * partial-row sums; each split row receives exactly one atomic vector
- * commit per contributing thread, complete rows are plain stores.
+ * row sums; complete rows are plain stores. A row split across threads
+ * gets one partial sum per contributing thread, parked in that
+ * thread's carry slot and added into C in thread order after the sweep
+ * (the carry fix-up, see SplitRowList). No float atomics: for a fixed
+ * schedule every entry point below produces bit-identical output,
+ * sequential or parallel, on any pool size.
  */
 #ifndef MPS_CORE_SPMM_H
 #define MPS_CORE_SPMM_H
@@ -20,9 +24,9 @@ class DeltaCsr;
 
 /**
  * Execute MergePath-SpMM single-threaded, processing the schedule's
- * thread shares one after another. Bit-identical to what the parallel
- * version computes modulo floating-point commit order; used as the
- * deterministic reference for the schedule logic.
+ * thread shares one after another. Bit-identical to the parallel
+ * version on the same schedule; used as the reference for the schedule
+ * logic.
  *
  * @param a     sparse input, rows x cols CSR
  * @param b     dense input, a.cols() x d
@@ -50,8 +54,9 @@ void mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
 
 /**
  * Execute MergePath-SpMM on @p pool, one task per schedule thread.
- * Split-row commits use atomic floating-point adds; complete rows use
- * plain stores, exactly as in the paper. Locality options resolve from
+ * Complete rows use plain stores as in the paper; split rows go through
+ * the carry fix-up instead of the paper's atomic adds. Locality
+ * options resolve from
  * the process defaults (MPS_TILE_D / MPS_PREFETCH, auto-tuned from the
  * detected L2 size) with an identity row mapping.
  */
@@ -63,9 +68,9 @@ void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
 /**
  * Parallel execution with explicit locality options. When loc.tile_d
  * tiles b.cols(), the merge-path traversal runs once per column panel
- * against the same schedule (one diagonal search, d/tile_d sweeps) and
- * split rows still receive one atomic commit per contributing thread
- * per panel. loc.row_scatter routes output rows through a permutation
+ * against the same schedule (one diagonal search, d/tile_d sweeps), each
+ * panel finishing its split rows in its own fix-up pass.
+ * loc.row_scatter routes output rows through a permutation
  * (reorder-aware execution; see mps/sparse/reorder.h).
  */
 void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
@@ -75,9 +80,8 @@ void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                              const SpmmLocality &loc);
 
 /**
- * Convenience: build a schedule with the tuned default cost for
- * b.cols() (no minimum-thread floor on the CPU; one merge-path thread
- * per pool worker times 16 for dynamic balance) and run in parallel.
+ * Convenience: build a schedule at the CPU cost for b.cols() and the
+ * pool's width (cpu_merge_path_cost) and run in parallel.
  */
 void mergepath_spmm(const CsrMatrix &a, const DenseMatrix &b,
                     DenseMatrix &c, WorkStealPool &pool);
@@ -92,9 +96,9 @@ void reference_spmm(const CsrMatrix &a, const DenseMatrix &b,
  * row's value is final. @p row is the TRAVERSAL row id (before any
  * scatter) so structural epilogues can index side inputs. Folded into
  * the plain-commit path of the sweep — a plain commit means the thread
- * owns the entire row, so the value is final right there; atomically
- * committed (split) rows must receive the epilogue in a separate pass
- * after the sweep (FusedLayerPlan precomputes that shared-row list).
+ * owns the entire row, so the value is final right there; split rows
+ * receive it in the carry fix-up after the sweep, once their carries
+ * are summed. Each row's epilogue runs exactly once, on one thread.
  */
 using PanelEpilogue = void (*)(value_t *crow, index_t row, index_t c_col0,
                                index_t width, const void *ctx);
@@ -106,25 +110,18 @@ using PanelEpilogue = void (*)(value_t *crow, index_t row, index_t c_col0,
  * where @p b is typically a freshly written panel buffer (b_col0 = 0)
  * rather than a full-width operand. The caller owns the panel loop,
  * zero-fills C's target columns beforehand (commits add), and reuses
- * one schedule across panels exactly like the tiled kernels. @p epi,
- * when non-null, runs on every plain commit (see PanelEpilogue for the
- * split-row caveat). @p count_census folds this sweep into the
- * spmm.mergepath.* write census — pass true on the first panel only.
- * Bit-identical per element to the unfused full-width sweep whenever
- * every panel boundary lands on a SIMD block boundary (width a
- * multiple of 16 for all but the last panel).
+ * one schedule, and its @p split list (sched.split_row_list(a)),
+ * across panels exactly like the tiled kernels. @p epi, when non-null,
+ * runs once on every finished row (see PanelEpilogue). @p count_census
+ * folds this sweep into the spmm.mergepath.* write census — pass true
+ * on the first panel only. Bit-identical per element to the unfused
+ * full-width sweep whenever every panel boundary lands on a SIMD block
+ * boundary (width a multiple of 16 for all but the last panel).
  */
 void mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
                           index_t b_col0, DenseMatrix &c, index_t c_col0,
                           index_t width, const MergePathSchedule &sched,
-                          WorkStealPool &pool, const SpmmLocality &loc,
-                          PanelEpilogue epi, const void *epi_ctx,
-                          bool count_census);
-
-/** Sequential panel sweep (deterministic reference for tests). */
-void mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
-                          index_t b_col0, DenseMatrix &c, index_t c_col0,
-                          index_t width, const MergePathSchedule &sched,
+                          const SplitRowList &split, WorkStealPool &pool,
                           const SpmmLocality &loc, PanelEpilogue epi,
                           const void *epi_ctx, bool count_census);
 

@@ -1,6 +1,8 @@
 #include "mps/core/policy.h"
 
 #include <algorithm>
+#include <bit>
+#include <thread>
 
 #include "mps/util/log.h"
 
@@ -21,6 +23,27 @@ default_merge_path_cost(index_t dim)
     if (dim >= 4)
         return 15;
     return 50; // dim == 2: favor fewer warps over parallelism
+}
+
+index_t
+cpu_merge_path_cost(index_t rows, int64_t nnz, index_t dim,
+                    unsigned executors)
+{
+    const int64_t total = static_cast<int64_t>(rows) + nnz;
+    const int64_t max_threads =
+        static_cast<int64_t>(std::max(executors, 1u)) * 64;
+    const int64_t floor_cost = (total + max_threads - 1) / max_threads;
+    const uint64_t quantized = std::bit_ceil(
+        static_cast<uint64_t>(std::max<int64_t>(floor_cost, 1)));
+    return static_cast<index_t>(std::max<int64_t>(
+        default_merge_path_cost(dim), static_cast<int64_t>(quantized)));
+}
+
+index_t
+cpu_merge_path_cost(index_t rows, int64_t nnz, index_t dim)
+{
+    return cpu_merge_path_cost(rows, nnz, dim,
+                               std::thread::hardware_concurrency());
 }
 
 LaunchConfig

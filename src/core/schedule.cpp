@@ -137,6 +137,32 @@ MergePathSchedule::resolve(index_t t, const CsrMatrix &a) const
     return r;
 }
 
+SplitRowList
+MergePathSchedule::split_row_list(const CsrMatrix &a,
+                                  const index_t *row_map) const
+{
+    SplitRowList list;
+    for (index_t t = 0; t < num_threads(); ++t) {
+        // A later part of a split row is always a head that starts
+        // past the row's first non-zero; tails start at it.
+        const ResolvedWork w = resolve(t, a);
+        if (!w.has_head() || w.head_begin == a.row_begin(w.head_row))
+            continue;
+        const index_t row =
+            row_map != nullptr ? row_map[w.head_row] : w.head_row;
+        if (list.rows.empty() || list.rows.back() != row) {
+            if (!list.rows.empty())
+                list.offsets.push_back(
+                    static_cast<index_t>(list.slots.size()));
+            list.rows.push_back(row);
+        }
+        list.slots.push_back(t);
+    }
+    if (!list.rows.empty())
+        list.offsets.push_back(static_cast<index_t>(list.slots.size()));
+    return list;
+}
+
 ScheduleCensusPart
 ScheduleCensusPart::merged(const ScheduleCensusPart &right) const
 {

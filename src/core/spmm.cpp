@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "carry.h"
 #include "mps/core/locality.h"
 #include "mps/core/microkernel.h"
+#include "mps/core/policy.h"
 #include "mps/sparse/delta_csr.h"
 #include "mps/sparse/spgemm.h"
 #include "mps/util/log.h"
@@ -27,8 +29,9 @@ namespace {
  * prefetches the B row of the non-zero that many positions ahead of
  * the read cursor — the panel start, plus a second cache line for wide
  * panels; the hardware streamer follows on within the row. @p epi,
- * when non-null, runs on plain commits only (full row ownership, value
- * final).
+ * when non-null, runs on every finished row: inline at plain commits
+ * (full row ownership, value final), in the carry fix-up for split
+ * rows.
  */
 struct PanelContext
 {
@@ -105,30 +108,29 @@ accumulate_range(const CsrMatrix &a, const DenseMatrix &b, index_t nz_begin,
     }
 }
 
-/** Commit the local buffer to output row @p row, atomically or not. */
+/**
+ * Commit @p acc to output row @p row with plain stores: a row the
+ * thread owns whole (@p final — the value is done, so the fused
+ * epilogue fires right here, while the line is hot) or the first part
+ * of a split row, which no other thread writes during the sweep.
+ */
 inline void
-commit(DenseMatrix &c, index_t row, const value_t *acc,
-       const PanelContext &panel, bool atomic, const RowKernels &rk)
+commit_plain(DenseMatrix &c, index_t row, const value_t *acc,
+             const PanelContext &panel, const RowKernels &rk, bool final)
 {
     value_t *crow = c.row(panel.out_row(row)) + panel.c_col;
-    if (atomic) {
-        rk.commit_atomic(crow, acc, panel.dim);
-    } else {
-        rk.commit_plain(crow, acc, panel.dim);
-        // Plain commit == the thread owns the whole row (resolve marks
-        // any partial-row share atomic), so the value is final and the
-        // fused epilogue can fire right here, while the line is hot.
-        if (panel.epi != nullptr)
-            panel.epi(crow, row, panel.c_col, panel.dim, panel.epi_ctx);
-    }
+    rk.commit_plain(crow, acc, panel.dim);
+    if (final && panel.epi != nullptr)
+        panel.epi(crow, row, panel.c_col, panel.dim, panel.epi_ctx);
 }
 
 /**
  * Per-executor write census (the runtime counterpart of Figure 5's
- * atomic-vs-plain write distribution). Each executor of a parallel_for
- * owns one cacheline-aligned accumulator and bumps it with plain
- * stores; the sums reach the metrics registry in one flush per SpMM
- * instead of up to three contended counter_add calls per scheduled
+ * atomic-vs-plain write distribution; "atomic" counts the parts of
+ * split rows, which the carry fix-up finishes). Each executor of a
+ * parallel_for owns one cacheline-aligned accumulator and bumps it with
+ * plain stores; the sums reach the metrics registry in one flush per
+ * SpMM instead of up to three contended counter_add calls per scheduled
  * task.
  */
 struct alignas(64) CommitCensus
@@ -161,31 +163,35 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
  * Execute one thread's share of Algorithm 2. @p acc is a caller-owned
  * scratch buffer of at least dim elements (the paper's T[0,:]/T[1,:]
  * thread-local storage; one buffer suffices because the commits are
- * sequential within a thread). @p census is the executing worker's
+ * sequential within a thread). A head that continues a split row
+ * accumulates straight into the thread's carry slot instead; the
+ * fix-up pass adds it. @p census is the executing worker's
  * write-census accumulator, or nullptr when metrics are disabled.
  */
 void
 run_thread_work(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
                 const MergePathSchedule &sched, index_t t, value_t *acc,
-                const PanelContext &panel, const RowKernels &rk,
-                CommitCensus *census)
+                const CarrySlots &carries, const PanelContext &panel,
+                const RowKernels &rk, CommitCensus *census)
 {
     ResolvedWork w = sched.resolve(t, a);
+    const auto share = [&](index_t row, index_t begin, index_t end,
+                           bool partial) {
+        if (begin > a.row_begin(row)) {
+            accumulate_range(a, b, begin, end, carries.slot(t), panel, rk);
+        } else {
+            accumulate_range(a, b, begin, end, acc, panel, rk);
+            commit_plain(c, row, acc, panel, rk, !partial);
+        }
+    };
 
-    if (w.has_head()) {
-        accumulate_range(a, b, w.head_begin, w.head_end, acc, panel, rk);
-        commit(c, w.head_row, acc, panel, w.head_atomic, rk);
-    }
+    if (w.has_head())
+        share(w.head_row, w.head_begin, w.head_end, w.head_atomic);
     for (index_t row = w.first_complete_row; row < w.last_complete_row;
-         ++row) {
-        accumulate_range(a, b, a.row_begin(row), a.row_end(row), acc,
-                         panel, rk);
-        commit(c, row, acc, panel, /*atomic=*/false, rk);
-    }
-    if (w.has_tail()) {
-        accumulate_range(a, b, w.tail_begin, w.tail_end, acc, panel, rk);
-        commit(c, w.tail_row, acc, panel, w.tail_atomic, rk);
-    }
+         ++row)
+        share(row, a.row_begin(row), a.row_end(row), false);
+    if (w.has_tail())
+        share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
 
     if (census != nullptr) {
         if (w.has_head()) {
@@ -226,6 +232,7 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool instrumented = metrics.enabled();
+    const SplitRowList split = sched.split_row_list(a);
     CommitCensus census;
     int64_t sweeps = 0;
     for (index_t col = 0; col < dim; col += tile) {
@@ -234,12 +241,17 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
         panel.bmode = b.storage();
         const RowKernels &rk = select_row_kernels(panel.dim);
         value_t *acc = microkernel_scratch(panel.dim);
+        const CarrySlots carries =
+            carry_slots(sched.num_threads(), panel.dim);
         // The write census describes the schedule, not the sweep
         // count: count it on the first panel only.
         CommitCensus *cs =
             instrumented && col == 0 ? &census : nullptr;
         for (index_t t = 0; t < sched.num_threads(); ++t)
-            run_thread_work(a, b, c, sched, t, acc, panel, rk, cs);
+            run_thread_work(a, b, c, sched, t, acc, carries, panel, rk,
+                            cs);
+        apply_carries(split, carries, c, panel.c_col, panel.dim,
+                      panel.scatter, nullptr, nullptr, rk);
         ++sweeps;
     }
     if (instrumented) {
@@ -290,6 +302,7 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     const bool instrumented = metrics.enabled();
+    const SplitRowList split = sched.split_row_list(a);
     // One write-census accumulator per pool executor, merged into the
     // registry once per SpMM (first panel only — the census describes
     // the schedule's write structure, which every sweep repeats).
@@ -306,6 +319,8 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
         panel.bmode = b.storage();
         const RowKernels &rk = select_row_kernels(panel.dim);
         const bool count = instrumented && col == 0;
+        const CarrySlots carries =
+            carry_slots(sched.num_threads(), panel.dim);
         // Grain is left to the pool: it derives the chunk size from
         // the schedule's thread count and the pool width, so a tiny
         // schedule still fans out while a huge one is not over-chunked
@@ -320,8 +335,10 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                 CommitCensus *cs =
                     count ? &census[pool.current_slot()] : nullptr;
                 run_thread_work(a, b, c, sched, static_cast<index_t>(t),
-                                acc, panel, rk, cs);
+                                acc, carries, panel, rk, cs);
             });
+        apply_carries(split, carries, c, panel.c_col, panel.dim,
+                      panel.scatter, nullptr, nullptr, rk);
         ++sweeps;
     }
     if (instrumented) {
@@ -345,9 +362,8 @@ void
 mergepath_spmm(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
                WorkStealPool &pool)
 {
-    index_t threads = static_cast<index_t>(pool.size()) * 16;
-    threads = std::max<index_t>(threads, 1);
-    MergePathSchedule sched = MergePathSchedule::build(a, threads);
+    const MergePathSchedule sched = MergePathSchedule::build_with_cost(
+        a, cpu_merge_path_cost(a.rows(), a.nnz(), b.cols(), pool.size()));
     mergepath_spmm_parallel(a, b, c, sched, pool);
 }
 
@@ -375,9 +391,9 @@ void
 mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
                      index_t b_col0, DenseMatrix &c, index_t c_col0,
                      index_t width, const MergePathSchedule &sched,
-                     WorkStealPool &pool, const SpmmLocality &loc,
-                     PanelEpilogue epi, const void *epi_ctx,
-                     bool count_census)
+                     const SplitRowList &split, WorkStealPool &pool,
+                     const SpmmLocality &loc, PanelEpilogue epi,
+                     const void *epi_ctx, bool count_census)
 {
     check_panel_shapes(a, b, b_col0, c, c_col0, width);
     MetricsRegistry &metrics = MetricsRegistry::global();
@@ -389,39 +405,19 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
                        loc.row_scatter, epi,  epi_ctx};
     panel.bmode = b.storage();
     const RowKernels &rk = select_row_kernels(width);
+    const CarrySlots carries = carry_slots(sched.num_threads(), width);
     pool.parallel_for(
         static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
             value_t *acc = microkernel_scratch(width);
             CommitCensus *cs =
                 count ? &census[pool.current_slot()] : nullptr;
             run_thread_work(a, b, c, sched, static_cast<index_t>(t), acc,
-                            panel, rk, cs);
+                            carries, panel, rk, cs);
         });
+    apply_carries(split, carries, c, c_col0, width, loc.row_scatter, epi,
+                  epi_ctx, rk);
     if (count)
         flush_census(metrics, census.data(), census.size());
-}
-
-void
-mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
-                     index_t b_col0, DenseMatrix &c, index_t c_col0,
-                     index_t width, const MergePathSchedule &sched,
-                     const SpmmLocality &loc, PanelEpilogue epi,
-                     const void *epi_ctx, bool count_census)
-{
-    check_panel_shapes(a, b, b_col0, c, c_col0, width);
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    const bool count = count_census && metrics.enabled();
-    CommitCensus census;
-    PanelContext panel{b_col0,       c_col0, width, loc.prefetch,
-                       loc.row_scatter, epi,  epi_ctx};
-    panel.bmode = b.storage();
-    const RowKernels &rk = select_row_kernels(width);
-    value_t *acc = microkernel_scratch(width);
-    for (index_t t = 0; t < sched.num_threads(); ++t)
-        run_thread_work(a, b, c, sched, t, acc, panel, rk,
-                        count ? &census : nullptr);
-    if (count)
-        flush_census(metrics, &census, 1);
 }
 
 void

@@ -76,13 +76,17 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  *
  * FLOP-for-FLOP identical to activation_epilogue followed by
  * dense_gemm_rank_update: rows are independent and the within-row
- * k-ascending axpy order is unchanged, so 1-thread fused output stays
- * bit-identical to the unfused reference.
+ * k-ascending axpy order is unchanged. The rows it consumes are
+ * schedule-deterministic (split rows sum their carries in thread
+ * order), so for a fixed schedule the accumulated XW is bit-identical
+ * on any pool size, and with a 1-thread schedule also to the unfused
+ * reference.
  *
  * Concurrency: the inline epilogue only fires on plain commits, whose
  * rows are owned whole by one executor; split rows reach apply() in
- * the single-threaded shared-row pass after the panel barrier. Rows of
- * @p out are therefore never written concurrently.
+ * the carry fix-up after the panel barrier, which hands each row to
+ * exactly one executor. Rows of @p out are therefore never written
+ * concurrently.
  *
  * `w_row0` must track the global first column of the panel in flight.
  * Panels stream in ascending order starting at 0, so start it at 0 and

@@ -129,6 +129,10 @@ class GcnModel
     ScheduleCache *schedule_cache_; // nullptr = private per-kernel schedules
     ReorderKind reorder_ = default_reorder_kind();
     StorageMode precision_ = default_precision();
+    // fused_infer()'s inter-layer XW accumulators (entry i feeds layer
+    // i + 1), kept across forwards so a steady-state inference
+    // allocates no n x d temporaries.
+    std::vector<DenseMatrix> xw_scratch_;
     // Offline-cache identity of the last prepared graph.
     index_t prepared_rows_ = -1;
     index_t prepared_nnz_ = -1;

@@ -109,14 +109,15 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
     // model output.
     ScopedSpan span("gcn.infer.fused", "gcn");
     const size_t last = layers_.size() - 1;
-    DenseMatrix xw_cur;
+    xw_scratch_.resize(last);
+    DenseMatrix *xw_cur = nullptr;
     for (size_t i = 0; i < layers_.size(); ++i) {
         ScopedSpan layer_span("gcn.layer" + std::to_string(i) + ".fused",
                               "gcn");
         const PanelSourceFn src =
             i == 0 ? gemm_panel_source(x, layers_[0].weights(), pool,
                                        plans[0]->gemm_scratch())
-                   : slice_panel_source(xw_cur);
+                   : slice_panel_source(*xw_cur);
         const PanelEpilogue epi =
             activation_epilogue(layers_[i].activation());
         if (i < last) {
@@ -125,7 +126,15 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
             // the row is in L1 — the output panel itself is never
             // re-read (see RankUpdateEpilogue).
             const DenseMatrix &w_next = layers_[i + 1].weights();
-            DenseMatrix xw_next(a.rows(), layers_[i + 1].out_features());
+            DenseMatrix &xw_next = xw_scratch_[i];
+            if (xw_next.rows() != a.rows() ||
+                xw_next.cols() != layers_[i + 1].out_features())
+                xw_next = DenseMatrix(a.rows(),
+                                      layers_[i + 1].out_features());
+            // Back to f32 before the refill: a reduced-precision plan
+            // then re-encodes the shadow rows from this forward's
+            // values instead of reading the last forward's.
+            xw_next.set_storage(StorageMode::kF32);
             xw_next.fill(0.0f);
             RankUpdateEpilogue rank = make_rank_update_epilogue(
                 layers_[i].activation(), w_next, xw_next,
@@ -136,7 +145,7 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
                     rank.w_row0 = col0 + width;
                 },
                 pool, &RankUpdateEpilogue::apply, &rank);
-            xw_cur = std::move(xw_next);
+            xw_cur = &xw_next;
         } else {
             result = DenseMatrix(a.rows(), layers_[i].out_features());
             plans[i]->run(src, result, pool, epi);

@@ -31,30 +31,13 @@ adaptive_env_double(const char *name, double fallback)
     return parsed;
 }
 
-index_t
-adaptive_env_threads(const char *name, index_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || parsed < 1) {
-        warn(detail::format_parts("ignoring invalid ", name, "=", v));
-        return fallback;
-    }
-    return static_cast<index_t>(parsed);
-}
-
 } // namespace
 
 AdaptiveSpmm::AdaptiveSpmm(double cv_threshold, bool enable_hybrid)
     : cv_threshold_(cv_threshold), enable_hybrid_(enable_hybrid),
       // Parsed per instance (not static-cached) so tests and serving
       // tenants can retune without restarting the process.
-      evil_factor_(adaptive_env_double("MPS_ADAPTIVE_EVIL_FACTOR", 15.0)),
-      max_threads_(
-          adaptive_env_threads("MPS_ADAPTIVE_MAX_THREADS", 4096))
+      evil_factor_(adaptive_env_double("MPS_ADAPTIVE_EVIL_FACTOR", 15.0))
 {
 }
 
@@ -67,6 +50,7 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
     bool skewed = stats.degree_cv > cv_threshold_ ||
                   (stats.avg_degree > 0.0 &&
                    stats.max_degree > evil_factor_ * stats.avg_degree);
+    const index_t cost = cpu_merge_path_cost(a.rows(), a.nnz(), dim);
     // Once the dense operand spills out of L2 (d wide, many columns),
     // locality beats scheduling: the column-tiled merge-path variant
     // keeps the gather working set panel-resident, which contiguous
@@ -80,8 +64,7 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
         // long/clustered rows carry a real share of the nnz; with only
         // scattered short rows the classification yields no bands and
         // the plain merge path is the same thing without the detour.
-        HybridSchedule hs = HybridSchedule::build(
-            a, default_merge_path_cost(dim), /*min_threads=*/0);
+        HybridSchedule hs = HybridSchedule::build(a, cost);
         if (hs.dense_fraction() >= kHybridDenseFractionMin) {
             strategy_ = AdaptiveStrategy::kHybrid;
             hybrid_ = std::move(hs);
@@ -93,12 +76,8 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
                            : AdaptiveStrategy::kRowSplit;
     }
     if (strategy_ == AdaptiveStrategy::kMergePath ||
-        strategy_ == AdaptiveStrategy::kMergePathTiled) {
-        int64_t total = static_cast<int64_t>(a.rows()) + a.nnz();
-        index_t threads = static_cast<index_t>(std::max<int64_t>(
-            1, std::min<int64_t>(total, max_threads_)));
-        schedule_ = MergePathSchedule::build(a, threads);
-    }
+        strategy_ == AdaptiveStrategy::kMergePathTiled)
+        schedule_ = MergePathSchedule::build_with_cost(a, cost);
 
     MetricsRegistry &metrics = MetricsRegistry::global();
     if (metrics.enabled()) {
@@ -106,8 +85,6 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
                           static_cast<double>(strategy_));
         metrics.gauge_set("adaptive.cv_threshold", cv_threshold_);
         metrics.gauge_set("adaptive.evil_factor", evil_factor_);
-        metrics.gauge_set("adaptive.max_threads",
-                          static_cast<double>(max_threads_));
         metrics.gauge_set("adaptive.degree_cv", stats.degree_cv);
         metrics.gauge_set("adaptive.dense_fraction",
                           strategy_ == AdaptiveStrategy::kHybrid

@@ -31,7 +31,9 @@ HybridSpmm::prepare(const CsrMatrix &a, index_t dim)
     }
     const CsrMatrix &exec = plan_ ? plan_->matrix : a;
 
-    prepared_cost_ = cost_ > 0 ? cost_ : default_merge_path_cost(dim);
+    prepared_cost_ = cost_ > 0
+                         ? cost_
+                         : cpu_merge_path_cost(exec.rows(), exec.nnz(), dim);
     if (cache_ != nullptr) {
         shared_schedule_ = cache_->get_or_build_hybrid(
             exec, prepared_cost_, min_threads_);

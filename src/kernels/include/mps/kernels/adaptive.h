@@ -16,10 +16,11 @@
  *    hybrid dispatch (mps/core/hybrid.h), which routes the long rows
  *    that dominate nnz to the atomics-free row-GEMM phase.
  *
- * The selection thresholds are env-tunable: MPS_ADAPTIVE_EVIL_FACTOR
- * (max/avg degree ratio that marks a graph skewed, default 15) and
- * MPS_ADAPTIVE_MAX_THREADS (merge-path thread clamp, default 4096),
- * both parsed per kernel instance at construction.
+ * The skew threshold is env-tunable: MPS_ADAPTIVE_EVIL_FACTOR (max/avg
+ * degree ratio that marks a graph skewed, default 15), parsed per
+ * kernel instance at construction. The merge-path and hybrid schedules
+ * use the CPU granularity rule (cpu_merge_path_cost) like the other
+ * kernels.
  */
 #ifndef MPS_KERNELS_ADAPTIVE_H
 #define MPS_KERNELS_ADAPTIVE_H
@@ -64,9 +65,6 @@ class AdaptiveSpmm final : public SpmmKernel
     /** Evil-row factor in effect (MPS_ADAPTIVE_EVIL_FACTOR). */
     double evil_factor() const { return evil_factor_; }
 
-    /** Merge-path thread clamp in effect (MPS_ADAPTIVE_MAX_THREADS). */
-    index_t max_threads() const { return max_threads_; }
-
     /**
      * Dense-band nnz fraction below which a skewed input stays on the
      * plain merge path instead of the hybrid dispatch. Aliases the
@@ -80,7 +78,6 @@ class AdaptiveSpmm final : public SpmmKernel
     double cv_threshold_;
     bool enable_hybrid_;
     double evil_factor_;
-    index_t max_threads_;
     AdaptiveStrategy strategy_ = AdaptiveStrategy::kRowSplit;
     MergePathSchedule schedule_;  // kMergePath / kMergePathTiled
     HybridSchedule hybrid_;       // kHybrid only

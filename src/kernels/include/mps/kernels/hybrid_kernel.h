@@ -27,13 +27,13 @@ class HybridSpmm final : public SpmmKernel
 {
   public:
     /**
-     * @param cost merge-path cost for the tail schedule; 0 = the
-     *        paper's tuned default for the prepared dimension.
-     * @param min_threads tail-schedule thread floor. Defaults to 0
-     *        (off), unlike MergePathSpmm's 1024: the floor exists to
-     *        keep GPU-style occupancy up on small graphs, but here the
-     *        dense chunks supply the extra parallelism and a deep tail
-     *        split only multiplies atomic commits.
+     * @param cost merge-path cost for the tail schedule; 0 = the CPU
+     *        granularity rule for the prepared matrix and dimension
+     *        (cpu_merge_path_cost), as for MergePathSpmm.
+     * @param min_threads tail-schedule thread floor; 0 (default) =
+     *        none. The floor exists to keep GPU-style occupancy up on
+     *        small graphs; here the dense chunks supply the extra
+     *        parallelism and a deep tail split only multiplies carries.
      */
     explicit HybridSpmm(index_t cost = 0, index_t min_threads = 0)
         : cost_(cost), min_threads_(min_threads)

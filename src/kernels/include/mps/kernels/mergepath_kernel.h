@@ -15,17 +15,20 @@
 
 namespace mps {
 
-/** The proposed kernel: merge-path schedule + selective atomics. */
+/** The proposed kernel: merge-path schedule + split-row carry fix-up. */
 class MergePathSpmm final : public SpmmKernel
 {
   public:
     /**
-     * @param cost merge-path cost; 0 = the paper's tuned default for
-     *        the prepared dimension (Figure 6 table).
-     * @param min_threads small-graph thread floor (Sec. III-C);
-     *        defaults to the paper's 1024.
+     * @param cost merge-path cost; 0 = the CPU granularity rule for the
+     *        prepared matrix and dimension at the default pool width
+     *        (cpu_merge_path_cost), which never goes below the paper's
+     *        tuned cost (Figure 6 table).
+     * @param min_threads small-graph thread floor (Sec. III-C); 0
+     *        (default) = none. The paper's 1024 keeps GPU warps
+     *        occupied; on a CPU it only adds split rows.
      */
-    explicit MergePathSpmm(index_t cost = 0, index_t min_threads = 1024)
+    explicit MergePathSpmm(index_t cost = 0, index_t min_threads = 0)
         : cost_(cost), min_threads_(min_threads)
     {
     }

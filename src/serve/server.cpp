@@ -1,7 +1,6 @@
 #include "mps/serve/server.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -27,28 +26,19 @@ namespace serve {
 namespace {
 
 /**
- * Merge-path cost for a batch SpMM at effective dimension @p dim. Start
- * from the per-d tuned cost and raise it so the schedule never asks for
- * more than 64x oversubscription of the executing pool — a server keeps
- * many pools busy at once, so unbounded thread counts on huge graphs
- * would only add scheduling overhead. The oversubscription floor is
- * rounded up to a power of two so the cost — and with it the schedule
- * cache key — stays stable while edge churn drifts the nnz count;
- * a compaction therefore lands on the schedule repair_for_update()
- * migrated, instead of missing the cache over a one-edge cost change.
- * Deterministic per (graph-size bucket, dim, pool size), which keeps
- * the ScheduleCache key space small.
+ * Merge-path cost for a batch SpMM at effective dimension @p dim: the
+ * CPU granularity rule (cpu_merge_path_cost) sized for the executing
+ * pool. A server keeps many pools busy at once, so the 64x
+ * oversubscription cap also bounds scheduling overhead on huge graphs,
+ * and the power-of-two rounding keeps the schedule cache key stable
+ * while edge churn drifts nnz — a compaction lands on the schedule
+ * repair_for_update() migrated instead of missing the cache over a
+ * one-edge cost change.
  */
 index_t
 serve_cost(const CsrMatrix &a, index_t dim, const WorkStealPool &pool)
 {
-    const index_t total = a.rows() + a.nnz();
-    const index_t max_threads = static_cast<index_t>(pool.size()) * 64;
-    const index_t floor_cost = (total + max_threads - 1) / max_threads;
-    const index_t quantized = static_cast<index_t>(
-        std::bit_ceil(static_cast<uint64_t>(std::max<index_t>(
-            floor_cost, 1))));
-    return std::max(default_merge_path_cost(dim), quantized);
+    return cpu_merge_path_cost(a.rows(), a.nnz(), dim, pool.size());
 }
 
 /** Flow-event name connecting one request's spans across threads. */

@@ -147,9 +147,17 @@ LogHistogram::merge_into(HistogramSnapshot &into) const
     mine.min = min_.load(std::memory_order_relaxed);
     mine.max = max_.load(std::memory_order_relaxed);
     mine.buckets.resize(HistogramLayout::kNumBuckets, 0);
-    for (int i = 0; i < HistogramLayout::kNumBuckets; ++i)
+    int64_t in_buckets = 0;
+    for (int i = 0; i < HistogramLayout::kNumBuckets; ++i) {
         mine.buckets[static_cast<size_t>(i)] =
             buckets_[i].load(std::memory_order_relaxed);
+        in_buckets +=
+            static_cast<int64_t>(mine.buckets[static_cast<size_t>(i)]);
+    }
+    // A record() racing this snapshot can land in a bucket after
+    // count_ was read. Exporters emit cumulative buckets against the
+    // count (the +Inf bucket), so take it from the buckets read.
+    mine.count = in_buckets;
     into.merge(mine);
 }
 

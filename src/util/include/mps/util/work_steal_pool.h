@@ -171,7 +171,17 @@ class WorkStealPool
     /** Executor ranges per job (wider pools share ranges modulo). */
     static constexpr unsigned kMaxRanges = 65;
 
-    enum SlotState : uint32_t { kFree = 0, kBuilding = 1, kActive = 2 };
+    /**
+     * kFree -> kBuilding (submitter claimed it) -> kActive (published)
+     * -> kDraining (every chunk done; waiting out registered workers)
+     * -> kFree.
+     */
+    enum SlotState : uint32_t {
+        kFree = 0,
+        kBuilding = 1,
+        kActive = 2,
+        kDraining = 3,
+    };
 
     /**
      * One executor's contiguous share of a job's chunks. The owner

@@ -243,9 +243,12 @@ WorkStealPool::scan_jobs(unsigned preferred_range, uint64_t &steals)
         // participants gates recycling: the submitter only rebuilds a
         // slot once no worker is inside it. Re-checking the state
         // after registering makes the pointer chase safe — the slot
-        // may by now carry a different (but equally valid) job.
-        slot.participants.fetch_add(1, std::memory_order_acq_rel);
-        if (slot.state.load(std::memory_order_acquire) == kActive) {
+        // may by now carry a different (but equally valid) job. Both
+        // are seq_cst: they pair with the submitter's kDraining store
+        // and participants load (see run()), so either it sees this
+        // registration and waits, or this re-check sees kDraining.
+        slot.participants.fetch_add(1, std::memory_order_seq_cst);
+        if (slot.state.load(std::memory_order_seq_cst) == kActive) {
             did_work |=
                 work_on(slot, preferred_range % slot.num_ranges, steals);
         }
@@ -426,10 +429,14 @@ WorkStealPool::run(uint64_t n, uint64_t grain, RangeFn invoke,
 
     wait_job_done(*slot);
 
-    // Recycle: wait out workers still registered on the slot (they can
-    // only be leaving — every chunk is done), then free it.
+    // Recycle: retire the job first, then wait out workers still
+    // registered on the slot (they can only be leaving — every chunk
+    // is done), then free it. Without kDraining a worker that loaded
+    // kActive before the wait could register after it, pass its
+    // re-check and read fields the next submitter is rewriting.
+    slot->state.store(kDraining, std::memory_order_seq_cst);
     uint32_t spins = 0;
-    while (slot->participants.load(std::memory_order_acquire) != 0) {
+    while (slot->participants.load(std::memory_order_seq_cst) != 0) {
         if (++spins > 1024) {
             std::this_thread::yield();
             spins = 0;

@@ -1,0 +1,236 @@
+/**
+ * @file
+ * Bit-determinism of the multi-thread merge-path paths. Split rows
+ * are finished by the carry fix-up, which sums each row's partial sums
+ * in thread order. The output therefore depends on the schedule alone:
+ * one schedule run on pools of 1, 3 and 8 workers, and on one thread,
+ * must give bitwise-equal results. Each case uses a schedule with many
+ * split rows (power-law hubs cut across dozens of threads). The pool
+ * cases also run under ThreadSanitizer in tools/check.sh.
+ */
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "mps/core/fusion.h"
+#include "mps/core/hybrid.h"
+#include "mps/core/spmm.h"
+#include "mps/gcn/activation.h"
+#include "mps/gcn/gemm.h"
+#include "mps/sparse/generate.h"
+#include "mps/util/rng.h"
+#include "mps/util/work_steal_pool.h"
+
+namespace mps {
+namespace {
+
+constexpr unsigned kPoolSizes[] = {1, 3, 8};
+
+DenseMatrix
+random_dense(index_t rows, index_t cols, uint64_t seed)
+{
+    DenseMatrix m(rows, cols);
+    Pcg32 rng(seed);
+    m.fill_random(rng);
+    return m;
+}
+
+/** Hub rows several times the merge-path cost: many split rows. */
+CsrMatrix
+hub_graph()
+{
+    PowerLawParams p;
+    p.nodes = 3000;
+    p.target_nnz = 30000;
+    p.max_degree = 1500;
+    p.seed = 41;
+    CsrMatrix a = power_law_graph(p);
+    a.normalize_gcn();
+    return a;
+}
+
+void
+expect_bitwise(const DenseMatrix &got, const DenseMatrix &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (index_t r = 0; r < got.rows(); ++r)
+        for (index_t c = 0; c < got.cols(); ++c)
+            ASSERT_EQ(got(r, c), want(r, c))
+                << what << " differs at (" << r << ", " << c << ")";
+}
+
+/**
+ * Run @p fn(pool, out) once per pool size and require every output
+ * to equal @p want bit for bit.
+ */
+template <class F>
+void
+expect_same_on_every_pool(const DenseMatrix &want, const std::string &what,
+                          const F &fn)
+{
+    for (unsigned workers : kPoolSizes) {
+        WorkStealPool pool(workers);
+        DenseMatrix got(want.rows(), want.cols());
+        fn(pool, got);
+        expect_bitwise(got, want,
+                       what + " on " + std::to_string(workers) +
+                           " workers");
+    }
+}
+
+TEST(Determinism, ScheduleHasManySplitRows)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    const SplitRowList split = sched.split_row_list(a);
+    EXPECT_GE(split.size(), 20);
+    EXPECT_EQ(split.size(), sched.census(a).split_rows);
+}
+
+/** mergepath_spmm_parallel, untiled and column-tiled, at d=16 and 33. */
+TEST(Determinism, MergePathParallelAcrossPoolSizes)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    for (index_t dim : {16, 33}) {
+        DenseMatrix b = random_dense(a.cols(), dim, 7);
+        for (index_t tile : {0, 16}) {
+            SpmmLocality loc;
+            loc.tile_d = tile;
+            DenseMatrix want(a.rows(), dim);
+            mergepath_spmm_sequential(a, b, want, sched, loc);
+            expect_same_on_every_pool(
+                want,
+                "mergepath d=" + std::to_string(dim) +
+                    " tile=" + std::to_string(tile),
+                [&](WorkStealPool &pool, DenseMatrix &out) {
+                    mergepath_spmm_parallel(a, b, out, sched, pool, loc);
+                });
+        }
+    }
+}
+
+/** Reduced-precision operands go through the same carry fix-up. */
+TEST(Determinism, QuantizedOperandsAcrossPoolSizes)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    HybridSchedule hs = HybridSchedule::build(a, 40);
+    for (StorageMode mode : {StorageMode::kBf16, StorageMode::kInt8}) {
+        DenseMatrix b = random_dense(a.cols(), 32, 9);
+        b.quantize(mode);
+        const std::string name =
+            mode == StorageMode::kBf16 ? "bf16" : "int8";
+        DenseMatrix want(a.rows(), 32);
+        mergepath_spmm_sequential(a, b, want, sched);
+        expect_same_on_every_pool(
+            want, "mergepath " + name,
+            [&](WorkStealPool &pool, DenseMatrix &out) {
+                mergepath_spmm_parallel(a, b, out, sched, pool,
+                                        SpmmLocality{});
+            });
+        DenseMatrix hwant(a.rows(), 32);
+        hybrid_spmm_sequential(a, hs, b, hwant);
+        expect_same_on_every_pool(
+            hwant, "hybrid " + name,
+            [&](WorkStealPool &pool, DenseMatrix &out) {
+                hybrid_spmm_parallel(a, hs, b, out, pool, SpmmLocality{});
+            });
+    }
+}
+
+/** The two-phase hybrid: dense bands plus a split merge-path tail. */
+TEST(Determinism, HybridAcrossPoolSizes)
+{
+    CsrMatrix a = hub_graph();
+    HybridSchedule hs = HybridSchedule::build(a, 40);
+    ASSERT_TRUE(hs.has_tail());
+    ASSERT_FALSE(hs.split_row_list(a).empty());
+    DenseMatrix b = random_dense(a.cols(), 16, 11);
+    DenseMatrix want(a.rows(), 16);
+    hybrid_spmm_sequential(a, hs, b, want);
+    expect_same_on_every_pool(
+        want, "hybrid", [&](WorkStealPool &pool, DenseMatrix &out) {
+            hybrid_spmm_parallel(a, hs, b, out, pool, SpmmLocality{});
+        });
+
+    // The fused hybrid panel path, activation fired in the fix-up.
+    SpmmLocality loc;
+    loc.tile_d = 16;
+    DenseMatrix fwant(a.rows(), 32);
+    DenseMatrix xw = random_dense(a.cols(), 32, 12);
+    {
+        WorkStealPool pool(2);
+        FusedLayerPlan plan(a, 32, borrow_hybrid_schedule(hs), loc);
+        plan.run(slice_panel_source(xw), fwant, pool,
+                 activation_epilogue(Activation::kRelu));
+    }
+    expect_same_on_every_pool(
+        fwant, "fused hybrid", [&](WorkStealPool &pool, DenseMatrix &out) {
+            FusedLayerPlan plan(a, 32, borrow_hybrid_schedule(hs), loc);
+            plan.run(slice_panel_source(xw), out, pool,
+                     activation_epilogue(Activation::kRelu));
+        });
+}
+
+/**
+ * FusedLayerPlan::run with a GEMM panel source and the activation
+ * epilogue, and run_streaming with the rank-update epilogue that
+ * builds the next layer's XW: both across pool sizes, and run()
+ * equal to the unfused GEMM -> SpMM -> activation on the same
+ * multi-thread schedule.
+ */
+TEST(Determinism, FusedPlansAcrossPoolSizes)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    const index_t f = 16, hidden = 64, classes = 16;
+    DenseMatrix x = random_dense(a.rows(), f, 21);
+    DenseMatrix w1 = random_dense(f, hidden, 22);
+    DenseMatrix w2 = random_dense(hidden, classes, 23);
+    SpmmLocality loc;
+    loc.tile_d = 16;
+
+    // Unfused reference: GEMM, then the sequential sweep.
+    DenseMatrix want(a.rows(), hidden);
+    {
+        WorkStealPool pool(2);
+        DenseMatrix xw(a.rows(), hidden);
+        dense_gemm(x, w1, xw, pool);
+        mergepath_spmm_sequential(a, xw, want, sched, loc);
+        apply_activation(want, Activation::kRelu);
+    }
+    expect_same_on_every_pool(
+        want, "fused run", [&](WorkStealPool &pool, DenseMatrix &out) {
+            FusedLayerPlan plan(a, hidden, borrow_schedule(sched), loc);
+            plan.run(gemm_panel_source(x, w1, pool), out, pool,
+                     activation_epilogue(Activation::kRelu));
+        });
+
+    const auto stream = [&](WorkStealPool &pool, DenseMatrix &xw2) {
+        FusedLayerPlan plan(a, hidden, borrow_schedule(sched), loc);
+        xw2.fill(0.0f);
+        RankUpdateEpilogue rank = make_rank_update_epilogue(
+            Activation::kRelu, w2, xw2, nullptr);
+        plan.run_streaming(
+            gemm_panel_source(x, w1, pool),
+            [&rank](index_t col0, index_t width, const DenseMatrix &) {
+                rank.w_row0 = col0 + width;
+            },
+            pool, &RankUpdateEpilogue::apply, &rank);
+    };
+    DenseMatrix xw2_want(a.rows(), classes);
+    {
+        WorkStealPool pool(2);
+        stream(pool, xw2_want);
+    }
+    expect_same_on_every_pool(xw2_want, "fused rank-update stream",
+                              stream);
+}
+
+} // namespace
+} // namespace mps

@@ -306,6 +306,9 @@ TEST(ScheduleRepair, SuffixDeltaMatchesFreshBuild)
 
     // The repaired schedule and a fresh build produce bit-identical
     // SpMM results (integer data makes row sums order-independent).
+    // Covers: the repaired and the freshly built schedule (same thread
+    // count, different boundaries) on a 4-worker pool, both against
+    // reference_spmm's row order.
     WorkStealPool pool(4);
     DenseMatrix b(fresh_a.cols(), 17);
     fill_integers(b, rng);

@@ -1,9 +1,10 @@
 /**
  * Tests for the fused panel-streaming pipeline (mps/core/fusion.h):
- * bit-identity against the unfused path on 1-thread schedules (where
- * no atomic commit ordering can interfere), approximate equality on
- * multi-thread schedules for GCN/SAGE/GIN forwards across the
- * microkernel boundary dims, multi-layer streaming chains, and
+ * bit-identity against the unfused path on 1-thread schedules (the
+ * multi-thread and pool-size cases live in determinism_test.cpp),
+ * approximate equality against the row-order reference kernels for
+ * GCN/SAGE/GIN forwards across the microkernel boundary dims,
+ * multi-layer streaming chains, and
  * training-loss parity of the fused GcnTrainer against an in-test
  * unfused reference over 5 epochs.
  */
@@ -68,7 +69,8 @@ expect_bitwise_equal(const DenseMatrix &got, const DenseMatrix &want,
  * 1-thread schedule: every row commits plain, the epilogue fires at
  * commit, and with 16-wide panels every GEMM/gather column offset is
  * SIMD-aligned — the fused output must be BIT-identical to the
- * unfused dense_gemm -> SpMM -> activation sequence.
+ * unfused dense_gemm -> SpMM -> activation sequence. Covers: a 1-thread
+ * schedule on a 4-worker pool, every d in kDims.
  */
 TEST(FusionBitIdentity, OneThreadScheduleExactAcrossDims)
 {
@@ -103,7 +105,8 @@ TEST(FusionBitIdentity, OneThreadScheduleExactAcrossDims)
  * Streaming chain, 1-thread: layer 1's panels rank-update layer 2's
  * combination in ascending panel order, replaying the exact axpy
  * sequence of the full-width GEMM — the chained 2-layer result is
- * bit-identical to the fully materialized pipeline.
+ * bit-identical to the fully materialized pipeline. Covers: a 1-thread
+ * schedule on a 4-worker pool.
  */
 TEST(FusionBitIdentity, StreamingChainMatchesMaterialized)
 {
@@ -145,8 +148,9 @@ TEST(FusionBitIdentity, StreamingChainMatchesMaterialized)
     expect_bitwise_equal(got, expect, classes, "chained logits");
 }
 
-/** Multi-thread schedules: atomic commit order may flip float rounding
- * on split rows, so the comparison is approximate. */
+/** Multi-thread schedules against the reference kernels, which sum
+ * each row in one pass: split rows round differently there, so the
+ * comparison is approximate. */
 TEST(FusionApprox, GcnLayerForwardAcrossDims)
 {
     WorkStealPool pool(4);

@@ -181,6 +181,8 @@ TEST(GatLayer, AttentionRetentionOptOut)
     DenseMatrix unretained(a.rows(), 3);
     layer.forward(a, h, sched, unretained, pool);
     EXPECT_EQ(layer.last_attention().nnz(), 0);
+    // Exact: the aggregation's split rows sum in a fixed order. Covers:
+    // one 8-thread schedule, two runs on a 2-worker pool.
     EXPECT_DOUBLE_EQ(unretained.max_abs_diff(retained), 0.0);
 }
 

@@ -1,9 +1,12 @@
 /** Correctness and behaviour tests for the baseline SpMM kernels. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <tuple>
 
+#include "mps/core/policy.h"
 #include "mps/core/schedule.h"
 #include "mps/core/spmm.h"
 #include "mps/kernels/adaptive.h"
@@ -151,6 +154,48 @@ TEST(Adaptive, PicksMergePathForPowerLaw)
     }
 }
 
+/**
+ * A default MergePathSpmm sizes its schedule with the CPU granularity
+ * rule: at most 64 merge-path threads per hardware thread, whatever
+ * the dimension, and no 1024-thread floor on small graphs.
+ */
+TEST(MergePathKernel, DefaultScheduleIsCpuSized)
+{
+    PowerLawParams p;
+    p.nodes = 60000;
+    p.target_nnz = 600000;
+    p.max_degree = 6000;
+    p.seed = 12;
+    CsrMatrix a = power_law_graph(p);
+    const int64_t hw = std::max(1u, std::thread::hardware_concurrency());
+    for (index_t dim : {16, 128}) {
+        MergePathSpmm kernel;
+        kernel.prepare(a, dim);
+        EXPECT_EQ(kernel.cost(),
+                  cpu_merge_path_cost(a.rows(), a.nnz(), dim));
+        EXPECT_LE(kernel.schedule().num_threads(), 64 * hw) << "d=" << dim;
+    }
+    CsrMatrix small = erdos_renyi_graph(100, 400, 3);
+    MergePathSpmm kernel;
+    kernel.prepare(small, 16);
+    EXPECT_LT(kernel.schedule().num_threads(), 1024);
+}
+
+TEST(MergePathKernel, ExplicitCostAndFloorAreHonoured)
+{
+    CsrMatrix a = erdos_renyi_graph(3000, 30000, 5);
+    const int64_t total = static_cast<int64_t>(a.rows()) + a.nnz();
+    MergePathSpmm paper(20);
+    paper.prepare(a, 16);
+    EXPECT_EQ(paper.cost(), 20);
+    EXPECT_EQ(paper.schedule().num_threads(), (total + 19) / 20);
+
+    CsrMatrix small = erdos_renyi_graph(100, 400, 3);
+    MergePathSpmm floored(0, 1024);
+    floored.prepare(small, 16);
+    EXPECT_EQ(floored.schedule().num_threads(), 1024);
+}
+
 TEST(RowSplit, ChunkCountClampedToRows)
 {
     CsrMatrix a = erdos_renyi_graph(5, 10, 8);
@@ -250,7 +295,9 @@ TEST(Kernels, RepreparedForNewMatrix)
 /**
  * The paper's selective-atomics claim, checked through the metrics
  * counters: a schedule that splits no row must commit every row with a
- * plain store; only split rows may pay for atomics (Figure 5).
+ * plain store; only split rows may pay for a carry (the CPU stand-in
+ * for the paper's atomic commit, still counted as atomic_commits;
+ * Figure 5).
  */
 TEST(Kernels, MergePathAtomicCounterZeroWithoutSplitRows)
 {
@@ -272,7 +319,7 @@ TEST(Kernels, MergePathAtomicCounterZeroWithoutSplitRows)
     EXPECT_EQ(metrics.counter_value("spmm.mergepath.nnz_processed"),
               static_cast<int64_t>(a.nnz()));
 
-    // Far more shares than rows forces split rows -> atomic commits.
+    // Far more shares than rows forces split rows -> carried commits.
     metrics.reset();
     MergePathSchedule sliced = MergePathSchedule::build(a, 256);
     mergepath_spmm_parallel(a, b, c, sliced, pool);

@@ -167,7 +167,8 @@ TEST(TiledSpmm, SequentialBitIdenticalToUntiledAcrossOddDims)
 
         // SIMD-block-aligned widths must reproduce the untiled result
         // bit for bit: the panel loop partitions columns, never the
-        // non-zero stream.
+        // non-zero stream. Covers: one 64-thread schedule, sequential
+        // (determinism_test.cpp runs tiled sweeps on 1/3/8 workers).
         for (index_t tile : {16, 32, 48}) {
             SpmmLocality loc;
             loc.tile_d = tile;
@@ -208,6 +209,7 @@ TEST(TiledSpmm, PrefetchNeverChangesBits)
     SpmmLocality loc;
     loc.tile_d = 32;
     loc.prefetch = 8; // reads ahead of the cursor, ASan-checked
+    // Covers: one 64-thread schedule, sequential.
     DenseMatrix prefetched(a.rows(), 100);
     mergepath_spmm_sequential(a, b, prefetched, s, loc);
     EXPECT_TRUE(bit_identical(prefetched, plain));
@@ -250,10 +252,12 @@ TEST(TiledSpmm, DefaultEntryPointsStillMatchReference)
 
 TEST(ReorderedSpmm, PermutedBitIdenticalToIdentityOnOneThread)
 {
-    // On a 1-thread schedule every row is owned by its thread (plain
-    // stores, no atomics), so the permuted traversal + inverse scatter
-    // must reproduce the identity-order run bit for bit: each output
-    // row sees the same non-zeros in the same order.
+    // On a 1-thread schedule every row is owned by its thread (no
+    // split rows), so the permuted traversal + inverse scatter must
+    // reproduce the identity-order run bit for bit: each output row
+    // sees the same non-zeros in the same order. Covers 1-thread
+    // schedules only: the permuted matrix gets its own schedule, whose
+    // split rows differ from the identity order's.
     CsrMatrix a = evil_graph(250, 2000, 200, 41);
     DenseMatrix b = random_dense(a.cols(), 33, 43);
 

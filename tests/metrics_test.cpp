@@ -483,6 +483,31 @@ TEST(Histogram, SnapshotMergeMatchesCombinedRecording)
     EXPECT_DOUBLE_EQ(merged.quantile(0.5), direct.quantile(0.5));
 }
 
+// A snapshot racing record() must stay self-consistent: the count is
+// what the /metrics exporter emits as the +Inf bucket, so it may never
+// fall below the sum of the finite buckets read in the same snapshot.
+TEST(Histogram, SnapshotCountMatchesBucketsWhileRecording)
+{
+    LogHistogram h;
+    std::atomic<bool> stop{false};
+    std::thread writer([&] {
+        for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+            h.record(static_cast<double>(i % 1000) + 0.5);
+    });
+    int mismatches = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const HistogramSnapshot snap = h.snapshot();
+        uint64_t in_buckets = 0;
+        for (uint64_t b : snap.buckets)
+            in_buckets += b;
+        if (static_cast<uint64_t>(snap.count) != in_buckets)
+            ++mismatches;
+    }
+    stop.store(true, std::memory_order_relaxed);
+    writer.join();
+    EXPECT_EQ(mismatches, 0);
+}
+
 // ---------------------------------------------------------------------------
 // kHistogram in the registry
 

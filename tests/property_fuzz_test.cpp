@@ -362,7 +362,8 @@ expect_bitwise_equal(const DenseMatrix &got, const DenseMatrix &want,
  * DeltaCsr must be BIT-identical to plain SpMM over the eagerly
  * rebuilt (materialized) CSR, batch after batch, and the incrementally
  * repaired schedule must reproduce a fresh build's results after every
- * compaction.
+ * compaction. Covers: random 1-40-thread schedules, sequential and on a
+ * 3-worker pool (integer data, so also against reference_spmm).
  */
 TEST_P(FuzzTest, DynamicSpmmMatchesMaterializedCsr)
 {
@@ -440,9 +441,10 @@ TEST_P(FuzzTest, DynamicSpmmMatchesMaterializedCsr)
 /**
  * Fused-vs-unfused differential fuzz: random strict graphs, random
  * panel widths (including misaligned ones), random thread counts.
- * Integer-valued operands make every partial sum exact, so panel
- * splits and atomic commit order cannot change the result — the fused
- * pipeline must be BIT-identical to dense_gemm -> SpMM -> activation.
+ * Integer-valued operands make every partial sum exact, so misaligned
+ * panel splits cannot change the result — the fused pipeline must be
+ * BIT-identical to dense_gemm -> SpMM -> activation. Covers: random
+ * 1-60-thread schedules on a 3-worker pool.
  */
 TEST_P(FuzzTest, FusedForwardMatchesUnfused)
 {
@@ -558,7 +560,10 @@ TEST_P(FuzzTest, QuantizedSpmmWithinBound)
  * must leave the fp32 master — and therefore every f32-mode kernel
  * output — BIT-identical to a matrix that was never quantized. This
  * pins the acceptance criterion that the default path's numerics are
- * untouched by the mixed-precision machinery.
+ * untouched by the mixed-precision machinery. Covers: random
+ * 1-60-thread schedules, each run twice on one 3-worker pool. The data
+ * is float, so the claim also rests on the carry fix-up summing split
+ * rows in a fixed order.
  */
 TEST_P(FuzzTest, QuantizeRoundTripKeepsF32BitIdentity)
 {

@@ -1,6 +1,9 @@
 /** Tests for the MergePath-SpMM schedule and its census. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "mps/core/policy.h"
@@ -238,6 +241,72 @@ TEST(Policy, ThreadCountFollowsCost)
     simd.min_threads = 0;
     LaunchConfig cfg = make_launch_config(10000, 90000, 16, 20, simd);
     EXPECT_EQ(cfg.num_threads, (10000 + 90000 + 19) / 20);
+}
+
+/**
+ * The CPU granularity rule. The serve batch executor keys its schedule
+ * cache on this cost (serve_cost calls it with the pool's worker
+ * count), so these values pin the keys a running server looks up.
+ */
+TEST(Policy, CpuCostPinnedValues)
+{
+    struct Case
+    {
+        index_t rows;
+        int64_t nnz;
+        index_t dim;
+        unsigned executors;
+        index_t cost;
+    };
+    const Case cases[] = {
+        {2708, 13264, 16, 8, 32},       // Cora + self loops, k = 1
+        {2708, 13264, 128, 8, 50},      // Cora, a k = 8 batch
+        {19717, 88648, 16, 3, 1024},    // Pubmed-sized on 3 workers
+        {10, 20, 2, 4, 50},             // tiny: the paper table wins
+        {250000, 2750000, 128, 4, 16384},
+        {1000, 9000, 32, 0, 256},       // 0 executors count as 1
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(cpu_merge_path_cost(c.rows, c.nnz, c.dim, c.executors),
+                  c.cost)
+            << c.rows << "+" << c.nnz << " d=" << c.dim
+            << " executors=" << c.executors;
+}
+
+TEST(Policy, CpuCostMatchesTheServeFormulaItReplaced)
+{
+    // The expression serve_cost evaluated before the rule moved into
+    // core/policy; every (size, dim, pool) on the grid keeps its value.
+    const auto old_serve_cost = [](index_t total, index_t dim,
+                                   index_t pool) {
+        const index_t max_threads = pool * 64;
+        const index_t floor_cost = (total + max_threads - 1) / max_threads;
+        const index_t quantized = static_cast<index_t>(std::bit_ceil(
+            static_cast<uint64_t>(std::max<index_t>(floor_cost, 1))));
+        return std::max(default_merge_path_cost(dim), quantized);
+    };
+    for (index_t rows : {1, 100, 2708, 19717, 334863})
+        for (index_t nnz : {0, 999, 13264, 88648, 1851744})
+            for (index_t dim : {1, 8, 16, 33, 128, 1024})
+                for (index_t pool : {1, 2, 3, 4, 8, 16})
+                    ASSERT_EQ(cpu_merge_path_cost(
+                                  rows, nnz, dim,
+                                  static_cast<unsigned>(pool)),
+                              old_serve_cost(rows + nnz, dim, pool))
+                        << rows << "+" << nnz << " d=" << dim
+                        << " pool=" << pool;
+}
+
+TEST(Policy, CpuCostCapsThreadsPerExecutor)
+{
+    for (unsigned executors : {1u, 3u, 4u, 16u}) {
+        const index_t rows = 500000;
+        const int64_t nnz = 5000000;
+        const index_t cost = cpu_merge_path_cost(rows, nnz, 16, executors);
+        const int64_t threads = (rows + nnz + cost - 1) / cost;
+        EXPECT_LE(threads, 64 * static_cast<int64_t>(executors));
+        EXPECT_GE(cost, default_merge_path_cost(16));
+    }
 }
 
 } // namespace

@@ -140,6 +140,41 @@ TEST(WorkStealPool, ConcurrentSubmissionsFromManyCallers)
         EXPECT_EQ(failures[c].load(), 0) << "caller " << c;
 }
 
+// Slot recycling under churn: thousands of tiny jobs per caller keep
+// every job slot cycling through build -> active -> draining -> free
+// while workers scan them. A worker that saw a slot active just before
+// its job retired must never run (or read the fields of) the next job
+// the slot carries; each job's indices run exactly once, with the
+// job's own context.
+TEST(WorkStealPool, SlotRecyclingStressFromManyCallers)
+{
+    WorkStealPool pool(3);
+    constexpr int kCallers = 4;
+    constexpr int kJobs = 3000;
+    constexpr uint64_t kN = 64; // >1 chunk, so every job takes a slot
+
+    std::vector<std::thread> callers;
+    std::vector<std::atomic<int>> failures(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            for (int job = 0; job < kJobs; ++job) {
+                std::atomic<uint64_t> sum{0};
+                const uint64_t tag = static_cast<uint64_t>(c) * kJobs +
+                                     static_cast<uint64_t>(job);
+                pool.parallel_for(kN, [&](uint64_t i) {
+                    sum.fetch_add(tag * kN + i, std::memory_order_relaxed);
+                });
+                if (sum.load() != tag * kN * kN + kN * (kN - 1) / 2)
+                    failures[c].fetch_add(1);
+            }
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (int c = 0; c < kCallers; ++c)
+        EXPECT_EQ(failures[c].load(), 0) << "caller " << c;
+}
+
 // A parallel_for body submitting to the same pool: worker-side calls
 // degrade to inline execution, caller-side participation submits a
 // second concurrent job. Either way, every inner index runs once and

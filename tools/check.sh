@@ -4,9 +4,13 @@
 # (including the work-steal pool tests), a TSan one
 # (-DMPS_SANITIZE=thread) that runs the concurrency-heavy tests
 # (lock-free MPSC queue, server lifecycle, work-steal pool submission/
-# stealing/parking, mergepath atomic commits) under the race detector,
+# stealing/parking/slot recycling, the merge-path carry fix-up across
+# pool sizes) under the race detector,
 # and a forced-scalar one (-DMPS_FORCE_SCALAR=ON) that proves
 # the kernel tests pass on the scalar microkernel reference path alone.
+# A repeat stage reruns the determinism-sensitive release tests (fuzz
+# bit-identity, pool-size determinism, pool stress) 20 times in a row,
+# so an order-dependent result rarely passes by luck.
 # A no-tile stage reruns the release SpMM/locality tests with the
 # cache-locality layer disabled (MPS_TILE_D=inf MPS_PREFETCH=0),
 # proving column tiling and software prefetch are behavior-neutral.
@@ -44,6 +48,10 @@ cmake --build "$root/build-release" -j "$jobs"
 echo "==> ctest build-release"
 (cd "$root/build-release" && ctest --output-on-failure -j "$jobs" "$@")
 
+echo "==> ctest build-release x20 (determinism-sensitive tests)"
+(cd "$root/build-release" && ctest --output-on-failure -j "$jobs" \
+    --repeat until-fail:20 -R 'FuzzTest|Determinism|WorkStealPool' "$@")
+
 echo "==> configure build-asan"
 cmake -S "$root" -B "$root/build-asan" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMPS_SANITIZE=address
@@ -60,10 +68,11 @@ cmake --build "$root/build-tsan" -j "$jobs" --target \
     mps_serve_queue_test mps_serve_test mps_schedule_cache_test \
     mps_metrics_test mps_work_steal_pool_test mps_telemetry_test \
     mps_dynamic_graph_test mps_fusion_test mps_hybrid_test \
-    mps_microkernel_test mps_property_fuzz_test fusion
+    mps_microkernel_test mps_property_fuzz_test mps_determinism_test \
+    fusion
 echo "==> ctest build-tsan"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic' \
+    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism' \
     "$@")
 
 echo "==> fusion: panel-streaming smoke under TSan"

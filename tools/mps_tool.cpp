@@ -374,8 +374,8 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
     w1.fill_random(rng);
     w2.fill_random(rng);
 
-    MergePathSchedule sched = MergePathSchedule::build(
-        m, static_cast<index_t>(pool.size()) * 16);
+    MergePathSchedule sched = MergePathSchedule::build_with_cost(
+        m, cpu_merge_path_cost(m.rows(), m.nnz(), dim, pool.size()));
     auto shared = borrow_schedule(sched);
     SpmmLocality loc;
     loc.tile_d = auto_tile_d(m.cols(), dim);
