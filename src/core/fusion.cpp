@@ -174,7 +174,8 @@ FusedLayerPlan::run_streaming(const PanelSourceFn &source,
         out_panel_.fill(0.0f);
         sweep_panel(src, out_panel_, /*c_col0=*/0, width, pool, loc_,
                     epi, epi_ctx, /*count_census=*/col == 0);
-        consume(col, width, out_panel_);
+        if (consume)
+            consume(col, width, out_panel_);
         ++panels;
     }
     MetricsRegistry &metrics = MetricsRegistry::global();

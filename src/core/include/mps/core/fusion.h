@@ -26,7 +26,10 @@
  *                      ROW the moment the sweep finalizes it — H_L is
  *                      never materialized and the output panel is
  *                      never even re-read; the consumer callback only
- *                      advances the panel's weight-row origin.
+ *                      advances the panel's weight-row origin. An
+ *                      aggregate-first layer sweeps its narrow input
+ *                      instead and combines each finished row in the
+ *                      epilogue (CombineEpilogue).
  *
  * `MPS_FUSE=0` disables the fused routing at every call site and
  * restores the exact pre-fusion execution (see fusion_enabled()).
@@ -221,7 +224,8 @@ class FusedLayerPlan
 
     /**
      * Streaming mode: compute each output panel into an internal
-     * buffer and hand it to @p consume while hot. The epilogue sees
+     * buffer and hand it to @p consume while hot (an empty @p consume
+     * is allowed: epilogues that hand rows off themselves need none). The epilogue sees
      * panel-local column 0 (the buffer's origin), not the global col0;
      * epilogues that need the global column take it via @p consume or
      * their ctx. No full-size output is ever allocated.

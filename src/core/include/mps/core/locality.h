@@ -158,6 +158,14 @@ index_t auto_fused_tile_d(index_t n_rows, index_t dim,
                           index_t elem_bytes = sizeof(value_t));
 
 /**
+ * The streaming panel width default_fused_locality() resolves for
+ * @p dim (== dim when the plan sweeps every column in one panel),
+ * without publishing gauges: planners ask it before any plan exists.
+ */
+index_t fused_tile_width(index_t n_rows, index_t dim,
+                         index_t elem_bytes = sizeof(value_t));
+
+/**
  * Resolve locality options for a fused panel-streaming execution over
  * an @p n_rows-row panel buffer at output dimension @p dim. Honors an
  * explicit MPS_TILE_D width (kDisabled runs one full-width panel —

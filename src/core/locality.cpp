@@ -231,23 +231,28 @@ auto_fused_tile_d(index_t n_rows, index_t dim, index_t elem_bytes)
     return static_cast<index_t>(width);
 }
 
+index_t
+fused_tile_width(index_t n_rows, index_t dim, index_t elem_bytes)
+{
+    const LocalityEnv &env = locality_env();
+    switch (env.tile_policy) {
+    case TilePolicy::kDisabled:
+        return dim;
+    case TilePolicy::kExplicit:
+        return std::min(env.tile_d, dim);
+    case TilePolicy::kAuto:
+        break;
+    }
+    return auto_fused_tile_d(n_rows, dim, elem_bytes);
+}
+
 SpmmLocality
 default_fused_locality(index_t n_rows, index_t dim, index_t elem_bytes)
 {
     const LocalityEnv &env = locality_env();
     SpmmLocality loc;
-    switch (env.tile_policy) {
-    case TilePolicy::kDisabled:
-        loc.tile_d = 0;
-        break;
-    case TilePolicy::kExplicit:
-        loc.tile_d = std::min(env.tile_d, dim);
-        break;
-    case TilePolicy::kAuto:
-        loc.tile_d = auto_fused_tile_d(n_rows, dim, elem_bytes);
-        loc.auto_width = true;
-        break;
-    }
+    loc.tile_d = fused_tile_width(n_rows, dim, elem_bytes);
+    loc.auto_width = env.tile_policy == TilePolicy::kAuto;
     // The fused gather reads panel-width rows, so the lookahead is
     // derived from the effective panel width, not the full dimension.
     const index_t effective = loc.tiled(dim) ? loc.tile_d : dim;

@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "mps/core/microkernel.h"
 #include "mps/util/log.h"
 #include "mps/util/work_steal_pool.h"
+
+// The register tiles need hardware FMA: their bit-identity with the
+// scalar path rests on both computing fused multiply-adds.
+#if MPS_MICROKERNEL_SIMD == 1 && defined(__FMA__)
+#define MPS_GEMM_TILES 1
+#include <immintrin.h>
+#else
+#define MPS_GEMM_TILES 0
+#endif
 
 namespace mps {
 
@@ -22,25 +32,228 @@ check_gemm_shapes(const DenseMatrix &x, const DenseMatrix &w,
               "GEMM output must be ", x.rows(), "x", w.cols());
 }
 
-/** Compute rows [row_begin, row_end) of out = x * w (ikj order). */
-void
-gemm_rows(const DenseMatrix &x, const DenseMatrix &w, DenseMatrix &out,
-          index_t row_begin, index_t row_end)
+/**
+ * One dense product on raw row-major operands:
+ *   C[rows x cols] (+)= X[rows x depth] * W[depth x cols]
+ * with leading dimensions ldx/ldw/ldc. `accumulate` adds onto C
+ * instead of overwriting it.
+ */
+struct GemmBlock
 {
-    const index_t f = x.cols();
-    const index_t d = w.cols();
-    const RowKernels &rk = select_row_kernels(d);
-    for (index_t i = row_begin; i < row_end; ++i) {
-        value_t *orow = out.row(i);
-        rk.zero(orow, d);
-        const value_t *xrow = x.row(i);
-        for (index_t k = 0; k < f; ++k) {
+    const value_t *x;
+    index_t ldx;
+    const value_t *w;
+    index_t ldw;
+    value_t *c;
+    index_t ldc;
+    index_t rows, cols, depth;
+    bool accumulate;
+};
+
+/**
+ * The scalar path: a plain ikj loop, one in-memory FMA chain per
+ * output element in ascending k — the reference the tiles are checked
+ * against in forced-scalar builds. std::fma, not `+= a * b`: whether
+ * the compiler contracts that expression depends on how it vectorizes
+ * the loop, and a mul + add rounds differently from the tile's FMA.
+ */
+void
+gemm_block_scalar(const GemmBlock &g)
+{
+    for (index_t i = 0; i < g.rows; ++i) {
+        value_t *crow = g.c + i * g.ldc;
+        const value_t *xrow = g.x + i * g.ldx;
+        if (!g.accumulate)
+            std::fill(crow, crow + g.cols, 0.0f);
+        for (index_t k = 0; k < g.depth; ++k) {
             const value_t xv = xrow[k];
-            if (xv == 0.0f)
-                continue; // feature matrices are moderately sparse
-            rk.axpy(orow, xv, w.row(k), d);
+            const value_t *wrow = g.w + k * g.ldw;
+            for (index_t j = 0; j < g.cols; ++j)
+                crow[j] = std::fma(xv, wrow[j], crow[j]);
         }
     }
+}
+
+#if MPS_GEMM_TILES
+
+/**
+ * One MR x (8 * NV) register tile at (i0, j0). The accumulators stay
+ * in registers for the whole k loop; each k step loads NV vectors of
+ * W's row k, broadcasts x[r][k] and issues MR * NV FMAs. With kMasked
+ * the last vector covers only the lanes set in @p mask (a < 8-column
+ * tail). Per element this is exactly the SIMD axpy chain
+ * acc = fma(x[r][k], w[k][j], acc) over k ascending.
+ */
+template <int MR, int NV, bool kMasked>
+inline void
+tile(const GemmBlock &g, index_t i0, index_t j0, __m256i mask)
+{
+    const value_t *x = g.x + i0 * g.ldx;
+    const value_t *w = g.w + j0;
+    value_t *c = g.c + i0 * g.ldc + j0;
+    const auto load = [&](const value_t *p, int v) {
+        return kMasked && v == NV - 1 ? _mm256_maskload_ps(p + 8 * v, mask)
+                                      : _mm256_loadu_ps(p + 8 * v);
+    };
+    __m256 acc[MR][NV];
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+            acc[r][v] = g.accumulate ? load(c + r * g.ldc, v)
+                                     : _mm256_setzero_ps();
+    for (index_t k = 0; k < g.depth; ++k) {
+        const value_t *wk = w + k * g.ldw;
+        __m256 wv[NV];
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v)
+            wv[v] = load(wk, v);
+#pragma GCC unroll 6
+        for (int r = 0; r < MR; ++r) {
+            const __m256 xb = _mm256_broadcast_ss(x + r * g.ldx + k);
+#pragma GCC unroll 2
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] = _mm256_fmadd_ps(xb, wv[v], acc[r][v]);
+        }
+    }
+#pragma GCC unroll 6
+    for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+            value_t *p = c + r * g.ldc + 8 * v;
+            if (kMasked && v == NV - 1)
+                _mm256_maskstore_ps(p, mask, acc[r][v]);
+            else
+                _mm256_storeu_ps(p, acc[r][v]);
+        }
+}
+
+/** All column tiles of one MR-row strip: 16-wide, then the tail. */
+template <int MR>
+void
+strip(const GemmBlock &g, index_t i0)
+{
+    const __m256i none = _mm256_setzero_si256();
+    index_t j = 0;
+    for (; j + 16 <= g.cols; j += 16)
+        tile<MR, 2, false>(g, i0, j, none);
+    const index_t rem = g.cols - j;
+    if (rem == 0)
+        return;
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i mask =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(rem & 7), lanes);
+    if (rem == 8)
+        tile<MR, 1, false>(g, i0, j, none);
+    else if (rem < 8)
+        tile<MR, 1, true>(g, i0, j, mask);
+    else
+        tile<MR, 2, true>(g, i0, j, mask);
+}
+
+/**
+ * 6-row strips (12 accumulator registers), then a 1-5 row tail. The
+ * strip's rows of X stay in L1 across its column tiles. W is read in
+ * place: packing its 16-column panels contiguously measured within
+ * noise at f = h = 128 (DESIGN.md §15).
+ */
+void
+gemm_block_simd(const GemmBlock &g)
+{
+    index_t i = 0;
+    for (; i + 6 <= g.rows; i += 6)
+        strip<6>(g, i);
+    switch (g.rows - i) {
+      case 5: strip<5>(g, i); break;
+      case 4: strip<4>(g, i); break;
+      case 3: strip<3>(g, i); break;
+      case 2: strip<2>(g, i); break;
+      case 1: strip<1>(g, i); break;
+      default: break;
+    }
+}
+
+#endif // MPS_GEMM_TILES
+
+/**
+ * The one dense-product kernel every GEMM entry point runs: register
+ * tiles on the AVX2+FMA path, the plain loop on the scalar path (and
+ * on NEON, which has no tile yet). Both give each output element one
+ * FMA chain over k ascending, so they agree bit for bit.
+ */
+void
+gemm_block(const GemmBlock &g)
+{
+    if (g.rows <= 0 || g.cols <= 0)
+        return;
+#if MPS_GEMM_TILES
+    if (microkernel_default_path() == MicrokernelPath::kSimd) {
+        gemm_block_simd(g);
+        return;
+    }
+#endif
+    gemm_block_scalar(g);
+}
+
+/**
+ * Row-parallel front of gemm_block: chunks of kChunkRows rows (a
+ * multiple of the 6-row tile) claimed as ranges over @p pool. With
+ * @p tail_first the chunks are walked from the last one down.
+ */
+void
+gemm_parallel(const GemmBlock &g, WorkStealPool &pool,
+              bool tail_first = false)
+{
+    constexpr index_t kChunkRows = 48;
+    if (g.rows <= 0)
+        return;
+    const uint64_t chunks =
+        (static_cast<uint64_t>(g.rows) + kChunkRows - 1) / kChunkRows;
+    pool.parallel_for_ranges(chunks, [&](uint64_t begin, uint64_t end) {
+        for (uint64_t c = begin; c < end; ++c) {
+            const auto chunk =
+                static_cast<index_t>(tail_first ? chunks - 1 - c : c);
+            GemmBlock part = g;
+            const index_t row0 = chunk * kChunkRows;
+            part.rows = std::min(kChunkRows, g.rows - row0);
+            part.x += row0 * g.ldx;
+            part.c += row0 * g.ldc;
+            gemm_block(part);
+        }
+    });
+}
+
+/** One row: crow[0:w.cols()) (+)= xrow[0:depth) * w[w_row0 : +depth). */
+void
+row_times_w(const value_t *xrow, index_t depth, const DenseMatrix &w,
+            index_t w_row0, value_t *crow, bool accumulate)
+{
+    gemm_block({xrow, depth, w.row(w_row0), w.padded_cols(), crow,
+                w.cols(), 1, w.cols(), depth, accumulate});
+}
+
+/**
+ * Per-thread row buffer for CombineEpilogue: the hidden width has no
+ * fixed cap, and the sweep's own microkernel_scratch accumulator is
+ * live while the epilogue runs, so it cannot be borrowed.
+ */
+value_t *
+combine_scratch(index_t width)
+{
+    thread_local std::vector<value_t> buf;
+    // Whole 16-float tiles, like a DenseMatrix row: the tile's masked
+    // tail vector never reaches past the allocation.
+    const auto need = static_cast<size_t>((width + 15) / 16 * 16);
+    if (buf.size() < need)
+        buf.resize(need);
+    return buf.data();
+}
+
+void
+apply_row_activation(Activation act, value_t *row, index_t width)
+{
+    if (const PanelEpilogue epi = activation_epilogue(act))
+        epi(row, 0, 0, width, nullptr);
 }
 
 } // namespace
@@ -50,16 +263,10 @@ dense_gemm(const DenseMatrix &x, const DenseMatrix &w, DenseMatrix &out,
            WorkStealPool &pool)
 {
     check_gemm_shapes(x, w, out);
-    if (x.rows() == 0)
-        return;
-    const index_t chunk_rows = 64;
-    const uint64_t chunks =
-        (static_cast<uint64_t>(x.rows()) + chunk_rows - 1) / chunk_rows;
-    pool.parallel_for(chunks, [&](uint64_t c) {
-        index_t begin = static_cast<index_t>(c) * chunk_rows;
-        index_t end = std::min<index_t>(begin + chunk_rows, x.rows());
-        gemm_rows(x, w, out, begin, end);
-    });
+    gemm_parallel({x.data(), x.padded_cols(), w.data(), w.padded_cols(),
+                   out.data(), out.padded_cols(), x.rows(), w.cols(),
+                   x.cols(), false},
+                  pool);
 }
 
 void
@@ -67,7 +274,13 @@ reference_gemm(const DenseMatrix &x, const DenseMatrix &w,
                DenseMatrix &out)
 {
     check_gemm_shapes(x, w, out);
-    gemm_rows(x, w, out, 0, x.rows());
+    for (index_t i = 0; i < x.rows(); ++i)
+        for (index_t j = 0; j < w.cols(); ++j) {
+            value_t acc = 0.0f;
+            for (index_t k = 0; k < x.cols(); ++k)
+                acc = std::fma(x(i, k), w(k, j), acc);
+            out(i, j) = acc;
+        }
 }
 
 void
@@ -85,23 +298,10 @@ dense_gemm_panel(const DenseMatrix &x, index_t x_row0, const DenseMatrix &w,
     MPS_CHECK(rows <= panel.rows(), "panel has too few rows");
     if (rows == 0)
         return;
-    const index_t f = x.cols();
-    const RowKernels &rk = select_row_kernels(width);
-    pool.parallel_for_ranges(
-        static_cast<uint64_t>(rows), [&](uint64_t begin, uint64_t end) {
-            for (index_t i = static_cast<index_t>(begin);
-                 i < static_cast<index_t>(end); ++i) {
-                value_t *prow = panel.row(i) + panel_col0;
-                rk.zero(prow, width);
-                const value_t *xrow = x.row(x_row0 + i);
-                for (index_t k = 0; k < f; ++k) {
-                    const value_t xv = xrow[k];
-                    if (xv == 0.0f)
-                        continue; // same skip as gemm_rows
-                    rk.axpy(prow, xv, w.row(k) + w_col0, width);
-                }
-            }
-        });
+    gemm_parallel({x.row(x_row0), x.padded_cols(), w.data() + w_col0,
+                   w.padded_cols(), panel.data() + panel_col0,
+                   panel.padded_cols(), rows, width, x.cols(), false},
+                  pool);
 }
 
 void
@@ -126,31 +326,16 @@ dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
     MPS_CHECK(out.rows() == h_panel.rows() && out.cols() == w.cols(),
               "rank-update output must be ", h_panel.rows(), "x",
               w.cols());
-    const index_t d = w.cols();
-    const RowKernels &rk = select_row_kernels(d);
     // The pipeline calls this right after the panel sweep, which
     // committed rows in ascending traversal order — so the panel's
-    // TAIL is what is still cache-resident. Rows are independent and
-    // the per-row FLOP order is untouched, so walk the index space
-    // mirrored and consume the most recently committed rows first;
-    // on big panels this turns a cold DRAM re-read of the head into a
-    // hot re-read of the tail.
-    const index_t last = out.rows() - 1;
-    pool.parallel_for_ranges(
-        static_cast<uint64_t>(out.rows()),
-        [&](uint64_t begin, uint64_t end) {
-            for (uint64_t j = begin; j < end; ++j) {
-                const index_t i = last - static_cast<index_t>(j);
-                value_t *orow = out.row(i);
-                const value_t *hrow = h_panel.row(i);
-                for (index_t k = 0; k < width; ++k) {
-                    const value_t hv = hrow[k];
-                    if (hv == 0.0f)
-                        continue; // ReLU outputs are mostly zero
-                    rk.axpy(orow, hv, w.row(w_row0 + k), d);
-                }
-            }
-        });
+    // TAIL is what is still cache-resident. Rows are independent, so
+    // consume the most recently committed chunks first; on big panels
+    // this turns a cold DRAM re-read of the head into a hot re-read of
+    // the tail.
+    gemm_parallel({h_panel.data(), h_panel.padded_cols(), w.row(w_row0),
+                   w.padded_cols(), out.data(), out.padded_cols(),
+                   out.rows(), w.cols(), width, true},
+                  pool, /*tail_first=*/true);
 }
 
 void
@@ -158,34 +343,19 @@ RankUpdateEpilogue::apply(value_t *crow, index_t row, index_t /*c_col0*/,
                           index_t width, const void *ctx)
 {
     const auto &e = *static_cast<const RankUpdateEpilogue *>(ctx);
-    // Same scalar expressions as activation_epilogue's variants — the
-    // bit-identity guarantee depends on it.
-    switch (e.act) {
-      case Activation::kRelu:
-        for (index_t c = 0; c < width; ++c)
-            crow[c] = crow[c] > 0.0f ? crow[c] : 0.0f;
-        break;
-      case Activation::kSigmoid:
-        for (index_t c = 0; c < width; ++c)
-            crow[c] = 1.0f / (1.0f + std::exp(-crow[c]));
-        break;
-      case Activation::kNone:
-        break;
-    }
+    // activation_epilogue's own expressions — the bit-identity
+    // guarantee against the unfused activation depends on it.
+    apply_row_activation(e.act, crow, width);
     const index_t out_row = e.scatter != nullptr ? e.scatter[row] : row;
-    value_t *orow = e.out->row(out_row);
-    const index_t d = e.out->cols();
-    // No zero-skip here, deliberately: post-ReLU rows are about half
-    // zeros in an unpredictable pattern, and the skip branch
-    // mispredicts its way to costing MORE than the axpys it saves
-    // (measured ~1.7x on the 500k-node bench's rank update). Adding
-    // hv * w with hv == 0 contributes ±0.0f, which leaves every
-    // accumulator value bit-unchanged except one already holding
-    // -0.0f — and these sums cannot produce -0.0f without a product
-    // underflowing, far outside the value ranges GNN features reach.
-    // The 1-thread bit gate verifies this empirically.
-    for (index_t k = 0; k < width; ++k)
-        e.rk->axpy(orow, crow[k], e.w->row(e.w_row0 + k), d);
+    // No zero-skip: post-ReLU rows are about half zeros in an
+    // unpredictable pattern, and a skip branch would cost more than
+    // the FMAs it saves. Adding hv * w with hv == 0 contributes
+    // ±0.0f, which leaves every accumulator value bit-unchanged except
+    // one already holding -0.0f — and these sums cannot produce -0.0f
+    // without a product underflowing, far outside the value ranges GNN
+    // features reach. The 1-thread bit gates verify this empirically.
+    row_times_w(crow, width, *e.w, e.w_row0, e.out->row(out_row),
+                /*accumulate=*/true);
 }
 
 RankUpdateEpilogue
@@ -199,7 +369,45 @@ make_rank_update_epilogue(Activation act, const DenseMatrix &w,
     e.w = &w;
     e.out = &out;
     e.scatter = scatter;
-    e.rk = &select_row_kernels(out.cols());
+    return e;
+}
+
+void
+CombineEpilogue::apply(value_t *crow, index_t row, index_t c_col0,
+                       index_t width, const void *ctx)
+{
+    const auto &e = *static_cast<const CombineEpilogue *>(ctx);
+    MPS_CHECK(c_col0 == 0 && width == e.w->rows(),
+              "combine epilogue needs the whole aggregated row");
+    value_t *orow =
+        e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
+    const index_t hidden = e.w->cols();
+    // act(t * W) lands straight in the destination row, or — when the
+    // next layer combines first — in thread scratch that is folded
+    // into the next layer's XW at once and never stored.
+    value_t *h = e.w_next != nullptr ? combine_scratch(hidden) : orow;
+    row_times_w(crow, width, *e.w, 0, h, /*accumulate=*/false);
+    apply_row_activation(e.act, h, hidden);
+    if (e.w_next != nullptr)
+        row_times_w(h, hidden, *e.w_next, 0, orow, /*accumulate=*/true);
+}
+
+CombineEpilogue
+make_combine_epilogue(Activation act, const DenseMatrix &w,
+                      DenseMatrix &out, const DenseMatrix *w_next,
+                      const index_t *scatter)
+{
+    const index_t out_width = w_next != nullptr ? w_next->cols() : w.cols();
+    MPS_CHECK(w_next == nullptr || w_next->rows() == w.cols(),
+              "next layer's weights must take ", w.cols(), " inputs");
+    MPS_CHECK(out.cols() == out_width, "combine destination must be n x ",
+              out_width);
+    CombineEpilogue e;
+    e.act = act;
+    e.w = &w;
+    e.out = &out;
+    e.w_next = w_next;
+    e.scatter = scatter;
     return e;
 }
 

@@ -2,9 +2,18 @@
  * @file
  * Dense GEMM for the combination phase of a GCN layer: XW = X * W with
  * X (n x f) the node-feature matrix and W (f x d) the trained weights.
- * The paper's accelerators fold this into the same SpMM engine; here a
- * straightforward blocked dense kernel suffices because the A * (XW)
- * SpMM dominates and is the object of study.
+ *
+ * Every dense product here — the full GEMM, the panel GEMM feeding
+ * the fused pipeline, the rank updates and the per-row epilogues —
+ * runs one kernel: a 6-row x 16-column AVX2/FMA accumulator tile held
+ * in registers, with 1-5 row and 8-wide/masked column tails (a plain
+ * loop on the scalar microkernel path). Each output element is one
+ * FMA chain over k in ascending order, the same chain the SIMD axpy
+ * loop produced, so a column slice, a row slice or a k-split rank
+ * update of a product is bit-identical to the corresponding part of
+ * the whole product. X is not zero-skipped: a zero term adds ±0.0f,
+ * which leaves every accumulator bit-unchanged unless it already
+ * holds -0.0f (see RankUpdateEpilogue). DESIGN.md §15 has the numbers.
  */
 #ifndef MPS_GCN_GEMM_H
 #define MPS_GCN_GEMM_H
@@ -16,16 +25,19 @@
 namespace mps {
 
 class WorkStealPool;
-struct RowKernels;
 
 /**
  * out = x * w. Shapes: x is n x f, w is f x d, out must be n x d.
- * Row-parallel over @p pool with a cache-blocked inner loop.
+ * Row-parallel over @p pool in chunks of 6-row register tiles.
  */
 void dense_gemm(const DenseMatrix &x, const DenseMatrix &w,
                 DenseMatrix &out, WorkStealPool &pool);
 
-/** Sequential reference GEMM for tests. */
+/**
+ * Sequential reference GEMM for tests: an independent i-j-k triple
+ * loop, one scalar accumulator per element summed over k ascending —
+ * bitwise equal to dense_gemm.
+ */
 void reference_gemm(const DenseMatrix &x, const DenseMatrix &w,
                     DenseMatrix &out);
 
@@ -34,12 +46,12 @@ void reference_gemm(const DenseMatrix &x, const DenseMatrix &w,
  * column slice of X * W,
  *   panel[i, panel_col0 : panel_col0+width)
  *     = x.row(x_row0 + i) * w[:, w_col0 : w_col0+width)
- * for i in [0, rows). Same ikj loop, zero-skip and microkernel calls
- * as dense_gemm restricted to W's column slice — bit-identical to the
- * corresponding columns of the full GEMM when w_col0 and panel_col0
- * are multiples of 16 (SIMD block alignment). The x_row0 offset lets
- * the serve path read one request's block out of the stacked tall
- * feature matrix.
+ * for i in [0, rows). The same kernel as dense_gemm restricted to W's
+ * column slice, and bit-identical to the corresponding columns of the
+ * full GEMM at any w_col0 and panel_col0: each element's FMA chain
+ * does not depend on which tile or lane computes it. The x_row0
+ * offset lets the serve path read one request's block out of the
+ * stacked tall feature matrix.
  */
 void dense_gemm_panel(const DenseMatrix &x, index_t x_row0,
                       const DenseMatrix &w, index_t w_col0, index_t width,
@@ -54,10 +66,10 @@ void dense_gemm_panel(const DenseMatrix &x, const DenseMatrix &w,
 /**
  * Rank-`width` update of the NEXT layer's combination from a streamed
  * output panel: out += h_panel[:, 0:width) * w[w_row0 : w_row0+width, :).
- * Accumulating panel-by-panel in ascending w_row0 order replays the
- * exact axpy sequence (k ascending, zero-skip) of
- * dense_gemm(h, w, out) — so the multi-layer pipeline that never
- * materializes H reproduces the unfused combination bit-for-bit.
+ * Accumulating panel-by-panel in ascending w_row0 order continues each
+ * element's FMA chain (k ascending) exactly as dense_gemm(h, w, out)
+ * runs it — so the multi-layer pipeline that never materializes H
+ * reproduces the unfused combination bit-for-bit.
  * @p out must be zero-filled before the first panel.
  */
 void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
@@ -75,8 +87,8 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  * update into the commit removes it entirely.
  *
  * FLOP-for-FLOP identical to activation_epilogue followed by
- * dense_gemm_rank_update: rows are independent and the within-row
- * k-ascending axpy order is unchanged. The rows it consumes are
+ * dense_gemm_rank_update: rows are independent and each element's
+ * k-ascending FMA chain is unchanged. The rows it consumes are
  * schedule-deterministic (split rows sum their carries in thread
  * order), so for a fixed schedule the accumulated XW is bit-identical
  * on any pool size, and with a 1-thread schedule also to the unfused
@@ -114,7 +126,6 @@ struct RankUpdateEpilogue
      * the consumer-based pipeline.
      */
     const index_t *scatter = nullptr;
-    const RowKernels *rk = nullptr; ///< kernels for out's width
     index_t w_row0 = 0; ///< global col0 of the panel in flight
 
     /** PanelEpilogue trampoline; @p ctx is the RankUpdateEpilogue. */
@@ -131,6 +142,45 @@ RankUpdateEpilogue make_rank_update_epilogue(Activation act,
                                              const DenseMatrix &w,
                                              DenseMatrix &out,
                                              const index_t *scatter);
+
+/**
+ * Row-granular epilogue of an AGGREGATE-FIRST layer, which sweeps A
+ * over its narrower input H (width in) and combines afterwards:
+ * act((A * H) * W) instead of act(A * (H * W)). The moment the sweep
+ * finalizes aggregated row t, apply() computes h = act(t * W) in
+ * registers and thread scratch and hands it off as whichever is
+ * narrower for the next step:
+ *  - w_next == nullptr: store h as row `scatter[row]` of @p out — the
+ *    next aggregate-first layer's input, or the model output;
+ *  - w_next set: fold h into the next (combine-first) layer's XW
+ *    accumulator, out[row] += h * w_next, and never store h.
+ * The sweep must cover all `in` columns in one panel (the plan's
+ * tile() >= in): the epilogue needs the whole aggregated row. Rows are
+ * owned by one executor each, exactly as for RankUpdateEpilogue.
+ */
+struct CombineEpilogue
+{
+    Activation act = Activation::kNone;
+    const DenseMatrix *w = nullptr;      ///< this layer's weights (in x out)
+    DenseMatrix *out = nullptr;          ///< destination (see above)
+    const DenseMatrix *w_next = nullptr; ///< next layer's weights, or null
+    const index_t *scatter = nullptr;    ///< plan's row_scatter, or null
+
+    /** PanelEpilogue trampoline; @p ctx is the CombineEpilogue. */
+    static void apply(value_t *crow, index_t row, index_t c_col0,
+                      index_t width, const void *ctx);
+};
+
+/**
+ * Build a CombineEpilogue for act((A * H) * w). @p out must be
+ * n x w.cols() when @p w_next is null, else a zero-filled
+ * n x w_next->cols() accumulator. Everything borrowed must outlive the
+ * run.
+ */
+CombineEpilogue make_combine_epilogue(Activation act, const DenseMatrix &w,
+                                      DenseMatrix &out,
+                                      const DenseMatrix *w_next,
+                                      const index_t *scatter);
 
 /**
  * Panel source computing X * W slices on demand into a closure-owned

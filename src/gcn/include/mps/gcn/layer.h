@@ -1,9 +1,12 @@
 /**
  * @file
- * One graph-convolution layer: out = sigma(A * (X * W)), computed in
- * the accelerator-standard order A x (X x W) — dense GEMM for the
- * combination, then the sparse-times-dense SpMM this library is about
- * for the aggregation.
+ * One graph-convolution layer: out = sigma(A * X * W). The product
+ * associates either way, and the sparse traversal costs in proportion
+ * to the width it runs at, so each layer picks the narrower side:
+ * combine first, sigma(A * (X * W)) — the accelerator-standard order,
+ * traversal at width out — or aggregate first, sigma((A * X) * W),
+ * traversal at width in. aggregate_first() is the one rule; the fused
+ * pipeline, kernel preparation and the MPS_FUSE=0 path all follow it.
  */
 #ifndef MPS_GCN_LAYER_H
 #define MPS_GCN_LAYER_H
@@ -18,6 +21,16 @@
 namespace mps {
 
 class WorkStealPool;
+
+/**
+ * The association rule: a layer aggregates first when it widens
+ * (@p in_features < @p out_features) and its fused plan sweeps all
+ * in_features columns in one panel (@p sparse_tile >= in_features) —
+ * the combine epilogue needs the whole aggregated row at once, so a
+ * tiled plan (a narrow MPS_TILE_D) combines first instead.
+ */
+bool aggregate_first(index_t in_features, index_t out_features,
+                     index_t sparse_tile);
 
 /** A single GCN layer with its trained weights. */
 class GcnLayer
@@ -35,9 +48,25 @@ class GcnLayer
     Activation activation() const { return act_; }
 
     /**
-     * Forward pass: out = sigma(A * (x * W)) using @p kernel for the
-     * aggregation SpMM. The kernel must already be prepared for
-     * (a, out_features()); preparation policy (online/offline) is the
+     * aggregate_first() for this layer on graph @p a, at the panel
+     * width a fused plan over the input would use (fused_tile_width).
+     */
+    bool aggregates_first(const CsrMatrix &a) const;
+
+    /**
+     * Width of this layer's sparse traversal on @p a: in_features()
+     * when it aggregates first, out_features() otherwise. The
+     * aggregation kernel is prepared at this width.
+     */
+    index_t sparse_width(const CsrMatrix &a) const {
+        return aggregates_first(a) ? in_features() : out_features();
+    }
+
+    /**
+     * Forward pass: out = sigma(A * x * W) in the order
+     * aggregates_first(a) picks, using @p kernel for the aggregation
+     * SpMM. The kernel must already be prepared for
+     * (a, sparse_width(a)); preparation policy (online/offline) is the
      * model's responsibility.
      *
      * @param a      n x n normalized adjacency matrix
@@ -50,6 +79,9 @@ class GcnLayer
      *        for the SpMM gather (fp32 accumulate throughout). Only the
      *        merge-path/hybrid aggregation honors it — other registry
      *        kernels keep reading the f32 master, which stays valid.
+     *        An aggregate-first layer gathers @p x itself, which is
+     *        const here, at whatever storage it already carries (the
+     *        model quantizes the intermediates it owns).
      */
     void forward(const CsrMatrix &a, const DenseMatrix &x,
                  const SpmmKernel &kernel, DenseMatrix &out,

@@ -42,6 +42,22 @@ struct InferenceStats
     }
 };
 
+/** One layer's plan decision on a graph (GcnModel::layer_plans). */
+struct LayerPlanInfo
+{
+    /** (A * H) * W rather than A * (H * W) (see aggregate_first()). */
+    bool aggregate_first = false;
+    /** Width of the layer's sparse traversal (in or out features). */
+    index_t sparse_width = 0;
+    /**
+     * Storage the traversal gathers at: the model's precision, except
+     * kF32 for an aggregate-first layer 0, which gathers the caller's
+     * const features. (Only the merge-path and hybrid kernels honor a
+     * reduced precision; the others always read f32.)
+     */
+    StorageMode precision = StorageMode::kF32;
+};
+
 /** A stack of GCN layers sharing one aggregation kernel. */
 class GcnModel
 {
@@ -107,15 +123,26 @@ class GcnModel
     DenseMatrix infer(const CsrMatrix &a, const DenseMatrix &x,
                       WorkStealPool &pool, InferenceStats *stats = nullptr);
 
+    /**
+     * Each layer's association order, sparse width and effective
+     * gather precision on graph @p a — what infer() will run. The
+     * same decisions are published as gauges gcn.layer<i>.
+     * {aggregate_first, sparse_width} when the graph is prepared with
+     * metrics enabled.
+     */
+    std::vector<LayerPlanInfo> layer_plans(const CsrMatrix &a) const;
+
   private:
     void prepare_all(const CsrMatrix &a);
 
     /**
-     * Fused multi-layer pipeline (MPS_FUSE, mps/core/fusion.h): layer
-     * i's streamed output panels rank-update layer i+1's combination
-     * while cache-resident. Returns false (leaving @p result untouched)
-     * when fusion is disabled or any layer's kernel lacks a fused plan;
-     * the caller then runs the classic layer-by-layer loop.
+     * Fused multi-layer pipeline (MPS_FUSE, mps/core/fusion.h): each
+     * layer's commit epilogue hands layer i+1 its input H (when that
+     * layer aggregates first) or rank-updates its combination XW,
+     * while the row is cache-resident. Returns false (leaving
+     * @p result untouched) when fusion is disabled or any layer's
+     * kernel lacks a fused plan; the caller then runs the classic
+     * layer-by-layer loop.
      */
     bool fused_infer(const CsrMatrix &a, const DenseMatrix &x,
                      WorkStealPool &pool, DenseMatrix &result);
@@ -129,10 +156,10 @@ class GcnModel
     ScheduleCache *schedule_cache_; // nullptr = private per-kernel schedules
     ReorderKind reorder_ = default_reorder_kind();
     StorageMode precision_ = default_precision();
-    // fused_infer()'s inter-layer XW accumulators (entry i feeds layer
-    // i + 1), kept across forwards so a steady-state inference
-    // allocates no n x d temporaries.
-    std::vector<DenseMatrix> xw_scratch_;
+    // fused_infer()'s inter-layer handoffs (entry i feeds layer i + 1:
+    // its input H or its XW accumulator), kept across forwards so a
+    // steady-state inference allocates no n x d temporaries.
+    std::vector<DenseMatrix> handoff_;
     // Offline-cache identity of the last prepared graph.
     index_t prepared_rows_ = -1;
     index_t prepared_nnz_ = -1;

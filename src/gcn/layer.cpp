@@ -3,6 +3,7 @@
 #include <cmath>
 #include <utility>
 
+#include "mps/core/locality.h"
 #include "mps/core/precision.h"
 #include "mps/gcn/gemm.h"
 #include "mps/util/log.h"
@@ -18,6 +19,20 @@ GcnLayer::GcnLayer(DenseMatrix weights, Activation act)
               "layer weights must be non-empty");
 }
 
+bool
+aggregate_first(index_t in_features, index_t out_features,
+                index_t sparse_tile)
+{
+    return in_features < out_features && sparse_tile >= in_features;
+}
+
+bool
+GcnLayer::aggregates_first(const CsrMatrix &a) const
+{
+    return aggregate_first(in_features(), out_features(),
+                           fused_tile_width(a.cols(), in_features()));
+}
+
 void
 GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
                   const SpmmKernel &kernel, DenseMatrix &out,
@@ -30,19 +45,43 @@ GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
               "output must be n x out_features");
 
     ScopedSpan span("gcn.layer.forward", "gcn");
+    const bool agg_first = aggregates_first(a);
     if (fusion_enabled()) {
-        // Fused pipeline: XW is produced TILE-wide into a hot panel
-        // buffer and swept immediately, the activation folded into the
-        // commit epilogue — the n x d temporary never exists. Kernels
+        // Fused pipeline. Combine first: XW is produced TILE-wide into
+        // a hot panel buffer and swept immediately, the activation
+        // folded into the commit epilogue — the n x d temporary never
+        // exists. Aggregate first: the sweep gathers x directly and
+        // each finished row is combined in the epilogue. Kernels
         // without a fused plan (and MPS_FUSE=0) take the classic path.
-        if (FusedLayerPlan *plan = kernel.fused_plan(a, out_features())) {
+        if (FusedLayerPlan *plan = kernel.fused_plan(a, sparse_width(a))) {
             ScopedSpan fused("gcn.layer.fused", "gcn");
             plan->set_precision(precision);
-            plan->run(gemm_panel_source(x, weights_, pool,
-                                        plan->gemm_scratch()),
-                      out, pool, activation_epilogue(act_));
+            if (agg_first) {
+                const CombineEpilogue combine = make_combine_epilogue(
+                    act_, weights_, out, nullptr,
+                    plan->locality().row_scatter);
+                plan->run_streaming(slice_panel_source(x), {}, pool,
+                                    &CombineEpilogue::apply, &combine);
+            } else {
+                plan->run(gemm_panel_source(x, weights_, pool,
+                                            plan->gemm_scratch()),
+                          out, pool, activation_epilogue(act_));
+            }
             return;
         }
+    }
+    if (agg_first) {
+        DenseMatrix ax(x.rows(), in_features());
+        {
+            ScopedSpan aggregate("gcn.layer.aggregate", "gcn");
+            kernel.run(a, x, ax, pool);
+        }
+        {
+            ScopedSpan combine("gcn.layer.combine", "gcn");
+            dense_gemm(ax, weights_, out, pool);
+        }
+        apply_activation(out, act_);
+        return;
     }
     DenseMatrix xw(x.rows(), out_features());
     {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mps/core/fusion.h"
+#include "mps/core/precision.h"
 #include "mps/core/schedule_cache.h"
 #include "mps/gcn/gemm.h"
 #include "mps/kernels/registry.h"
@@ -72,11 +73,41 @@ GcnModel::two_layer(index_t in_features, index_t hidden, index_t classes,
     return model;
 }
 
+std::vector<LayerPlanInfo>
+GcnModel::layer_plans(const CsrMatrix &a) const
+{
+    std::vector<LayerPlanInfo> plans;
+    plans.reserve(layers_.size());
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        LayerPlanInfo p;
+        p.aggregate_first = layers_[i].aggregates_first(a);
+        p.sparse_width = p.aggregate_first ? layers_[i].in_features()
+                                           : layers_[i].out_features();
+        // An aggregate-first layer 0 gathers the caller's const X,
+        // which the model cannot quantize; every other sparse operand
+        // is model-owned (XW panels and accumulators, handed-off H).
+        p.precision = p.aggregate_first && i == 0 ? StorageMode::kF32
+                                                  : precision_;
+        plans.push_back(p);
+    }
+    return plans;
+}
+
 void
 GcnModel::prepare_all(const CsrMatrix &a)
 {
-    for (size_t i = 0; i < layers_.size(); ++i)
-        kernels_[i]->prepare(a, layers_[i].out_features());
+    const std::vector<LayerPlanInfo> plans = layer_plans(a);
+    MetricsRegistry &metrics = MetricsRegistry::global();
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        kernels_[i]->prepare(a, plans[i].sparse_width);
+        if (metrics.enabled()) {
+            const std::string layer = "gcn.layer" + std::to_string(i);
+            metrics.gauge_set(layer + ".aggregate_first",
+                              plans[i].aggregate_first ? 1.0 : 0.0);
+            metrics.gauge_set(layer + ".sparse_width",
+                              static_cast<double>(plans[i].sparse_width));
+        }
+    }
     prepared_rows_ = a.rows();
     prepared_nnz_ = a.nnz();
 }
@@ -90,71 +121,80 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
     // Every layer must offer a fused plan, or the whole inference
     // falls back — mixing fused and unfused layers would still
     // materialize the intermediates the pipeline exists to avoid.
+    const size_t n_layers = layers_.size();
+    const std::vector<LayerPlanInfo> order = layer_plans(a);
     std::vector<FusedLayerPlan *> plans;
-    plans.reserve(layers_.size());
-    for (size_t i = 0; i < layers_.size(); ++i) {
+    for (size_t i = 0; i < n_layers; ++i) {
         FusedLayerPlan *plan =
-            kernels_[i]->fused_plan(a, layers_[i].out_features());
+            kernels_[i]->fused_plan(a, order[i].sparse_width);
         if (plan == nullptr)
             return false;
+        MPS_CHECK(!order[i].aggregate_first ||
+                      plan->tile() >= order[i].sparse_width,
+                  "aggregate-first layer ", i,
+                  " needs a one-panel plan over its input");
         plan->set_precision(precision_);
         plans.push_back(plan);
     }
 
-    // Multi-layer pipelining: layer i streams its finalized output
-    // panels (activation already applied in the commit epilogue)
-    // straight into rank updates of layer i+1's combination — the
-    // hidden matrix H_i is never materialized, only the next layer's
-    // narrow XW accumulator is. The final layer materializes the
-    // model output.
+    // Multi-layer pipelining: each layer hands the next one whichever
+    // operand is narrower, straight from its commit epilogue while the
+    // row is in L1 — the next layer's input H when that layer
+    // aggregates first, else rank updates of its XW accumulator. Only
+    // those handoffs and the model output are materialized.
     ScopedSpan span("gcn.infer.fused", "gcn");
-    const size_t last = layers_.size() - 1;
-    xw_scratch_.resize(last);
-    DenseMatrix *xw_cur = nullptr;
-    for (size_t i = 0; i < layers_.size(); ++i) {
+    const size_t last = n_layers - 1;
+    handoff_.resize(last);
+    for (size_t i = 0; i < n_layers; ++i) {
         ScopedSpan layer_span("gcn.layer" + std::to_string(i) + ".fused",
                               "gcn");
+        const GcnLayer &layer = layers_[i];
+        const index_t *scatter = plans[i]->locality().row_scatter;
+        // The sparse operand: the previous handoff, the caller's const
+        // X (gathered at its own f32 storage), or X * W0 panels.
         const PanelSourceFn src =
-            i == 0 ? gemm_panel_source(x, layers_[0].weights(), pool,
-                                       plans[0]->gemm_scratch())
-                   : slice_panel_source(*xw_cur);
-        const PanelEpilogue epi =
-            activation_epilogue(layers_[i].activation());
-        if (i < last) {
-            // Row-granular handoff: the commit epilogue applies the
-            // activation AND rank-updates the next layer's XW while
-            // the row is in L1 — the output panel itself is never
-            // re-read (see RankUpdateEpilogue).
-            const DenseMatrix &w_next = layers_[i + 1].weights();
-            DenseMatrix &xw_next = xw_scratch_[i];
-            if (xw_next.rows() != a.rows() ||
-                xw_next.cols() != layers_[i + 1].out_features())
-                xw_next = DenseMatrix(a.rows(),
-                                      layers_[i + 1].out_features());
-            // Back to f32 before the refill: a reduced-precision plan
-            // then re-encodes the shadow rows from this forward's
-            // values instead of reading the last forward's.
-            xw_next.set_storage(StorageMode::kF32);
-            xw_next.fill(0.0f);
+            i > 0 ? slice_panel_source(handoff_[i - 1])
+            : order[0].aggregate_first
+                ? slice_panel_source(x)
+                : gemm_panel_source(x, layer.weights(), pool,
+                                    plans[0]->gemm_scratch());
+        const bool feeds_xw = i < last && !order[i + 1].aggregate_first;
+        DenseMatrix &dst = i < last ? handoff_[i] : result;
+        const index_t dst_cols = feeds_xw ? layers_[i + 1].out_features()
+                                          : layer.out_features();
+        if (dst.rows() != a.rows() || dst.cols() != dst_cols)
+            dst = DenseMatrix(a.rows(), dst_cols);
+        // Back to f32 before the refill: a reduced-precision plan then
+        // re-encodes the shadow rows from this forward's values instead
+        // of reading the last forward's.
+        dst.set_storage(StorageMode::kF32);
+        if (feeds_xw)
+            dst.fill(0.0f); // rank updates accumulate
+        if (order[i].aggregate_first) {
+            const CombineEpilogue combine = make_combine_epilogue(
+                layer.activation(), layer.weights(), dst,
+                feeds_xw ? &layers_[i + 1].weights() : nullptr, scatter);
+            plans[i]->run_streaming(src, {}, pool, &CombineEpilogue::apply,
+                                    &combine);
+        } else if (feeds_xw) {
             RankUpdateEpilogue rank = make_rank_update_epilogue(
-                layers_[i].activation(), w_next, xw_next,
-                plans[i]->locality().row_scatter);
+                layer.activation(), layers_[i + 1].weights(), dst,
+                scatter);
             plans[i]->run_streaming(
                 src,
                 [&rank](index_t col0, index_t width, const DenseMatrix &) {
                     rank.w_row0 = col0 + width;
                 },
                 pool, &RankUpdateEpilogue::apply, &rank);
-            xw_cur = &xw_next;
         } else {
-            result = DenseMatrix(a.rows(), layers_[i].out_features());
-            plans[i]->run(src, result, pool, epi);
+            plans[i]->run(src, dst, pool,
+                          activation_epilogue(layer.activation()));
         }
     }
     MetricsRegistry &metrics = MetricsRegistry::global();
-    if (metrics.enabled() && layers_.size() > 1)
+    if (metrics.enabled() && n_layers > 1)
         metrics.counter_add("fusion.pipelined_layers",
-                            static_cast<int64_t>(layers_.size() - 1));
+                            static_cast<int64_t>(last));
     return true;
 }
 
@@ -190,6 +230,11 @@ GcnModel::infer(const CsrMatrix &a, const DenseMatrix &x, WorkStealPool &pool,
         current = x;
         for (size_t i = 0; i < layers_.size(); ++i) {
             ScopedSpan layer_span("gcn.layer" + std::to_string(i), "gcn");
+            // An aggregate-first layer gathers its input as given; a
+            // model-owned H quantizes like the fused handoff does.
+            if (i > 0 && precision_ != StorageMode::kF32 &&
+                layers_[i].aggregates_first(a))
+                quantize_dense(current, precision_, &pool);
             DenseMatrix next(a.rows(), layers_[i].out_features());
             layers_[i].forward(a, current, *kernels_[i], next, pool,
                                precision_);

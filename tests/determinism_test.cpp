@@ -19,6 +19,7 @@
 #include "mps/core/spmm.h"
 #include "mps/gcn/activation.h"
 #include "mps/gcn/gemm.h"
+#include "mps/gcn/model.h"
 #include "mps/sparse/generate.h"
 #include "mps/util/rng.h"
 #include "mps/util/work_steal_pool.h"
@@ -230,6 +231,62 @@ TEST(Determinism, FusedPlansAcrossPoolSizes)
     }
     expect_same_on_every_pool(xw2_want, "fused rank-update stream",
                               stream);
+}
+
+/**
+ * Aggregate-first layers: the sweep runs at the narrow input width and
+ * the combine epilogue finishes each row, storing act(t * W) as the
+ * next layer's input or folding it into the next layer's XW. Both
+ * handoffs on one many-split-row schedule, then a whole widening model
+ * (16 -> 64 -> 16, layer 0 aggregating first) whose schedule depends
+ * on the graph and the host, not the pool: all bitwise across pools.
+ */
+TEST(Determinism, AggregateFirstAcrossPoolSizes)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    const index_t f = 16, hidden = 64, classes = 16;
+    DenseMatrix x = random_dense(a.rows(), f, 31);
+    DenseMatrix w1 = random_dense(f, hidden, 32);
+    DenseMatrix w2 = random_dense(hidden, classes, 33);
+
+    const auto combine = [&](const DenseMatrix *w_next) {
+        return [&a, &sched, &x, &w1, w_next](WorkStealPool &pool,
+                                             DenseMatrix &out) {
+            FusedLayerPlan plan(a, f, borrow_schedule(sched),
+                                SpmmLocality{});
+            out.fill(0.0f);
+            const CombineEpilogue epi = make_combine_epilogue(
+                Activation::kRelu, w1, out, w_next, nullptr);
+            plan.run_streaming(slice_panel_source(x), {}, pool,
+                               &CombineEpilogue::apply, &epi);
+        };
+    };
+    const DenseMatrix *const handoffs[] = {nullptr, &w2};
+    for (const DenseMatrix *w_next : handoffs) {
+        const std::string what =
+            w_next == nullptr ? "combine store" : "combine fold";
+        DenseMatrix want(a.rows(), w_next == nullptr ? hidden : classes);
+        {
+            WorkStealPool pool(2);
+            combine(w_next)(pool, want);
+        }
+        expect_same_on_every_pool(want, what, combine(w_next));
+    }
+
+    GcnModel proto = GcnModel::two_layer(f, hidden, classes, 34);
+    ASSERT_TRUE(proto.layer_plans(a)[0].aggregate_first);
+    DenseMatrix want;
+    {
+        WorkStealPool pool(2);
+        want = proto.infer(a, x, pool);
+    }
+    expect_same_on_every_pool(
+        want, "aggregate-first model",
+        [&](WorkStealPool &pool, DenseMatrix &out) {
+            GcnModel model = GcnModel::two_layer(f, hidden, classes, 34);
+            out = model.infer(a, x, pool);
+        });
 }
 
 } // namespace

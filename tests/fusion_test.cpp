@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "mps/core/fusion.h"
 #include "mps/core/locality.h"
+#include "mps/core/precision.h"
 #include "mps/core/schedule.h"
 #include "mps/core/spmm.h"
 #include "mps/gcn/activation.h"
@@ -146,6 +148,44 @@ TEST(FusionBitIdentity, StreamingChainMatchesMaterialized)
     DenseMatrix got(a.rows(), classes);
     plan2.run(slice_panel_source(hw2_acc), got, pool);
     expect_bitwise_equal(got, expect, classes, "chained logits");
+}
+
+/**
+ * Aggregate-first, 1-thread: the sweep over X commits the same rows
+ * as the unfused SpMM, and the combine epilogue runs the GEMM kernel
+ * on each of them — act((A * X) * W1) stored, and folded into
+ * (.) * W2, are bit-identical to SpMM -> dense_gemm -> activation ->
+ * dense_gemm. Covers: a 1-thread schedule on a 4-worker pool.
+ */
+TEST(FusionBitIdentity, AggregateFirstMatchesUnfused)
+{
+    WorkStealPool pool(4);
+    CsrMatrix a = test_graph(170, 1300, 25);
+    const index_t f = 12, hidden = 40, classes = 9;
+    DenseMatrix x = random_dense(a.rows(), f, 55);
+    DenseMatrix w1 = random_dense(f, hidden, 56);
+    DenseMatrix w2 = random_dense(hidden, classes, 57);
+    MergePathSchedule sched = MergePathSchedule::build(a, 1);
+
+    DenseMatrix ax(a.rows(), f), h(a.rows(), hidden);
+    DenseMatrix hw2(a.rows(), classes);
+    mergepath_spmm_parallel(a, x, ax, sched, pool);
+    dense_gemm(ax, w1, h, pool);
+    apply_activation(h, Activation::kRelu);
+    dense_gemm(h, w2, hw2, pool);
+
+    FusedLayerPlan plan(a, f, borrow_schedule(sched), SpmmLocality{});
+    ASSERT_EQ(plan.tile(), f);
+    DenseMatrix got_h(a.rows(), hidden), got_hw2(a.rows(), classes);
+    const CombineEpilogue store = make_combine_epilogue(
+        Activation::kRelu, w1, got_h, nullptr, nullptr);
+    const CombineEpilogue fold = make_combine_epilogue(
+        Activation::kRelu, w1, got_hw2, &w2, nullptr);
+    for (const CombineEpilogue *epi : {&store, &fold})
+        plan.run_streaming(slice_panel_source(x), {}, pool,
+                           &CombineEpilogue::apply, epi);
+    expect_bitwise_equal(got_h, h, hidden, "aggregate-first H");
+    expect_bitwise_equal(got_hw2, hw2, classes, "aggregate-first HW2");
 }
 
 /** Multi-thread schedules against the reference kernels, which sum
@@ -389,6 +429,159 @@ TEST(FusionTraining, LossParityOverFiveEpochs)
     DenseMatrix logits =
         trainer.predict(prob.graph, prob.features, pool);
     EXPECT_GT(accuracy(logits, prob.labels, prob.train_mask), 0.5);
+}
+
+/** A model chaining @p widths, ReLU between layers, identity last. */
+GcnModel
+chain_model(const std::vector<index_t> &widths, const std::string &kernel)
+{
+    GcnModel model(kernel);
+    for (size_t l = 0; l + 1 < widths.size(); ++l)
+        model.add_layer(GcnLayer(
+            random_layer_weights(widths[l], widths[l + 1], 80 + l),
+            l + 2 < widths.size() ? Activation::kRelu : Activation::kNone));
+    return model;
+}
+
+/** Combine-first row-order reference: reference_gemm, reference_spmm. */
+DenseMatrix
+reference_forward(const GcnModel &model, const CsrMatrix &a,
+                  const DenseMatrix &x)
+{
+    DenseMatrix h = x;
+    for (size_t l = 0; l < model.num_layers(); ++l) {
+        const GcnLayer &layer = model.layer(l);
+        DenseMatrix xw(a.rows(), layer.out_features());
+        DenseMatrix out(a.rows(), layer.out_features());
+        reference_gemm(h, layer.weights(), xw);
+        reference_spmm(a, xw, out);
+        apply_activation(out, layer.activation());
+        h = std::move(out);
+    }
+    return h;
+}
+
+/** The association rule, pinned per layer for the model shapes. */
+TEST(GcnAssociation, RulePinnedForShapes)
+{
+    CsrMatrix a = test_graph(200, 1600, 27);
+    struct Case
+    {
+        std::vector<index_t> widths;
+        std::vector<bool> agg_first;
+    };
+    const Case cases[] = {
+        {{16, 128, 16}, {true, false}},
+        {{128, 128, 16}, {false, false}},
+        {{32, 16, 8}, {false, false}},
+        {{24, 33, 7}, {true, false}},
+        {{8, 32, 64, 4}, {true, true, false}},
+    };
+    for (const Case &c : cases) {
+        const GcnModel model = chain_model(c.widths, "mergepath");
+        const std::vector<LayerPlanInfo> plans = model.layer_plans(a);
+        ASSERT_EQ(plans.size(), c.agg_first.size());
+        for (size_t l = 0; l < plans.size(); ++l) {
+            const std::string what = "widths[" + std::to_string(l) +
+                                     "]=" + std::to_string(c.widths[l]);
+            EXPECT_EQ(plans[l].aggregate_first, c.agg_first[l]) << what;
+            EXPECT_EQ(model.layer(l).aggregates_first(a), c.agg_first[l])
+                << what;
+            EXPECT_EQ(plans[l].sparse_width,
+                      c.agg_first[l] ? c.widths[l] : c.widths[l + 1])
+                << what;
+            // Layer 0 aggregating first gathers the caller's f32 X.
+            EXPECT_EQ(plans[l].precision, c.agg_first[l] && l == 0
+                                              ? StorageMode::kF32
+                                              : model.precision())
+                << what;
+        }
+    }
+}
+
+/**
+ * A plan that cannot sweep the whole input in one panel (a narrow
+ * MPS_TILE_D) leaves no whole aggregated row for the combine
+ * epilogue: the layer combines first instead.
+ */
+TEST(GcnAssociation, TiledPlanCombinesFirst)
+{
+    EXPECT_TRUE(aggregate_first(16, 128, 16));
+    EXPECT_TRUE(aggregate_first(16, 128, 128));
+    EXPECT_FALSE(aggregate_first(16, 128, 8));
+    EXPECT_FALSE(aggregate_first(48, 64, 32));
+    EXPECT_FALSE(aggregate_first(128, 16, 128)); // narrowing
+    EXPECT_FALSE(aggregate_first(32, 32, 32));   // equal widths
+}
+
+/**
+ * Models whose layers widen, on the fused merge-path and hybrid
+ * pipelines with and without a reorder scatter, against the "reference"
+ * kernel (no fused plan: the classic loop, same association) and the
+ * combine-first row-order reference. Covers every handoff:
+ * aggregate-first into combine-first (16-48-7), aggregate-first into
+ * aggregate-first (8-32-64-4) and combine-first into aggregate-first
+ * (32-16-48-8). Under MPS_FUSE=0 the same models run the classic path.
+ */
+TEST(GcnAssociation, FusedMatchesClassicAndReference)
+{
+    WorkStealPool pool(4);
+    PowerLawParams p;
+    p.nodes = 600;
+    p.target_nnz = 5000;
+    p.max_degree = 300;
+    p.seed = 29;
+    CsrMatrix a = power_law_graph(p);
+    a.normalize_gcn();
+    const double tol =
+        default_precision() == StorageMode::kF32 ? 1e-3 : 3e-2;
+    const std::vector<index_t> shapes[] = {
+        {16, 48, 7}, {8, 32, 64, 4}, {32, 16, 48, 8}};
+    for (const std::vector<index_t> &widths : shapes) {
+        DenseMatrix x = random_dense(a.rows(), widths[0], 141);
+        GcnModel gold = chain_model(widths, "reference");
+        const DenseMatrix want = reference_forward(gold, a, x);
+        const DenseMatrix classic = gold.infer(a, x, pool);
+        EXPECT_TRUE(classic.approx_equal(want, tol, tol))
+            << "reference kernel, diff=" << classic.max_abs_diff(want);
+        for (const char *kernel : {"mergepath", "hybrid"})
+            for (ReorderKind reorder :
+                 {ReorderKind::kNone, ReorderKind::kDegree}) {
+                GcnModel model = chain_model(widths, kernel);
+                model.set_reorder(reorder);
+                const DenseMatrix got = model.infer(a, x, pool);
+                const std::string what =
+                    std::string(kernel) + " reorder=" +
+                    reorder_kind_name(reorder) + " in=" +
+                    std::to_string(widths[0]);
+                EXPECT_TRUE(got.approx_equal(classic, tol, tol))
+                    << what << " vs classic, diff="
+                    << got.max_abs_diff(classic);
+                EXPECT_TRUE(got.approx_equal(want, tol, tol))
+                    << what << " vs reference, diff="
+                    << got.max_abs_diff(want);
+            }
+    }
+}
+
+/** The combine epilogue fires on empty rows too: sigmoid(0 * W) = 0.5. */
+TEST(GcnAssociation, SigmoidAggregateFirstCoversEmptyRows)
+{
+    WorkStealPool pool(2);
+    // Node 0 has no in-edges: CSR row 0 is empty.
+    CsrMatrix a(3, 3, {0, 0, 1, 2}, {0, 1}, {1.0f, 1.0f});
+    DenseMatrix x(3, 4);
+    x.fill(1.0f);
+    for (const char *kernel : {"mergepath", "hybrid"}) {
+        GcnModel model(kernel);
+        model.add_layer(GcnLayer(random_layer_weights(4, 16, 131),
+                                 Activation::kSigmoid));
+        ASSERT_TRUE(model.layer_plans(a)[0].aggregate_first);
+        const DenseMatrix out = model.infer(a, x, pool);
+        for (index_t c = 0; c < 16; ++c)
+            ASSERT_FLOAT_EQ(out(0, c), 0.5f)
+                << kernel << ": empty row, col " << c;
+    }
 }
 
 } // namespace

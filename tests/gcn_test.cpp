@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "mps/gcn/activation.h"
 #include "mps/gcn/gemm.h"
@@ -39,6 +41,19 @@ TEST(Gemm, HandExample)
     EXPECT_FLOAT_EQ(out(1, 1), 11.0f);
 }
 
+void
+expect_bitwise(const DenseMatrix &got, const DenseMatrix &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (index_t r = 0; r < got.rows(); ++r)
+        for (index_t c = 0; c < got.cols(); ++c)
+            ASSERT_EQ(got(r, c), want(r, c))
+                << what << " differs at (" << r << ", " << c << ")";
+}
+
+/** Every element is one k-ascending FMA chain, whatever tile owns it. */
 TEST(Gemm, ParallelMatchesReference)
 {
     WorkStealPool pool(4);
@@ -47,7 +62,124 @@ TEST(Gemm, ParallelMatchesReference)
     DenseMatrix expect(301, 19), got(301, 19);
     reference_gemm(x, w, expect);
     dense_gemm(x, w, got, pool);
-    EXPECT_TRUE(got.approx_equal(expect, 1e-4, 1e-5));
+    expect_bitwise(got, expect, "dense_gemm 301x47x19");
+}
+
+/**
+ * The register tile and its row (1-5) and column (8-wide, masked)
+ * tails against the plain triple loop, bit for bit.
+ */
+TEST(Gemm, BlockedKernelMatchesKAscendingReference)
+{
+    WorkStealPool pool(3);
+    for (index_t rows : {1, 5, 6, 7, 301})
+        for (index_t width : {1, 7, 8, 15, 16, 17, 33, 128})
+            for (index_t f : {1, 3, 16, 128}) {
+                const auto seed = static_cast<uint64_t>(
+                    rows * 10007 + width * 101 + f);
+                DenseMatrix x = random_dense(rows, f, seed);
+                DenseMatrix w = random_dense(f, width, seed + 1);
+                DenseMatrix want(rows, width), got(rows, width);
+                reference_gemm(x, w, want);
+                dense_gemm(x, w, got, pool);
+                expect_bitwise(got, want,
+                               "rows=" + std::to_string(rows) +
+                                   " width=" + std::to_string(width) +
+                                   " f=" + std::to_string(f));
+            }
+}
+
+/** Column slices at offsets off the 16-column tile grid. */
+TEST(Gemm, PanelAtUnalignedOffsetsMatchesFullGemm)
+{
+    WorkStealPool pool(3);
+    const index_t n = 97, f = 29, d = 53;
+    DenseMatrix x = random_dense(n, f, 5);
+    DenseMatrix w = random_dense(f, d, 6);
+    DenseMatrix full(n, d);
+    dense_gemm(x, w, full, pool);
+    struct Case { index_t w_col0, width, panel_col0; };
+    for (const Case c : {Case{0, 53, 0}, Case{3, 17, 0}, Case{17, 9, 5},
+                         Case{1, 40, 11}, Case{45, 8, 3}, Case{50, 3, 29}}) {
+        DenseMatrix panel(n, 64);
+        panel.fill(-3.0f); // overwritten, not accumulated
+        dense_gemm_panel(x, 0, w, c.w_col0, c.width, panel, c.panel_col0,
+                         n, pool);
+        for (index_t r = 0; r < n; ++r)
+            for (index_t j = 0; j < c.width; ++j)
+                ASSERT_EQ(panel(r, c.panel_col0 + j), full(r, c.w_col0 + j))
+                    << "w_col0=" << c.w_col0 << " panel_col0="
+                    << c.panel_col0 << " at (" << r << ", " << j << ")";
+    }
+    // A row block read at an offset (the serve path's stacked input).
+    DenseMatrix block(40, d);
+    dense_gemm_panel(x, 31, w, 0, d, block, 0, 40, pool);
+    for (index_t r = 0; r < 40; ++r)
+        for (index_t j = 0; j < d; ++j)
+            ASSERT_EQ(block(r, j), full(31 + r, j));
+}
+
+/** Accumulate mode continues each chain: k-split panels == one GEMM. */
+TEST(Gemm, RankUpdateAcrossPanelsMatchesFullGemm)
+{
+    WorkStealPool pool(3);
+    const index_t n = 151, hidden = 37, d = 21;
+    DenseMatrix h = random_dense(n, hidden, 7);
+    DenseMatrix w = random_dense(hidden, d, 8);
+    DenseMatrix want(n, d);
+    dense_gemm(h, w, want, pool);
+    DenseMatrix got(n, d);
+    index_t k0 = 0;
+    for (index_t width : {5, 16, 11, 5}) {
+        DenseMatrix panel(n, width);
+        for (index_t r = 0; r < n; ++r)
+            for (index_t k = 0; k < width; ++k)
+                panel(r, k) = h(r, k0 + k);
+        dense_gemm_rank_update(panel, width, w, k0, got, pool);
+        k0 += width;
+    }
+    ASSERT_EQ(k0, hidden);
+    expect_bitwise(got, want, "rank updates");
+}
+
+/**
+ * The row epilogues run the same kernel one row at a time: their
+ * results equal the whole-matrix GEMMs bit for bit.
+ */
+TEST(Gemm, RowEpiloguesMatchWholeGemms)
+{
+    WorkStealPool pool(2);
+    const index_t n = 23, in = 12, hidden = 40, out = 9;
+    DenseMatrix t = random_dense(n, in, 9);
+    DenseMatrix w = random_dense(in, hidden, 10);
+    DenseMatrix w_next = random_dense(hidden, out, 11);
+    DenseMatrix h(n, hidden), want_xw(n, out);
+    dense_gemm(t, w, h, pool);
+    apply_activation(h, Activation::kRelu);
+    dense_gemm(h, w_next, want_xw, pool);
+
+    // Combine epilogue, storing h = relu(t * W).
+    DenseMatrix got_h(n, hidden);
+    const CombineEpilogue store =
+        make_combine_epilogue(Activation::kRelu, w, got_h, nullptr, nullptr);
+    // Combine epilogue folding h straight into the next layer's XW.
+    DenseMatrix got_xw(n, out);
+    const CombineEpilogue fold = make_combine_epilogue(
+        Activation::kRelu, w, got_xw, &w_next, nullptr);
+    // Rank-update epilogue over h's rows (relu is idempotent).
+    DenseMatrix got_rank(n, out);
+    RankUpdateEpilogue rank = make_rank_update_epilogue(
+        Activation::kRelu, w_next, got_rank, nullptr);
+    for (index_t r = 0; r < n; ++r) {
+        std::vector<value_t> row(t.row(r), t.row(r) + in);
+        CombineEpilogue::apply(row.data(), r, 0, in, &store);
+        CombineEpilogue::apply(row.data(), r, 0, in, &fold);
+        std::vector<value_t> hrow(h.row(r), h.row(r) + hidden);
+        RankUpdateEpilogue::apply(hrow.data(), r, 0, hidden, &rank);
+    }
+    expect_bitwise(got_h, h, "combine epilogue store");
+    expect_bitwise(got_xw, want_xw, "combine epilogue fold");
+    expect_bitwise(got_rank, want_xw, "rank-update epilogue");
 }
 
 TEST(Gemm, SkipsZeroFeatures)

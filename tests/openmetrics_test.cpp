@@ -1,15 +1,20 @@
 /**
  * Tests for the OpenMetrics exposition module: golden output format,
  * name/label escaping, inline-label registry names, the parser, the
- * strict validator, and quantile reconstruction from bucket series.
+ * strict validator, quantile reconstruction from bucket series, and
+ * the GCN plan gauges reaching the exposition.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
+#include "mps/gcn/model.h"
+#include "mps/sparse/generate.h"
 #include "mps/util/metrics.h"
 #include "mps/util/openmetrics.h"
+#include "mps/util/rng.h"
+#include "mps/util/work_steal_pool.h"
 
 namespace mps {
 namespace {
@@ -94,6 +99,47 @@ TEST(OpenMetrics, InlineLabelsSplitIntoFamilyAndLabels)
     EXPECT_DOUBLE_EQ(w11->value, 2.5);
     // One shared family, declared once.
     EXPECT_EQ(doc.types["pool_worker_busy_seconds"], "gauge");
+}
+
+/**
+ * GcnModel explains its plan on /metrics: each layer's association
+ * order and sparse width, as gauges set when it prepares a graph.
+ */
+TEST(OpenMetrics, GcnPlanGaugesAppear)
+{
+    MetricsRegistry &metrics = MetricsRegistry::global();
+    metrics.reset();
+    metrics.set_enabled(true);
+    WorkStealPool pool(2);
+    CsrMatrix a = erdos_renyi_graph(150, 900, 3);
+    a.normalize_gcn();
+    DenseMatrix x(a.rows(), 16);
+    Pcg32 rng(4);
+    x.fill_random(rng);
+    GcnModel model = GcnModel::two_layer(16, 64, 8, 5);
+    model.infer(a, x, pool);
+    const std::string text = to_openmetrics(metrics);
+    metrics.set_enabled(false);
+    metrics.reset();
+
+    std::string error;
+    ASSERT_TRUE(validate_openmetrics(text, &error)) << error;
+    OpenMetricsText doc = parse_openmetrics(text, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const struct
+    {
+        const char *name;
+        double value;
+    } want[] = {{"gcn_layer0_aggregate_first", 1.0},
+                {"gcn_layer0_sparse_width", 16.0},
+                {"gcn_layer1_aggregate_first", 0.0},
+                {"gcn_layer1_sparse_width", 8.0}};
+    for (const auto &w : want) {
+        const OpenMetricsSample *sample = doc.find(w.name, {});
+        ASSERT_NE(sample, nullptr) << w.name;
+        EXPECT_DOUBLE_EQ(sample->value, w.value) << w.name;
+        EXPECT_EQ(doc.types[w.name], "gauge") << w.name;
+    }
 }
 
 TEST(OpenMetrics, LabelValuesRoundTripThroughEscaping)

@@ -7,7 +7,9 @@
 # stealing/parking/slot recycling, the merge-path carry fix-up across
 # pool sizes) under the race detector,
 # and a forced-scalar one (-DMPS_FORCE_SCALAR=ON) that proves
-# the kernel tests pass on the scalar microkernel reference path alone.
+# the kernel tests pass on the scalar microkernel reference path alone,
+# and that the plain-loop GEMM reference agrees with the Gemm tests
+# written against the register tiles.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) 20 times in a row,
 # so an order-dependent result rarely passes by luck.
@@ -16,7 +18,9 @@
 # proving column tiling and software prefetch are behavior-neutral.
 # A no-fuse stage reruns the GCN/fusion-routed tests with MPS_FUSE=0,
 # proving the fused panel-streaming pipeline is opt-out clean: the
-# classic GEMM -> XW -> SpMM execution still passes everything.
+# classic GEMM -> XW -> SpMM execution (and, for widening layers, the
+# classic aggregate-first SpMM -> GEMM, GcnAssociation.*) still passes
+# everything.
 # A churn stage reruns the dynamic-graph tests (delta-CSR overlay,
 # schedule repair, concurrent update_graph vs inference) under the
 # TSan build to shake out update/serve races.
@@ -25,7 +29,8 @@
 # matrix degenerates to the plain merge-path tail and still passes.
 # A bf16 stage reruns the kernel/GCN-facing tests with
 # MPS_PRECISION=bf16, driving the narrow-operand storage through every
-# inference path whose assertions hold at reduced precision. The serve
+# inference path whose assertions hold at reduced precision (the
+# quantized aggregate-first handoffs included, GcnAssociation.*). The serve
 # suites are deliberately excluded there: they pin fp32-exact parity
 # against sequential references (abs_tol 1e-4), which bf16 storage is
 # *supposed* to perturb.
@@ -92,10 +97,10 @@ cmake -S "$root" -B "$root/build-scalar" \
 echo "==> build build-scalar (kernel tests only)"
 cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
-    mps_property_fuzz_test
+    mps_property_fuzz_test mps_gcn_test
 echo "==> ctest build-scalar"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz' "$@")
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm' "$@")
 
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 (cd "$root/build-release" && \

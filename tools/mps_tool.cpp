@@ -39,6 +39,7 @@
 #include "mps/core/fusion.h"
 #include "mps/core/locality.h"
 #include "mps/core/policy.h"
+#include "mps/core/precision.h"
 #include "mps/core/schedule.h"
 #include "mps/gcn/activation.h"
 #include "mps/gcn/gemm.h"
@@ -46,6 +47,7 @@
 #include "mps/core/serialize.h"
 #include "mps/core/spmm.h"
 #include "mps/gcn/layer.h"
+#include "mps/gcn/model.h"
 #include "mps/kernels/registry.h"
 #include "mps/serve/server.h"
 #include "mps/serve/telemetry_server.h"
@@ -344,14 +346,17 @@ cmd_spmm(int argc, char **argv)
 /**
  * Per-layer fusion study for `profile --fuse`: a 2-layer GCN forward
  * (f = min(32, dim) -> dim ReLU -> dim identity) on @p m, each layer
- * timed as it actually ships — the unfused side allocating and
- * round-tripping its XW temporary per call (MPS_FUSE=0), the fused
- * side building its FusedLayerPlan and streaming panels
+ * timed as it actually ships, in the association order and precision
+ * GcnModel plans for it — the unfused side allocating and
+ * round-tripping its temporary per call (MPS_FUSE=0), the fused side
+ * building its FusedLayerPlan and streaming panels
  * (mps/core/fusion.h). @p mode selects which sides run: "off" times
  * unfused only, "on" fused only, "both" both plus the speedup column.
  * Appends one JSON object per layer to @p w (inside an open array) and
- * prints one human-readable table row per layer to stderr. Traffic
- * columns are the bench/fusion n x d temporary-stream proxy.
+ * prints one human-readable table row per layer to stderr, each with
+ * the layer's order, sparse width and effective precision. Traffic
+ * columns are the bench/fusion n x d temporary-stream proxy of a
+ * combine-first layer; aggregate-first layers report none.
  */
 void
 profile_fusion(const std::string &input_name, const CsrMatrix &m,
@@ -373,20 +378,33 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
     x.fill_random(rng);
     w1.fill_random(rng);
     w2.fill_random(rng);
+    GcnModel model("mergepath");
+    model.add_layer(GcnLayer(w1, Activation::kRelu));
+    model.add_layer(GcnLayer(w2, Activation::kNone));
+    const std::vector<LayerPlanInfo> plans = model.layer_plans(m);
 
-    MergePathSchedule sched = MergePathSchedule::build_with_cost(
-        m, cpu_merge_path_cost(m.rows(), m.nnz(), dim, pool.size()));
-    auto shared = borrow_schedule(sched);
-    SpmmLocality loc;
-    loc.tile_d = auto_tile_d(m.cols(), dim);
-    loc.prefetch = auto_prefetch_distance(dim);
+    // One schedule per sparse width, shared by both sides.
+    std::map<index_t, MergePathSchedule> scheds;
+    for (const LayerPlanInfo &p : plans)
+        scheds.emplace(p.sparse_width,
+                       MergePathSchedule::build_with_cost(
+                           m, cpu_merge_path_cost(m.rows(), m.nnz(),
+                                                  p.sparse_width,
+                                                  pool.size())));
+    const auto locality = [&](index_t width) {
+        SpmmLocality loc;
+        loc.tile_d = auto_tile_d(m.cols(), width);
+        loc.prefetch = auto_prefetch_distance(width);
+        return loc;
+    };
 
     // Layer-2 input, produced once outside the timed loops.
     DenseMatrix h1(n, dim);
     {
         DenseMatrix xw(n, dim);
         dense_gemm(x, w1, xw, pool);
-        mergepath_spmm_parallel(m, xw, h1, sched, pool, loc);
+        mergepath_spmm_parallel(m, xw, h1, scheds.begin()->second, pool,
+                                locality(dim));
         apply_activation(h1, Activation::kRelu);
     }
 
@@ -400,29 +418,53 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
 
     for (int layer = 1; layer <= 2; ++layer) {
         const DenseMatrix &in = layer == 1 ? x : h1;
-        const DenseMatrix &wt = layer == 1 ? w1 : w2;
-        const Activation act =
-            layer == 1 ? Activation::kRelu : Activation::kNone;
+        const GcnLayer &gl = model.layer(static_cast<size_t>(layer - 1));
+        const DenseMatrix &wt = gl.weights();
+        const Activation act = gl.activation();
+        const LayerPlanInfo &plan_info =
+            plans[static_cast<size_t>(layer - 1)];
+        const bool agg_first = plan_info.aggregate_first;
+        const index_t width = plan_info.sparse_width;
+        const MergePathSchedule &sched = scheds.at(width);
+        const SpmmLocality loc = locality(width);
 
         double unfused_ms = 0.0, fused_ms = 0.0;
-        index_t run_tile = dim, stream_tile = dim;
+        index_t run_tile = width, stream_tile = width;
         if (time_unfused) {
             unfused_ms = avg_ms([&] {
-                DenseMatrix xw(n, dim), out(n, dim);
-                dense_gemm(in, wt, xw, pool);
-                mergepath_spmm_parallel(m, xw, out, sched, pool, loc);
+                DenseMatrix out(n, dim);
+                if (agg_first) {
+                    DenseMatrix ax(n, width);
+                    mergepath_spmm_parallel(m, in, ax, sched, pool, loc);
+                    dense_gemm(ax, wt, out, pool);
+                } else {
+                    DenseMatrix xw(n, dim);
+                    dense_gemm(in, wt, xw, pool);
+                    if (plan_info.precision != StorageMode::kF32)
+                        quantize_dense(xw, plan_info.precision, &pool);
+                    mergepath_spmm_parallel(m, xw, out, sched, pool, loc);
+                }
                 apply_activation(out, act);
             });
         }
         if (time_fused) {
             fused_ms = avg_ms([&] {
-                FusedLayerPlan plan(m, dim, shared,
-                                    default_fused_locality(m.cols(), dim));
+                FusedLayerPlan plan(m, width, borrow_schedule(sched),
+                                    default_fused_locality(m.cols(),
+                                                           width));
+                plan.set_precision(plan_info.precision);
                 run_tile = plan.run_tile();
                 stream_tile = plan.tile();
                 DenseMatrix out(n, dim);
-                plan.run(gemm_panel_source(in, wt, pool), out, pool,
-                         activation_epilogue(act));
+                if (agg_first) {
+                    const CombineEpilogue combine = make_combine_epilogue(
+                        act, wt, out, nullptr, nullptr);
+                    plan.run_streaming(slice_panel_source(in), {}, pool,
+                                       &CombineEpilogue::apply, &combine);
+                } else {
+                    plan.run(gemm_panel_source(in, wt, pool), out, pool,
+                             activation_epilogue(act));
+                }
             });
         }
 
@@ -433,20 +475,28 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
             (5.0 + (act != Activation::kNone ? 2.0 : 0.0)) * trip;
         const double fused_gb = (run_tile >= dim ? 3.0 : 0.0) * trip +
                                 2.0 * trip;
+        const bool traffic = !agg_first;
+        const char *order = agg_first ? "aggregate_first" : "combine_first";
+        const char *precision = storage_mode_name(plan_info.precision);
 
         w.begin_object();
         w.key("input").value(input_name);
         w.key("layer").value(int64_t{layer});
         w.key("dim").value(static_cast<int64_t>(dim));
+        w.key("order").value(order);
+        w.key("sparse_width").value(static_cast<int64_t>(width));
+        w.key("precision").value(precision);
         w.key("fused_tile").value(static_cast<int64_t>(stream_tile));
         w.key("fused_run_tile").value(static_cast<int64_t>(run_tile));
         if (time_unfused) {
             w.key("unfused_ms").value(unfused_ms);
-            w.key("unfused_traffic_gb").value(unfused_gb);
+            if (traffic)
+                w.key("unfused_traffic_gb").value(unfused_gb);
         }
         if (time_fused) {
             w.key("fused_ms").value(fused_ms);
-            w.key("fused_traffic_gb").value(fused_gb);
+            if (traffic)
+                w.key("fused_traffic_gb").value(fused_gb);
         }
         if (time_unfused && time_fused && fused_ms > 0.0)
             w.key("speedup").value(unfused_ms / fused_ms);
@@ -454,17 +504,25 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
 
         std::string row = "  " + input_name + "  layer " +
                           std::to_string(layer) + "  d=" +
-                          std::to_string(dim);
+                          std::to_string(dim) + "  " + order + " @" +
+                          std::to_string(width) + " " + precision;
         char buf[160];
         if (time_unfused) {
-            std::snprintf(buf, sizeof(buf), "  unfused %8.3f ms %6.3f GB",
-                          unfused_ms, unfused_gb);
+            std::snprintf(buf, sizeof(buf), "  unfused %8.3f ms",
+                          unfused_ms);
             row += buf;
+            if (traffic) {
+                std::snprintf(buf, sizeof(buf), " %6.3f GB", unfused_gb);
+                row += buf;
+            }
         }
         if (time_fused) {
-            std::snprintf(buf, sizeof(buf), "  fused %8.3f ms %6.3f GB",
-                          fused_ms, fused_gb);
+            std::snprintf(buf, sizeof(buf), "  fused %8.3f ms", fused_ms);
             row += buf;
+            if (traffic) {
+                std::snprintf(buf, sizeof(buf), " %6.3f GB", fused_gb);
+                row += buf;
+            }
         }
         if (time_unfused && time_fused && fused_ms > 0.0) {
             std::snprintf(buf, sizeof(buf), "  speedup %5.2fx",
