@@ -295,8 +295,9 @@ main(int argc, char **argv)
     // the matrices they replace — the pipeline's remaining saving is
     // H1 (never built) and XW2's GEMM round trip.
     // The rank update rides the commit epilogue (RankUpdateEpilogue),
-    // so the out panel is write-only: it is consumed the moment each
-    // row finalizes and never read back.
+    // so the out panel is write-only: each row is consumed in the
+    // executor's next batch of at most six finished rows, while still
+    // cached, and never read back from DRAM.
     const double e2e_panels_b =
         plan1.tile() < hidden
             ? 0.0

@@ -1,6 +1,7 @@
 #include "carry.h"
 
 #include "mps/core/microkernel.h"
+#include "mps/util/metrics.h"
 #include "mps/util/trace.h"
 
 namespace mps {
@@ -20,14 +21,25 @@ carry_slots(index_t threads, index_t width)
 }
 
 void
+flush_epilogue_count(MetricsRegistry &metrics, const EpilogueCount &count)
+{
+    if (count.calls == 0)
+        return;
+    metrics.counter_add("fusion.epilogue_rows", count.rows);
+    metrics.counter_add("fusion.epilogue_calls", count.calls);
+}
+
+void
 apply_carries(const SplitRowList &split, const CarrySlots &carries,
               DenseMatrix &c, index_t c_col, index_t width,
               const index_t *scatter, PanelEpilogue epi,
-              const void *epi_ctx, const RowKernels &rk)
+              const void *epi_ctx, const RowKernels &rk,
+              EpilogueCount *count)
 {
     if (split.empty())
         return;
     ScopedSpan span("spmm.carry_fixup", "kernel");
+    EpilogueBatch batch(epi, epi_ctx, c_col, width, count);
     for (size_t i = 0; i < split.rows.size(); ++i) {
         const index_t row = split.rows[i];
         value_t *crow =
@@ -35,9 +47,9 @@ apply_carries(const SplitRowList &split, const CarrySlots &carries,
         for (index_t k = split.offsets[i]; k < split.offsets[i + 1]; ++k)
             rk.add(crow, carries.slot(split.slots[static_cast<size_t>(k)]),
                    width);
-        if (epi != nullptr)
-            epi(crow, row, c_col, width, epi_ctx);
+        batch.add(crow, row);
     }
+    batch.flush();
 }
 
 } // namespace mps

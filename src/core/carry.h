@@ -10,14 +10,15 @@
  * and each thread that continues a split row parks that head part in
  * its carry slot. After the sweep's barrier the fix-up adds each split
  * row's carries onto the stored first part in thread order and then
- * fires the row's epilogue. The summation order is a property of the
- * schedule alone, so the output is bit-identical for a fixed schedule
- * on any pool size, and equal to the sequential sweep.
+ * hands the row to the epilogue. The summation order is a property of
+ * the schedule alone, so the output is bit-identical for a fixed
+ * schedule on any pool size, and equal to the sequential sweep.
  */
 #ifndef MPS_CORE_CARRY_H
 #define MPS_CORE_CARRY_H
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 
@@ -28,6 +29,7 @@
 
 namespace mps {
 
+class MetricsRegistry;
 struct RowKernels;
 
 /**
@@ -70,16 +72,82 @@ class CarrySlots
 CarrySlots carry_slots(index_t threads, index_t width);
 
 /**
+ * Epilogue batch census of one executor (fusion.epilogue_rows /
+ * fusion.epilogue_calls): rows handed over and the calls that carried
+ * them. Lives inside the per-executor census slots, flushed once per
+ * sweep.
+ */
+struct EpilogueCount
+{
+    int64_t rows = 0;
+    int64_t calls = 0;
+};
+
+/** Add a sweep's summed batch census to fusion.epilogue_{rows,calls}. */
+void flush_epilogue_count(MetricsRegistry &metrics,
+                          const EpilogueCount &count);
+
+/**
+ * One executor's batch of finished rows waiting for the panel
+ * epilogue: add() collects rows and calls the epilogue each time
+ * kEpilogueBatchRows are in, flush() hands over the partial batch.
+ * Every executor flushes before it returns, so each row's epilogue
+ * runs exactly once, on the row's owner, before the panel barrier.
+ * A null epilogue makes both no-ops.
+ */
+class EpilogueBatch
+{
+  public:
+    /** @p count (may be null) receives the batch census. */
+    EpilogueBatch(PanelEpilogue epi, const void *ctx, index_t c_col0,
+                  index_t width, EpilogueCount *count)
+        : epi_(epi), ctx_(ctx), c_col0_(c_col0), width_(width),
+          count_(count)
+    {
+    }
+
+    void add(value_t *crow, index_t row) {
+        if (epi_ == nullptr)
+            return;
+        rows_[size_++] = {crow, row};
+        if (size_ == kEpilogueBatchRows)
+            flush();
+    }
+
+    void flush() {
+        if (size_ == 0)
+            return;
+        epi_(rows_, size_, c_col0_, width_, ctx_);
+        if (count_ != nullptr) {
+            count_->rows += size_;
+            ++count_->calls;
+        }
+        size_ = 0;
+    }
+
+  private:
+    PanelEpilogue epi_;
+    const void *ctx_;
+    index_t c_col0_;
+    index_t width_;
+    EpilogueCount *count_;
+    FinishedRow rows_[kEpilogueBatchRows];
+    int size_ = 0;
+};
+
+/**
  * The fix-up pass: for every row of @p split, add its carries into
  * C[out, c_col : c_col + width) in slot order, where out is the row
- * routed through @p scatter, then fire @p epi (if any) on the finished
- * row with the unscattered row id. Runs on the caller in one pass; a
- * CPU-sized schedule has at most one split row per thread boundary.
+ * routed through @p scatter, then hand the finished row to @p epi (if
+ * any) with the unscattered row id, batched like the sweep's own rows
+ * (census into @p count, may be null). Runs on the caller in one pass;
+ * a CPU-sized schedule has at most one split row per thread boundary.
  */
 void apply_carries(const SplitRowList &split, const CarrySlots &carries,
                    DenseMatrix &c, index_t c_col, index_t width,
                    const index_t *scatter, PanelEpilogue epi,
-                   const void *epi_ctx, const RowKernels &rk);
+                   const void *epi_ctx, const RowKernels &rk,
+                   EpilogueCount *count);
 
 } // namespace mps
 

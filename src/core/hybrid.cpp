@@ -365,9 +365,9 @@ namespace {
 
 /**
  * Per-executor phase accumulator: commit census (tail) + dense row
- * counts + per-phase wall time. Cacheline-aligned, written only by the
- * owning executor; the pool's completion barrier makes the final
- * aggregation race-free.
+ * counts + per-phase wall time + epilogue batch census.
+ * Cacheline-aligned, written only by the owning executor; the pool's
+ * completion barrier makes the final aggregation race-free.
  */
 struct alignas(64) PhaseSlot
 {
@@ -378,6 +378,7 @@ struct alignas(64) PhaseSlot
     int64_t nnz = 0;
     int64_t dense_rows = 0;
     int64_t dense_nnz = 0;
+    EpilogueCount epilogue;
 };
 
 /** One panel's immutable execution context for both phases. */
@@ -455,29 +456,31 @@ tail_accumulate(const CsrMatrix &m, const HybridPanel &p, index_t nz_begin,
 /**
  * Plain-commit @p acc to the base row behind tail-matrix row @p trow:
  * a row the share owns whole (@p final) or the first part of a split
- * row. On a final row the fused epilogue fires here with the BASE row
- * id so structural epilogues index side inputs of the executed matrix,
- * not the compacted tail.
+ * row. A final row joins the share's epilogue @p batch with its BASE
+ * row id, so structural epilogues index side inputs of the executed
+ * matrix, not the compacted tail.
  */
 inline void
 tail_commit(const HybridPanel &p, const index_t *tail_rows, index_t trow,
-            const value_t *acc, bool final)
+            const value_t *acc, bool final, EpilogueBatch &batch)
 {
     const index_t base_row =
         tail_rows != nullptr ? tail_rows[trow] : trow;
     value_t *crow = p.c->row(p.out_row(base_row)) + p.c_col;
     p.rk->commit_plain(crow, acc, p.width);
-    if (final && p.epi != nullptr)
-        p.epi(crow, base_row, p.c_col, p.width, p.epi_ctx);
+    if (final)
+        batch.add(crow, base_row);
 }
 
 /**
  * Execute tail share @p t (one merge-path thread of the tail). A head
  * that continues a split row accumulates into the share's carry slot
- * for the fix-up pass.
+ * for the fix-up pass. @p census (may be null) receives the write
+ * census, @p epi_count (may be null) the epilogue batch census.
  */
 void
-run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
+run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *census,
+               EpilogueCount *epi_count)
 {
     const HybridSchedule &hs = *p.hs;
     const CsrMatrix &tm = hs.tail_is_base() ? *p.a : hs.tail();
@@ -485,13 +488,14 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
         hs.tail_is_base() ? nullptr : hs.tail_rows().data();
     value_t *acc = microkernel_scratch(p.width);
     ResolvedWork w = hs.tail_schedule().resolve(t, tm);
+    EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
     const auto share = [&](index_t row, index_t begin, index_t end,
                            bool partial) {
         if (begin > tm.row_begin(row)) {
             tail_accumulate(tm, p, begin, end, p.carries.slot(t));
         } else {
             tail_accumulate(tm, p, begin, end, acc);
-            tail_commit(p, tail_rows, row, acc, !partial);
+            tail_commit(p, tail_rows, row, acc, !partial, batch);
         }
     };
 
@@ -502,20 +506,21 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
         share(row, tm.row_begin(row), tm.row_end(row), false);
     if (w.has_tail())
         share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
+    batch.flush();
 
-    if (slot != nullptr) {
+    if (census != nullptr) {
         if (w.has_head()) {
-            (w.head_atomic ? slot->atomics : slot->plains) += 1;
-            slot->nnz += w.head_end - w.head_begin;
+            (w.head_atomic ? census->atomics : census->plains) += 1;
+            census->nnz += w.head_end - w.head_begin;
         }
         if (w.last_complete_row > w.first_complete_row) {
-            slot->plains += w.last_complete_row - w.first_complete_row;
-            slot->nnz += tm.row_begin(w.last_complete_row) -
-                         tm.row_begin(w.first_complete_row);
+            census->plains += w.last_complete_row - w.first_complete_row;
+            census->nnz += tm.row_begin(w.last_complete_row) -
+                           tm.row_begin(w.first_complete_row);
         }
         if (w.has_tail()) {
-            (w.tail_atomic ? slot->atomics : slot->plains) += 1;
-            slot->nnz += w.tail_end - w.tail_begin;
+            (w.tail_atomic ? census->atomics : census->plains) += 1;
+            census->nnz += w.tail_end - w.tail_begin;
         }
     }
 }
@@ -523,10 +528,13 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *slot)
 /**
  * Execute dense chunk @p idx: per-row microkernel row-GEMM, direct
  * accumulation into the (zero-filled) output row — no scratch round
- * trip, no atomics; every band row is owned by exactly one chunk.
+ * trip, no atomics; every band row is owned by exactly one chunk, and
+ * reaches the epilogue in the chunk's batches. @p census and
+ * @p epi_count (may be null) as for run_tail_share.
  */
 void
-run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *slot)
+run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *census,
+                EpilogueCount *epi_count)
 {
     const CsrMatrix &a = *p.a;
     const RowBand chunk = p.hs->dense_chunks()[idx];
@@ -534,6 +542,7 @@ run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *slot)
     const value_t *vals = a.values().data();
     const index_t pf = p.prefetch;
     const index_t pf_end = pf > 0 ? a.nnz() - pf : 0;
+    EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
     for (index_t r = chunk.begin; r < chunk.end; ++r) {
         value_t *crow = p.c->row(p.out_row(r)) + p.c_col;
         const index_t row_end = a.row_end(r);
@@ -574,12 +583,12 @@ run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *slot)
             }
             break;
         }
-        if (p.epi != nullptr)
-            p.epi(crow, r, p.c_col, p.width, p.epi_ctx);
+        batch.add(crow, r);
     }
-    if (slot != nullptr) {
-        slot->dense_rows += chunk.end - chunk.begin;
-        slot->dense_nnz +=
+    batch.flush();
+    if (census != nullptr) {
+        census->dense_rows += chunk.end - chunk.begin;
+        census->dense_nnz +=
             a.row_begin(chunk.end) - a.row_begin(chunk.begin);
     }
 }
@@ -616,6 +625,8 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
         total.nnz += slots[i].nnz;
         total.dense_rows += slots[i].dense_rows;
         total.dense_nnz += slots[i].dense_nnz;
+        total.epilogue.rows += slots[i].epilogue.rows;
+        total.epilogue.calls += slots[i].epilogue.calls;
     }
     if (total.atomics > 0)
         metrics.counter_add("spmm.hybrid.atomic_commits", total.atomics);
@@ -629,6 +640,7 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
     if (total.dense_nnz > 0)
         metrics.counter_add("spmm.hybrid.dense_nnz_processed",
                             total.dense_nnz);
+    flush_epilogue_count(metrics, total.epilogue);
 }
 
 /**
@@ -636,12 +648,14 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
  * and dense chunks are sibling indices of ONE parallel_for on @p pool
  * (nullptr: run them in index order on the caller), so the pool's
  * stealing rebalances stragglers across the phases. @p slots (when
- * non-null) receives the census; @p timed additionally charges
- * per-item wall time to the owning phase.
+ * non-null) receives the epilogue batch census, the write census when
+ * @p census is set, and with @p timed the per-item wall time of the
+ * owning phase.
  */
 void
 run_hybrid_panel(const HybridPanel &p, const SplitRowList &split,
-                 WorkStealPool *pool, PhaseSlot *slots, bool timed)
+                 WorkStealPool *pool, PhaseSlot *slots, bool census,
+                 bool timed)
 {
     const HybridSchedule &hs = *p.hs;
     const uint64_t tail_shares =
@@ -650,31 +664,39 @@ run_hybrid_panel(const HybridPanel &p, const SplitRowList &split,
             : 0;
     const uint64_t items =
         tail_shares + static_cast<uint64_t>(hs.dense_chunks().size());
+    const auto slot_of = [&]() -> PhaseSlot * {
+        if (slots == nullptr)
+            return nullptr;
+        return pool != nullptr ? &slots[pool->current_slot()] : slots;
+    };
     const auto run_item = [&](uint64_t i, PhaseSlot *slot) {
         Timer wall;
+        PhaseSlot *cs = census ? slot : nullptr;
+        EpilogueCount *ec = slot != nullptr ? &slot->epilogue : nullptr;
         if (i < tail_shares) {
-            run_tail_share(p, static_cast<index_t>(i), slot);
+            run_tail_share(p, static_cast<index_t>(i), cs, ec);
             if (timed && slot != nullptr)
                 slot->tail_ns += static_cast<int64_t>(wall.elapsed_ns());
         } else {
-            run_dense_chunk(p, static_cast<size_t>(i - tail_shares),
-                            slot);
+            run_dense_chunk(p, static_cast<size_t>(i - tail_shares), cs,
+                            ec);
             if (timed && slot != nullptr)
                 slot->dense_ns +=
                     static_cast<int64_t>(wall.elapsed_ns());
         }
     };
     if (pool != nullptr) {
-        pool->parallel_for(items, [&](uint64_t i) {
-            run_item(i, slots != nullptr ? &slots[pool->current_slot()]
-                                         : nullptr);
-        });
+        pool->parallel_for(items,
+                           [&](uint64_t i) { run_item(i, slot_of()); });
     } else {
         for (uint64_t i = 0; i < items; ++i)
             run_item(i, slots);
     }
+    // After the barrier the caller's executor slot is free again.
+    PhaseSlot *slot = slot_of();
     apply_carries(split, p.carries, *p.c, p.c_col, p.width, p.scatter,
-                  p.epi, p.epi_ctx, *p.rk);
+                  p.epi, p.epi_ctx, *p.rk,
+                  slot != nullptr ? &slot->epilogue : nullptr);
 }
 
 HybridPanel
@@ -715,15 +737,18 @@ hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
     check_hybrid_shapes(a, hs, b, b_col0, c, c_col0, width);
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool count = count_census && metrics.enabled();
+    // The write census counts the first panel only; the epilogue batch
+    // census counts every sweep that has an epilogue.
     std::vector<PhaseSlot> slots;
-    if (count)
+    if (metrics.enabled() && (count_census || epi != nullptr))
         slots.resize(pool.max_concurrency());
     const RowKernels &rk = select_row_kernels(width);
     const HybridPanel p = make_panel(a, hs, b, b_col0, c, c_col0, width,
                                      loc, epi, epi_ctx, rk);
-    run_hybrid_panel(p, split, &pool, count ? slots.data() : nullptr,
+    run_hybrid_panel(p, split, &pool,
+                     slots.empty() ? nullptr : slots.data(), count,
                      /*timed=*/false);
-    if (count)
+    if (!slots.empty())
         flush_phase_counters(metrics, slots.data(), slots.size());
 }
 
@@ -753,18 +778,12 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
         // Census on the first panel only (it describes the schedule);
         // phase timing accumulates across all panels.
         PhaseSlot *s = instrumented ? slots.data() : nullptr;
-        if (instrumented && col > 0) {
-            for (PhaseSlot &slot : slots) {
-                slot.atomics = slot.plains = slot.nnz = 0;
-                slot.dense_rows = slot.dense_nnz = 0;
-            }
-        }
-        run_hybrid_panel(p, split, &pool, s, /*timed=*/instrumented);
-        if (instrumented && col == 0)
-            flush_phase_counters(metrics, slots.data(), slots.size());
+        run_hybrid_panel(p, split, &pool, s, /*census=*/col == 0,
+                         /*timed=*/instrumented);
         ++sweeps;
     }
     if (instrumented) {
+        flush_phase_counters(metrics, slots.data(), slots.size());
         int64_t dense_ns = 0, tail_ns = 0;
         for (const PhaseSlot &slot : slots) {
             dense_ns += slot.dense_ns;
@@ -806,7 +825,8 @@ hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
         const RowKernels &rk = select_row_kernels(width);
         const HybridPanel p = make_panel(a, hs, b, col, c, col, width,
                                          loc, nullptr, nullptr, rk);
-        run_hybrid_panel(p, split, nullptr, nullptr, /*timed=*/false);
+        run_hybrid_panel(p, split, nullptr, nullptr, /*census=*/false,
+                         /*timed=*/false);
     }
 }
 

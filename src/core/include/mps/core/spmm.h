@@ -91,17 +91,39 @@ void reference_spmm(const CsrMatrix &a, const DenseMatrix &b,
                     DenseMatrix &c);
 
 /**
- * Per-row output epilogue of the fused pipeline: invoked on
- * @p crow = &C(out_row, c_col0) for a width-wide slice the moment the
- * row's value is final. @p row is the TRAVERSAL row id (before any
- * scatter) so structural epilogues can index side inputs. Folded into
- * the plain-commit path of the sweep — a plain commit means the thread
- * owns the entire row, so the value is final right there; split rows
- * receive it in the carry fix-up after the sweep, once their carries
- * are summed. Each row's epilogue runs exactly once, on one thread.
+ * One finished output row handed to a PanelEpilogue: @p crow =
+ * &C(out_row, c_col0), the start of the row's width-wide slice, and
+ * @p row, the TRAVERSAL row id (before any scatter), so structural
+ * epilogues can index side inputs.
  */
-using PanelEpilogue = void (*)(value_t *crow, index_t row, index_t c_col0,
-                               index_t width, const void *ctx);
+struct FinishedRow
+{
+    value_t *crow;
+    index_t row;
+};
+
+/**
+ * Finished rows an executor collects before it calls the epilogue:
+ * the row height of the dense GEMM's register tile, so a combining
+ * epilogue runs one full 6-row tile per call (gcn/gemm.cpp asserts the
+ * match).
+ */
+constexpr int kEpilogueBatchRows = 6;
+
+/**
+ * Output epilogue of the fused pipeline, called on a batch of
+ * @p count (1 <= count <= kEpilogueBatchRows) rows whose values are
+ * final. Every executor of the sweep collects the rows it finishes —
+ * plain commits, which own the whole row, and in the carry fix-up the
+ * split rows once their carries are summed — and hands them over in
+ * batches, flushing its partial batch before it returns. So each row's
+ * epilogue runs exactly once, on the executor that owns the row, before
+ * the panel barrier; the rows of one batch need not be adjacent in C
+ * or in traversal order.
+ */
+using PanelEpilogue = void (*)(const FinishedRow *rows, int count,
+                               index_t c_col0, index_t width,
+                               const void *ctx);
 
 /**
  * The "caller supplies the next B-panel" entry point: ONE merge-path
@@ -112,9 +134,11 @@ using PanelEpilogue = void (*)(value_t *crow, index_t row, index_t c_col0,
  * zero-fills C's target columns beforehand (commits add), and reuses
  * one schedule, and its @p split list (sched.split_row_list(a)),
  * across panels exactly like the tiled kernels. @p epi, when non-null,
- * runs once on every finished row (see PanelEpilogue). @p count_census
- * folds this sweep into the spmm.mergepath.* write census — pass true
- * on the first panel only. Bit-identical per element to the unfused
+ * runs once on every finished row, in batches (see PanelEpilogue); with
+ * metrics enabled the batches are counted into fusion.epilogue_rows and
+ * fusion.epilogue_calls. @p count_census folds this sweep into the
+ * spmm.mergepath.* write census — pass true on the first panel only.
+ * Bit-identical per element to the unfused
  * full-width sweep whenever every panel boundary lands on a SIMD block
  * boundary (width a multiple of 16 for all but the last panel).
  */

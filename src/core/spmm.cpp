@@ -29,9 +29,9 @@ namespace {
  * prefetches the B row of the non-zero that many positions ahead of
  * the read cursor — the panel start, plus a second cache line for wide
  * panels; the hardware streamer follows on within the row. @p epi,
- * when non-null, runs on every finished row: inline at plain commits
- * (full row ownership, value final), in the carry fix-up for split
- * rows.
+ * when non-null, runs on every finished row, batched per executor:
+ * rows finished at plain commits (full row ownership, value final) by
+ * the sweep, split rows by the carry fix-up.
  */
 struct PanelContext
 {
@@ -110,18 +110,19 @@ accumulate_range(const CsrMatrix &a, const DenseMatrix &b, index_t nz_begin,
 
 /**
  * Commit @p acc to output row @p row with plain stores: a row the
- * thread owns whole (@p final — the value is done, so the fused
- * epilogue fires right here, while the line is hot) or the first part
- * of a split row, which no other thread writes during the sweep.
+ * thread owns whole (@p final — the value is done, so the row joins
+ * the executor's epilogue @p batch while its line is hot) or the first
+ * part of a split row, which no other thread writes during the sweep.
  */
 inline void
 commit_plain(DenseMatrix &c, index_t row, const value_t *acc,
-             const PanelContext &panel, const RowKernels &rk, bool final)
+             const PanelContext &panel, const RowKernels &rk, bool final,
+             EpilogueBatch &batch)
 {
     value_t *crow = c.row(panel.out_row(row)) + panel.c_col;
     rk.commit_plain(crow, acc, panel.dim);
-    if (final && panel.epi != nullptr)
-        panel.epi(crow, row, panel.c_col, panel.dim, panel.epi_ctx);
+    if (final)
+        batch.add(crow, row);
 }
 
 /**
@@ -131,13 +132,14 @@ commit_plain(DenseMatrix &c, index_t row, const value_t *acc,
  * parallel_for owns one cacheline-aligned accumulator and bumps it with
  * plain stores; the sums reach the metrics registry in one flush per
  * SpMM instead of up to three contended counter_add calls per scheduled
- * task.
+ * task. The epilogue batch census rides in the same slot.
  */
 struct alignas(64) CommitCensus
 {
     int64_t atomics = 0;
     int64_t plains = 0;
     int64_t nnz = 0;
+    EpilogueCount epilogue;
 };
 
 void
@@ -149,6 +151,8 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
         total.atomics += census[i].atomics;
         total.plains += census[i].plains;
         total.nnz += census[i].nnz;
+        total.epilogue.rows += census[i].epilogue.rows;
+        total.epilogue.calls += census[i].epilogue.calls;
     }
     if (total.atomics > 0)
         metrics.counter_add("spmm.mergepath.atomic_commits",
@@ -157,6 +161,7 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
         metrics.counter_add("spmm.mergepath.plain_commits", total.plains);
     if (total.nnz > 0)
         metrics.counter_add("spmm.mergepath.nnz_processed", total.nnz);
+    flush_epilogue_count(metrics, total.epilogue);
 }
 
 /**
@@ -165,23 +170,29 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
  * thread-local storage; one buffer suffices because the commits are
  * sequential within a thread). A head that continues a split row
  * accumulates straight into the thread's carry slot instead; the
- * fix-up pass adds it. @p census is the executing worker's
- * write-census accumulator, or nullptr when metrics are disabled.
+ * fix-up pass adds it. Finished rows reach the panel epilogue in
+ * batches, the last one flushed before returning. @p census is the
+ * executing worker's write-census accumulator, or nullptr when the
+ * census is off; @p epi_count (may be null) receives the epilogue
+ * batch census.
  */
 void
 run_thread_work(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
                 const MergePathSchedule &sched, index_t t, value_t *acc,
                 const CarrySlots &carries, const PanelContext &panel,
-                const RowKernels &rk, CommitCensus *census)
+                const RowKernels &rk, CommitCensus *census,
+                EpilogueCount *epi_count)
 {
     ResolvedWork w = sched.resolve(t, a);
+    EpilogueBatch batch(panel.epi, panel.epi_ctx, panel.c_col, panel.dim,
+                        epi_count);
     const auto share = [&](index_t row, index_t begin, index_t end,
                            bool partial) {
         if (begin > a.row_begin(row)) {
             accumulate_range(a, b, begin, end, carries.slot(t), panel, rk);
         } else {
             accumulate_range(a, b, begin, end, acc, panel, rk);
-            commit_plain(c, row, acc, panel, rk, !partial);
+            commit_plain(c, row, acc, panel, rk, !partial, batch);
         }
     };
 
@@ -192,6 +203,7 @@ run_thread_work(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
         share(row, a.row_begin(row), a.row_end(row), false);
     if (w.has_tail())
         share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
+    batch.flush();
 
     if (census != nullptr) {
         if (w.has_head()) {
@@ -249,9 +261,9 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
             instrumented && col == 0 ? &census : nullptr;
         for (index_t t = 0; t < sched.num_threads(); ++t)
             run_thread_work(a, b, c, sched, t, acc, carries, panel, rk,
-                            cs);
+                            cs, nullptr);
         apply_carries(split, carries, c, panel.c_col, panel.dim,
-                      panel.scatter, nullptr, nullptr, rk);
+                      panel.scatter, nullptr, nullptr, rk, nullptr);
         ++sweeps;
     }
     if (instrumented) {
@@ -335,10 +347,10 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                 CommitCensus *cs =
                     count ? &census[pool.current_slot()] : nullptr;
                 run_thread_work(a, b, c, sched, static_cast<index_t>(t),
-                                acc, carries, panel, rk, cs);
+                                acc, carries, panel, rk, cs, nullptr);
             });
         apply_carries(split, carries, c, panel.c_col, panel.dim,
-                      panel.scatter, nullptr, nullptr, rk);
+                      panel.scatter, nullptr, nullptr, rk, nullptr);
         ++sweeps;
     }
     if (instrumented) {
@@ -398,9 +410,14 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     check_panel_shapes(a, b, b_col0, c, c_col0, width);
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool count = count_census && metrics.enabled();
+    // The write census counts the first panel only; the epilogue batch
+    // census counts every sweep that has an epilogue.
     std::vector<CommitCensus> census;
-    if (count)
+    if (metrics.enabled() && (count_census || epi != nullptr))
         census.resize(pool.max_concurrency());
+    const auto slot = [&]() -> CommitCensus * {
+        return census.empty() ? nullptr : &census[pool.current_slot()];
+    };
     PanelContext panel{b_col0,       c_col0, width, loc.prefetch,
                        loc.row_scatter, epi,  epi_ctx};
     panel.bmode = b.storage();
@@ -409,14 +426,16 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     pool.parallel_for(
         static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
             value_t *acc = microkernel_scratch(width);
-            CommitCensus *cs =
-                count ? &census[pool.current_slot()] : nullptr;
+            CommitCensus *cs = slot();
             run_thread_work(a, b, c, sched, static_cast<index_t>(t), acc,
-                            carries, panel, rk, cs);
+                            carries, panel, rk, count ? cs : nullptr,
+                            cs != nullptr ? &cs->epilogue : nullptr);
         });
+    // After the barrier the caller's executor slot is free again.
+    CommitCensus *cs = slot();
     apply_carries(split, carries, c, c_col0, width, loc.row_scatter, epi,
-                  epi_ctx, rk);
-    if (count)
+                  epi_ctx, rk, cs != nullptr ? &cs->epilogue : nullptr);
+    if (!census.empty())
         flush_census(metrics, census.data(), census.size());
 }
 

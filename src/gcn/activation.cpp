@@ -62,18 +62,25 @@ namespace {
 // the fused output must match the unfused activation bit-for-bit.
 
 void
-relu_epilogue(value_t *crow, index_t, index_t, index_t width, const void *)
+relu_epilogue(const FinishedRow *rows, int count, index_t, index_t width,
+              const void *)
 {
-    for (index_t c = 0; c < width; ++c)
-        crow[c] = crow[c] > 0.0f ? crow[c] : 0.0f;
+    for (int i = 0; i < count; ++i) {
+        value_t *crow = rows[i].crow;
+        for (index_t c = 0; c < width; ++c)
+            crow[c] = crow[c] > 0.0f ? crow[c] : 0.0f;
+    }
 }
 
 void
-sigmoid_epilogue(value_t *crow, index_t, index_t, index_t width,
-                 const void *)
+sigmoid_epilogue(const FinishedRow *rows, int count, index_t,
+                 index_t width, const void *)
 {
-    for (index_t c = 0; c < width; ++c)
-        crow[c] = 1.0f / (1.0f + std::exp(-crow[c]));
+    for (int i = 0; i < count; ++i) {
+        value_t *crow = rows[i].crow;
+        for (index_t c = 0; c < width; ++c)
+            crow[c] = 1.0f / (1.0f + std::exp(-crow[c]));
+    }
 }
 
 } // namespace

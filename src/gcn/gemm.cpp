@@ -223,37 +223,81 @@ gemm_parallel(const GemmBlock &g, WorkStealPool &pool,
     });
 }
 
-/** One row: crow[0:w.cols()) (+)= xrow[0:depth) * w[w_row0 : +depth). */
-void
-row_times_w(const value_t *xrow, index_t depth, const DenseMatrix &w,
-            index_t w_row0, value_t *crow, bool accumulate)
+// A full epilogue batch runs as one strip of the 6-row tile.
+static_assert(kEpilogueBatchRows == 6,
+              "an epilogue batch must fill exactly one 6-row strip");
+
+/** Row stride of a scratch tile: whole 16-float tiles. */
+index_t
+tile_ld(index_t width)
 {
-    gemm_block({xrow, depth, w.row(w_row0), w.padded_cols(), crow,
-                w.cols(), 1, w.cols(), depth, accumulate});
+    return (width + 15) / 16 * 16;
 }
 
+/** The per-thread scratch tiles of the batched epilogues. */
+enum class BatchTile { kX, kC, kH };
+
 /**
- * Per-thread row buffer for CombineEpilogue: the hidden width has no
- * fixed cap, and the sweep's own microkernel_scratch accumulator is
- * live while the epilogue runs, so it cannot be borrowed.
+ * Per-thread kEpilogueBatchRows-row tile for @p use: the gathered
+ * source rows (kX), the gathered destination rows (kC) and the
+ * combine's hidden rows (kH). The sweep's own microkernel_scratch
+ * accumulator is live while the epilogue runs, so it cannot be
+ * borrowed. Rows are whole 16-float tiles, like a DenseMatrix row: the
+ * GEMM tile's masked tail vector never reaches past the allocation.
  */
 value_t *
-combine_scratch(index_t width)
+batch_tile(BatchTile use, index_t ld)
 {
-    thread_local std::vector<value_t> buf;
-    // Whole 16-float tiles, like a DenseMatrix row: the tile's masked
-    // tail vector never reaches past the allocation.
-    const auto need = static_cast<size_t>((width + 15) / 16 * 16);
+    thread_local std::vector<value_t> tiles[3];
+    std::vector<value_t> &buf = tiles[static_cast<int>(use)];
+    const auto need = static_cast<size_t>(kEpilogueBatchRows) *
+                      static_cast<size_t>(ld);
     if (buf.size() < need)
         buf.resize(need);
     return buf.data();
 }
 
+/** Gathers the committed rows of a batch into the kX tile. */
+value_t *
+gather_batch(const FinishedRow *rows, int count, index_t width, index_t ld)
+{
+    value_t *x = batch_tile(BatchTile::kX, ld);
+    for (int i = 0; i < count; ++i)
+        std::copy(rows[i].crow, rows[i].crow + width, x + i * ld);
+    return x;
+}
+
+/**
+ * The batched row product of the commit epilogues, for i < count:
+ *   dst[i][0:w.cols()) (+)= x[i*ldx][0:depth) * w[w_row0 : w_row0+depth)
+ * as ONE gemm_block of @p count rows on the per-thread kC tile, so a
+ * full batch runs the 6-row tile with its 12 independent FMA chains.
+ * The destination rows, which may lie anywhere, are gathered into the
+ * tile when accumulating and copied back after.
+ */
 void
-apply_row_activation(Activation act, value_t *row, index_t width)
+tile_times_w(const value_t *x, index_t ldx, index_t depth,
+             const DenseMatrix &w, index_t w_row0, value_t *const *dst,
+             int count, bool accumulate)
+{
+    const index_t cols = w.cols();
+    const index_t ldc = tile_ld(cols);
+    value_t *c = batch_tile(BatchTile::kC, ldc);
+    if (accumulate)
+        for (int i = 0; i < count; ++i)
+            std::copy(dst[i], dst[i] + cols, c + i * ldc);
+    gemm_block({x, ldx, w.row(w_row0), w.padded_cols(), c, ldc, count, cols,
+                depth, accumulate});
+    for (int i = 0; i < count; ++i)
+        std::copy(c + i * ldc, c + i * ldc + cols, dst[i]);
+}
+
+void
+apply_batch_activation(Activation act, const FinishedRow *rows, int count,
+                       index_t width)
 {
     if (const PanelEpilogue epi = activation_epilogue(act))
-        epi(row, 0, 0, width, nullptr);
+        epi(rows, count, 0, width, nullptr);
 }
 
 } // namespace
@@ -339,14 +383,21 @@ dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
 }
 
 void
-RankUpdateEpilogue::apply(value_t *crow, index_t row, index_t /*c_col0*/,
-                          index_t width, const void *ctx)
+RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
+                          index_t /*c_col0*/, index_t width,
+                          const void *ctx)
 {
     const auto &e = *static_cast<const RankUpdateEpilogue *>(ctx);
     // activation_epilogue's own expressions — the bit-identity
     // guarantee against the unfused activation depends on it.
-    apply_row_activation(e.act, crow, width);
-    const index_t out_row = e.scatter != nullptr ? e.scatter[row] : row;
+    apply_batch_activation(e.act, rows, count, width);
+    value_t *dst[kEpilogueBatchRows];
+    for (int i = 0; i < count; ++i) {
+        const index_t row = rows[i].row;
+        dst[i] = e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
+    }
+    const index_t ldx = tile_ld(width);
+    const value_t *x = gather_batch(rows, count, width, ldx);
     // No zero-skip: post-ReLU rows are about half zeros in an
     // unpredictable pattern, and a skip branch would cost more than
     // the FMAs it saves. Adding hv * w with hv == 0 contributes
@@ -354,8 +405,8 @@ RankUpdateEpilogue::apply(value_t *crow, index_t row, index_t /*c_col0*/,
     // one already holding -0.0f — and these sums cannot produce -0.0f
     // without a product underflowing, far outside the value ranges GNN
     // features reach. The 1-thread bit gates verify this empirically.
-    row_times_w(crow, width, *e.w, e.w_row0, e.out->row(out_row),
-                /*accumulate=*/true);
+    tile_times_w(x, ldx, width, *e.w, e.w_row0, dst, count,
+                 /*accumulate=*/true);
 }
 
 RankUpdateEpilogue
@@ -373,23 +424,37 @@ make_rank_update_epilogue(Activation act, const DenseMatrix &w,
 }
 
 void
-CombineEpilogue::apply(value_t *crow, index_t row, index_t c_col0,
+CombineEpilogue::apply(const FinishedRow *rows, int count, index_t c_col0,
                        index_t width, const void *ctx)
 {
     const auto &e = *static_cast<const CombineEpilogue *>(ctx);
     MPS_CHECK(c_col0 == 0 && width == e.w->rows(),
               "combine epilogue needs the whole aggregated row");
-    value_t *orow =
-        e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
     const index_t hidden = e.w->cols();
-    // act(t * W) lands straight in the destination row, or — when the
-    // next layer combines first — in thread scratch that is folded
-    // into the next layer's XW at once and never stored.
-    value_t *h = e.w_next != nullptr ? combine_scratch(hidden) : orow;
-    row_times_w(crow, width, *e.w, 0, h, /*accumulate=*/false);
-    apply_row_activation(e.act, h, hidden);
+    value_t *out[kEpilogueBatchRows];
+    for (int i = 0; i < count; ++i) {
+        const index_t row = rows[i].row;
+        out[i] = e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
+    }
+    const index_t ldx = tile_ld(width);
+    const value_t *x = gather_batch(rows, count, width, ldx);
+    // h = act(T * W) is formed in the kH tile, then either stored as
+    // the destination rows or — when the next layer combines first —
+    // folded into the next layer's XW at once and never stored.
+    const index_t ldh = tile_ld(hidden);
+    value_t *h = batch_tile(BatchTile::kH, ldh);
+    gemm_block({x, ldx, e.w->data(), e.w->padded_cols(), h, ldh, count,
+                hidden, width, false});
+    FinishedRow h_rows[kEpilogueBatchRows];
+    for (int i = 0; i < count; ++i)
+        h_rows[i] = {h + i * ldh, rows[i].row};
+    apply_batch_activation(e.act, h_rows, count, hidden);
     if (e.w_next != nullptr)
-        row_times_w(h, hidden, *e.w_next, 0, orow, /*accumulate=*/true);
+        tile_times_w(h, ldh, hidden, *e.w_next, 0, out, count,
+                     /*accumulate=*/true);
+    else
+        for (int i = 0; i < count; ++i)
+            std::copy(h + i * ldh, h + i * ldh + hidden, out[i]);
 }
 
 CombineEpilogue

@@ -33,8 +33,9 @@ void apply_activation_panel(DenseMatrix &m, Activation act, index_t col0,
                             index_t width);
 
 /**
- * The commit-sweep epilogue computing @p act, element-identical to
- * apply_activation (same scalar expressions), or nullptr for kNone —
+ * The commit-sweep epilogue computing @p act on each row of a batch,
+ * element-identical to apply_activation (same scalar expressions), or
+ * nullptr for kNone —
  * a null epilogue keeps the fused sweep on the exact unfused commit
  * path.
  */

@@ -4,16 +4,17 @@
  * X (n x f) the node-feature matrix and W (f x d) the trained weights.
  *
  * Every dense product here — the full GEMM, the panel GEMM feeding
- * the fused pipeline, the rank updates and the per-row epilogues —
- * runs one kernel: a 6-row x 16-column AVX2/FMA accumulator tile held
- * in registers, with 1-5 row and 8-wide/masked column tails (a plain
- * loop on the scalar microkernel path). Each output element is one
- * FMA chain over k in ascending order, the same chain the SIMD axpy
- * loop produced, so a column slice, a row slice or a k-split rank
- * update of a product is bit-identical to the corresponding part of
- * the whole product. X is not zero-skipped: a zero term adds ±0.0f,
- * which leaves every accumulator bit-unchanged unless it already
- * holds -0.0f (see RankUpdateEpilogue). DESIGN.md §15 has the numbers.
+ * the fused pipeline, the rank updates and the batched commit
+ * epilogues — runs one kernel: a 6-row x 16-column AVX2/FMA
+ * accumulator tile held in registers, with 1-5 row and 8-wide/masked
+ * column tails (a plain loop on the scalar microkernel path). Each
+ * output element is one FMA chain over k in ascending order, the same
+ * chain the SIMD axpy loop produced, so a column slice, a row slice or
+ * a k-split rank update of a product is bit-identical to the
+ * corresponding part of the whole product. X is not zero-skipped: a
+ * zero term adds ±0.0f, which leaves every accumulator bit-unchanged
+ * unless it already holds -0.0f (see RankUpdateEpilogue). DESIGN.md
+ * §15 has the numbers.
  */
 #ifndef MPS_GCN_GEMM_H
 #define MPS_GCN_GEMM_H
@@ -77,10 +78,12 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
                             DenseMatrix &out, WorkStealPool &pool);
 
 /**
- * Row-granular pipeline epilogue: the moment the merge-path sweep
- * finalizes an output row, apply the layer activation to it and
- * immediately rank-update the NEXT layer's XW accumulator from that
- * row — while the row is still in L1. The consumer-based pipeline
+ * Batched pipeline epilogue: as the merge-path sweep hands over a
+ * batch of up to kEpilogueBatchRows finished output rows, apply the
+ * layer activation to them and rank-update the NEXT layer's XW
+ * accumulator from them at once — while the rows are still in L1 —
+ * as one 6-row GEMM tile (rows gathered into per-thread scratch
+ * tiles). The consumer-based pipeline
  * (run_streaming + dense_gemm_rank_update) re-reads the whole n x tile
  * output panel from DRAM after each sweep; on graphs whose panels dwarf
  * the cache that second trip is pure bandwidth, and folding the rank
@@ -94,11 +97,10 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  * on any pool size, and with a 1-thread schedule also to the unfused
  * reference.
  *
- * Concurrency: the inline epilogue only fires on plain commits, whose
- * rows are owned whole by one executor; split rows reach apply() in
- * the carry fix-up after the panel barrier, which hands each row to
- * exactly one executor. Rows of @p out are therefore never written
- * concurrently.
+ * Concurrency: a sweep executor only batches rows it plain-committed,
+ * which it owns whole; split rows reach apply() in the carry fix-up
+ * after the panel barrier, which hands each row to exactly one
+ * executor. Rows of @p out are therefore never written concurrently.
  *
  * `w_row0` must track the global first column of the panel in flight.
  * Panels stream in ascending order starting at 0, so start it at 0 and
@@ -129,7 +131,7 @@ struct RankUpdateEpilogue
     index_t w_row0 = 0; ///< global col0 of the panel in flight
 
     /** PanelEpilogue trampoline; @p ctx is the RankUpdateEpilogue. */
-    static void apply(value_t *crow, index_t row, index_t c_col0,
+    static void apply(const FinishedRow *rows, int count, index_t c_col0,
                       index_t width, const void *ctx);
 };
 
@@ -144,12 +146,14 @@ RankUpdateEpilogue make_rank_update_epilogue(Activation act,
                                              const index_t *scatter);
 
 /**
- * Row-granular epilogue of an AGGREGATE-FIRST layer, which sweeps A
- * over its narrower input H (width in) and combines afterwards:
- * act((A * H) * W) instead of act(A * (H * W)). The moment the sweep
- * finalizes aggregated row t, apply() computes h = act(t * W) in
- * registers and thread scratch and hands it off as whichever is
- * narrower for the next step:
+ * Batched epilogue of an AGGREGATE-FIRST layer, which sweeps A over
+ * its narrower input H (width in) and combines afterwards:
+ * act((A * H) * W) instead of act(A * (H * W)). As the sweep hands
+ * over a batch of up to kEpilogueBatchRows finished aggregated rows T,
+ * apply() computes h = act(T * W) on the 6-row GEMM tile — a single
+ * row would leave each 16-column output tile two vector FMA chains
+ * over the whole depth, bound by FMA latency — and hands each row off
+ * as whichever is narrower for the next step:
  *  - w_next == nullptr: store h as row `scatter[row]` of @p out — the
  *    next aggregate-first layer's input, or the model output;
  *  - w_next set: fold h into the next (combine-first) layer's XW
@@ -167,7 +171,7 @@ struct CombineEpilogue
     const index_t *scatter = nullptr;    ///< plan's row_scatter, or null
 
     /** PanelEpilogue trampoline; @p ctx is the CombineEpilogue. */
-    static void apply(value_t *crow, index_t row, index_t c_col0,
+    static void apply(const FinishedRow *rows, int count, index_t c_col0,
                       index_t width, const void *ctx);
 };
 

@@ -209,10 +209,11 @@ GcnTrainer::predict(const CsrMatrix &a, const DenseMatrix &x,
 
     DenseMatrix logits(a.rows(), w2_.cols());
     if (fusion_enabled()) {
-        // Fused 2-layer pipeline: layer 1 streams its ReLU'd output
-        // panels straight into rank updates of H1 * W2, so neither XW1
-        // nor H1 is ever materialized; layer 2 then consumes the
-        // accumulated HW2 as zero-copy slices.
+        // Fused 2-layer pipeline: layer 1's commit epilogue ReLUs its
+        // finished rows and rank-updates H1 * W2 from them, up to six
+        // rows per 6x16 GEMM tile, so neither XW1 nor H1 is ever
+        // materialized; layer 2 then consumes the accumulated HW2 as
+        // zero-copy slices.
         FusedLayerPlan plan1(a, w1_.cols(), sched_,
                              default_fused_locality(a.cols(), w1_.cols()));
         FusedLayerPlan plan2(a, w2_.cols(), sched_,

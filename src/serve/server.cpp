@@ -631,9 +631,9 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
                 // Fused: the combination GEMM streams XW panels
                 // straight into the traversal — tall_xw is never
                 // materialized. With a clean overlay the activation
-                // folds into the commit sweep; with a dirty one it
-                // must wait for the per-panel correction pass (which
-                // needs the raw, pre-activation sums).
+                // folds into the commit sweep's row batches; with a
+                // dirty one it must wait for the per-panel correction
+                // pass (which needs the raw, pre-activation sums).
                 SpmmLocality loc = default_fused_locality(
                     exec.cols(), h,
                     storage_elem_bytes(config_.precision));

@@ -6,10 +6,12 @@
  * one schedule run on pools of 1, 3 and 8 workers, and on one thread,
  * must give bitwise-equal results. Each case uses a schedule with many
  * split rows (power-law hubs cut across dozens of threads). The pool
- * cases also run under ThreadSanitizer in tools/check.sh.
+ * cases also run under ThreadSanitizer in tools/check.sh, as does the
+ * check that the batched commit epilogue sees every row exactly once.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -287,6 +289,97 @@ TEST(Determinism, AggregateFirstAcrossPoolSizes)
             GcnModel model = GcnModel::two_layer(f, hidden, classes, 34);
             out = model.infer(a, x, pool);
         });
+}
+
+/**
+ * Epilogue census of one fused run: how often each (panel, row) was
+ * handed over, and how many calls broke the batch contract or passed
+ * a row pointer that is not the row's committed slice.
+ */
+struct RowCensus
+{
+    const DenseMatrix *c = nullptr;
+    const index_t *scatter = nullptr;
+    index_t tile = 0;
+    mutable std::vector<std::atomic<int>> seen;
+    mutable std::atomic<int> bad_counts{0};
+    mutable std::atomic<int> bad_rows{0};
+
+    static void count(const FinishedRow *rows, int count, index_t c_col0,
+                      index_t width, const void *ctx)
+    {
+        const auto &e = *static_cast<const RowCensus *>(ctx);
+        if (count < 1 || count > kEpilogueBatchRows)
+            e.bad_counts.fetch_add(1);
+        const index_t n = e.c->rows();
+        for (int i = 0; i < count; ++i) {
+            const index_t row = rows[i].row;
+            const index_t out = e.scatter != nullptr ? e.scatter[row] : row;
+            if (row < 0 || row >= n || width <= 0 ||
+                rows[i].crow != e.c->row(out) + c_col0) {
+                e.bad_rows.fetch_add(1);
+                continue;
+            }
+            e.seen[static_cast<size_t>((c_col0 / e.tile) * n + row)]
+                .fetch_add(1);
+        }
+    }
+};
+
+/**
+ * Every finished row reaches the epilogue exactly once per panel, in
+ * calls of 1..kEpilogueBatchRows rows, whatever the batch fill: the
+ * merge-path and hybrid plans, each with and without a reorder
+ * scatter, on every pool size, over a schedule with many split rows.
+ */
+TEST(Determinism, EpilogueSeesEveryRowOnce)
+{
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    HybridSchedule hs = HybridSchedule::build(a, 40);
+    ASSERT_FALSE(sched.split_row_list(a).empty());
+    ASSERT_FALSE(hs.split_row_list(a).empty());
+    const index_t n = a.rows(), dim = 32;
+    std::vector<index_t> reversed(static_cast<size_t>(n));
+    for (index_t r = 0; r < n; ++r)
+        reversed[static_cast<size_t>(r)] = n - 1 - r;
+    const index_t *const scatters[] = {nullptr, reversed.data()};
+    DenseMatrix xw = random_dense(a.cols(), dim, 51);
+    for (const bool hybrid : {false, true})
+        for (const index_t *scatter : scatters)
+            for (unsigned workers : kPoolSizes) {
+                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
+                             (scatter != nullptr ? " scattered" : "") +
+                             " on " + std::to_string(workers) +
+                             " workers");
+                WorkStealPool pool(workers);
+                SpmmLocality loc;
+                loc.tile_d = 16;
+                loc.row_scatter = scatter;
+                FusedLayerPlan plan =
+                    hybrid ? FusedLayerPlan(a, dim,
+                                            borrow_hybrid_schedule(hs), loc)
+                           : FusedLayerPlan(a, dim, borrow_schedule(sched),
+                                            loc);
+                DenseMatrix out(n, dim);
+                RowCensus census;
+                census.c = &out;
+                census.scatter = scatter;
+                census.tile = plan.run_tile();
+                const index_t panels =
+                    (dim + census.tile - 1) / census.tile;
+                census.seen = std::vector<std::atomic<int>>(
+                    static_cast<size_t>(panels * n));
+                plan.run(slice_panel_source(xw), out, pool,
+                         &RowCensus::count, &census);
+                EXPECT_EQ(census.bad_counts.load(), 0);
+                EXPECT_EQ(census.bad_rows.load(), 0);
+                int wrong = 0;
+                for (const std::atomic<int> &s : census.seen)
+                    wrong += s.load() != 1;
+                EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
+                                    << " (panel, row) pairs";
+            }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /** Tests for GEMM, activations, GCN layers and the model. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -143,13 +144,15 @@ TEST(Gemm, RankUpdateAcrossPanelsMatchesFullGemm)
 }
 
 /**
- * The row epilogues run the same kernel one row at a time: their
- * results equal the whole-matrix GEMMs bit for bit.
+ * The batched epilogues run the same kernel on 1-6 rows at a time:
+ * their results equal the whole-matrix GEMMs bit for bit, whatever the
+ * batch fill, whether the rows are adjacent or scattered, and across
+ * a masked column tail (hidden = 37 = 2 * 16 + 5).
  */
 TEST(Gemm, RowEpiloguesMatchWholeGemms)
 {
     WorkStealPool pool(2);
-    const index_t n = 23, in = 12, hidden = 40, out = 9;
+    const index_t n = 47, in = 12, hidden = 37, out = 9;
     DenseMatrix t = random_dense(n, in, 9);
     DenseMatrix w = random_dense(in, hidden, 10);
     DenseMatrix w_next = random_dense(hidden, out, 11);
@@ -170,12 +173,38 @@ TEST(Gemm, RowEpiloguesMatchWholeGemms)
     DenseMatrix got_rank(n, out);
     RankUpdateEpilogue rank = make_rank_update_epilogue(
         Activation::kRelu, w_next, got_rank, nullptr);
-    for (index_t r = 0; r < n; ++r) {
-        std::vector<value_t> row(t.row(r), t.row(r) + in);
-        CombineEpilogue::apply(row.data(), r, 0, in, &store);
-        CombineEpilogue::apply(row.data(), r, 0, in, &fold);
-        std::vector<value_t> hrow(h.row(r), h.row(r) + hidden);
-        RankUpdateEpilogue::apply(hrow.data(), r, 0, hidden, &rank);
+
+    // Batches of 1, 2, ..., 6 rows, cycling. Even batches are adjacent
+    // rows of one matrix; odd ones come from per-row buffers in
+    // descending row order, so the gathered tiles must keep each row
+    // paired with its own destination.
+    DenseMatrix t_in = t, h_in = h;
+    index_t r0 = 0;
+    for (int b = 0; r0 < n; ++b) {
+        const int count = static_cast<int>(
+            std::min<index_t>(b % kEpilogueBatchRows + 1, n - r0));
+        const bool scattered = b % 2 == 1;
+        std::vector<std::vector<value_t>> t_rows, h_rows;
+        t_rows.reserve(static_cast<size_t>(count));
+        h_rows.reserve(static_cast<size_t>(count));
+        FinishedRow t_batch[kEpilogueBatchRows];
+        FinishedRow h_batch[kEpilogueBatchRows];
+        for (int i = 0; i < count; ++i) {
+            const index_t r = scattered ? r0 + count - 1 - i : r0 + i;
+            if (scattered) {
+                t_rows.emplace_back(t.row(r), t.row(r) + in);
+                h_rows.emplace_back(h.row(r), h.row(r) + hidden);
+                t_batch[i] = {t_rows.back().data(), r};
+                h_batch[i] = {h_rows.back().data(), r};
+            } else {
+                t_batch[i] = {t_in.row(r), r};
+                h_batch[i] = {h_in.row(r), r};
+            }
+        }
+        CombineEpilogue::apply(t_batch, count, 0, in, &store);
+        CombineEpilogue::apply(t_batch, count, 0, in, &fold);
+        RankUpdateEpilogue::apply(h_batch, count, 0, hidden, &rank);
+        r0 += count;
     }
     expect_bitwise(got_h, h, "combine epilogue store");
     expect_bitwise(got_xw, want_xw, "combine epilogue fold");

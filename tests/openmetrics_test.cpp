@@ -2,13 +2,17 @@
  * Tests for the OpenMetrics exposition module: golden output format,
  * name/label escaping, inline-label registry names, the parser, the
  * strict validator, quantile reconstruction from bucket series, and
- * the GCN plan gauges reaching the exposition.
+ * the GCN plan gauges and the epilogue batch counters reaching the
+ * exposition.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
+#include "mps/core/fusion.h"
+#include "mps/core/schedule.h"
+#include "mps/gcn/gemm.h"
 #include "mps/gcn/model.h"
 #include "mps/sparse/generate.h"
 #include "mps/util/metrics.h"
@@ -140,6 +144,52 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
         EXPECT_DOUBLE_EQ(sample->value, w.value) << w.name;
         EXPECT_EQ(doc.types[w.name], "gauge") << w.name;
     }
+}
+
+/**
+ * The batched commit epilogue's fill reaches /metrics: every row of an
+ * aggregate-first sweep is counted once in fusion.epilogue_rows, and
+ * fusion.epilogue_calls counts the batches that carried them, at most
+ * kEpilogueBatchRows rows each.
+ */
+TEST(OpenMetrics, EpilogueBatchCountersAppear)
+{
+    MetricsRegistry &metrics = MetricsRegistry::global();
+    metrics.reset();
+    metrics.set_enabled(true);
+    WorkStealPool pool(2);
+    CsrMatrix a = erdos_renyi_graph(150, 900, 3);
+    a.normalize_gcn();
+    DenseMatrix x(a.rows(), 16), w(16, 24);
+    Pcg32 rng(4);
+    x.fill_random(rng);
+    w.fill_random(rng);
+    const MergePathSchedule sched = MergePathSchedule::build(a, 64);
+    FusedLayerPlan plan(a, 16, borrow_schedule(sched), SpmmLocality{});
+    DenseMatrix h(a.rows(), 24);
+    const CombineEpilogue combine =
+        make_combine_epilogue(Activation::kRelu, w, h, nullptr, nullptr);
+    plan.run_streaming(slice_panel_source(x), {}, pool,
+                       &CombineEpilogue::apply, &combine);
+    const std::string text = to_openmetrics(metrics);
+    metrics.set_enabled(false);
+    metrics.reset();
+
+    std::string error;
+    ASSERT_TRUE(validate_openmetrics(text, &error)) << error;
+    OpenMetricsText doc = parse_openmetrics(text, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    const OpenMetricsSample *rows =
+        doc.find("fusion_epilogue_rows_total", {});
+    const OpenMetricsSample *calls =
+        doc.find("fusion_epilogue_calls_total", {});
+    ASSERT_NE(rows, nullptr);
+    ASSERT_NE(calls, nullptr);
+    EXPECT_EQ(doc.types["fusion_epilogue_rows"], "counter");
+    EXPECT_EQ(doc.types["fusion_epilogue_calls"], "counter");
+    EXPECT_DOUBLE_EQ(rows->value, static_cast<double>(a.rows()));
+    EXPECT_GE(calls->value * kEpilogueBatchRows, rows->value);
+    EXPECT_LT(calls->value, rows->value); // rows did share calls
 }
 
 TEST(OpenMetrics, LabelValuesRoundTripThroughEscaping)

@@ -9,7 +9,9 @@
 # and a forced-scalar one (-DMPS_FORCE_SCALAR=ON) that proves
 # the kernel tests pass on the scalar microkernel reference path alone,
 # and that the plain-loop GEMM reference agrees with the Gemm tests
-# written against the register tiles.
+# written against the register tiles — the batched commit epilogues
+# included: the fused bit-identity, aggregate-first and pool-size
+# determinism tests run there too, on the scalar gemm_block.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) 20 times in a row,
 # so an order-dependent result rarely passes by luck.
@@ -82,8 +84,10 @@ echo "==> ctest build-tsan"
 
 echo "==> fusion: panel-streaming smoke under TSan"
 # The fused pipeline fires its rank-update epilogue from worker
-# threads at plain commits; the smoke bench drives that multi-thread
-# path end to end so TSan can see any row-ownership violation.
+# threads, on batches of up to six rows each executor finished at
+# plain commits and on the fix-up's batches of split rows; the smoke
+# bench drives that multi-thread path end to end so TSan can see any
+# row-ownership violation.
 "$root/build-tsan/bench/fusion" --smoke > /dev/null
 
 echo "==> churn: dynamic-graph update/inference races under TSan"
@@ -97,10 +101,12 @@ cmake -S "$root" -B "$root/build-scalar" \
 echo "==> build build-scalar (kernel tests only)"
 cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
-    mps_property_fuzz_test mps_gcn_test
+    mps_property_fuzz_test mps_gcn_test mps_fusion_test \
+    mps_determinism_test
 echo "==> ctest build-scalar"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm' "$@")
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism' \
+    "$@")
 
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 (cd "$root/build-release" && \

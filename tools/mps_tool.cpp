@@ -457,6 +457,8 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
                 stream_tile = plan.tile();
                 DenseMatrix out(n, dim);
                 if (agg_first) {
+                    // Combines each batch of finished rows on the
+                    // 6-row GEMM tile.
                     const CombineEpilogue combine = make_combine_epilogue(
                         act, wt, out, nullptr, nullptr);
                     plan.run_streaming(slice_panel_source(in), {}, pool,
