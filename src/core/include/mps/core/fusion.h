@@ -31,8 +31,10 @@
  *                      instead and combines each finished row in the
  *                      epilogue (CombineEpilogue).
  *
- * `MPS_FUSE=0` disables the fused routing at every call site and
- * restores the exact pre-fusion execution (see fusion_enabled()).
+ * `MPS_FUSE=0` disables the fused routing at every call site in the
+ * gcn library and restores the exact pre-fusion execution (see
+ * fusion_enabled()). It does not affect serving: the server runs
+ * every batch as the fused sweep.
  * For a fixed schedule the fused output is the same on any pool size:
  * split rows sum their carries in thread order, never in completion
  * order. With panel widths that are multiples of 16, run() is also

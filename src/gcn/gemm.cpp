@@ -328,23 +328,22 @@ reference_gemm(const DenseMatrix &x, const DenseMatrix &w,
 }
 
 void
-dense_gemm_panel(const DenseMatrix &x, index_t x_row0, const DenseMatrix &w,
+dense_gemm_panel(const DenseMatrix &x, index_t x_col0, const DenseMatrix &w,
                  index_t w_col0, index_t width, DenseMatrix &panel,
-                 index_t panel_col0, index_t rows, WorkStealPool &pool)
+                 index_t panel_col0, WorkStealPool &pool)
 {
     MPS_CHECK(width > 0 && w_col0 >= 0 && w_col0 + width <= w.cols(),
               "W panel [", w_col0, ", ", w_col0 + width,
               ") out of range for ", w.cols(), " cols");
     MPS_CHECK(panel_col0 >= 0 && panel_col0 + width <= panel.cols(),
               "panel columns out of range");
-    MPS_CHECK(x_row0 >= 0 && x_row0 + rows <= x.rows(),
-              "X rows out of range");
-    MPS_CHECK(rows <= panel.rows(), "panel has too few rows");
-    if (rows == 0)
-        return;
-    gemm_parallel({x.row(x_row0), x.padded_cols(), w.data() + w_col0,
+    MPS_CHECK(x_col0 >= 0 && x_col0 + w.rows() <= x.cols(),
+              "X columns [", x_col0, ", ", x_col0 + w.rows(),
+              ") out of range for ", x.cols(), " cols");
+    MPS_CHECK(x.rows() <= panel.rows(), "panel has too few rows");
+    gemm_parallel({x.data() + x_col0, x.padded_cols(), w.data() + w_col0,
                    w.padded_cols(), panel.data() + panel_col0,
-                   panel.padded_cols(), rows, width, x.cols(), false},
+                   panel.padded_cols(), x.rows(), width, w.rows(), false},
                   pool);
 }
 
@@ -353,8 +352,10 @@ dense_gemm_panel(const DenseMatrix &x, const DenseMatrix &w,
                  index_t w_col0, index_t width, DenseMatrix &panel,
                  WorkStealPool &pool)
 {
-    dense_gemm_panel(x, /*x_row0=*/0, w, w_col0, width, panel,
-                     /*panel_col0=*/0, x.rows(), pool);
+    MPS_CHECK(x.cols() == w.rows(), "GEMM inner dimensions differ: ",
+              x.cols(), " vs ", w.rows());
+    dense_gemm_panel(x, /*x_col0=*/0, w, w_col0, width, panel,
+                     /*panel_col0=*/0, pool);
 }
 
 void

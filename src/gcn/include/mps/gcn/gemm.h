@@ -45,18 +45,18 @@ void reference_gemm(const DenseMatrix &x, const DenseMatrix &w,
 /**
  * Panel-on-demand GEMM for the fused pipeline: compute one TILE-wide
  * column slice of X * W,
- *   panel[i, panel_col0 : panel_col0+width)
- *     = x.row(x_row0 + i) * w[:, w_col0 : w_col0+width)
- * for i in [0, rows). The same kernel as dense_gemm restricted to W's
+ *   panel[:, panel_col0 : panel_col0+width)
+ *     = x[:, x_col0 : x_col0+f) * w[:, w_col0 : w_col0+width)
+ * with f = w.rows(). The same kernel as dense_gemm restricted to W's
  * column slice, and bit-identical to the corresponding columns of the
  * full GEMM at any w_col0 and panel_col0: each element's FMA chain
- * does not depend on which tile or lane computes it. The x_row0
- * offset lets the serve path read one request's block out of the
- * stacked tall feature matrix.
+ * does not depend on which tile or lane computes it. The x_col0
+ * offset reads one column block of a wider X in place — the serve
+ * path's per-request block of a batch's wide layer output.
  */
-void dense_gemm_panel(const DenseMatrix &x, index_t x_row0,
+void dense_gemm_panel(const DenseMatrix &x, index_t x_col0,
                       const DenseMatrix &w, index_t w_col0, index_t width,
-                      DenseMatrix &panel, index_t panel_col0, index_t rows,
+                      DenseMatrix &panel, index_t panel_col0,
                       WorkStealPool &pool);
 
 /** Whole-X convenience: panel[:, 0:width) = x * w[:, w_col0:+width). */

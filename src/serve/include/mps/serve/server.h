@@ -8,12 +8,15 @@
  *
  * A registered graph owns its adjacency matrix, its GCN layer stack
  * and (through the ScheduleCache) its merge-path schedules. Workers
- * execute one batch as: per-request dense GEMM (X_j x W), column-wise
- * concatenation into one wide matrix, a single MergePath-SpMM at
- * effective dimension batch x d, then split + activation. The sparse
- * traversal of A is thus paid once per batch instead of once per
- * request, and the schedule for each (graph, effective d) pair is
- * built exactly once.
+ * execute a batch of k requests — k = 1 included — as one fused
+ * MergePath-SpMM sweep per layer over the wide n x k*h layout, where
+ * column j*h + c is request j's column c. Each wide panel is built on
+ * demand with one GEMM per request block it overlaps: layer 0 reads
+ * each request's own features, a later layer reads request j's column
+ * block of the previous layer's wide output. Each result is copied
+ * out of its column block of the last layer. The sparse traversal of
+ * A is thus paid once per batch instead of once per request, and the
+ * schedule for each (graph, effective d) pair is built exactly once.
  *
  * Guarantees:
  *  - every accepted request's future resolves — with a result, or with
@@ -142,11 +145,14 @@ struct ServeConfig
     double default_timeout_ms = 0.0;
     /**
      * Aggregation operand precision of every batch this server
-     * executes: kBf16/kInt8 store each batch's XW (or panel buffer)
-     * reduced-width for the SpMM gather, cutting the gather's DRAM
-     * traffic 2x/4x; accumulation and the atomic commit protocol stay
-     * fp32, and the delta-correction pass keeps reading the f32 master
-     * rows. Defaults to the cached MPS_PRECISION parse (f32 unset), so
+     * executes: kBf16 stores each batch's panel buffer reduced-width
+     * for the SpMM gather, halving the gather's DRAM traffic;
+     * accumulation and the commit protocol stay fp32, and the
+     * delta-correction pass keeps reading the f32 master rows.
+     * kInt8 is served as kBf16 (the constructor logs a warning): its
+     * per-row range would span every request of a wide panel row, so
+     * one request's magnitudes would set its batch-mates' error.
+     * Defaults to the cached MPS_PRECISION parse (f32 unset), so
      * serving tenants opt in per process or per ServeConfig.
      */
     StorageMode precision = default_precision();
@@ -341,7 +347,11 @@ class Server
      */
     std::shared_ptr<const ReorderPlan>
     resolve_reorder_plan(const GraphContext &graph);
-    void hand_to_workers(Batch batch);
+    /**
+     * Pins the graph snapshot @p requests (all for one graph) execute
+     * against and queues them as one batch for the workers.
+     */
+    void hand_to_workers(std::vector<RequestPtr> requests);
     void drain_queue_into_batcher(int64_t now_us);
     void record_completion(double latency_ms);
     int64_t now_us() const

@@ -11,11 +11,11 @@
 #include "mps/core/hybrid.h"
 #include "mps/core/locality.h"
 #include "mps/core/microkernel.h"
-#include "mps/core/precision.h"
 #include "mps/core/policy.h"
 #include "mps/core/spmm.h"
 #include "mps/gcn/activation.h"
 #include "mps/gcn/gemm.h"
+#include "mps/sparse/quant.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
 #include "mps/util/trace.h"
@@ -107,6 +107,12 @@ Server::Server(ServeConfig config, ScheduleCache *cache)
       queue_(config_.queue_capacity), batcher_(config_.batch)
 {
     MPS_CHECK(config_.num_workers >= 1, "num_workers must be >= 1");
+    if (config_.precision == StorageMode::kInt8) {
+        warn("serving int8 as bf16: int8 encodes one range per wide "
+             "panel row, which spans every request of a batch, so one "
+             "request's magnitudes would set its batch-mates' error");
+        config_.precision = StorageMode::kBf16;
+    }
     accepting_.store(true, std::memory_order_release);
     if (config_.autostart)
         start();
@@ -424,8 +430,19 @@ Server::drain_queue_into_batcher(int64_t now_us_val)
 }
 
 void
-Server::hand_to_workers(Batch batch)
+Server::hand_to_workers(std::vector<RequestPtr> requests)
 {
+    Batch batch;
+    batch.requests = std::move(requests);
+    {
+        // The snapshot the batch pins: a concurrent update_graph() swap
+        // after this point doesn't affect requests already batched.
+        std::lock_guard<std::mutex> lk(graphs_mutex_);
+        auto it = graphs_.find(batch.requests.front()->graph_id);
+        MPS_CHECK(it != graphs_.end(),
+                  "batched request for unregistered graph");
+        batch.graph = it->second;
+    }
     TraceSession &trace = TraceSession::global();
     if (trace.active()) {
         // Flow step on the dispatcher thread: every member request's
@@ -453,19 +470,7 @@ Server::dispatcher_loop()
             std::vector<RequestPtr> ready = batcher_.take_ready(now);
             if (ready.empty())
                 break;
-            Batch batch;
-            batch.requests = std::move(ready);
-            {
-                // The snapshot the batch pins: a concurrent
-                // update_graph() swap after this point doesn't affect
-                // requests already batched.
-                std::lock_guard<std::mutex> lk(graphs_mutex_);
-                auto it = graphs_.find(batch.requests.front()->graph_id);
-                MPS_CHECK(it != graphs_.end(),
-                          "batched request for unregistered graph");
-                batch.graph = it->second;
-            }
-            hand_to_workers(std::move(batch));
+            hand_to_workers(std::move(ready));
         }
 
         if (stopping_.load(std::memory_order_acquire)) {
@@ -474,17 +479,7 @@ Server::dispatcher_loop()
                 std::vector<RequestPtr> rest = batcher_.take_any();
                 if (rest.empty())
                     break;
-                Batch batch;
-                batch.requests = std::move(rest);
-                {
-                    std::lock_guard<std::mutex> lk(graphs_mutex_);
-                    auto it =
-                        graphs_.find(batch.requests.front()->graph_id);
-                    MPS_CHECK(it != graphs_.end(),
-                              "batched request for unregistered graph");
-                    batch.graph = it->second;
-                }
-                hand_to_workers(std::move(batch));
+                hand_to_workers(std::move(rest));
             }
             if (queue_.empty_approx() && batcher_.pending() == 0)
                 break;
@@ -601,212 +596,78 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
     }
     MetricTimer exec_timer("serve.batch.exec_ms");
 
-    // Stack the batch's feature matrices vertically into one tall
-    // (k*n x f) matrix: rows [j*n, (j+1)*n) belong to request j. The
-    // tall form is the inter-layer representation — the combination
-    // GEMM of all k requests becomes ONE pool dispatch per layer, and
-    // request outputs split back off as contiguous row blocks.
-    const index_t f0 = graph.layers->front().in_features();
-    DenseMatrix tall(static_cast<index_t>(k) * n, f0);
-    for (int j = 0; j < k; ++j) {
-        const DenseMatrix &feats = live[static_cast<size_t>(j)]->features;
-        for (index_t r = 0; r < n; ++r)
-            row_copy(tall.row(static_cast<index_t>(j) * n + r),
-                     feats.row(r), f0);
-    }
-
-    const bool fused = fusion_enabled();
+    // One fused sweep per layer over the batch's wide n x k*h layout:
+    // column j*h + c holds request j's column c, so the sparse
+    // traversal of A is paid once per batch at effective width k*h.
+    // Layer 0 reads each request's own features; a later layer reads
+    // request j's column block of the previous layer's wide output.
+    DenseMatrix wide;
     for (const GcnLayer &layer : *graph.layers) {
         const index_t h = layer.out_features();
+        const index_t in = layer.in_features();
         const DenseMatrix &w = layer.weights();
-
-        if (k == 1) {
-            DenseMatrix out(n, h);
-            const index_t cost = serve_cost(exec, h, pool);
-            auto hsched = preferred_hybrid(*cache_, exec, cost);
-            std::shared_ptr<const MergePathSchedule> sched;
-            if (hsched == nullptr)
-                sched = cache_->get_or_build_with_cost(exec, cost, 0);
-            if (fused) {
-                // Fused: the combination GEMM streams XW panels
-                // straight into the traversal — tall_xw is never
-                // materialized. With a clean overlay the activation
-                // folds into the commit sweep's row batches; with a
-                // dirty one it must wait for the per-panel correction
-                // pass (which needs the raw, pre-activation sums).
-                SpmmLocality loc = default_fused_locality(
-                    exec.cols(), h,
-                    storage_elem_bytes(config_.precision));
-                loc.row_scatter = scatter;
-                FusedLayerPlan fplan =
-                    hsched != nullptr
-                        ? FusedLayerPlan(exec, h, hsched, loc)
-                        : FusedLayerPlan(exec, h, sched, loc);
-                fplan.set_precision(config_.precision);
-                const PanelEpilogue epi =
-                    has_delta ? nullptr
-                              : activation_epilogue(layer.activation());
-                PanelPostSweepFn post;
-                if (has_delta) {
-                    post = [&](index_t col0, index_t width,
-                               const PanelSource &src) {
-                        delta_correction_panel(dyn, *src.b,
-                                               src.col_begin, out, col0,
-                                               width, pool, scatter);
-                        apply_activation_panel(out, layer.activation(),
-                                               col0, width);
-                    };
-                }
-                fplan.run(gemm_panel_source(tall, w, pool), out, pool,
-                          epi, nullptr, post);
-            } else {
-                DenseMatrix tall_xw(n, h);
-                dense_gemm(tall, w, tall_xw, pool);
-                SpmmLocality loc = default_spmm_locality(
-                    exec.cols(), h,
-                    storage_elem_bytes(config_.precision));
-                loc.row_scatter = scatter;
-                // The reduced-width shadow serves the aggregation
-                // gather only; delta correction below keeps reading
-                // the f32 master rows.
-                if (config_.precision != StorageMode::kF32)
-                    quantize_dense(tall_xw, config_.precision, &pool);
-                if (hsched != nullptr)
-                    hybrid_spmm_parallel(exec, *hsched, tall_xw, out,
-                                         pool, loc);
-                else
-                    mergepath_spmm_parallel(exec, tall_xw, out, *sched,
-                                            pool, loc);
-                // Overlay correction: O(delta * h) on top of the
-                // schedule-stable base traversal.
-                if (has_delta)
-                    delta_correction_pass(dyn, tall_xw, out, pool, loc);
-                apply_activation(out, layer.activation());
-            }
-            tall = std::move(out);
-            continue;
-        }
-
-        // Aggregation at effective dimension k*h: one SpMM pays the
-        // sparse traversal of A once for the whole batch. Wide column
-        // j*h + c holds request j's layer column c.
         const index_t wide_d = static_cast<index_t>(k) * h;
-        const index_t wide_cost = serve_cost(exec, wide_d, pool);
-        auto hsched = preferred_hybrid(*cache_, exec, wide_cost);
+        const index_t cost = serve_cost(exec, wide_d, pool);
+        auto hsched = preferred_hybrid(*cache_, exec, cost);
         std::shared_ptr<const MergePathSchedule> sched;
         if (hsched == nullptr)
-            sched = cache_->get_or_build_with_cost(exec, wide_cost, 0);
-        DenseMatrix wide_out(n, wide_d);
-        if (fused) {
-            // Fused: each wide panel is produced on demand straight
-            // from the tall features — a panel spanning several
-            // requests' column blocks is assembled with one
-            // row-blocked GEMM per overlapping request. Neither the
-            // tall XW (k*n x h) nor the folded wide input (n x k*h)
-            // is ever materialized.
-            SpmmLocality loc = default_fused_locality(
-                exec.cols(), wide_d,
-                storage_elem_bytes(config_.precision));
-            loc.row_scatter = scatter;
-            FusedLayerPlan fplan =
-                hsched != nullptr
-                    ? FusedLayerPlan(exec, wide_d, hsched, loc)
-                    : FusedLayerPlan(exec, wide_d, sched, loc);
-            fplan.set_precision(config_.precision);
-            auto buf = std::make_shared<DenseMatrix>();
-            const PanelSourceFn src = [&, buf](index_t col0,
-                                               index_t width) {
-                if (buf->rows() != n || buf->cols() < width)
-                    *buf = DenseMatrix(n, width);
-                index_t off = 0;
-                while (off < width) {
-                    const index_t gcol = col0 + off;
-                    const index_t j = gcol / h;
-                    const index_t local = gcol % h;
-                    const index_t take =
-                        std::min(width - off, h - local);
-                    dense_gemm_panel(tall, j * n, w, local, take, *buf,
-                                     off, n, pool);
-                    off += take;
-                }
-                // fresh: the assembled panel is rewritten per call, so
-                // a quantizing plan re-encodes its panel columns.
-                return PanelSource{buf.get(), 0, buf.get(),
-                                   /*fresh=*/true};
-            };
-            const PanelEpilogue epi =
-                has_delta ? nullptr
-                          : activation_epilogue(layer.activation());
-            PanelPostSweepFn post;
-            if (has_delta) {
-                post = [&](index_t col0, index_t width,
-                           const PanelSource &psrc) {
-                    delta_correction_panel(dyn, *psrc.b, psrc.col_begin,
-                                           wide_out, col0, width, pool,
-                                           scatter);
-                    apply_activation_panel(wide_out, layer.activation(),
-                                           col0, width);
-                };
+            sched = cache_->get_or_build_with_cost(exec, cost, 0);
+        SpmmLocality loc = default_fused_locality(
+            exec.cols(), wide_d, storage_elem_bytes(config_.precision));
+        loc.row_scatter = scatter;
+        FusedLayerPlan fplan =
+            hsched != nullptr ? FusedLayerPlan(exec, wide_d, hsched, loc)
+                              : FusedLayerPlan(exec, wide_d, sched, loc);
+        fplan.set_precision(config_.precision);
+
+        // Each wide panel is produced on demand: a panel spanning
+        // several requests' column blocks is assembled with one GEMM
+        // per overlapping request, so XW is never materialized.
+        const bool first = &layer == &graph.layers->front();
+        DenseMatrix panel;
+        const PanelSourceFn src = [&](index_t col0, index_t width) {
+            if (panel.rows() != n || panel.cols() < width)
+                panel = DenseMatrix(n, width);
+            for (index_t off = 0; off < width;) {
+                const index_t j = (col0 + off) / h;
+                const index_t local = (col0 + off) % h;
+                const index_t take = std::min(width - off, h - local);
+                const DenseMatrix &x =
+                    first ? live[static_cast<size_t>(j)]->features : wide;
+                dense_gemm_panel(x, first ? 0 : j * in, w, local, take,
+                                 panel, off, pool);
+                off += take;
             }
-            fplan.run(src, wide_out, pool, epi, nullptr, post);
-        } else {
-            // Combination: (X_1 W; ...; X_k W) = tall X * W, one GEMM,
-            // then fold tall (k*n x h) into wide (n x k*h).
-            DenseMatrix tall_xw(static_cast<index_t>(k) * n, h);
-            dense_gemm(tall, w, tall_xw, pool);
-            DenseMatrix wide_in(n, wide_d);
-            pool.parallel_for(
-                static_cast<uint64_t>(n),
-                [&](uint64_t r) {
-                    const index_t row = static_cast<index_t>(r);
-                    for (int j = 0; j < k; ++j)
-                        std::copy(
-                            tall_xw.row(static_cast<index_t>(j) * n +
-                                        row),
-                            tall_xw.row(static_cast<index_t>(j) * n +
-                                        row) +
-                                h,
-                            wide_in.row(row) + j * h);
-                },
-                64);
+            // fresh: the assembled panel is rewritten per call, so a
+            // quantizing plan re-encodes its panel columns.
+            return PanelSource{&panel, 0, &panel, /*fresh=*/true};
+        };
 
-            SpmmLocality loc = default_spmm_locality(
-                exec.cols(), wide_d,
-                storage_elem_bytes(config_.precision));
-            loc.row_scatter = scatter;
-            if (config_.precision != StorageMode::kF32)
-                quantize_dense(wide_in, config_.precision, &pool);
-            if (hsched != nullptr)
-                hybrid_spmm_parallel(exec, *hsched, wide_in, wide_out,
-                                     pool, loc);
-            else
-                mergepath_spmm_parallel(exec, wide_in, wide_out, *sched,
-                                        pool, loc);
-            if (has_delta)
-                delta_correction_pass(dyn, wide_in, wide_out, pool, loc);
-            apply_activation(wide_out, layer.activation());
+        // With a clean overlay the activation folds into the commit
+        // sweep's row batches; with a dirty one it waits for the
+        // per-panel correction, which needs the raw sums.
+        DenseMatrix out(n, wide_d);
+        const PanelEpilogue epi =
+            has_delta ? nullptr : activation_epilogue(layer.activation());
+        PanelPostSweepFn post;
+        if (has_delta) {
+            post = [&](index_t col0, index_t width,
+                       const PanelSource &psrc) {
+                delta_correction_panel(dyn, *psrc.b, psrc.col_begin, out,
+                                       col0, width, pool, scatter);
+                apply_activation_panel(out, layer.activation(), col0,
+                                       width);
+            };
         }
-
-        tall = DenseMatrix(static_cast<index_t>(k) * n, h);
-        pool.parallel_for(
-            static_cast<uint64_t>(n),
-            [&](uint64_t r) {
-                const index_t row = static_cast<index_t>(r);
-                for (int j = 0; j < k; ++j)
-                    std::copy(
-                        wide_out.row(row) + j * h,
-                        wide_out.row(row) + (j + 1) * h,
-                        tall.row(static_cast<index_t>(j) * n + row));
-            },
-            64);
+        fplan.run(src, out, pool, epi, nullptr, post);
+        wide = std::move(out);
     }
 
     const index_t h_out = graph.layers->back().out_features();
     for (int j = 0; j < k; ++j) {
         DenseMatrix out(n, h_out);
         for (index_t r = 0; r < n; ++r)
-            row_copy(out.row(r),
-                     tall.row(static_cast<index_t>(j) * n + r), h_out);
+            row_copy(out.row(r), wide.row(r) + j * h_out, h_out);
         InferenceResult result;
         result.status = RequestStatus::kOk;
         result.output = std::move(out);

@@ -105,19 +105,25 @@ TEST(Gemm, PanelAtUnalignedOffsetsMatchesFullGemm)
         DenseMatrix panel(n, 64);
         panel.fill(-3.0f); // overwritten, not accumulated
         dense_gemm_panel(x, 0, w, c.w_col0, c.width, panel, c.panel_col0,
-                         n, pool);
+                         pool);
         for (index_t r = 0; r < n; ++r)
             for (index_t j = 0; j < c.width; ++j)
                 ASSERT_EQ(panel(r, c.panel_col0 + j), full(r, c.w_col0 + j))
                     << "w_col0=" << c.w_col0 << " panel_col0="
                     << c.panel_col0 << " at (" << r << ", " << j << ")";
     }
-    // A row block read at an offset (the serve path's stacked input).
-    DenseMatrix block(40, d);
-    dense_gemm_panel(x, 31, w, 0, d, block, 0, 40, pool);
-    for (index_t r = 0; r < 40; ++r)
+    // A column block read in place: X embedded at column offset f of
+    // a wider matrix (the serve path's per-request block of a batch).
+    DenseMatrix wider = random_dense(n, 3 * f, 9);
+    for (index_t r = 0; r < n; ++r)
+        for (index_t k = 0; k < f; ++k)
+            wider(r, f + k) = x(r, k);
+    DenseMatrix block(n, d);
+    dense_gemm_panel(wider, f, w, 0, d, block, 0, pool);
+    for (index_t r = 0; r < n; ++r)
         for (index_t j = 0; j < d; ++j)
-            ASSERT_EQ(block(r, j), full(31 + r, j));
+            ASSERT_EQ(block(r, j), full(r, j)) << "at (" << r << ", " << j
+                                               << ")";
 }
 
 /** Accumulate mode continues each chain: k-split panels == one GEMM. */

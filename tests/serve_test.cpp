@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <future>
 #include <thread>
 #include <vector>
@@ -16,7 +18,10 @@
 #include "mps/gcn/layer.h"
 #include "mps/serve/batcher.h"
 #include "mps/serve/server.h"
+#include "mps/sparse/delta_csr.h"
 #include "mps/sparse/generate.h"
+#include "mps/sparse/quant.h"
+#include "mps/sparse/reorder.h"
 #include "mps/util/metrics.h"
 #include "mps/util/rng.h"
 
@@ -124,16 +129,45 @@ class ServerFixture : public ::testing::Test
     DenseMatrix
     reference_forward(const DenseMatrix &x) const
     {
+        return reference_forward(graph_, x);
+    }
+
+    /** The same reference against @p adjacency. */
+    DenseMatrix
+    reference_forward(const CsrMatrix &adjacency, const DenseMatrix &x) const
+    {
         DenseMatrix cur = x;
         for (const GcnLayer &layer : layers_) {
-            DenseMatrix xw(graph_.rows(), layer.out_features());
+            DenseMatrix xw(adjacency.rows(), layer.out_features());
             reference_gemm(cur, layer.weights(), xw);
-            DenseMatrix out(graph_.rows(), layer.out_features());
-            reference_spmm(graph_, xw, out);
+            DenseMatrix out(adjacency.rows(), layer.out_features());
+            reference_spmm(adjacency, xw, out);
             apply_activation(out, layer.activation());
             cur = std::move(out);
         }
         return cur;
+    }
+
+    /**
+     * Non-zero edge upserts plus a removal on every 11th row: small
+     * enough that the default compaction ratio leaves it in the overlay.
+     */
+    GraphDelta
+    mixed_delta() const
+    {
+        Pcg32 rng(31);
+        GraphDelta delta;
+        const auto n = static_cast<uint32_t>(graph_.rows());
+        for (int i = 0; i < 12; ++i)
+            delta.upserts.push_back(
+                {static_cast<index_t>(rng.next_below(n)),
+                 static_cast<index_t>(rng.next_below(n)),
+                 0.25f * static_cast<value_t>(1 + rng.next_below(3))});
+        for (index_t r = 0; r < graph_.rows(); r += 11)
+            if (graph_.degree(r) > 0)
+                delta.removes.push_back(
+                    {r, graph_.col_idx()[graph_.row_begin(r)], 0.0f});
+        return delta;
     }
 
     CsrMatrix graph_;
@@ -152,37 +186,116 @@ TEST_F(ServerFixture, InferMatchesSequentialReference)
     EXPECT_GT(r.latency_ms, 0.0);
 }
 
+/**
+ * Every request of a k-request batch against its own reference: on a
+ * clean graph, behind a degree reorder plan (the batched row scatter)
+ * and behind a dirty overlay of non-zero upserts and removes (the
+ * wide-panel delta correction).
+ */
 TEST_F(ServerFixture, BatchedExecutionMatchesPerRequestResults)
 {
-    ServeConfig cfg;
-    cfg.batch.max_batch = 4;
-    cfg.batch.max_delay_us = 1000000; // only dispatch full batches
-    cfg.autostart = false;
-    Server server(cfg);
-    uint64_t gid = server.register_graph(graph_, layers_);
+    enum class Setup { kClean, kReorder, kDelta };
+    for (const Setup setup : {Setup::kClean, Setup::kReorder, Setup::kDelta})
+        for (const int k : {1, 3, 4, 8}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "setup " << static_cast<int>(setup)
+                         << ", k = " << k);
+            ServeConfig cfg;
+            cfg.batch.max_batch = k;
+            cfg.batch.max_delay_us = 1000000; // only dispatch full batches
+            cfg.autostart = false;
+            if (setup == Setup::kReorder)
+                cfg.reorder = ReorderKind::kDegree;
+            Server server(cfg);
+            uint64_t gid = server.register_graph(graph_, layers_);
+            CsrMatrix adjacency = graph_;
+            if (setup == Setup::kDelta) {
+                DeltaCsr shadow(graph_);
+                const GraphDelta delta = mixed_delta();
+                shadow.apply(delta);
+                ASSERT_TRUE(server.update_graph(gid, delta));
+                ASSERT_GT(server.graph_delta_fraction(gid), 0.0);
+                adjacency = shadow.materialize();
+            }
 
-    // Distinct inputs so cross-request mixups would be caught.
-    Pcg32 rng(123);
-    std::vector<DenseMatrix> inputs;
-    std::vector<std::future<InferenceResult>> futures;
-    for (int i = 0; i < 4; ++i) {
-        DenseMatrix x(graph_.rows(), 8);
-        x.fill_random(rng);
-        inputs.push_back(x);
-        futures.push_back(server.submit(gid, std::move(x)));
-    }
-    server.start(); // burst-drains all 4 into one batch
-    for (int i = 0; i < 4; ++i) {
-        InferenceResult r = futures[static_cast<size_t>(i)].get();
+            // Distinct inputs so cross-request mixups would be caught.
+            Pcg32 rng(123);
+            std::vector<DenseMatrix> inputs;
+            std::vector<std::future<InferenceResult>> futures;
+            for (int i = 0; i < k; ++i) {
+                DenseMatrix x(graph_.rows(), 8);
+                x.fill_random(rng);
+                inputs.push_back(x);
+                futures.push_back(server.submit(gid, std::move(x)));
+            }
+            server.start(); // burst-drains all k into one batch
+            for (int i = 0; i < k; ++i) {
+                InferenceResult r = futures[static_cast<size_t>(i)].get();
+                ASSERT_EQ(r.status, RequestStatus::kOk) << r.message;
+                EXPECT_EQ(r.batch_size, k);
+                EXPECT_TRUE(r.output.approx_equal(reference_forward(
+                    adjacency, inputs[static_cast<size_t>(i)])))
+                    << "request " << i;
+            }
+            ServerStats stats = server.stats();
+            EXPECT_EQ(stats.completed, k);
+            EXPECT_EQ(stats.batches, 1);
+            EXPECT_EQ(stats.max_batch_size, k);
+        }
+}
+
+/** Largest absolute error over the largest reference magnitude. */
+double
+rel_err(const DenseMatrix &got, const DenseMatrix &want)
+{
+    double worst = 0.0, scale = 0.0;
+    for (index_t r = 0; r < want.rows(); ++r)
+        for (index_t c = 0; c < want.cols(); ++c) {
+            worst = std::max(worst,
+                             std::abs(static_cast<double>(got(r, c)) -
+                                      want(r, c)));
+            scale = std::max(scale, std::abs(static_cast<double>(
+                                        want(r, c))));
+        }
+    return worst / scale;
+}
+
+/**
+ * A request's result must not depend on its batch-mates: request 0
+ * shares a batch with a mate whose features are 1e4 times larger. The
+ * int8 encoding takes one range per wide panel row, across every
+ * request's column block, so the server runs int8 as bf16.
+ */
+TEST_F(ServerFixture, BatchMateDoesNotChangeResult)
+{
+    const DenseMatrix want = reference_forward(features_);
+    DenseMatrix loud = features_;
+    for (index_t r = 0; r < loud.rows(); ++r)
+        for (index_t c = 0; c < loud.cols(); ++c)
+            loud(r, c) *= 1e4f;
+    for (const StorageMode mode :
+         {StorageMode::kF32, StorageMode::kBf16, StorageMode::kInt8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "precision " << static_cast<int>(mode));
+        ServeConfig cfg;
+        cfg.batch.max_batch = 2;
+        cfg.batch.max_delay_us = 1000000;
+        cfg.autostart = false;
+        cfg.precision = mode;
+        Server server(cfg);
+        uint64_t gid = server.register_graph(graph_, layers_);
+        auto quiet = server.submit(gid, features_);
+        auto mate = server.submit(gid, loud);
+        server.start();
+        InferenceResult r = quiet.get();
         ASSERT_EQ(r.status, RequestStatus::kOk) << r.message;
-        EXPECT_EQ(r.batch_size, 4);
-        EXPECT_TRUE(r.output.approx_equal(
-            reference_forward(inputs[static_cast<size_t>(i)])));
+        EXPECT_EQ(r.batch_size, 2);
+        EXPECT_EQ(mate.get().status, RequestStatus::kOk);
+        if (mode == StorageMode::kF32)
+            EXPECT_TRUE(r.output.approx_equal(want));
+        else
+            EXPECT_LE(rel_err(r.output, want), 2e-2);
     }
-    ServerStats stats = server.stats();
-    EXPECT_EQ(stats.completed, 4);
-    EXPECT_EQ(stats.batches, 1);
-    EXPECT_EQ(stats.max_batch_size, 4);
 }
 
 TEST_F(ServerFixture, ValidationFailsFast)

@@ -18,11 +18,16 @@
 # A no-tile stage reruns the release SpMM/locality tests with the
 # cache-locality layer disabled (MPS_TILE_D=inf MPS_PREFETCH=0),
 # proving column tiling and software prefetch are behavior-neutral.
+# A narrow-tile stage reruns the serve tests with MPS_TILE_D=16: their
+# models are 6 columns wide per request, so a 16-wide panel starts in
+# the middle of a request's column block of the batch's wide layout,
+# which the auto width (one full panel on the test graphs) never does.
 # A no-fuse stage reruns the GCN/fusion-routed tests with MPS_FUSE=0,
 # proving the fused panel-streaming pipeline is opt-out clean: the
 # classic GEMM -> XW -> SpMM execution (and, for widening layers, the
 # classic aggregate-first SpMM -> GEMM, GcnAssociation.*) still passes
-# everything.
+# everything. The server does not read MPS_FUSE (it always runs the
+# fused sweep), so the serve tests there rerun the same path.
 # A churn stage reruns the dynamic-graph tests (delta-CSR overlay,
 # schedule repair, concurrent update_graph vs inference) under the
 # TSan build to shake out update/serve races.
@@ -112,6 +117,10 @@ echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 (cd "$root/build-release" && \
     MPS_TILE_D=inf MPS_PREFETCH=0 ctest --output-on-failure -j "$jobs" \
     -R 'Spmm|Locality|Tiled|Reordered|Adaptive|Gcn|Serve' "$@")
+
+echo "==> ctest build-narrowtile (MPS_TILE_D=16, serve)"
+(cd "$root/build-release" && \
+    MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" -R 'Serve' "$@")
 
 echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 (cd "$root/build-release" && \
