@@ -1,7 +1,8 @@
 /**
  * @file
- * The split-row carry fix-up shared by the merge-path sweep and the
- * hybrid tail (internal to mps_core).
+ * What the merge-path sweep and the hybrid tail share (internal to
+ * mps_core): the non-zero gather, the epilogue batch and the split-row
+ * carry fix-up.
  *
  * A row split across schedule threads gets one partial sum per
  * contributing thread. Instead of committing each with a float atomic,
@@ -22,6 +23,8 @@
 #include <memory>
 #include <new>
 
+#include "mps/core/locality.h"
+#include "mps/core/microkernel.h"
 #include "mps/core/schedule.h"
 #include "mps/core/spmm.h"
 #include "mps/sparse/aligned_buffer.h"
@@ -30,7 +33,40 @@
 namespace mps {
 
 class MetricsRegistry;
-struct RowKernels;
+
+/**
+ * acc[0:width) = the sum over non-zeros [begin, end) of @p a of
+ * vals[k] * B[cols[k]][b_col : b_col + width), read at B's storage
+ * mode: f32 and bf16 rows accumulate in registers (rk.gather_axpy*),
+ * int8 rows one axpy per non-zero. @p prefetch > 0 prefetches the B
+ * row that many non-zeros ahead.
+ */
+inline void
+gather_nonzeros(const CsrMatrix &a, const DenseMatrix &b, index_t b_col,
+                index_t width, index_t prefetch, index_t begin,
+                index_t end, value_t *acc, const RowKernels &rk)
+{
+    const NnzRange r{a.values().data(), a.col_idx().data(), begin, end,
+                     b.padded_cols(), prefetch, a.nnz()};
+    switch (b.storage()) {
+    case StorageMode::kBf16:
+        rk.gather_axpy_bf16(acc, r, b.row_bf16(0) + b_col, width);
+        return;
+    case StorageMode::kInt8:
+        rk.zero(acc, width);
+        for (index_t k = begin; k < end; ++k) {
+            if (prefetch > 0 && k + prefetch < r.nnz)
+                locality_prefetch(b.row_int8(r.cols[k + prefetch]) + b_col);
+            const index_t src = r.cols[k];
+            rk.axpy_int8(acc, r.vals[k], b.row_int8(src) + b_col,
+                         b.quant_scale(src), b.quant_zero(src), width);
+        }
+        return;
+    case StorageMode::kF32:
+        rk.gather_axpy(acc, r, b.row(0) + b_col, width);
+        return;
+    }
+}
 
 /**
  * One carry slot per schedule thread, each padded to whole lines,

@@ -396,8 +396,6 @@ struct HybridPanel
     PanelEpilogue epi = nullptr;
     const void *epi_ctx = nullptr;
     const RowKernels *rk = nullptr;
-    /** B's storage mode; both phases read the shadow rows when set. */
-    StorageMode bmode = StorageMode::kF32;
     /** Tail partial rows accumulate here (see carry.h). */
     CarrySlots carries;
 
@@ -405,53 +403,6 @@ struct HybridPanel
         return scatter != nullptr ? scatter[base_row] : base_row;
     }
 };
-
-/** Accumulate nnz [begin, end) of @p m into @p acc (tail phase). */
-inline void
-tail_accumulate(const CsrMatrix &m, const HybridPanel &p, index_t nz_begin,
-                index_t nz_end, value_t *acc)
-{
-    const index_t *cols = m.col_idx().data();
-    const value_t *vals = m.values().data();
-    const index_t pf = p.prefetch;
-    const index_t pf_end = pf > 0 ? m.nnz() - pf : 0;
-    p.rk->zero(acc, p.width);
-    switch (p.bmode) {
-    case StorageMode::kBf16:
-        for (index_t k = nz_begin; k < nz_end; ++k) {
-            if (pf > 0 && k < pf_end) {
-                const bf16_t *next = p.b->row_bf16(cols[k + pf]) + p.b_col;
-                locality_prefetch(next);
-                if (p.width > 32)
-                    locality_prefetch(next + 32);
-            }
-            p.rk->axpy_bf16(acc, vals[k], p.b->row_bf16(cols[k]) + p.b_col,
-                            p.width);
-        }
-        return;
-    case StorageMode::kInt8:
-        for (index_t k = nz_begin; k < nz_end; ++k) {
-            if (pf > 0 && k < pf_end)
-                locality_prefetch(p.b->row_int8(cols[k + pf]) + p.b_col);
-            const index_t src = cols[k];
-            p.rk->axpy_int8(acc, vals[k], p.b->row_int8(src) + p.b_col,
-                            p.b->quant_scale(src), p.b->quant_zero(src),
-                            p.width);
-        }
-        return;
-    case StorageMode::kF32:
-        break;
-    }
-    for (index_t k = nz_begin; k < nz_end; ++k) {
-        if (pf > 0 && k < pf_end) {
-            const value_t *next = p.b->row(cols[k + pf]) + p.b_col;
-            locality_prefetch(next);
-            if (p.width > 16)
-                locality_prefetch(next + 16);
-        }
-        p.rk->axpy(acc, vals[k], p.b->row(cols[k]) + p.b_col, p.width);
-    }
-}
 
 /**
  * Plain-commit @p acc to the base row behind tail-matrix row @p trow:
@@ -491,12 +442,11 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *census,
     EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
     const auto share = [&](index_t row, index_t begin, index_t end,
                            bool partial) {
-        if (begin > tm.row_begin(row)) {
-            tail_accumulate(tm, p, begin, end, p.carries.slot(t));
-        } else {
-            tail_accumulate(tm, p, begin, end, acc);
+        const bool continues = begin > tm.row_begin(row);
+        gather_nonzeros(tm, *p.b, p.b_col, p.width, p.prefetch, begin, end,
+                        continues ? p.carries.slot(t) : acc, *p.rk);
+        if (!continues)
             tail_commit(p, tail_rows, row, acc, !partial, batch);
-        }
     };
 
     if (w.has_head())
@@ -526,9 +476,9 @@ run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *census,
 }
 
 /**
- * Execute dense chunk @p idx: per-row microkernel row-GEMM, direct
- * accumulation into the (zero-filled) output row — no scratch round
- * trip, no atomics; every band row is owned by exactly one chunk, and
+ * Execute dense chunk @p idx: each row gathers in registers and is
+ * stored straight into its output row — no scratch round trip, no
+ * atomics; every band row is owned by exactly one chunk, and
  * reaches the epilogue in the chunk's batches. @p census and
  * @p epi_count (may be null) as for run_tail_share.
  */
@@ -538,51 +488,11 @@ run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *census,
 {
     const CsrMatrix &a = *p.a;
     const RowBand chunk = p.hs->dense_chunks()[idx];
-    const index_t *cols = a.col_idx().data();
-    const value_t *vals = a.values().data();
-    const index_t pf = p.prefetch;
-    const index_t pf_end = pf > 0 ? a.nnz() - pf : 0;
     EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
     for (index_t r = chunk.begin; r < chunk.end; ++r) {
         value_t *crow = p.c->row(p.out_row(r)) + p.c_col;
-        const index_t row_end = a.row_end(r);
-        switch (p.bmode) {
-        case StorageMode::kBf16:
-            for (index_t k = a.row_begin(r); k < row_end; ++k) {
-                if (pf > 0 && k < pf_end)
-                    locality_prefetch(p.b->row_bf16(cols[k + pf]) +
-                                      p.b_col);
-                p.rk->axpy_bf16(crow, vals[k],
-                                p.b->row_bf16(cols[k]) + p.b_col,
-                                p.width);
-            }
-            break;
-        case StorageMode::kInt8:
-            for (index_t k = a.row_begin(r); k < row_end; ++k) {
-                if (pf > 0 && k < pf_end)
-                    locality_prefetch(p.b->row_int8(cols[k + pf]) +
-                                      p.b_col);
-                const index_t src = cols[k];
-                p.rk->axpy_int8(crow, vals[k],
-                                p.b->row_int8(src) + p.b_col,
-                                p.b->quant_scale(src),
-                                p.b->quant_zero(src), p.width);
-            }
-            break;
-        case StorageMode::kF32:
-            for (index_t k = a.row_begin(r); k < row_end; ++k) {
-                if (pf > 0 && k < pf_end) {
-                    const value_t *next =
-                        p.b->row(cols[k + pf]) + p.b_col;
-                    locality_prefetch(next);
-                    if (p.width > 16)
-                        locality_prefetch(next + 16);
-                }
-                p.rk->axpy(crow, vals[k], p.b->row(cols[k]) + p.b_col,
-                           p.width);
-            }
-            break;
-        }
+        gather_nonzeros(a, *p.b, p.b_col, p.width, p.prefetch,
+                        a.row_begin(r), a.row_end(r), crow, *p.rk);
         batch.add(crow, r);
     }
     batch.flush();
@@ -718,7 +628,6 @@ make_panel(const CsrMatrix &a, const HybridSchedule &hs,
     p.epi = epi;
     p.epi_ctx = epi_ctx;
     p.rk = &rk;
-    p.bmode = b.storage();
     if (hs.has_tail())
         p.carries = carry_slots(hs.tail_schedule().num_threads(), width);
     return p;

@@ -249,7 +249,8 @@ HybridSchedule repair_hybrid_schedule(const HybridSchedule &old_hs,
  * tail shares + dense chunks submitted as sibling jobs of one
  * parallel_for, then the tail's carry fix-up over @p split
  * (hs.split_row_list(a), reused across panels). The caller zero-fills
- * C's target columns (commits and the dense accumulation both add).
+ * C's target columns: tail commits add onto them, dense rows store
+ * their finished value.
  * @p epi fires once per finished row with the BASE-matrix row id:
  * inline for dense rows and plain tail commits, in the fix-up for
  * split tail rows. @p count_census folds the tail sweep into the

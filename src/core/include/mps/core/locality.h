@@ -171,7 +171,8 @@ index_t fused_tile_width(index_t n_rows, index_t dim,
  * explicit MPS_TILE_D width (kDisabled runs one full-width panel —
  * useful for A/B measurement, it degenerates to the unfused dataflow
  * plus a copy); kAuto uses auto_fused_tile_d. Publishes the
- * fusion.tile_d gauge when metrics are enabled.
+ * fusion.tile_d and fusion.prefetch_distance gauges when metrics are
+ * enabled.
  */
 SpmmLocality default_fused_locality(index_t n_rows, index_t dim,
                                     index_t elem_bytes = sizeof(value_t));

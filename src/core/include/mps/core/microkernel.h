@@ -6,10 +6,10 @@
  * The paper maps one warp lane per dense column (Section IV-C,
  * Figure 7): the d-wide accumulation `acc[d] += a * brow[d]` is the
  * unit of work every kernel repeats per non-zero. On a CPU the same
- * mapping is a vector register per 8 (AVX2) or 4 (NEON) columns. This
- * header centralizes that datapath so mergepath, the split baselines,
- * the aggregators and the GCN training path all share one
- * implementation instead of ~25 hand-rolled copies.
+ * mapping is a vector register per 16 (AVX-512), 8 (AVX2) or 4 (NEON)
+ * columns. This header centralizes that datapath so mergepath, the
+ * split baselines, the aggregators and the GCN training path all share
+ * one implementation instead of ~25 hand-rolled copies.
  *
  * Two code paths exist behind one dispatch table:
  *   - scalar: portable reference, kept deliberately un-autovectorized
@@ -17,7 +17,8 @@
  *     different code.
  *   - simd: AVX2(+FMA) or NEON, with fully unrolled fixed-dimension
  *     variants for d in {16, 32, 64} — the feature widths GNN layers
- *     actually use.
+ *     actually use. The register-row gathers run on the widest
+ *     register compiled in (mps/core/simd_vec.h), zmm on AVX-512.
  *
  * Kernels call select_row_kernels(dim) once per prepare()/run() and
  * hold the returned table; the env var MPS_MICROKERNEL=scalar|simd
@@ -39,6 +40,20 @@
 #define MPS_MICROKERNEL_SIMD 0 /* scalar only */
 #endif
 
+// Lanes of the widest register the hot loops use (mps/core/simd_vec.h):
+// 16 on AVX-512 builds, whose GEMM tile and register-row gather run
+// on zmm registers while the other row kernels stay 8-wide.
+#if MPS_MICROKERNEL_SIMD == 1 && defined(__FMA__) &&                     \
+    defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
+#define MPS_MICROKERNEL_LANES 16
+#elif MPS_MICROKERNEL_SIMD == 1
+#define MPS_MICROKERNEL_LANES 8
+#elif MPS_MICROKERNEL_SIMD == 2
+#define MPS_MICROKERNEL_LANES 4
+#else
+#define MPS_MICROKERNEL_LANES 1
+#endif
+
 namespace mps {
 
 /** Which implementation family a dispatch table uses. */
@@ -51,17 +66,14 @@ microkernel_simd_compiled()
     return MPS_MICROKERNEL_SIMD != 0;
 }
 
-/** Vector lanes of the compiled SIMD path (1 when scalar-only). */
+/**
+ * Vector lanes of the compiled SIMD path's widest register (1 when
+ * scalar-only).
+ */
 constexpr index_t
 microkernel_vector_width()
 {
-#if MPS_MICROKERNEL_SIMD == 1
-    return 8;
-#elif MPS_MICROKERNEL_SIMD == 2
-    return 4;
-#else
-    return 1;
-#endif
+    return MPS_MICROKERNEL_LANES;
 }
 
 /** "scalar" or "simd". */
@@ -73,6 +85,13 @@ const char *microkernel_path_name(MicrokernelPath path);
  * call; also publishes the microkernel.* gauges.
  */
 MicrokernelPath microkernel_default_path();
+
+/**
+ * Publish the microkernel.* gauges of the default path again (when
+ * metrics are enabled): a plan that prepares after a metrics reset
+ * calls this to show the ISA it runs on.
+ */
+void publish_microkernel_gauges();
 
 // ---------------------------------------------------------------------
 // Atomic scalar primitives — the single shared definition (previously
@@ -109,6 +128,28 @@ atomic_max(value_t &slot, value_t v)
 // ---------------------------------------------------------------------
 // Dispatch table
 // ---------------------------------------------------------------------
+
+/**
+ * Non-zeros [begin, end) of a CSR matrix as the gather_axpy kernels
+ * read them: weights vals[k], operand row cols[k], operand rows ld
+ * elements apart. With prefetch > 0 the operand row prefetch non-zeros
+ * ahead is prefetched whole while that non-zero is below nnz, the
+ * matrix's count. The lookahead crosses row boundaries: the merge
+ * traversal consumes the non-zeros in global order, and clamping to
+ * the current row would silence the prefetch on every short row. The
+ * operand's rows must start on cache lines, as DenseMatrix rows do:
+ * the prefetch starts at the line holding the gathered element.
+ */
+struct NnzRange
+{
+    const value_t *vals;
+    const index_t *cols;
+    index_t begin;
+    index_t end;
+    index_t ld;
+    index_t prefetch;
+    index_t nnz;
+};
 
 /**
  * One resolved set of row primitives. All pointers are non-null; dim
@@ -191,6 +232,22 @@ struct RowKernels
     /** dst[0:dim) = scale * src + zero. */
     void (*decode_int8)(value_t *dst, const int8_t *src, value_t scale,
                         value_t zero, index_t dim);
+
+    // -----------------------------------------------------------------
+    // Register rows: the SpMM sweep's whole non-zero loop for one row
+    // range. On the SIMD path a width that is a multiple of 8 keeps
+    // the row in registers (column chunks of at most 8 vectors) and
+    // stores it once; other widths, and the scalar path, run zero()
+    // then one axpy per non-zero. Either way each element is one FMA
+    // chain from zero in ascending k, bit-identical to that loop.
+    // -----------------------------------------------------------------
+
+    /** acc[0:dim) = sum over r of vals[k] * x[cols[k] * ld + 0:dim). */
+    void (*gather_axpy)(value_t *acc, const NnzRange &r, const value_t *x,
+                        index_t dim);
+    /** gather_axpy over bf16 operand rows, widened in registers. */
+    void (*gather_axpy_bf16)(value_t *acc, const NnzRange &r,
+                             const bf16_t *x, index_t dim);
 
     MicrokernelPath path;
     /** Compile-time dimension of this table, 0 for the generic ones. */

@@ -26,9 +26,8 @@ namespace {
  * permutation). The tiled kernels keep b_col == c_col; the fused
  * pipeline gathers from a freshly written panel buffer (b_col = 0)
  * while committing to the real output columns. @p prefetch > 0
- * prefetches the B row of the non-zero that many positions ahead of
- * the read cursor — the panel start, plus a second cache line for wide
- * panels; the hardware streamer follows on within the row. @p epi,
+ * prefetches every line of the B panel row of the non-zero that many
+ * positions ahead of the read cursor. @p epi,
  * when non-null, runs on every finished row, batched per executor:
  * rows finished at plain commits (full row ownership, value final) by
  * the sweep, split rows by the carry fix-up.
@@ -42,71 +41,11 @@ struct PanelContext
     const index_t *scatter = nullptr;
     PanelEpilogue epi = nullptr;
     const void *epi_ctx = nullptr;
-    /**
-     * B's storage mode: the gather loop reads the reduced-width shadow
-     * rows when the operand is quantized and widens in registers. The
-     * accumulator/commit side is fp32 in every mode.
-     */
-    StorageMode bmode = StorageMode::kF32;
 
     index_t out_row(index_t row) const {
         return scatter != nullptr ? scatter[row] : row;
     }
 };
-
-/** Accumulate rows [begin, end) of A's nnz into the local buffer. */
-inline void
-accumulate_range(const CsrMatrix &a, const DenseMatrix &b, index_t nz_begin,
-                 index_t nz_end, value_t *acc, const PanelContext &panel,
-                 const RowKernels &rk)
-{
-    const index_t *cols = a.col_idx().data();
-    const value_t *vals = a.values().data();
-    const index_t col0 = panel.b_col;
-    const index_t dim = panel.dim;
-    const index_t pf = panel.prefetch;
-    // The lookahead crosses row boundaries: the merge traversal
-    // consumes the nnz stream in global order, so the gather pf
-    // positions ahead is a later row of the same thread (or, at a
-    // share boundary, a neighbor's first rows — a harmless extra
-    // line). Clamping to the current row instead would silence the
-    // prefetcher on every short power-law row.
-    const index_t pf_end = pf > 0 ? a.nnz() - pf : 0;
-    rk.zero(acc, dim);
-    switch (panel.bmode) {
-    case StorageMode::kBf16:
-        for (index_t k = nz_begin; k < nz_end; ++k) {
-            if (pf > 0 && k < pf_end) {
-                const bf16_t *next = b.row_bf16(cols[k + pf]) + col0;
-                locality_prefetch(next);
-                if (dim > 32)
-                    locality_prefetch(next + 32);
-            }
-            rk.axpy_bf16(acc, vals[k], b.row_bf16(cols[k]) + col0, dim);
-        }
-        return;
-    case StorageMode::kInt8:
-        for (index_t k = nz_begin; k < nz_end; ++k) {
-            if (pf > 0 && k < pf_end)
-                locality_prefetch(b.row_int8(cols[k + pf]) + col0);
-            const index_t src = cols[k];
-            rk.axpy_int8(acc, vals[k], b.row_int8(src) + col0,
-                         b.quant_scale(src), b.quant_zero(src), dim);
-        }
-        return;
-    case StorageMode::kF32:
-        break;
-    }
-    for (index_t k = nz_begin; k < nz_end; ++k) {
-        if (pf > 0 && k < pf_end) {
-            const value_t *next = b.row(cols[k + pf]) + col0;
-            locality_prefetch(next);
-            if (dim > 16)
-                locality_prefetch(next + 16);
-        }
-        rk.axpy(acc, vals[k], b.row(cols[k]) + col0, dim);
-    }
-}
 
 /**
  * Commit @p acc to output row @p row with plain stores: a row the
@@ -188,12 +127,11 @@ run_thread_work(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
                         epi_count);
     const auto share = [&](index_t row, index_t begin, index_t end,
                            bool partial) {
-        if (begin > a.row_begin(row)) {
-            accumulate_range(a, b, begin, end, carries.slot(t), panel, rk);
-        } else {
-            accumulate_range(a, b, begin, end, acc, panel, rk);
+        const bool continues = begin > a.row_begin(row);
+        gather_nonzeros(a, b, panel.b_col, panel.dim, panel.prefetch,
+                        begin, end, continues ? carries.slot(t) : acc, rk);
+        if (!continues)
             commit_plain(c, row, acc, panel, rk, !partial, batch);
-        }
     };
 
     if (w.has_head())
@@ -250,7 +188,6 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
     for (index_t col = 0; col < dim; col += tile) {
         PanelContext panel{col, col, std::min(tile, dim - col),
                            loc.prefetch, loc.row_scatter};
-        panel.bmode = b.storage();
         const RowKernels &rk = select_row_kernels(panel.dim);
         value_t *acc = microkernel_scratch(panel.dim);
         const CarrySlots carries =
@@ -328,7 +265,6 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
     for (index_t col = 0; col < dim; col += tile) {
         PanelContext panel{col, col, std::min(tile, dim - col),
                            loc.prefetch, loc.row_scatter};
-        panel.bmode = b.storage();
         const RowKernels &rk = select_row_kernels(panel.dim);
         const bool count = instrumented && col == 0;
         const CarrySlots carries =
@@ -420,7 +356,6 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     };
     PanelContext panel{b_col0,       c_col0, width, loc.prefetch,
                        loc.row_scatter, epi,  epi_ctx};
-    panel.bmode = b.storage();
     const RowKernels &rk = select_row_kernels(width);
     const CarrySlots carries = carry_slots(sched.num_threads(), width);
     pool.parallel_for(

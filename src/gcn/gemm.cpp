@@ -6,17 +6,9 @@
 #include <vector>
 
 #include "mps/core/microkernel.h"
+#include "mps/core/simd_vec.h"
 #include "mps/util/log.h"
 #include "mps/util/work_steal_pool.h"
-
-// The register tiles need hardware FMA: their bit-identity with the
-// scalar path rests on both computing fused multiply-adds.
-#if MPS_MICROKERNEL_SIMD == 1 && defined(__FMA__)
-#define MPS_GEMM_TILES 1
-#include <immintrin.h>
-#else
-#define MPS_GEMM_TILES 0
-#endif
 
 namespace mps {
 
@@ -74,78 +66,79 @@ gemm_block_scalar(const GemmBlock &g)
     }
 }
 
-#if MPS_GEMM_TILES
+#if MPS_SIMD_VEC
 
 /**
- * One MR x (8 * NV) register tile at (i0, j0). The accumulators stay
- * in registers for the whole k loop; each k step loads NV vectors of
- * W's row k, broadcasts x[r][k] and issues MR * NV FMAs. With kMasked
- * the last vector covers only the lanes set in @p mask (a < 8-column
- * tail). Per element this is exactly the SIMD axpy chain
- * acc = fma(x[r][k], w[k][j], acc) over k ascending.
+ * One MR-row, NV-vector register tile at (i0, j0), over SimdVec: 6 x 32
+ * columns on AVX-512, 6 x 16 on AVX2. The accumulators stay in
+ * registers for the whole k loop; each k step loads NV vectors of W's
+ * row k, broadcasts x[r][k] and issues MR * NV FMAs. With kMasked the
+ * last vector covers only the lanes set in @p mask (a column tail).
+ * Per element this is exactly the chain acc = fma(x[r][k], w[k][j],
+ * acc) over k ascending.
  */
 template <int MR, int NV, bool kMasked>
 inline void
-tile(const GemmBlock &g, index_t i0, index_t j0, __m256i mask)
+tile(const GemmBlock &g, index_t i0, index_t j0, SimdVec::Mask mask)
 {
+    using V = SimdVec;
     const value_t *x = g.x + i0 * g.ldx;
     const value_t *w = g.w + j0;
     value_t *c = g.c + i0 * g.ldc + j0;
     const auto load = [&](const value_t *p, int v) {
-        return kMasked && v == NV - 1 ? _mm256_maskload_ps(p + 8 * v, mask)
-                                      : _mm256_loadu_ps(p + 8 * v);
+        return kMasked && v == NV - 1 ? V::load(p + V::kLanes * v, mask)
+                                      : V::load(p + V::kLanes * v);
     };
-    __m256 acc[MR][NV];
+    V::Reg acc[MR][NV];
 #pragma GCC unroll 6
     for (int r = 0; r < MR; ++r)
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
-            acc[r][v] = g.accumulate ? load(c + r * g.ldc, v)
-                                     : _mm256_setzero_ps();
+            acc[r][v] = g.accumulate ? load(c + r * g.ldc, v) : V::zero();
     for (index_t k = 0; k < g.depth; ++k) {
         const value_t *wk = w + k * g.ldw;
-        __m256 wv[NV];
+        V::Reg wv[NV];
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v)
             wv[v] = load(wk, v);
 #pragma GCC unroll 6
         for (int r = 0; r < MR; ++r) {
-            const __m256 xb = _mm256_broadcast_ss(x + r * g.ldx + k);
+            const V::Reg xb = V::broadcast(x[r * g.ldx + k]);
 #pragma GCC unroll 2
             for (int v = 0; v < NV; ++v)
-                acc[r][v] = _mm256_fmadd_ps(xb, wv[v], acc[r][v]);
+                acc[r][v] = V::fmadd(xb, wv[v], acc[r][v]);
         }
     }
 #pragma GCC unroll 6
     for (int r = 0; r < MR; ++r)
 #pragma GCC unroll 2
         for (int v = 0; v < NV; ++v) {
-            value_t *p = c + r * g.ldc + 8 * v;
+            value_t *p = c + r * g.ldc + V::kLanes * v;
             if (kMasked && v == NV - 1)
-                _mm256_maskstore_ps(p, mask, acc[r][v]);
+                V::store(p, acc[r][v], mask);
             else
-                _mm256_storeu_ps(p, acc[r][v]);
+                V::store(p, acc[r][v]);
         }
 }
 
-/** All column tiles of one MR-row strip: 16-wide, then the tail. */
+/** All column tiles of one MR-row strip: two vectors wide, then the tail. */
 template <int MR>
 void
 strip(const GemmBlock &g, index_t i0)
 {
-    const __m256i none = _mm256_setzero_si256();
+    constexpr index_t kLanes = SimdVec::kLanes;
+    const SimdVec::Mask none = SimdVec::prefix(0);
     index_t j = 0;
-    for (; j + 16 <= g.cols; j += 16)
+    for (; j + 2 * kLanes <= g.cols; j += 2 * kLanes)
         tile<MR, 2, false>(g, i0, j, none);
     const index_t rem = g.cols - j;
     if (rem == 0)
         return;
-    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m256i mask =
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(rem & 7), lanes);
-    if (rem == 8)
+    const SimdVec::Mask mask =
+        SimdVec::prefix(static_cast<int>(rem % kLanes));
+    if (rem == kLanes)
         tile<MR, 1, false>(g, i0, j, none);
-    else if (rem < 8)
+    else if (rem < kLanes)
         tile<MR, 1, true>(g, i0, j, mask);
     else
         tile<MR, 2, true>(g, i0, j, mask);
@@ -155,7 +148,7 @@ strip(const GemmBlock &g, index_t i0)
  * 6-row strips (12 accumulator registers), then a 1-5 row tail. The
  * strip's rows of X stay in L1 across its column tiles. W is read in
  * place: packing its 16-column panels contiguously measured within
- * noise at f = h = 128 (DESIGN.md §15).
+ * noise at f = h = 128 on the 8-lane tile (DESIGN.md §15).
  */
 void
 gemm_block_simd(const GemmBlock &g)
@@ -173,20 +166,20 @@ gemm_block_simd(const GemmBlock &g)
     }
 }
 
-#endif // MPS_GEMM_TILES
+#endif // MPS_SIMD_VEC
 
 /**
  * The one dense-product kernel every GEMM entry point runs: register
- * tiles on the AVX2+FMA path, the plain loop on the scalar path (and
- * on NEON, which has no tile yet). Both give each output element one
- * FMA chain over k ascending, so they agree bit for bit.
+ * tiles on the AVX-512 or AVX2+FMA path, the plain loop on the scalar
+ * path (and on NEON, which has no tile yet). Both give each output
+ * element one FMA chain over k ascending, so they agree bit for bit.
  */
 void
 gemm_block(const GemmBlock &g)
 {
     if (g.rows <= 0 || g.cols <= 0)
         return;
-#if MPS_GEMM_TILES
+#if MPS_SIMD_VEC
     if (microkernel_default_path() == MicrokernelPath::kSimd) {
         gemm_block_simd(g);
         return;

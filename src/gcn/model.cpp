@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mps/core/fusion.h"
+#include "mps/core/microkernel.h"
 #include "mps/core/precision.h"
 #include "mps/core/schedule_cache.h"
 #include "mps/gcn/gemm.h"
@@ -98,6 +99,7 @@ GcnModel::prepare_all(const CsrMatrix &a)
 {
     const std::vector<LayerPlanInfo> plans = layer_plans(a);
     MetricsRegistry &metrics = MetricsRegistry::global();
+    publish_microkernel_gauges();
     for (size_t i = 0; i < layers_.size(); ++i) {
         kernels_[i]->prepare(a, plans[i].sparse_width);
         if (metrics.enabled()) {

@@ -67,14 +67,16 @@ TEST(Gemm, ParallelMatchesReference)
 }
 
 /**
- * The register tile and its row (1-5) and column (8-wide, masked)
- * tails against the plain triple loop, bit for bit.
+ * The register tile and its row (1-5) and column (one-vector, masked)
+ * tails against the plain triple loop, bit for bit. 24..64 are the
+ * 32-column tile's full, half and masked tails on AVX-512.
  */
 TEST(Gemm, BlockedKernelMatchesKAscendingReference)
 {
     WorkStealPool pool(3);
     for (index_t rows : {1, 5, 6, 7, 301})
-        for (index_t width : {1, 7, 8, 15, 16, 17, 33, 128})
+        for (index_t width : {1, 7, 8, 15, 16, 17, 24, 31, 32, 33, 48, 63,
+                              64, 128})
             for (index_t f : {1, 3, 16, 128}) {
                 const auto seed = static_cast<uint64_t>(
                     rows * 10007 + width * 101 + f);

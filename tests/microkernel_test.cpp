@@ -7,10 +7,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,6 +302,85 @@ TEST(MicrokernelTest, DenseMatrixPaddedStride)
                 << "padding disturbed at row " << r << " slot " << c;
     }
     EXPECT_EQ(m(2, 16), 2.0f);
+}
+
+/**
+ * The register-row gathers against the loop they replace — zero, then
+ * one axpy (axpy_bf16) per non-zero on the same table — bit for bit:
+ * one vector, whole and masked half vectors, one and several column
+ * chunks, widths off the 8-column grid, operand columns off the line
+ * grid, empty, one-element and long ranges, prefetch on and off. No
+ * lane past the width may be written.
+ */
+TEST(MicrokernelTest, RowRangeAccumulateMatchesAxpyChain)
+{
+    constexpr index_t kRows = 97, kNnz = 400, kMaxOff = 37, kGuard = 16;
+    const index_t widths[] = {8, 16, 24, 33, 40, 64, 96, 128, 136, 200};
+    Pcg32 rng(2026, 18);
+    std::vector<value_t> vals(kNnz);
+    std::vector<index_t> cols(kNnz);
+    for (index_t k = 0; k < kNnz; ++k) {
+        vals[static_cast<size_t>(k)] = rng.next_float(-2.0f, 2.0f);
+        cols[static_cast<size_t>(k)] =
+            static_cast<index_t>(rng.next_below(kRows));
+    }
+    DenseMatrix b(kRows, kMaxOff + 200);
+    b.fill_random(rng);
+    DenseMatrix b16 = b;
+    b16.quantize(StorageMode::kBf16);
+    struct Range { index_t begin, end; };
+    const Range ranges[] = {{5, 5}, {7, 8}, {0, kNnz}, {13, 211}};
+    const auto expect_same = [](const std::vector<value_t> &got,
+                                const std::vector<value_t> &want,
+                                const std::string &what) {
+        for (size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                      std::bit_cast<uint32_t>(want[i]))
+                << what << " lane " << i << ": " << got[i] << " vs "
+                << want[i];
+    };
+
+    const auto check = [&](const RowKernels &rk, index_t dim, index_t off,
+                           Range rg, index_t pf) {
+        const NnzRange r{vals.data(), cols.data(), rg.begin, rg.end,
+                         b.padded_cols(), pf, kNnz};
+        const std::string what =
+            std::string(rk.name) + " dim=" + std::to_string(dim) +
+            " off=" + std::to_string(off) + " range=[" +
+            std::to_string(rg.begin) + "," + std::to_string(rg.end) +
+            ") pf=" + std::to_string(pf);
+        const auto n = static_cast<size_t>(dim);
+        std::vector<value_t> want(n + kGuard, -7.0f);
+        std::vector<value_t> got = want;
+
+        std::fill_n(got.begin(), n, std::nanf(""));
+        rk.zero(want.data(), dim);
+        for (index_t k = rg.begin; k < rg.end; ++k)
+            rk.axpy(want.data(), vals[static_cast<size_t>(k)],
+                    b.row(cols[static_cast<size_t>(k)]) + off, dim);
+        rk.gather_axpy(got.data(), r, b.row(0) + off, dim);
+        expect_same(got, want, "f32 " + what);
+
+        std::fill_n(got.begin(), n, std::nanf(""));
+        rk.zero(want.data(), dim);
+        for (index_t k = rg.begin; k < rg.end; ++k)
+            rk.axpy_bf16(want.data(), vals[static_cast<size_t>(k)],
+                         b16.row_bf16(cols[static_cast<size_t>(k)]) + off,
+                         dim);
+        rk.gather_axpy_bf16(got.data(), r, b16.row_bf16(0) + off, dim);
+        expect_same(got, want, "bf16 " + what);
+    };
+
+    std::vector<MicrokernelPath> paths = {MicrokernelPath::kScalar};
+    if (microkernel_simd_compiled())
+        paths.push_back(MicrokernelPath::kSimd);
+    for (MicrokernelPath path : paths)
+        for (index_t dim : widths)
+            for (index_t off : {index_t{0}, index_t{16}, kMaxOff})
+                for (const Range rg : ranges)
+                    for (index_t pf : {0, 4})
+                        check(select_row_kernels(dim, path), dim, off, rg,
+                              pf);
 }
 
 // ---------------------------------------------------------------------

@@ -9,8 +9,11 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "mps/core/fusion.h"
+#include "mps/core/locality.h"
+#include "mps/core/microkernel.h"
 #include "mps/core/schedule.h"
 #include "mps/gcn/gemm.h"
 #include "mps/gcn/model.h"
@@ -125,19 +128,31 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
     const std::string text = to_openmetrics(metrics);
     metrics.set_enabled(false);
     metrics.reset();
+    // The last fused plan built is layer 1's, sweeping 8 columns.
+    const double prefetch = static_cast<double>(
+        default_fused_locality(a.cols(), 8).prefetch);
+    const double lanes =
+        microkernel_default_path() == MicrokernelPath::kSimd
+            ? static_cast<double>(microkernel_vector_width())
+            : 1.0;
 
     std::string error;
     ASSERT_TRUE(validate_openmetrics(text, &error)) << error;
     OpenMetricsText doc = parse_openmetrics(text, &error);
     ASSERT_TRUE(error.empty()) << error;
-    const struct
+    struct Gauge
     {
         const char *name;
         double value;
-    } want[] = {{"gcn_layer0_aggregate_first", 1.0},
-                {"gcn_layer0_sparse_width", 16.0},
-                {"gcn_layer1_aggregate_first", 0.0},
-                {"gcn_layer1_sparse_width", 8.0}};
+    };
+    std::vector<Gauge> want = {{"gcn_layer0_aggregate_first", 1.0},
+                               {"gcn_layer0_sparse_width", 16.0},
+                               {"gcn_layer1_aggregate_first", 0.0},
+                               {"gcn_layer1_sparse_width", 8.0},
+                               {"microkernel_vector_width", lanes}};
+    // MPS_FUSE=0 runs no fused plan, so none publishes its lookahead.
+    if (fusion_enabled())
+        want.push_back({"fusion_prefetch_distance", prefetch});
     for (const auto &w : want) {
         const OpenMetricsSample *sample = doc.find(w.name, {});
         ASSERT_NE(sample, nullptr) << w.name;

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Build and test the project four times: a plain Release configuration,
+# Build and test the project five times: a plain Release configuration,
 # an ASan+UBSan one (-DMPS_SANITIZE=address) that runs the full suite
 # (including the work-steal pool tests), a TSan one
 # (-DMPS_SANITIZE=thread) that runs the concurrency-heavy tests
@@ -12,6 +12,9 @@
 # written against the register tiles — the batched commit epilogues
 # included: the fused bit-identity, aggregate-first and pool-size
 # determinism tests run there too, on the scalar gemm_block.
+# An AVX2 stage (-mno-avx512f) runs the same kernel tests on the 8-lane
+# instantiation of the GEMM tile and the register-row gathers, which an
+# AVX-512 host otherwise never executes.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) 20 times in a row,
 # so an order-dependent result rarely passes by luck.
@@ -45,7 +48,7 @@
 # embedded /metrics endpoint and validates the OpenMetrics exposition
 # with `mps_tool top --strict`.
 # Run from anywhere; build trees land in build-release/, build-asan/,
-# build-tsan/ and build-scalar/ next to the source tree.
+# build-tsan/, build-scalar/ and build-avx2/ next to the source tree.
 #
 #   tools/check.sh [extra ctest args...]
 set -eu
@@ -110,6 +113,19 @@ cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_determinism_test
 echo "==> ctest build-scalar"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism' \
+    "$@")
+
+echo "==> configure build-avx2"
+cmake -S "$root" -B "$root/build-avx2" \
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-mno-avx512f
+echo "==> build build-avx2 (kernel tests only)"
+cmake --build "$root/build-avx2" -j "$jobs" --target \
+    mps_microkernel_test mps_spmm_test mps_kernels_test \
+    mps_property_fuzz_test mps_gcn_test mps_fusion_test \
+    mps_determinism_test
+echo "==> ctest build-avx2"
+(cd "$root/build-avx2" && ctest --output-on-failure -j "$jobs" \
     -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism' \
     "$@")
 
