@@ -183,12 +183,11 @@ main(int argc, char **argv)
         FusedLayerPlan g2(a, classes, shared1,
                           default_fused_locality(a.cols(), classes));
         DenseMatrix hw2f(n, classes), got(n, classes);
-        hw2f.fill(0.0f);
         RankUpdateEpilogue rank = make_rank_update_epilogue(
             Activation::kRelu, w2, hw2f, gloc.row_scatter);
         g1.run_streaming(
             gemm_panel_source(x, w1, pool),
-            [&rank](index_t col0, index_t width, const DenseMatrix &) {
+            [&rank](index_t col0, index_t width) {
                 rank.w_row0 = col0 + width;
             },
             pool, &RankUpdateEpilogue::apply, &rank);
@@ -247,12 +246,11 @@ main(int argc, char **argv)
     });
     const double e2e_fused_s = best_of_reps(reps, [&] {
         DenseMatrix hw2(n, classes);
-        hw2.fill(0.0f);
         RankUpdateEpilogue rank = make_rank_update_epilogue(
             Activation::kRelu, w2, hw2, plan1.locality().row_scatter);
         plan1.run_streaming(
             gemm_panel_source(x, w1, pool, plan1.gemm_scratch()),
-            [&rank](index_t col0, index_t width, const DenseMatrix &) {
+            [&rank](index_t col0, index_t width) {
                 rank.w_row0 = col0 + width;
             },
             pool, &RankUpdateEpilogue::apply, &rank);
@@ -269,9 +267,9 @@ main(int argc, char **argv)
     // when run_tile() widened to full width (LLC-resident regime) the
     // full-width source buffer streams like XW minus the activation
     // pass. Streaming e2e: layer 1's XW and H1 never materialize at
-    // all; layer 2 accumulates XW2 by rank updates, paying one hw2
-    // read+write per layer-1 panel, then the sweep read and the logits
-    // zero + write.
+    // all; layer 2 builds XW2 by rank updates, the first layer-1 panel
+    // writing hw2 and every later one reading and writing it, then
+    // pays the sweep read and the logits zero + write.
     const double bpe = sizeof(value_t);
     const double nf = static_cast<double>(n) * f * bpe;
     const double nh = static_cast<double>(n) * hidden * bpe;
@@ -289,22 +287,20 @@ main(int argc, char **argv)
                                  3 * nh /* xw1 */ +
                                  5 * nh /* h1 + act + L2 gemm read */ +
                                  3 * nc /* xw2 */ + 2 * nc /* logits */;
-    // Streaming panels only drop out of the traffic when the tuner
-    // kept them narrow enough to be cache-resident; in the flat-LLC
-    // regime (tile == hidden) the source and output panels stream like
-    // the matrices they replace — the pipeline's remaining saving is
-    // H1 (never built) and XW2's GEMM round trip.
-    // The rank update rides the commit epilogue (RankUpdateEpilogue),
-    // so the out panel is write-only: each row is consumed in the
-    // executor's next batch of at most six finished rows, while still
-    // cached, and never read back from DRAM.
+    // Streaming source panels only drop out of the traffic when the
+    // tuner kept them narrow enough to be cache-resident; in the
+    // flat-LLC regime (tile == hidden) the source panel streams like
+    // the XW it replaces — the pipeline's remaining saving is H1
+    // (never built) and XW2's GEMM round trip. The streamed sweep has
+    // no output panel at all: each finished row goes from registers
+    // into the executor's 6-row staging tile and the rank update
+    // (RankUpdateEpilogue) consumes it there.
     const double e2e_panels_b =
         plan1.tile() < hidden
             ? 0.0
-            : 2 * nh /* scratch: GEMM write + sweep read */ +
-                  nh /* out panel: commit only */;
+            : 2 * nh /* scratch: GEMM write + sweep read */;
     const double e2e_fused_b = e2e_panels_b +
-                               (1.0 + 2.0 * panels1) * nc /* hw2 acc */ +
+                               (2.0 * panels1 - 1.0) * nc /* hw2 */ +
                                nc /* sweep read */ +
                                2 * nc /* logits zero + write */;
 

@@ -1,19 +1,25 @@
 /**
  * @file
  * What the merge-path sweep and the hybrid tail share (internal to
- * mps_core): the non-zero gather, the epilogue batch and the split-row
- * carry fix-up.
+ * mps_core): the non-zero gather, the thread share of Algorithm 2, the
+ * epilogue batch and the split-row carry fix-up.
  *
  * A row split across schedule threads gets one partial sum per
  * contributing thread. Instead of committing each with a float atomic,
- * the thread holding the row's first part plain-stores it into the
- * zero-filled output (nobody else writes that row during the sweep),
- * and each thread that continues a split row parks that head part in
- * its carry slot. After the sweep's barrier the fix-up adds each split
- * row's carries onto the stored first part in thread order and then
- * hands the row to the epilogue. The summation order is a property of
- * the schedule alone, so the output is bit-identical for a fixed
- * schedule on any pool size, and equal to the sequential sweep.
+ * the thread holding the row's first part stores it where the row is
+ * finished (nobody else writes it during the sweep), and each thread
+ * that continues a split row parks that head part in its carry slot.
+ * After the sweep's barrier the fix-up adds each split row's carries
+ * onto the first part in thread order and then hands the row to the
+ * epilogue. The summation order is a property of the schedule alone,
+ * so the output is bit-identical for a fixed schedule on any pool
+ * size, and equal to the sequential sweep.
+ *
+ * A sweep either materializes its panel into an output matrix C or
+ * streams it (no C): then every finished row goes from the gather
+ * straight into its executor's staging tile and on to the epilogue,
+ * and only the first parts of split rows, which must outlive the
+ * barrier, are kept, in a compact |split| x width head panel.
  */
 #ifndef MPS_CORE_CARRY_H
 #define MPS_CORE_CARRY_H
@@ -69,11 +75,13 @@ gather_nonzeros(const CsrMatrix &a, const DenseMatrix &b, index_t b_col,
 }
 
 /**
- * One carry slot per schedule thread, each padded to whole lines,
- * owned by the sweep that fills them. Left uninitialized: a sweep
- * writes every slot it later reads. Each run allocates its own, so two
- * concurrent runs never share one; freed with the sweep, the slots do
- * not outlive it in the allocator's heap either.
+ * The fix-up scratch of one sweep, padded to whole lines: one carry
+ * slot per schedule thread and, for a streamed sweep, one head row per
+ * split row (the row's first part, indexed by its position in the
+ * SplitRowList). Left uninitialized: a sweep writes every row it later
+ * reads. Each sweep allocates its own, so two concurrent runs never
+ * share one; freed with the sweep, the scratch does not outlive it in
+ * the allocator's heap either.
  */
 class CarrySlots
 {
@@ -81,13 +89,19 @@ class CarrySlots
     CarrySlots() = default;
 
     /** Thread @p t's carry slot. */
-    value_t *slot(index_t t) const {
-        return base_.get() +
-               static_cast<size_t>(t) * static_cast<size_t>(stride_);
-    }
+    value_t *slot(index_t t) const { return row(t); }
+
+    /** The head row of split row @p i (streamed sweeps only). */
+    value_t *head(index_t i) const { return row(threads_ + i); }
 
   private:
-    friend CarrySlots carry_slots(index_t threads, index_t width);
+    friend CarrySlots carry_slots(index_t threads, index_t heads,
+                                  index_t width);
+
+    value_t *row(index_t i) const {
+        return base_.get() +
+               static_cast<size_t>(i) * static_cast<size_t>(stride_);
+    }
 
     struct Free
     {
@@ -98,14 +112,66 @@ class CarrySlots
     };
 
     std::unique_ptr<value_t[], Free> base_;
+    index_t threads_ = 0;
     index_t stride_ = 0;
 };
 
 /**
- * Carry slots for a @p threads-thread schedule at panel width
- * @p width: threads * padded(width) floats.
+ * Fix-up scratch for a @p threads-thread schedule with @p heads head
+ * rows at panel width @p width: (threads + heads) * padded(width)
+ * floats.
  */
-CarrySlots carry_slots(index_t threads, index_t width);
+CarrySlots carry_slots(index_t threads, index_t heads, index_t width);
+
+/**
+ * One panel sweep of the gather/commit datapath, shared by every
+ * executor of it. The traversal reads B columns [b_col, b_col + width)
+ * and finishes output columns [c_col, c_col + width), with output rows
+ * indirected through @p scatter (nullptr = identity; reorder-aware
+ * execution passes the inverse permutation). @p prefetch > 0
+ * prefetches the B row of the non-zero that many positions ahead.
+ *
+ * With an output @p c the sweep materializes: a row's first part is
+ * plain-committed into C's row, which the caller zero-filled. With
+ * c == nullptr it streams: rows reach only @p epi (which is then
+ * required), through the executors' staging tiles, and split rows'
+ * first parts the head rows of @p carries. @p epi, when non-null,
+ * runs on every finished row, batched per executor: rows finished by
+ * a share as it goes, split rows by the carry fix-up.
+ */
+struct PanelSweep
+{
+    const DenseMatrix *b = nullptr;
+    index_t b_col = 0;
+    index_t prefetch = 0;
+    DenseMatrix *c = nullptr;
+    index_t c_col = 0;
+    index_t width = 0;
+    const index_t *scatter = nullptr;
+    const SplitRowList *split = nullptr;
+    const RowKernels *rk = nullptr;
+    PanelEpilogue epi = nullptr;
+    const void *epi_ctx = nullptr;
+    CarrySlots carries;
+
+    bool streamed() const { return c == nullptr; }
+
+    /** C's slice of row @p row (materialized sweeps only). */
+    value_t *out_row(index_t row) const {
+        return c->row(scatter != nullptr ? scatter[row] : row) + c_col;
+    }
+};
+
+/**
+ * A sweep over @p b columns [b_col, b_col + width) into @p c (nullptr:
+ * streamed, see PanelSweep) columns [c_col, ...), with fix-up scratch
+ * for a @p threads-thread schedule whose split rows are @p split.
+ */
+PanelSweep make_panel_sweep(const DenseMatrix &b, index_t b_col,
+                            DenseMatrix *c, index_t c_col, index_t width,
+                            const SpmmLocality &loc,
+                            const SplitRowList &split, index_t threads,
+                            PanelEpilogue epi, const void *epi_ctx);
 
 /**
  * Epilogue batch census of one executor (fusion.epilogue_rows /
@@ -117,6 +183,11 @@ struct EpilogueCount
 {
     int64_t rows = 0;
     int64_t calls = 0;
+
+    void merge(const EpilogueCount &o) {
+        rows += o.rows;
+        calls += o.calls;
+    }
 };
 
 /** Add a sweep's summed batch census to fusion.epilogue_{rows,calls}. */
@@ -124,22 +195,53 @@ void flush_epilogue_count(MetricsRegistry &metrics,
                           const EpilogueCount &count);
 
 /**
+ * Write census of one executor (the runtime counterpart of Figure 5's
+ * atomic-vs-plain write distribution; "atomic" counts the parts of
+ * split rows, which the carry fix-up finishes).
+ */
+struct WriteCensus
+{
+    int64_t atomics = 0;
+    int64_t plains = 0;
+    int64_t nnz = 0;
+
+    void merge(const WriteCensus &o) {
+        atomics += o.atomics;
+        plains += o.plains;
+        nnz += o.nnz;
+    }
+};
+
+/**
+ * Per-thread kEpilogueBatchRows x @p ld staging tile of streamed
+ * sweeps, grown on demand and reused across batches and sweeps.
+ */
+value_t *staging_tile(index_t ld);
+
+/**
  * One executor's batch of finished rows waiting for the panel
  * epilogue: add() collects rows and calls the epilogue each time
  * kEpilogueBatchRows are in, flush() hands over the partial batch.
  * Every executor flushes before it returns, so each row's epilogue
  * runs exactly once, on the row's owner, before the panel barrier.
- * A null epilogue makes both no-ops.
+ * A null epilogue makes both no-ops. A streamed sweep gathers each
+ * finished row into stage(), the tile row the next add() takes.
  */
 class EpilogueBatch
 {
   public:
     /** @p count (may be null) receives the batch census. */
-    EpilogueBatch(PanelEpilogue epi, const void *ctx, index_t c_col0,
-                  index_t width, EpilogueCount *count)
-        : epi_(epi), ctx_(ctx), c_col0_(c_col0), width_(width),
-          count_(count)
+    EpilogueBatch(const PanelSweep &p, EpilogueCount *count)
+        : epi_(p.epi), ctx_(p.epi_ctx), c_col0_(p.c_col), width_(p.width),
+          ld_(padded_row_length(p.width)), count_(count)
     {
+    }
+
+    /** Staging row of the next add() (streamed sweeps only). */
+    value_t *stage() {
+        if (staging_ == nullptr)
+            staging_ = staging_tile(ld_);
+        return staging_ + static_cast<size_t>(size_) * ld_;
     }
 
     void add(value_t *crow, index_t row) {
@@ -166,24 +268,39 @@ class EpilogueBatch
     const void *ctx_;
     index_t c_col0_;
     index_t width_;
+    index_t ld_;
     EpilogueCount *count_;
+    value_t *staging_ = nullptr;
     FinishedRow rows_[kEpilogueBatchRows];
     int size_ = 0;
 };
 
 /**
- * The fix-up pass: for every row of @p split, add its carries into
- * C[out, c_col : c_col + width) in slot order, where out is the row
- * routed through @p scatter, then hand the finished row to @p epi (if
- * any) with the unscattered row id, batched like the sweep's own rows
- * (census into @p count, may be null). Runs on the caller in one pass;
- * a CPU-sized schedule has at most one split row per thread boundary.
+ * Execute share @p t of @p sched over @p m (Algorithm 2): the share's
+ * head, complete rows and tail, each part gathered in registers and
+ * put where @p p says (see PanelSweep), its finished rows handed to
+ * the epilogue in batches, the last one flushed before returning. A
+ * head that continues a split row goes to carry slot t for the fix-up.
+ * @p row_map (nullptr = identity) maps m's rows to the executed
+ * matrix's, whose ids the split list, the scatter and the epilogue
+ * see: the hybrid tail sweeps a compacted copy of its rows. @p census
+ * and @p epi_count (each may be null) receive the write and the
+ * epilogue batch census.
  */
-void apply_carries(const SplitRowList &split, const CarrySlots &carries,
-                   DenseMatrix &c, index_t c_col, index_t width,
-                   const index_t *scatter, PanelEpilogue epi,
-                   const void *epi_ctx, const RowKernels &rk,
-                   EpilogueCount *count);
+void run_share(const PanelSweep &p, const CsrMatrix &m,
+               const MergePathSchedule &sched, const index_t *row_map,
+               index_t t, WriteCensus *census, EpilogueCount *epi_count);
+
+/**
+ * The fix-up pass: for every split row of @p p, add its carries onto
+ * the row's first part in slot order — C's row when materialized, its
+ * head row when streamed — then hand the finished row to the epilogue
+ * with the unscattered row id, batched like the sweep's own rows
+ * (census into @p count, may be null). Runs on the caller in one
+ * pass; a CPU-sized schedule has at most one split row per thread
+ * boundary.
+ */
+void apply_carries(const PanelSweep &p, EpilogueCount *count);
 
 } // namespace mps
 

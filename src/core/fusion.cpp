@@ -92,22 +92,32 @@ FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
 }
 
 void
-FusedLayerPlan::quantize_source(const PanelSource &src, index_t width,
-                                WorkStealPool &pool)
+FusedLayerPlan::quantize_source(const PanelSource &src, index_t col,
+                                index_t width, WorkStealPool &pool)
 {
-    if (precision_ == StorageMode::kF32 || src.quantizable == nullptr)
+    DenseMatrix *q = src.quantizable;
+    if (q == nullptr)
         return;
-    // Fresh (GEMM-filled) buffers are re-encoded every panel, but only
-    // the panel's columns: int8 per-row scale/zero must not see stale
-    // trailing columns from a wider earlier panel. Slice sources are
-    // encoded once, full-width, then reused across panels and runs.
-    if (src.fresh || src.quantizable->storage() != precision_)
-        quantize_dense(*src.quantizable, precision_, &pool,
-                       src.fresh ? width : index_t(-1));
+    // A rewritten operand's shadow is stale whatever the plan's
+    // precision: an f32 plan drops it (quantize_dense to kF32) rather
+    // than gather last run's values.
+    switch (src.fresh) {
+    case Freshness::kPanel:
+        quantize_dense(*q, precision_, &pool, width);
+        return;
+    case Freshness::kRun:
+        if (col == 0)
+            quantize_dense(*q, precision_, &pool);
+        return;
+    case Freshness::kStable:
+        if (precision_ != StorageMode::kF32 && q->storage() != precision_)
+            quantize_dense(*q, precision_, &pool);
+        return;
+    }
 }
 
 void
-FusedLayerPlan::sweep_panel(const PanelSource &src, DenseMatrix &c,
+FusedLayerPlan::sweep_panel(const PanelSource &src, DenseMatrix *c,
                             index_t c_col0, index_t width,
                             WorkStealPool &pool, const SpmmLocality &loc,
                             PanelEpilogue epi, const void *epi_ctx,
@@ -139,8 +149,8 @@ FusedLayerPlan::run(const PanelSourceFn &source, DenseMatrix &c,
         const index_t width = std::min(run_tile_, dim_ - col);
         const PanelSource src = source(col, width);
         MPS_CHECK(src.b != nullptr, "panel source returned no operand");
-        quantize_source(src, width, pool);
-        sweep_panel(src, c, col, width, pool, run_loc_, epi, epi_ctx,
+        quantize_source(src, col, width, pool);
+        sweep_panel(src, &c, col, width, pool, run_loc_, epi, epi_ctx,
                     /*count_census=*/col == 0);
         if (post_sweep)
             post_sweep(col, width, src);
@@ -161,21 +171,20 @@ FusedLayerPlan::run_streaming(const PanelSourceFn &source,
                               WorkStealPool &pool, PanelEpilogue epi,
                               const void *epi_ctx)
 {
+    MPS_CHECK(epi != nullptr,
+              "a streamed run hands its rows to an epilogue");
     ScopedSpan span("spmm.fused.stream", "kernel");
     Timer wall;
-    if (out_panel_.rows() != a_->rows() || out_panel_.cols() != tile_)
-        out_panel_ = DenseMatrix(a_->rows(), tile_);
     int64_t panels = 0;
     for (index_t col = 0; col < dim_; col += tile_) {
         const index_t width = std::min(tile_, dim_ - col);
         const PanelSource src = source(col, width);
         MPS_CHECK(src.b != nullptr, "panel source returned no operand");
-        quantize_source(src, width, pool);
-        out_panel_.fill(0.0f);
-        sweep_panel(src, out_panel_, /*c_col0=*/0, width, pool, loc_,
+        quantize_source(src, col, width, pool);
+        sweep_panel(src, /*c=*/nullptr, /*c_col0=*/0, width, pool, loc_,
                     epi, epi_ctx, /*count_census=*/col == 0);
         if (consume)
-            consume(col, width, out_panel_);
+            consume(col, width);
         ++panels;
     }
     MetricsRegistry &metrics = MetricsRegistry::global();

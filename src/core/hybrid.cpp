@@ -364,7 +364,7 @@ repair_hybrid_schedule(const HybridSchedule &old_hs, const CsrMatrix &old_a,
 namespace {
 
 /**
- * Per-executor phase accumulator: commit census (tail) + dense row
+ * Per-executor phase accumulator: tail write census + dense row
  * counts + per-phase wall time + epilogue batch census.
  * Cacheline-aligned, written only by the owning executor; the pool's
  * completion barrier makes the final aggregation race-free.
@@ -373,9 +373,7 @@ struct alignas(64) PhaseSlot
 {
     int64_t tail_ns = 0;
     int64_t dense_ns = 0;
-    int64_t atomics = 0;
-    int64_t plains = 0;
-    int64_t nnz = 0;
+    WriteCensus writes;
     int64_t dense_rows = 0;
     int64_t dense_nnz = 0;
     EpilogueCount epilogue;
@@ -386,113 +384,48 @@ struct HybridPanel
 {
     const CsrMatrix *a = nullptr;
     const HybridSchedule *hs = nullptr;
-    const DenseMatrix *b = nullptr;
-    DenseMatrix *c = nullptr;
-    index_t b_col = 0;
-    index_t c_col = 0;
-    index_t width = 0;
-    index_t prefetch = 0;
-    const index_t *scatter = nullptr;
-    PanelEpilogue epi = nullptr;
-    const void *epi_ctx = nullptr;
-    const RowKernels *rk = nullptr;
-    /** Tail partial rows accumulate here (see carry.h). */
-    CarrySlots carries;
-
-    index_t out_row(index_t base_row) const {
-        return scatter != nullptr ? scatter[base_row] : base_row;
-    }
+    /** Tail partial rows go to its carry scratch (see carry.h). */
+    PanelSweep sweep;
 };
 
 /**
- * Plain-commit @p acc to the base row behind tail-matrix row @p trow:
- * a row the share owns whole (@p final) or the first part of a split
- * row. A final row joins the share's epilogue @p batch with its BASE
- * row id, so structural epilogues index side inputs of the executed
- * matrix, not the compacted tail.
- */
-inline void
-tail_commit(const HybridPanel &p, const index_t *tail_rows, index_t trow,
-            const value_t *acc, bool final, EpilogueBatch &batch)
-{
-    const index_t base_row =
-        tail_rows != nullptr ? tail_rows[trow] : trow;
-    value_t *crow = p.c->row(p.out_row(base_row)) + p.c_col;
-    p.rk->commit_plain(crow, acc, p.width);
-    if (final)
-        batch.add(crow, base_row);
-}
-
-/**
- * Execute tail share @p t (one merge-path thread of the tail). A head
- * that continues a split row accumulates into the share's carry slot
- * for the fix-up pass. @p census (may be null) receives the write
- * census, @p epi_count (may be null) the epilogue batch census.
+ * Execute tail share @p t: one merge-path thread over the tail matrix,
+ * whose finished rows reach the epilogue with their BASE row ids, so
+ * structural epilogues index side inputs of the executed matrix, not
+ * the compacted tail. @p census and @p epi_count (may be null) receive
+ * the write and the epilogue batch census.
  */
 void
 run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *census,
                EpilogueCount *epi_count)
 {
     const HybridSchedule &hs = *p.hs;
-    const CsrMatrix &tm = hs.tail_is_base() ? *p.a : hs.tail();
-    const index_t *tail_rows =
-        hs.tail_is_base() ? nullptr : hs.tail_rows().data();
-    value_t *acc = microkernel_scratch(p.width);
-    ResolvedWork w = hs.tail_schedule().resolve(t, tm);
-    EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
-    const auto share = [&](index_t row, index_t begin, index_t end,
-                           bool partial) {
-        const bool continues = begin > tm.row_begin(row);
-        gather_nonzeros(tm, *p.b, p.b_col, p.width, p.prefetch, begin, end,
-                        continues ? p.carries.slot(t) : acc, *p.rk);
-        if (!continues)
-            tail_commit(p, tail_rows, row, acc, !partial, batch);
-    };
-
-    if (w.has_head())
-        share(w.head_row, w.head_begin, w.head_end, w.head_atomic);
-    for (index_t row = w.first_complete_row; row < w.last_complete_row;
-         ++row)
-        share(row, tm.row_begin(row), tm.row_end(row), false);
-    if (w.has_tail())
-        share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
-    batch.flush();
-
-    if (census != nullptr) {
-        if (w.has_head()) {
-            (w.head_atomic ? census->atomics : census->plains) += 1;
-            census->nnz += w.head_end - w.head_begin;
-        }
-        if (w.last_complete_row > w.first_complete_row) {
-            census->plains += w.last_complete_row - w.first_complete_row;
-            census->nnz += tm.row_begin(w.last_complete_row) -
-                           tm.row_begin(w.first_complete_row);
-        }
-        if (w.has_tail()) {
-            (w.tail_atomic ? census->atomics : census->plains) += 1;
-            census->nnz += w.tail_end - w.tail_begin;
-        }
-    }
+    run_share(p.sweep, hs.tail_is_base() ? *p.a : hs.tail(),
+              hs.tail_schedule(),
+              hs.tail_is_base() ? nullptr : hs.tail_rows().data(), t,
+              census != nullptr ? &census->writes : nullptr, epi_count);
 }
 
 /**
  * Execute dense chunk @p idx: each row gathers in registers and is
- * stored straight into its output row — no scratch round trip, no
- * atomics; every band row is owned by exactly one chunk, and
- * reaches the epilogue in the chunk's batches. @p census and
- * @p epi_count (may be null) as for run_tail_share.
+ * stored straight where it goes — its output row, or when streamed the
+ * staging tile — no scratch round trip, no atomics; every band row is
+ * owned by exactly one chunk, and reaches the epilogue in the chunk's
+ * batches. @p census and @p epi_count (may be null) as for
+ * run_tail_share.
  */
 void
 run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *census,
                 EpilogueCount *epi_count)
 {
     const CsrMatrix &a = *p.a;
+    const PanelSweep &s = p.sweep;
     const RowBand chunk = p.hs->dense_chunks()[idx];
-    EpilogueBatch batch(p.epi, p.epi_ctx, p.c_col, p.width, epi_count);
+    EpilogueBatch batch(s, epi_count);
     for (index_t r = chunk.begin; r < chunk.end; ++r) {
-        value_t *crow = p.c->row(p.out_row(r)) + p.c_col;
-        gather_nonzeros(a, *p.b, p.b_col, p.width, p.prefetch,
-                        a.row_begin(r), a.row_end(r), crow, *p.rk);
+        value_t *crow = s.streamed() ? batch.stage() : s.out_row(r);
+        gather_nonzeros(a, *s.b, s.b_col, s.width, s.prefetch,
+                        a.row_begin(r), a.row_end(r), crow, *s.rk);
         batch.add(crow, r);
     }
     batch.flush();
@@ -506,7 +439,7 @@ run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *census,
 void
 check_hybrid_shapes(const CsrMatrix &a, const HybridSchedule &hs,
                     const DenseMatrix &b, index_t b_col0,
-                    const DenseMatrix &c, index_t c_col0, index_t width)
+                    const DenseMatrix *c, index_t c_col0, index_t width)
 {
     MPS_CHECK(a.rows() == hs.rows() && a.nnz() == hs.nnz(),
               "matrix does not match the prepared hybrid schedule (",
@@ -514,14 +447,16 @@ check_hybrid_shapes(const CsrMatrix &a, const HybridSchedule &hs,
               ")");
     MPS_CHECK(b.rows() == a.cols(), "B rows (", b.rows(),
               ") must equal A cols (", a.cols(), ")");
-    MPS_CHECK(c.rows() == a.rows(), "C rows (", c.rows(),
-              ") must equal A rows (", a.rows(), ")");
     MPS_CHECK(width > 0 && b_col0 >= 0 && b_col0 + width <= b.cols(),
               "B panel [", b_col0, ", ", b_col0 + width,
               ") out of range for ", b.cols(), " cols");
-    MPS_CHECK(c_col0 >= 0 && c_col0 + width <= c.cols(), "C panel [",
+    if (c == nullptr)
+        return;
+    MPS_CHECK(c->rows() == a.rows(), "C rows (", c->rows(),
+              ") must equal A rows (", a.rows(), ")");
+    MPS_CHECK(c_col0 >= 0 && c_col0 + width <= c->cols(), "C panel [",
               c_col0, ", ", c_col0 + width, ") out of range for ",
-              c.cols(), " cols");
+              c->cols(), " cols");
 }
 
 void
@@ -530,20 +465,20 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
 {
     PhaseSlot total;
     for (size_t i = 0; i < count; ++i) {
-        total.atomics += slots[i].atomics;
-        total.plains += slots[i].plains;
-        total.nnz += slots[i].nnz;
+        total.writes.merge(slots[i].writes);
         total.dense_rows += slots[i].dense_rows;
         total.dense_nnz += slots[i].dense_nnz;
-        total.epilogue.rows += slots[i].epilogue.rows;
-        total.epilogue.calls += slots[i].epilogue.calls;
+        total.epilogue.merge(slots[i].epilogue);
     }
-    if (total.atomics > 0)
-        metrics.counter_add("spmm.hybrid.atomic_commits", total.atomics);
-    if (total.plains > 0)
-        metrics.counter_add("spmm.hybrid.plain_commits", total.plains);
-    if (total.nnz > 0)
-        metrics.counter_add("spmm.hybrid.tail_nnz_processed", total.nnz);
+    if (total.writes.atomics > 0)
+        metrics.counter_add("spmm.hybrid.atomic_commits",
+                            total.writes.atomics);
+    if (total.writes.plains > 0)
+        metrics.counter_add("spmm.hybrid.plain_commits",
+                            total.writes.plains);
+    if (total.writes.nnz > 0)
+        metrics.counter_add("spmm.hybrid.tail_nnz_processed",
+                            total.writes.nnz);
     if (total.dense_rows > 0)
         metrics.counter_add("spmm.hybrid.dense_rows_written",
                             total.dense_rows);
@@ -563,9 +498,8 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
  * owning phase.
  */
 void
-run_hybrid_panel(const HybridPanel &p, const SplitRowList &split,
-                 WorkStealPool *pool, PhaseSlot *slots, bool census,
-                 bool timed)
+run_hybrid_panel(const HybridPanel &p, WorkStealPool *pool,
+                 PhaseSlot *slots, bool census, bool timed)
 {
     const HybridSchedule &hs = *p.hs;
     const uint64_t tail_shares =
@@ -604,32 +538,22 @@ run_hybrid_panel(const HybridPanel &p, const SplitRowList &split,
     }
     // After the barrier the caller's executor slot is free again.
     PhaseSlot *slot = slot_of();
-    apply_carries(split, p.carries, *p.c, p.c_col, p.width, p.scatter,
-                  p.epi, p.epi_ctx, *p.rk,
-                  slot != nullptr ? &slot->epilogue : nullptr);
+    apply_carries(p.sweep, slot != nullptr ? &slot->epilogue : nullptr);
 }
 
 HybridPanel
 make_panel(const CsrMatrix &a, const HybridSchedule &hs,
-           const DenseMatrix &b, index_t b_col0, DenseMatrix &c,
-           index_t c_col0, index_t width, const SpmmLocality &loc,
-           PanelEpilogue epi, const void *epi_ctx, const RowKernels &rk)
+           const SplitRowList &split, const DenseMatrix &b, index_t b_col0,
+           DenseMatrix *c, index_t c_col0, index_t width,
+           const SpmmLocality &loc, PanelEpilogue epi, const void *epi_ctx)
 {
     HybridPanel p;
     p.a = &a;
     p.hs = &hs;
-    p.b = &b;
-    p.c = &c;
-    p.b_col = b_col0;
-    p.c_col = c_col0;
-    p.width = width;
-    p.prefetch = loc.prefetch;
-    p.scatter = loc.row_scatter;
-    p.epi = epi;
-    p.epi_ctx = epi_ctx;
-    p.rk = &rk;
-    if (hs.has_tail())
-        p.carries = carry_slots(hs.tail_schedule().num_threads(), width);
+    p.sweep = make_panel_sweep(
+        b, b_col0, c, c_col0, width, loc, split,
+        hs.has_tail() ? hs.tail_schedule().num_threads() : 0, epi,
+        epi_ctx);
     return p;
 }
 
@@ -638,7 +562,7 @@ make_panel(const CsrMatrix &a, const HybridSchedule &hs,
 void
 hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
                   const SplitRowList &split, const DenseMatrix &b,
-                  index_t b_col0, DenseMatrix &c, index_t c_col0,
+                  index_t b_col0, DenseMatrix *c, index_t c_col0,
                   index_t width, WorkStealPool &pool,
                   const SpmmLocality &loc, PanelEpilogue epi,
                   const void *epi_ctx, bool count_census)
@@ -651,10 +575,9 @@ hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
     std::vector<PhaseSlot> slots;
     if (metrics.enabled() && (count_census || epi != nullptr))
         slots.resize(pool.max_concurrency());
-    const RowKernels &rk = select_row_kernels(width);
-    const HybridPanel p = make_panel(a, hs, b, b_col0, c, c_col0, width,
-                                     loc, epi, epi_ctx, rk);
-    run_hybrid_panel(p, split, &pool,
+    const HybridPanel p = make_panel(a, hs, split, b, b_col0, c, c_col0,
+                                     width, loc, epi, epi_ctx);
+    run_hybrid_panel(p, &pool,
                      slots.empty() ? nullptr : slots.data(), count,
                      /*timed=*/false);
     if (!slots.empty())
@@ -666,7 +589,7 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
                      const DenseMatrix &b, DenseMatrix &c,
                      WorkStealPool &pool, const SpmmLocality &loc)
 {
-    check_hybrid_shapes(a, hs, b, 0, c, 0, b.cols());
+    check_hybrid_shapes(a, hs, b, 0, &c, 0, b.cols());
     MPS_CHECK(c.cols() == b.cols(), "C must be A.rows x B.cols");
     ScopedSpan span("spmm.hybrid", "kernel");
     MetricsRegistry &metrics = MetricsRegistry::global();
@@ -681,13 +604,12 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
     int64_t sweeps = 0;
     for (index_t col = 0; col < dim; col += tile) {
         const index_t width = std::min(tile, dim - col);
-        const RowKernels &rk = select_row_kernels(width);
-        const HybridPanel p = make_panel(a, hs, b, col, c, col, width,
-                                         loc, nullptr, nullptr, rk);
+        const HybridPanel p = make_panel(a, hs, split, b, col, &c, col,
+                                         width, loc, nullptr, nullptr);
         // Census on the first panel only (it describes the schedule);
         // phase timing accumulates across all panels.
         PhaseSlot *s = instrumented ? slots.data() : nullptr;
-        run_hybrid_panel(p, split, &pool, s, /*census=*/col == 0,
+        run_hybrid_panel(p, &pool, s, /*census=*/col == 0,
                          /*timed=*/instrumented);
         ++sweeps;
     }
@@ -723,7 +645,7 @@ hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
                        const DenseMatrix &b, DenseMatrix &c,
                        const SpmmLocality &loc)
 {
-    check_hybrid_shapes(a, hs, b, 0, c, 0, b.cols());
+    check_hybrid_shapes(a, hs, b, 0, &c, 0, b.cols());
     MPS_CHECK(c.cols() == b.cols(), "C must be A.rows x B.cols");
     c.fill(0.0f);
     const index_t dim = b.cols();
@@ -731,10 +653,9 @@ hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
     const SplitRowList split = hs.split_row_list(a);
     for (index_t col = 0; col < dim; col += tile) {
         const index_t width = std::min(tile, dim - col);
-        const RowKernels &rk = select_row_kernels(width);
-        const HybridPanel p = make_panel(a, hs, b, col, c, col, width,
-                                         loc, nullptr, nullptr, rk);
-        run_hybrid_panel(p, split, nullptr, nullptr, /*census=*/false,
+        const HybridPanel p = make_panel(a, hs, split, b, col, &c, col,
+                                         width, loc, nullptr, nullptr);
+        run_hybrid_panel(p, nullptr, nullptr, /*census=*/false,
                          /*timed=*/false);
     }
 }

@@ -18,18 +18,18 @@
  *
  * Two execution modes:
  *  - run():            materialize the layer output C (the common case);
- *  - run_streaming():  hand each finalized OUTPUT panel to a consumer
- *                      while still cache-resident. The multi-layer
- *                      pipeline goes one granularity finer: its
- *                      commit epilogue (RankUpdateEpilogue in the gcn
- *                      library) rank-updates layer L+1's XW from each
- *                      ROW the moment the sweep finalizes it — H_L is
- *                      never materialized and the output panel is
- *                      never even re-read; the consumer callback only
- *                      advances the panel's weight-row origin. An
+ *  - run_streaming():  materialize nothing: every finished row goes
+ *                      from the sweep's register row into its
+ *                      executor's 6-row staging tile and on to the
+ *                      epilogue, which hands it off itself. The
+ *                      multi-layer pipeline's epilogues do: the rank
+ *                      update (RankUpdateEpilogue in the gcn library)
+ *                      folds each finished row of layer L into layer
+ *                      L+1's XW, so H_L never exists; an
  *                      aggregate-first layer sweeps its narrow input
- *                      instead and combines each finished row in the
- *                      epilogue (CombineEpilogue).
+ *                      and combines each finished row
+ *                      (CombineEpilogue). The consumer callback only
+ *                      marks the end of each panel.
  *
  * `MPS_FUSE=0` disables the fused routing at every call site in the
  * gcn library and restores the exact pre-fusion execution (see
@@ -46,6 +46,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "mps/core/locality.h"
@@ -67,6 +68,34 @@ class WorkStealPool;
 bool fusion_enabled();
 
 /**
+ * When a reduced-precision plan (re-)encodes a quantizable operand's
+ * shadow rows (see FusedLayerPlan::set_precision). A rewritten
+ * operand's (kPanel, kRun) shadow is stale at any precision, so an f32
+ * plan drops it rather than gather last run's values.
+ */
+enum class Freshness
+{
+    /**
+     * Unchanged between runs (a slice of a stable matrix): encoded
+     * once, full-width, while its shadow is missing or of another
+     * precision.
+     */
+    kStable,
+    /**
+     * Rewritten for THIS panel (a GEMM-backed buffer): every panel
+     * re-encodes the panel's columns only, so stale trailing columns
+     * of a wider earlier panel cannot pollute int8 per-row ranges.
+     */
+    kPanel,
+    /**
+     * Rewritten before this run (a model-owned layer handoff):
+     * re-encoded full-width on the run's first panel, into the
+     * shadow's existing allocation.
+     */
+    kRun,
+};
+
+/**
  * Where a panel's B operand actually lives: a source callback either
  * fills the plan's panel buffer (and points b at it with col_begin 0)
  * or returns a zero-copy view into an existing matrix (b = &xw,
@@ -85,14 +114,8 @@ struct PanelSource
      * data (delta-correction and epilogues keep reading them).
      */
     DenseMatrix *quantizable = nullptr;
-    /**
-     * True when the operand buffer was freshly (re)written for THIS
-     * panel (a GEMM-backed source). The plan then re-encodes the shadow
-     * buffers every panel, restricted to the panel's columns so stale
-     * trailing columns cannot pollute int8 per-row ranges. False for
-     * slice sources, which are encoded once, full-width.
-     */
-    bool fresh = false;
+    /** When the plan re-encodes a quantizable operand. */
+    Freshness fresh = Freshness::kStable;
 };
 
 /**
@@ -108,13 +131,12 @@ using PanelSourceFn =
     std::function<PanelSource(index_t col0, index_t width)>;
 
 /**
- * Streaming-mode consumer: receives the finalized output panel for
- * columns [col0, col0 + width) (epilogue already applied) while it is
- * still cache-resident. The panel's data lives in columns [0, width)
- * of @p out_panel and is overwritten by the next panel.
+ * Streaming-mode consumer: called once panel [col0, col0 + width) is
+ * finished — after every row's epilogue, before the next panel's sweep
+ * (epilogues that accumulate across panels advance their column
+ * origin here).
  */
-using PanelConsumerFn = std::function<void(
-    index_t col0, index_t width, const DenseMatrix &out_panel)>;
+using PanelConsumerFn = std::function<void(index_t col0, index_t width)>;
 
 /**
  * Post-sweep hook of run(): called after each panel's sweep and
@@ -157,8 +179,8 @@ class FusedLayerPlan
     index_t dim() const { return dim_; }
     /**
      * Resolved STREAMING panel width (== dim when running one
-     * full-width panel): the width run_streaming() hands to its
-     * consumer, sized so source and output panels stay cache-hot.
+     * full-width panel): the width of each run_streaming() panel,
+     * sized so the source panel stays cache-hot.
      */
     index_t tile() const { return tile_; }
     /**
@@ -225,23 +247,47 @@ class FusedLayerPlan
              const PanelPostSweepFn &post_sweep = {});
 
     /**
-     * Streaming mode: compute each output panel into an internal
-     * buffer and hand it to @p consume while hot (an empty @p consume
-     * is allowed: epilogues that hand rows off themselves need none). The epilogue sees
-     * panel-local column 0 (the buffer's origin), not the global col0;
-     * epilogues that need the global column take it via @p consume or
-     * their ctx. No full-size output is ever allocated.
+     * Streaming mode: sweep every panel into @p epi (required) and
+     * nothing else, then call @p consume (may be empty). The epilogue
+     * sees panel-local column 0, not the global col0; epilogues that
+     * need the global column take it via @p consume or their ctx. No
+     * output the size of the graph is ever allocated: each executor
+     * gathers its finished rows straight into a 6-row staging tile and
+     * hands them over from there, and only the first parts of split
+     * rows (a few hundred on a CPU-sized schedule) wait in a
+     * |split| x width panel for the carry fix-up.
      */
     void run_streaming(const PanelSourceFn &source,
                        const PanelConsumerFn &consume, WorkStealPool &pool,
-                       PanelEpilogue epi = nullptr,
-                       const void *epi_ctx = nullptr);
+                       PanelEpilogue epi, const void *epi_ctx);
+
+    /**
+     * The consumer shape of earlier versions, (col0, width, out_panel):
+     * a streamed run has no output panel, so @p consume receives an
+     * empty matrix. Kept for callers that still take the argument
+     * (the benchmark's probes, bench/e2e/probes.cpp).
+     */
+    template <class Consume>
+        requires std::is_invocable_v<Consume &, index_t, index_t,
+                                     const DenseMatrix &>
+    void run_streaming(const PanelSourceFn &source, Consume &&consume,
+                       WorkStealPool &pool, PanelEpilogue epi,
+                       const void *epi_ctx)
+    {
+        const DenseMatrix no_panel;
+        run_streaming(
+            source,
+            [&consume, &no_panel](index_t col0, index_t width) {
+                consume(col0, width, no_panel);
+            },
+            pool, epi, epi_ctx);
+    }
 
   private:
     void derive_tiles();
-    void quantize_source(const PanelSource &src, index_t width,
-                         WorkStealPool &pool);
-    void sweep_panel(const PanelSource &src, DenseMatrix &c,
+    void quantize_source(const PanelSource &src, index_t col,
+                         index_t width, WorkStealPool &pool);
+    void sweep_panel(const PanelSource &src, DenseMatrix *c,
                      index_t c_col0, index_t width, WorkStealPool &pool,
                      const SpmmLocality &loc, PanelEpilogue epi,
                      const void *epi_ctx, bool count_census);
@@ -256,7 +302,6 @@ class FusedLayerPlan
     SpmmLocality run_loc_; ///< run()-mode locality (re-derived prefetch)
     StorageMode precision_ = StorageMode::kF32;
     SplitRowList split_;
-    DenseMatrix out_panel_; ///< streaming output buffer (a.rows() x tile)
     DenseMatrix gemm_scratch_; ///< panel-source buffer (see gemm_scratch())
 };
 

@@ -253,12 +253,14 @@ HybridSchedule repair_hybrid_schedule(const HybridSchedule &old_hs,
  * their finished value.
  * @p epi fires once per finished row with the BASE-matrix row id:
  * inline for dense rows and plain tail commits, in the fix-up for
- * split tail rows. @p count_census folds the tail sweep into the
- * spmm.hybrid.* write census on request.
+ * split tail rows. With @p c == nullptr the panel streams, as
+ * mergepath_spmm_panel does: rows reach only @p epi (then required).
+ * @p count_census folds the tail sweep into the spmm.hybrid.* write
+ * census on request.
  */
 void hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
                        const SplitRowList &split, const DenseMatrix &b,
-                       index_t b_col0, DenseMatrix &c, index_t c_col0,
+                       index_t b_col0, DenseMatrix *c, index_t c_col0,
                        index_t width, WorkStealPool &pool,
                        const SpmmLocality &loc,
                        PanelEpilogue epi = nullptr,

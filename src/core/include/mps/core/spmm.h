@@ -136,14 +136,18 @@ using PanelEpilogue = void (*)(const FinishedRow *rows, int count,
  * across panels exactly like the tiled kernels. @p epi, when non-null,
  * runs once on every finished row, in batches (see PanelEpilogue); with
  * metrics enabled the batches are counted into fusion.epilogue_rows and
- * fusion.epilogue_calls. @p count_census folds this sweep into the
- * spmm.mergepath.* write census — pass true on the first panel only.
- * Bit-identical per element to the unfused
+ * fusion.epilogue_calls. With @p c == nullptr the sweep streams: no
+ * output is written, @p epi (then required) sees each finished row in
+ * a per-executor staging tile with c_col0 = 0, and only the first
+ * parts of split rows are kept, in a |split| x width panel, until the
+ * carry fix-up finishes them. @p count_census folds this sweep into
+ * the spmm.mergepath.* write census — pass true on the first panel
+ * only. Bit-identical per element to the unfused
  * full-width sweep whenever every panel boundary lands on a SIMD block
  * boundary (width a multiple of 16 for all but the last panel).
  */
 void mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
-                          index_t b_col0, DenseMatrix &c, index_t c_col0,
+                          index_t b_col0, DenseMatrix *c, index_t c_col0,
                           index_t width, const MergePathSchedule &sched,
                           const SplitRowList &split, WorkStealPool &pool,
                           const SpmmLocality &loc, PanelEpilogue epi,

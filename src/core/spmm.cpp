@@ -19,65 +19,15 @@ namespace mps {
 namespace {
 
 /**
- * One column panel of the gather/commit datapath: the traversal reads
- * B columns [b_col, b_col + dim) and writes C columns
- * [c_col, c_col + dim), with output rows indirected through @p scatter
- * (nullptr = identity; reorder-aware execution passes the inverse
- * permutation). The tiled kernels keep b_col == c_col; the fused
- * pipeline gathers from a freshly written panel buffer (b_col = 0)
- * while committing to the real output columns. @p prefetch > 0
- * prefetches every line of the B panel row of the non-zero that many
- * positions ahead of the read cursor. @p epi,
- * when non-null, runs on every finished row, batched per executor:
- * rows finished at plain commits (full row ownership, value final) by
- * the sweep, split rows by the carry fix-up.
- */
-struct PanelContext
-{
-    index_t b_col = 0;
-    index_t c_col = 0;
-    index_t dim = 0; ///< panel width, b.cols() when untiled
-    index_t prefetch = 0;
-    const index_t *scatter = nullptr;
-    PanelEpilogue epi = nullptr;
-    const void *epi_ctx = nullptr;
-
-    index_t out_row(index_t row) const {
-        return scatter != nullptr ? scatter[row] : row;
-    }
-};
-
-/**
- * Commit @p acc to output row @p row with plain stores: a row the
- * thread owns whole (@p final — the value is done, so the row joins
- * the executor's epilogue @p batch while its line is hot) or the first
- * part of a split row, which no other thread writes during the sweep.
- */
-inline void
-commit_plain(DenseMatrix &c, index_t row, const value_t *acc,
-             const PanelContext &panel, const RowKernels &rk, bool final,
-             EpilogueBatch &batch)
-{
-    value_t *crow = c.row(panel.out_row(row)) + panel.c_col;
-    rk.commit_plain(crow, acc, panel.dim);
-    if (final)
-        batch.add(crow, row);
-}
-
-/**
- * Per-executor write census (the runtime counterpart of Figure 5's
- * atomic-vs-plain write distribution; "atomic" counts the parts of
- * split rows, which the carry fix-up finishes). Each executor of a
- * parallel_for owns one cacheline-aligned accumulator and bumps it with
- * plain stores; the sums reach the metrics registry in one flush per
- * SpMM instead of up to three contended counter_add calls per scheduled
- * task. The epilogue batch census rides in the same slot.
+ * Per-executor census slot: the write census and the epilogue batch
+ * census (see carry.h). Each executor of a parallel_for owns one
+ * cacheline-aligned slot and bumps it with plain stores; the sums
+ * reach the metrics registry in one flush per SpMM instead of up to
+ * three contended counter_add calls per scheduled task.
  */
 struct alignas(64) CommitCensus
 {
-    int64_t atomics = 0;
-    int64_t plains = 0;
-    int64_t nnz = 0;
+    WriteCensus writes;
     EpilogueCount epilogue;
 };
 
@@ -87,77 +37,19 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
 {
     CommitCensus total;
     for (size_t i = 0; i < count; ++i) {
-        total.atomics += census[i].atomics;
-        total.plains += census[i].plains;
-        total.nnz += census[i].nnz;
-        total.epilogue.rows += census[i].epilogue.rows;
-        total.epilogue.calls += census[i].epilogue.calls;
+        total.writes.merge(census[i].writes);
+        total.epilogue.merge(census[i].epilogue);
     }
-    if (total.atomics > 0)
+    if (total.writes.atomics > 0)
         metrics.counter_add("spmm.mergepath.atomic_commits",
-                            total.atomics);
-    if (total.plains > 0)
-        metrics.counter_add("spmm.mergepath.plain_commits", total.plains);
-    if (total.nnz > 0)
-        metrics.counter_add("spmm.mergepath.nnz_processed", total.nnz);
+                            total.writes.atomics);
+    if (total.writes.plains > 0)
+        metrics.counter_add("spmm.mergepath.plain_commits",
+                            total.writes.plains);
+    if (total.writes.nnz > 0)
+        metrics.counter_add("spmm.mergepath.nnz_processed",
+                            total.writes.nnz);
     flush_epilogue_count(metrics, total.epilogue);
-}
-
-/**
- * Execute one thread's share of Algorithm 2. @p acc is a caller-owned
- * scratch buffer of at least dim elements (the paper's T[0,:]/T[1,:]
- * thread-local storage; one buffer suffices because the commits are
- * sequential within a thread). A head that continues a split row
- * accumulates straight into the thread's carry slot instead; the
- * fix-up pass adds it. Finished rows reach the panel epilogue in
- * batches, the last one flushed before returning. @p census is the
- * executing worker's write-census accumulator, or nullptr when the
- * census is off; @p epi_count (may be null) receives the epilogue
- * batch census.
- */
-void
-run_thread_work(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
-                const MergePathSchedule &sched, index_t t, value_t *acc,
-                const CarrySlots &carries, const PanelContext &panel,
-                const RowKernels &rk, CommitCensus *census,
-                EpilogueCount *epi_count)
-{
-    ResolvedWork w = sched.resolve(t, a);
-    EpilogueBatch batch(panel.epi, panel.epi_ctx, panel.c_col, panel.dim,
-                        epi_count);
-    const auto share = [&](index_t row, index_t begin, index_t end,
-                           bool partial) {
-        const bool continues = begin > a.row_begin(row);
-        gather_nonzeros(a, b, panel.b_col, panel.dim, panel.prefetch,
-                        begin, end, continues ? carries.slot(t) : acc, rk);
-        if (!continues)
-            commit_plain(c, row, acc, panel, rk, !partial, batch);
-    };
-
-    if (w.has_head())
-        share(w.head_row, w.head_begin, w.head_end, w.head_atomic);
-    for (index_t row = w.first_complete_row; row < w.last_complete_row;
-         ++row)
-        share(row, a.row_begin(row), a.row_end(row), false);
-    if (w.has_tail())
-        share(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
-    batch.flush();
-
-    if (census != nullptr) {
-        if (w.has_head()) {
-            (w.head_atomic ? census->atomics : census->plains) += 1;
-            census->nnz += w.head_end - w.head_begin;
-        }
-        if (w.last_complete_row > w.first_complete_row) {
-            census->plains += w.last_complete_row - w.first_complete_row;
-            census->nnz += a.row_begin(w.last_complete_row) -
-                           a.row_begin(w.first_complete_row);
-        }
-        if (w.has_tail()) {
-            (w.tail_atomic ? census->atomics : census->plains) += 1;
-            census->nnz += w.tail_end - w.tail_begin;
-        }
-    }
 }
 
 void
@@ -186,21 +78,17 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
     CommitCensus census;
     int64_t sweeps = 0;
     for (index_t col = 0; col < dim; col += tile) {
-        PanelContext panel{col, col, std::min(tile, dim - col),
-                           loc.prefetch, loc.row_scatter};
-        const RowKernels &rk = select_row_kernels(panel.dim);
-        value_t *acc = microkernel_scratch(panel.dim);
-        const CarrySlots carries =
-            carry_slots(sched.num_threads(), panel.dim);
+        const PanelSweep p =
+            make_panel_sweep(b, col, &c, col, std::min(tile, dim - col),
+                             loc, split, sched.num_threads(), nullptr,
+                             nullptr);
         // The write census describes the schedule, not the sweep
         // count: count it on the first panel only.
-        CommitCensus *cs =
-            instrumented && col == 0 ? &census : nullptr;
+        WriteCensus *cs =
+            instrumented && col == 0 ? &census.writes : nullptr;
         for (index_t t = 0; t < sched.num_threads(); ++t)
-            run_thread_work(a, b, c, sched, t, acc, carries, panel, rk,
-                            cs, nullptr);
-        apply_carries(split, carries, c, panel.c_col, panel.dim,
-                      panel.scatter, nullptr, nullptr, rk, nullptr);
+            run_share(p, a, sched, nullptr, t, cs, nullptr);
+        apply_carries(p, nullptr);
         ++sweeps;
     }
     if (instrumented) {
@@ -263,12 +151,11 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
         census.resize(pool.max_concurrency());
     int64_t sweeps = 0;
     for (index_t col = 0; col < dim; col += tile) {
-        PanelContext panel{col, col, std::min(tile, dim - col),
-                           loc.prefetch, loc.row_scatter};
-        const RowKernels &rk = select_row_kernels(panel.dim);
+        const PanelSweep p =
+            make_panel_sweep(b, col, &c, col, std::min(tile, dim - col),
+                             loc, split, sched.num_threads(), nullptr,
+                             nullptr);
         const bool count = instrumented && col == 0;
-        const CarrySlots carries =
-            carry_slots(sched.num_threads(), panel.dim);
         // Grain is left to the pool: it derives the chunk size from
         // the schedule's thread count and the pool width, so a tiny
         // schedule still fans out while a huge one is not over-chunked
@@ -276,17 +163,12 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
         // threads).
         pool.parallel_for(
             static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
-                // Per-worker aligned scratch, reused across tasks —
-                // the accumulator never hits the allocator on the hot
-                // path.
-                value_t *acc = microkernel_scratch(panel.dim);
-                CommitCensus *cs =
-                    count ? &census[pool.current_slot()] : nullptr;
-                run_thread_work(a, b, c, sched, static_cast<index_t>(t),
-                                acc, carries, panel, rk, cs, nullptr);
+                WriteCensus *cs =
+                    count ? &census[pool.current_slot()].writes : nullptr;
+                run_share(p, a, sched, nullptr, static_cast<index_t>(t),
+                          cs, nullptr);
             });
-        apply_carries(split, carries, c, panel.c_col, panel.dim,
-                      panel.scatter, nullptr, nullptr, rk, nullptr);
+        apply_carries(p, nullptr);
         ++sweeps;
     }
     if (instrumented) {
@@ -319,25 +201,27 @@ namespace {
 
 void
 check_panel_shapes(const CsrMatrix &a, const DenseMatrix &b, index_t b_col0,
-                   const DenseMatrix &c, index_t c_col0, index_t width)
+                   const DenseMatrix *c, index_t c_col0, index_t width)
 {
     MPS_CHECK(b.rows() == a.cols(), "B rows (", b.rows(),
               ") must equal A cols (", a.cols(), ")");
-    MPS_CHECK(c.rows() == a.rows(), "C rows (", c.rows(),
-              ") must equal A rows (", a.rows(), ")");
     MPS_CHECK(width > 0 && b_col0 >= 0 && b_col0 + width <= b.cols(),
               "B panel [", b_col0, ", ", b_col0 + width,
               ") out of range for ", b.cols(), " cols");
-    MPS_CHECK(c_col0 >= 0 && c_col0 + width <= c.cols(), "C panel [",
+    if (c == nullptr)
+        return;
+    MPS_CHECK(c->rows() == a.rows(), "C rows (", c->rows(),
+              ") must equal A rows (", a.rows(), ")");
+    MPS_CHECK(c_col0 >= 0 && c_col0 + width <= c->cols(), "C panel [",
               c_col0, ", ", c_col0 + width, ") out of range for ",
-              c.cols(), " cols");
+              c->cols(), " cols");
 }
 
 } // namespace
 
 void
 mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
-                     index_t b_col0, DenseMatrix &c, index_t c_col0,
+                     index_t b_col0, DenseMatrix *c, index_t c_col0,
                      index_t width, const MergePathSchedule &sched,
                      const SplitRowList &split, WorkStealPool &pool,
                      const SpmmLocality &loc, PanelEpilogue epi,
@@ -354,22 +238,19 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     const auto slot = [&]() -> CommitCensus * {
         return census.empty() ? nullptr : &census[pool.current_slot()];
     };
-    PanelContext panel{b_col0,       c_col0, width, loc.prefetch,
-                       loc.row_scatter, epi,  epi_ctx};
-    const RowKernels &rk = select_row_kernels(width);
-    const CarrySlots carries = carry_slots(sched.num_threads(), width);
+    const PanelSweep p =
+        make_panel_sweep(b, b_col0, c, c_col0, width, loc, split,
+                         sched.num_threads(), epi, epi_ctx);
     pool.parallel_for(
         static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
-            value_t *acc = microkernel_scratch(width);
             CommitCensus *cs = slot();
-            run_thread_work(a, b, c, sched, static_cast<index_t>(t), acc,
-                            carries, panel, rk, count ? cs : nullptr,
-                            cs != nullptr ? &cs->epilogue : nullptr);
+            run_share(p, a, sched, nullptr, static_cast<index_t>(t),
+                      count && cs != nullptr ? &cs->writes : nullptr,
+                      cs != nullptr ? &cs->epilogue : nullptr);
         });
     // After the barrier the caller's executor slot is free again.
     CommitCensus *cs = slot();
-    apply_carries(split, carries, c, c_col0, width, loc.row_scatter, epi,
-                  epi_ctx, rk, cs != nullptr ? &cs->epilogue : nullptr);
+    apply_carries(p, cs != nullptr ? &cs->epilogue : nullptr);
     if (!census.empty())
         flush_census(metrics, census.data(), census.size());
 }
@@ -471,7 +352,7 @@ delta_correction_panel(const DeltaCsr &dcsr, const DenseMatrix &b,
     const index_t dirty = dcsr.num_dirty_rows();
     if (dirty == 0)
         return;
-    check_panel_shapes(dcsr.base(), b, b_col0, c, c_col0, width);
+    check_panel_shapes(dcsr.base(), b, b_col0, &c, c_col0, width);
     const RowKernels &rk = select_row_kernels(width);
     pool.parallel_for_ranges(
         static_cast<uint64_t>(dirty), [&](uint64_t begin, uint64_t end) {

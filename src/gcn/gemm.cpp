@@ -399,8 +399,9 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
     // one already holding -0.0f — and these sums cannot produce -0.0f
     // without a product underflowing, far outside the value ranges GNN
     // features reach. The 1-thread bit gates verify this empirically.
+    // The first panel stores: its chains start from +0.0f either way.
     tile_times_w(x, ldx, width, *e.w, e.w_row0, dst, count,
-                 /*accumulate=*/true);
+                 /*accumulate=*/e.w_row0 > 0);
 }
 
 RankUpdateEpilogue
@@ -445,7 +446,7 @@ CombineEpilogue::apply(const FinishedRow *rows, int count, index_t c_col0,
     apply_batch_activation(e.act, h_rows, count, hidden);
     if (e.w_next != nullptr)
         tile_times_w(h, ldh, hidden, *e.w_next, 0, out, count,
-                     /*accumulate=*/true);
+                     /*accumulate=*/false);
     else
         for (int i = 0; i < count; ++i)
             std::copy(h + i * ldh, h + i * ldh + hidden, out[i]);
@@ -484,7 +485,7 @@ gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
         dense_gemm_panel(x, w, col0, width, *buf, pool);
         // fresh: the buffer was just rewritten for this panel, so a
         // quantizing plan must re-encode it (panel columns only).
-        return PanelSource{buf.get(), 0, buf.get(), /*fresh=*/true};
+        return PanelSource{buf.get(), 0, buf.get(), Freshness::kPanel};
     };
 }
 
@@ -496,7 +497,7 @@ gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
         if (buf.rows() != x.rows() || buf.cols() < width)
             buf = DenseMatrix(x.rows(), width);
         dense_gemm_panel(x, w, col0, width, buf, pool);
-        return PanelSource{&buf, 0, &buf, /*fresh=*/true};
+        return PanelSource{&buf, 0, &buf, Freshness::kPanel};
     };
 }
 
@@ -514,7 +515,15 @@ slice_panel_source(DenseMatrix &xw)
     // Mutable overload: the plan may quantize the matrix in place (the
     // shadow encode happens once, on the first panel, full-width).
     return [&xw](index_t col0, index_t) {
-        return PanelSource{&xw, col0, &xw, /*fresh=*/false};
+        return PanelSource{&xw, col0, &xw, Freshness::kStable};
+    };
+}
+
+PanelSourceFn
+handoff_panel_source(DenseMatrix &h)
+{
+    return [&h](index_t col0, index_t) {
+        return PanelSource{&h, col0, &h, Freshness::kRun};
     };
 }
 

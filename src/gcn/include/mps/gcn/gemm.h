@@ -83,24 +83,24 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  * layer activation to them and rank-update the NEXT layer's XW
  * accumulator from them at once — while the rows are still in L1 —
  * as one 6-row GEMM tile (rows gathered into per-thread scratch
- * tiles). The consumer-based pipeline
- * (run_streaming + dense_gemm_rank_update) re-reads the whole n x tile
- * output panel from DRAM after each sweep; on graphs whose panels dwarf
- * the cache that second trip is pure bandwidth, and folding the rank
- * update into the commit removes it entirely.
+ * tiles). Run under run_streaming, the rows come straight from the
+ * sweep's staging tiles: no output panel exists, and nothing re-reads
+ * one. The first panel (w_row0 == 0) stores its products, so @p out
+ * needs no zero-fill; later panels add theirs.
  *
  * FLOP-for-FLOP identical to activation_epilogue followed by
  * dense_gemm_rank_update: rows are independent and each element's
- * k-ascending FMA chain is unchanged. The rows it consumes are
- * schedule-deterministic (split rows sum their carries in thread
- * order), so for a fixed schedule the accumulated XW is bit-identical
- * on any pool size, and with a 1-thread schedule also to the unfused
- * reference.
+ * k-ascending FMA chain is unchanged (a stored chain starts from
+ * +0.0f, as one accumulated onto a zero-filled row does). The rows it
+ * consumes are schedule-deterministic (split rows sum their carries in
+ * thread order), so for a fixed schedule the accumulated XW is
+ * bit-identical on any pool size, and with a 1-thread schedule also to
+ * the unfused reference.
  *
- * Concurrency: a sweep executor only batches rows it plain-committed,
- * which it owns whole; split rows reach apply() in the carry fix-up
- * after the panel barrier, which hands each row to exactly one
- * executor. Rows of @p out are therefore never written concurrently.
+ * Concurrency: a sweep executor only batches rows it finished, which
+ * it owns whole; split rows reach apply() in the carry fix-up after
+ * the panel barrier, which hands each row to exactly one executor.
+ * Rows of @p out are therefore never written concurrently.
  *
  * `w_row0` must track the global first column of the panel in flight.
  * Panels stream in ascending order starting at 0, so start it at 0 and
@@ -109,9 +109,7 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  *
  *   RankUpdateEpilogue rank = make_rank_update_epilogue(...);
  *   plan.run_streaming(src,
- *       [&](index_t col0, index_t width, const DenseMatrix &) {
- *           rank.w_row0 = col0 + width;
- *       },
+ *       [&](index_t col0, index_t width) { rank.w_row0 = col0 + width; },
  *       pool, &RankUpdateEpilogue::apply, &rank);
  */
 struct RankUpdateEpilogue
@@ -137,8 +135,8 @@ struct RankUpdateEpilogue
 
 /**
  * Build a RankUpdateEpilogue accumulating act(panel) * w into @p out
- * (which must be zero-filled and outlive the run, like @p w and the
- * scatter array).
+ * (which must outlive the run, like @p w and the scatter array; every
+ * row of it is written, the first panel storing).
  */
 RankUpdateEpilogue make_rank_update_epilogue(Activation act,
                                              const DenseMatrix &w,
@@ -156,8 +154,8 @@ RankUpdateEpilogue make_rank_update_epilogue(Activation act,
  * as whichever is narrower for the next step:
  *  - w_next == nullptr: store h as row `scatter[row]` of @p out — the
  *    next aggregate-first layer's input, or the model output;
- *  - w_next set: fold h into the next (combine-first) layer's XW
- *    accumulator, out[row] += h * w_next, and never store h.
+ *  - w_next set: fold h into the next (combine-first) layer's XW,
+ *    out[row] = h * w_next, and never store h.
  * The sweep must cover all `in` columns in one panel (the plan's
  * tile() >= in): the epilogue needs the whole aggregated row. Rows are
  * owned by one executor each, exactly as for RankUpdateEpilogue.
@@ -177,9 +175,9 @@ struct CombineEpilogue
 
 /**
  * Build a CombineEpilogue for act((A * H) * w). @p out must be
- * n x w.cols() when @p w_next is null, else a zero-filled
- * n x w_next->cols() accumulator. Everything borrowed must outlive the
- * run.
+ * n x w.cols() when @p w_next is null, else n x w_next->cols(); every
+ * row is stored, so it needs no zero-fill. Everything borrowed must
+ * outlive the run.
  */
 CombineEpilogue make_combine_epilogue(Activation act, const DenseMatrix &w,
                                       DenseMatrix &out,
@@ -219,6 +217,15 @@ PanelSourceFn slice_panel_source(const DenseMatrix &xw);
  * (once, full-width). The f32 data is never modified.
  */
 PanelSourceFn slice_panel_source(DenseMatrix &xw);
+
+/**
+ * Slice source over a model-owned layer handoff @p h that the previous
+ * layer rewrote before this run: a reduced-precision plan re-encodes
+ * its shadow rows on the first panel of every run, in place
+ * (Freshness::kRun), so @p h keeps one shadow allocation across
+ * forwards.
+ */
+PanelSourceFn handoff_panel_source(DenseMatrix &h);
 
 } // namespace mps
 

@@ -152,10 +152,12 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
                               "gcn");
         const GcnLayer &layer = layers_[i];
         const index_t *scatter = plans[i]->locality().row_scatter;
-        // The sparse operand: the previous handoff, the caller's const
-        // X (gathered at its own f32 storage), or X * W0 panels.
+        // The sparse operand: the previous handoff (rewritten by the
+        // previous layer, so re-encoded in place at reduced precision),
+        // the caller's const X (gathered at its own f32 storage), or
+        // X * W0 panels.
         const PanelSourceFn src =
-            i > 0 ? slice_panel_source(handoff_[i - 1])
+            i > 0 ? handoff_panel_source(handoff_[i - 1])
             : order[0].aggregate_first
                 ? slice_panel_source(x)
                 : gemm_panel_source(x, layer.weights(), pool,
@@ -164,14 +166,10 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
         DenseMatrix &dst = i < last ? handoff_[i] : result;
         const index_t dst_cols = feeds_xw ? layers_[i + 1].out_features()
                                           : layer.out_features();
+        // Every row of dst is written below: the combine stores, and
+        // the rank update's first panel stores before later ones add.
         if (dst.rows() != a.rows() || dst.cols() != dst_cols)
             dst = DenseMatrix(a.rows(), dst_cols);
-        // Back to f32 before the refill: a reduced-precision plan then
-        // re-encodes the shadow rows from this forward's values instead
-        // of reading the last forward's.
-        dst.set_storage(StorageMode::kF32);
-        if (feeds_xw)
-            dst.fill(0.0f); // rank updates accumulate
         if (order[i].aggregate_first) {
             const CombineEpilogue combine = make_combine_epilogue(
                 layer.activation(), layer.weights(), dst,
@@ -184,7 +182,7 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
                 scatter);
             plans[i]->run_streaming(
                 src,
-                [&rank](index_t col0, index_t width, const DenseMatrix &) {
+                [&rank](index_t col0, index_t width) {
                     rank.w_row0 = col0 + width;
                 },
                 pool, &RankUpdateEpilogue::apply, &rank);

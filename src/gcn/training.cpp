@@ -219,12 +219,11 @@ GcnTrainer::predict(const CsrMatrix &a, const DenseMatrix &x,
         FusedLayerPlan plan2(a, w2_.cols(), sched_,
                              default_fused_locality(a.cols(), w2_.cols()));
         DenseMatrix hw2(a.rows(), w2_.cols());
-        hw2.fill(0.0f);
         RankUpdateEpilogue rank = make_rank_update_epilogue(
             Activation::kRelu, w2_, hw2, plan1.locality().row_scatter);
         plan1.run_streaming(
             gemm_panel_source(x, w1_, pool),
-            [&rank](index_t col0, index_t width, const DenseMatrix &) {
+            [&rank](index_t col0, index_t width) {
                 rank.w_row0 = col0 + width;
             },
             pool, &RankUpdateEpilogue::apply, &rank);

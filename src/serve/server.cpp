@@ -640,7 +640,7 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
             }
             // fresh: the assembled panel is rewritten per call, so a
             // quantizing plan re-encodes its panel columns.
-            return PanelSource{&panel, 0, &panel, /*fresh=*/true};
+            return PanelSource{&panel, 0, &panel, Freshness::kPanel};
         };
 
         // With a clean overlay the activation folds into the commit

@@ -221,7 +221,7 @@ TEST(Determinism, FusedPlansAcrossPoolSizes)
             Activation::kRelu, w2, xw2, nullptr);
         plan.run_streaming(
             gemm_panel_source(x, w1, pool),
-            [&rank](index_t col0, index_t width, const DenseMatrix &) {
+            [&rank](index_t col0, index_t width) {
                 rank.w_row0 = col0 + width;
             },
             pool, &RankUpdateEpilogue::apply, &rank);
@@ -294,13 +294,18 @@ TEST(Determinism, AggregateFirstAcrossPoolSizes)
 /**
  * Epilogue census of one fused run: how often each (panel, row) was
  * handed over, and how many calls broke the batch contract or passed
- * a row pointer that is not the row's committed slice.
+ * a row pointer that is not the row's committed slice. A streamed run
+ * (c == nullptr) commits nothing, so only its rows' ids are checked;
+ * its epilogue sees panel-local columns, and the consumer advances
+ * @p panel instead.
  */
 struct RowCensus
 {
     const DenseMatrix *c = nullptr;
     const index_t *scatter = nullptr;
+    index_t n = 0;
     index_t tile = 0;
+    index_t panel = 0;
     mutable std::vector<std::atomic<int>> seen;
     mutable std::atomic<int> bad_counts{0};
     mutable std::atomic<int> bad_rows{0};
@@ -311,17 +316,19 @@ struct RowCensus
         const auto &e = *static_cast<const RowCensus *>(ctx);
         if (count < 1 || count > kEpilogueBatchRows)
             e.bad_counts.fetch_add(1);
-        const index_t n = e.c->rows();
+        const index_t panel = e.c != nullptr ? c_col0 / e.tile : e.panel;
         for (int i = 0; i < count; ++i) {
             const index_t row = rows[i].row;
-            const index_t out = e.scatter != nullptr ? e.scatter[row] : row;
-            if (row < 0 || row >= n || width <= 0 ||
-                rows[i].crow != e.c->row(out) + c_col0) {
+            if (row < 0 || row >= e.n || width <= 0) {
                 e.bad_rows.fetch_add(1);
                 continue;
             }
-            e.seen[static_cast<size_t>((c_col0 / e.tile) * n + row)]
-                .fetch_add(1);
+            const index_t out = e.scatter != nullptr ? e.scatter[row] : row;
+            if (e.c != nullptr && rows[i].crow != e.c->row(out) + c_col0) {
+                e.bad_rows.fetch_add(1);
+                continue;
+            }
+            e.seen[static_cast<size_t>(panel * e.n + row)].fetch_add(1);
         }
     }
 };
@@ -329,8 +336,9 @@ struct RowCensus
 /**
  * Every finished row reaches the epilogue exactly once per panel, in
  * calls of 1..kEpilogueBatchRows rows, whatever the batch fill: the
- * merge-path and hybrid plans, each with and without a reorder
- * scatter, on every pool size, over a schedule with many split rows.
+ * merge-path and hybrid plans, materialized and streamed, each with
+ * and without a reorder scatter, on every pool size, over a schedule
+ * with many split rows.
  */
 TEST(Determinism, EpilogueSeesEveryRowOnce)
 {
@@ -346,40 +354,51 @@ TEST(Determinism, EpilogueSeesEveryRowOnce)
     const index_t *const scatters[] = {nullptr, reversed.data()};
     DenseMatrix xw = random_dense(a.cols(), dim, 51);
     for (const bool hybrid : {false, true})
-        for (const index_t *scatter : scatters)
-            for (unsigned workers : kPoolSizes) {
-                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
-                             (scatter != nullptr ? " scattered" : "") +
-                             " on " + std::to_string(workers) +
-                             " workers");
-                WorkStealPool pool(workers);
-                SpmmLocality loc;
-                loc.tile_d = 16;
-                loc.row_scatter = scatter;
-                FusedLayerPlan plan =
-                    hybrid ? FusedLayerPlan(a, dim,
-                                            borrow_hybrid_schedule(hs), loc)
-                           : FusedLayerPlan(a, dim, borrow_schedule(sched),
-                                            loc);
-                DenseMatrix out(n, dim);
-                RowCensus census;
-                census.c = &out;
-                census.scatter = scatter;
-                census.tile = plan.run_tile();
-                const index_t panels =
-                    (dim + census.tile - 1) / census.tile;
-                census.seen = std::vector<std::atomic<int>>(
-                    static_cast<size_t>(panels * n));
-                plan.run(slice_panel_source(xw), out, pool,
-                         &RowCensus::count, &census);
-                EXPECT_EQ(census.bad_counts.load(), 0);
-                EXPECT_EQ(census.bad_rows.load(), 0);
-                int wrong = 0;
-                for (const std::atomic<int> &s : census.seen)
-                    wrong += s.load() != 1;
-                EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
-                                    << " (panel, row) pairs";
-            }
+        for (const bool streamed : {false, true})
+            for (const index_t *scatter : scatters)
+                for (unsigned workers : kPoolSizes) {
+                    SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
+                                 (streamed ? " streamed" : "") +
+                                 (scatter != nullptr ? " scattered" : "") +
+                                 " on " + std::to_string(workers) +
+                                 " workers");
+                    WorkStealPool pool(workers);
+                    SpmmLocality loc;
+                    loc.tile_d = 16;
+                    loc.row_scatter = scatter;
+                    FusedLayerPlan plan =
+                        hybrid ? FusedLayerPlan(a, dim,
+                                                borrow_hybrid_schedule(hs), loc)
+                               : FusedLayerPlan(a, dim, borrow_schedule(sched),
+                                                loc);
+                    DenseMatrix out(n, dim);
+                    RowCensus census;
+                    census.c = streamed ? nullptr : &out;
+                    census.scatter = scatter;
+                    census.n = n;
+                    census.tile = streamed ? plan.tile() : plan.run_tile();
+                    const index_t panels =
+                        (dim + census.tile - 1) / census.tile;
+                    census.seen = std::vector<std::atomic<int>>(
+                        static_cast<size_t>(panels * n));
+                    if (streamed)
+                        plan.run_streaming(
+                            slice_panel_source(xw),
+                            [&census](index_t col0, index_t width) {
+                                census.panel = (col0 + width) / census.tile;
+                            },
+                            pool, &RowCensus::count, &census);
+                    else
+                        plan.run(slice_panel_source(xw), out, pool,
+                                 &RowCensus::count, &census);
+                    EXPECT_EQ(census.bad_counts.load(), 0);
+                    EXPECT_EQ(census.bad_rows.load(), 0);
+                    int wrong = 0;
+                    for (const std::atomic<int> &s : census.seen)
+                        wrong += s.load() != 1;
+                    EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
+                                        << " (panel, row) pairs";
+                }
 }
 
 } // namespace

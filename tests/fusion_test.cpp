@@ -10,11 +10,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "mps/core/fusion.h"
+#include "mps/core/hybrid.h"
 #include "mps/core/locality.h"
 #include "mps/core/precision.h"
 #include "mps/core/schedule.h"
@@ -66,6 +71,28 @@ expect_bitwise_equal(const DenseMatrix &got, const DenseMatrix &want,
                 << what << " differs at (" << r << ", " << c
                 << "), d=" << dim;
 }
+
+/**
+ * Test sink of a streamed run: ReLU on every finished row, then a copy
+ * into columns [col0, col0 + width) of @p out, where col0 tracks the
+ * panel in flight (the sweep hands panel-local rows).
+ */
+struct ReluSink
+{
+    DenseMatrix *out = nullptr;
+    index_t col0 = 0;
+
+    static void apply(const FinishedRow *rows, int count, index_t c_col0,
+                      index_t width, const void *ctx)
+    {
+        const auto &s = *static_cast<const ReluSink *>(ctx);
+        activation_epilogue(Activation::kRelu)(rows, count, c_col0, width,
+                                               nullptr);
+        for (int i = 0; i < count; ++i)
+            std::copy(rows[i].crow, rows[i].crow + width,
+                      s.out->row(rows[i].row) + s.col0);
+    }
+};
 
 /**
  * 1-thread schedule: every row commits plain, the epilogue fires at
@@ -131,23 +158,165 @@ TEST(FusionBitIdentity, StreamingChainMatchesMaterialized)
     DenseMatrix expect(a.rows(), classes);
     mergepath_spmm_parallel(a, hw2, expect, sched, pool);
 
-    // Fused chain: H1 exists only as streamed 16-wide panels.
+    // Fused chain: H1 exists only as streamed 16-wide panels, which
+    // the test's sink copies out one panel at a time.
     SpmmLocality loc;
     loc.tile_d = 16;
     FusedLayerPlan plan1(a, hidden, borrow_schedule(sched), loc);
     FusedLayerPlan plan2(a, classes, borrow_schedule(sched), loc);
     DenseMatrix hw2_acc(a.rows(), classes);
     hw2_acc.fill(0.0f);
+    DenseMatrix hp(a.rows(), plan1.tile());
+    const ReluSink sink{&hp, 0};
     plan1.run_streaming(
         gemm_panel_source(x, w1, pool),
-        [&](index_t col0, index_t width, const DenseMatrix &hp) {
+        [&](index_t col0, index_t width) {
             dense_gemm_rank_update(hp, width, w2, col0, hw2_acc, pool);
         },
-        pool, activation_epilogue(Activation::kRelu));
+        pool, &ReluSink::apply, &sink);
     expect_bitwise_equal(hw2_acc, hw2, hidden, "rank-updated HW2");
     DenseMatrix got(a.rows(), classes);
     plan2.run(slice_panel_source(hw2_acc), got, pool);
     expect_bitwise_equal(got, expect, classes, "chained logits");
+}
+
+/**
+ * Bit pattern equality, so a -0.0f/+0.0f swap fails too, and a NaN
+ * left in a row the sweep never handed over fails.
+ */
+void
+expect_same_bits(const DenseMatrix &got, const DenseMatrix &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (index_t r = 0; r < got.rows(); ++r)
+        for (index_t c = 0; c < got.cols(); ++c)
+            ASSERT_EQ(std::bit_cast<uint32_t>(got(r, c)),
+                      std::bit_cast<uint32_t>(want(r, c)))
+                << what << " differs at (" << r << ", " << c
+                << "): " << got(r, c) << " vs " << want(r, c);
+}
+
+/**
+ * Power-law hubs (many split rows on a fine schedule) with every
+ * seventh row emptied, so the sweep also hands over rows that gather
+ * nothing.
+ */
+CsrMatrix
+empty_and_hub_rows_graph()
+{
+    PowerLawParams p;
+    p.nodes = 1200;
+    p.target_nnz = 12000;
+    p.max_degree = 600;
+    p.seed = 43;
+    const CsrMatrix full = power_law_graph(p);
+    std::vector<index_t> row_ptr{0};
+    std::vector<index_t> cols;
+    std::vector<value_t> vals;
+    for (index_t r = 0; r < full.rows(); ++r) {
+        if (r % 7 != 3)
+            for (index_t k = full.row_begin(r); k < full.row_end(r); ++k) {
+                cols.push_back(full.col_idx()[k]);
+                vals.push_back(full.values()[k]);
+            }
+        row_ptr.push_back(static_cast<index_t>(cols.size()));
+    }
+    return CsrMatrix(full.rows(), full.cols(), std::move(row_ptr),
+                     std::move(cols), std::move(vals));
+}
+
+/**
+ * A streamed run materializes nothing: each finished row goes from the
+ * sweep's register row through the executor's staging tile to the
+ * epilogue, and the first part of each split row waits in the head
+ * panel for the carry fix-up. The rank update (the first panel stores,
+ * later ones add) and the aggregate-first fold (one panel, stored)
+ * must equal run() followed by a separate dense_gemm_rank_update bit
+ * for bit. Their destinations start as NaN, so a row the sweep never
+ * hands over, or a first panel that adds instead of storing, shows.
+ * Covers: a graph with empty rows and hub rows split across a
+ * 97-thread merge-path schedule and a cost-40 hybrid schedule, panel
+ * width 16 (four panels for the rank update) and one full-width panel,
+ * on pools of 1, 2 and 4 workers.
+ */
+TEST(FusionBitIdentity, StreamingSinkMatchesMaterialized)
+{
+    const CsrMatrix a = empty_and_hub_rows_graph();
+    const MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    const HybridSchedule hs = HybridSchedule::build(a, 40);
+    ASSERT_FALSE(sched.split_row_list(a).empty());
+    ASSERT_FALSE(hs.split_row_list(a).empty());
+    ASSERT_EQ(a.row_begin(3), a.row_end(3));
+    const index_t n = a.rows(), f = 16, hidden = 64, classes = 24;
+    const DenseMatrix x = random_dense(n, f, 81);
+    const DenseMatrix w1 = random_dense(f, hidden, 82);
+    const DenseMatrix w2 = random_dense(hidden, classes, 83);
+    const DenseMatrix xw1 = [&] {
+        WorkStealPool pool(2);
+        DenseMatrix xw(n, hidden);
+        dense_gemm(x, w1, xw, pool);
+        return xw;
+    }();
+    const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+
+    for (const bool hybrid : {false, true})
+        for (const index_t tile : {index_t{16}, index_t{0}})
+            for (const unsigned workers : {1u, 2u, 4u}) {
+                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
+                             (tile > 0 ? ", 16-wide panels" : ", one panel") +
+                             " on " + std::to_string(workers) + " workers");
+                WorkStealPool pool(workers);
+                SpmmLocality loc;
+                loc.tile_d = tile;
+                const auto plan = [&](index_t dim) {
+                    return hybrid ? FusedLayerPlan(
+                                        a, dim, borrow_hybrid_schedule(hs),
+                                        loc)
+                                  : FusedLayerPlan(a, dim,
+                                                   borrow_schedule(sched),
+                                                   loc);
+                };
+
+                // Rank update: relu(A * XW1) * W2.
+                FusedLayerPlan wide = plan(hidden);
+                ASSERT_EQ(wide.tile(), tile > 0 ? tile : hidden);
+                DenseMatrix h(n, hidden), want(n, classes);
+                wide.run(slice_panel_source(xw1), h, pool,
+                         activation_epilogue(Activation::kRelu));
+                want.fill(0.0f);
+                dense_gemm_rank_update(h, hidden, w2, 0, want, pool);
+                DenseMatrix got(n, classes);
+                got.fill(nan);
+                RankUpdateEpilogue rank = make_rank_update_epilogue(
+                    Activation::kRelu, w2, got, nullptr);
+                wide.run_streaming(
+                    slice_panel_source(xw1),
+                    [&rank](index_t col0, index_t width) {
+                        rank.w_row0 = col0 + width;
+                    },
+                    pool, &RankUpdateEpilogue::apply, &rank);
+                expect_same_bits(got, want, "streamed rank update");
+
+                // Fold: relu((A * X) * W1) * W2, aggregated first.
+                FusedLayerPlan narrow = plan(f);
+                ASSERT_EQ(narrow.tile(), f);
+                DenseMatrix ax(n, f), h_fold(n, hidden), want_fold(n, classes);
+                narrow.run(slice_panel_source(x), ax, pool);
+                dense_gemm(ax, w1, h_fold, pool);
+                apply_activation(h_fold, Activation::kRelu);
+                want_fold.fill(0.0f);
+                dense_gemm_rank_update(h_fold, hidden, w2, 0, want_fold,
+                                       pool);
+                DenseMatrix got_fold(n, classes);
+                got_fold.fill(nan);
+                const CombineEpilogue fold = make_combine_epilogue(
+                    Activation::kRelu, w1, got_fold, &w2, nullptr);
+                narrow.run_streaming(slice_panel_source(x), {}, pool,
+                                     &CombineEpilogue::apply, &fold);
+                expect_same_bits(got_fold, want_fold, "streamed fold");
+            }
 }
 
 /**

@@ -398,6 +398,35 @@ TEST(GcnModel, NewGraphInvalidatesOfflineCache)
     EXPECT_EQ(s.schedule_seconds, 0.0);
 }
 
+/**
+ * Switching a model's precision between forwards never gathers a
+ * shadow encoded for the previous precision: the layer-0 GEMM buffer
+ * and the layer handoff are rewritten every forward, so f32 after bf16
+ * equals a fresh f32 model, and bf16 after f32 equals the first bf16
+ * forward, bit for bit. Covers: a 32-32-8 model (both layers combine
+ * first: layer 0 gathers its GEMM panel buffer, layer 1 the
+ * rank-updated handoff) on a 2-worker pool.
+ */
+TEST(GcnModel, PrecisionSwitchReencodesRewrittenOperands)
+{
+    WorkStealPool pool(2);
+    CsrMatrix a = erdos_renyi_graph(300, 2400, 21);
+    a.normalize_gcn();
+    DenseMatrix x = random_dense(300, 32, 22);
+    GcnModel fresh = GcnModel::two_layer(32, 32, 8, 5);
+    fresh.set_precision(StorageMode::kF32);
+    const DenseMatrix want_f32 = fresh.infer(a, x, pool);
+
+    GcnModel model = GcnModel::two_layer(32, 32, 8, 5);
+    model.set_precision(StorageMode::kBf16);
+    const DenseMatrix want_bf16 = model.infer(a, x, pool);
+    ASSERT_GT(want_bf16.max_abs_diff(want_f32), 0.0) << "bf16 never ran";
+    model.set_precision(StorageMode::kF32);
+    expect_bitwise(model.infer(a, x, pool), want_f32, "f32 after bf16");
+    model.set_precision(StorageMode::kBf16);
+    expect_bitwise(model.infer(a, x, pool), want_bf16, "bf16 after f32");
+}
+
 TEST(GcnModelDeathTest, MismatchedLayerWidths)
 {
     GcnModel model("reference");

@@ -439,6 +439,28 @@ TEST_P(FuzzTest, DynamicSpmmMatchesMaterializedCsr)
 }
 
 /**
+ * Test sink of a streamed run: ReLU on every finished row, then a copy
+ * into columns [col0, col0 + width) of @p out, where col0 tracks the
+ * panel in flight (the sweep hands panel-local rows).
+ */
+struct ReluSink
+{
+    DenseMatrix *out = nullptr;
+    index_t col0 = 0;
+
+    static void apply(const FinishedRow *rows, int count, index_t c_col0,
+                      index_t width, const void *ctx)
+    {
+        const auto &s = *static_cast<const ReluSink *>(ctx);
+        activation_epilogue(Activation::kRelu)(rows, count, c_col0, width,
+                                               nullptr);
+        for (int i = 0; i < count; ++i)
+            std::copy(rows[i].crow, rows[i].crow + width,
+                      s.out->row(rows[i].row) + s.col0);
+    }
+};
+
+/**
  * Fused-vs-unfused differential fuzz: random strict graphs, random
  * panel widths (including misaligned ones), random thread counts.
  * Integer-valued operands make every partial sum exact, so misaligned
@@ -476,17 +498,16 @@ TEST_P(FuzzTest, FusedForwardMatchesUnfused)
         expect_bitwise_equal(got, expect, GetParam(), iter,
                              "fused forward");
 
-        // Streaming mode re-derives the same panels.
+        // Streaming mode re-derives the same panels, row by row.
         DenseMatrix streamed(a.rows(), dim);
         streamed.fill(-1.0f);
+        ReluSink sink{&streamed, 0};
         plan.run_streaming(
             gemm_panel_source(x, w, pool),
-            [&](index_t col0, index_t width, const DenseMatrix &hp) {
-                for (index_t r = 0; r < a.rows(); ++r)
-                    for (index_t c = 0; c < width; ++c)
-                        streamed(r, col0 + c) = hp(r, c);
+            [&sink](index_t col0, index_t width) {
+                sink.col0 = col0 + width;
             },
-            pool, activation_epilogue(Activation::kRelu));
+            pool, &ReluSink::apply, &sink);
         expect_bitwise_equal(streamed, expect, GetParam(), iter,
                              "fused streaming");
     }

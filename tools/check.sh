@@ -21,10 +21,14 @@
 # A no-tile stage reruns the release SpMM/locality tests with the
 # cache-locality layer disabled (MPS_TILE_D=inf MPS_PREFETCH=0),
 # proving column tiling and software prefetch are behavior-neutral.
-# A narrow-tile stage reruns the serve tests with MPS_TILE_D=16: their
-# models are 6 columns wide per request, so a 16-wide panel starts in
-# the middle of a request's column block of the batch's wide layout,
-# which the auto width (one full panel on the test graphs) never does.
+# A narrow-tile stage reruns the serve, fusion, determinism and model
+# tests with MPS_TILE_D=16. The serve models are 6 columns wide per
+# request, so a 16-wide panel starts in the middle of a request's
+# column block of the batch's wide layout, which the auto width (one
+# full panel on the test graphs) never does. The model and fusion
+# tests then stream their combine-first layers in several panels: the
+# rank update's first panel stores and later panels add, and split
+# rows wait in the compact head panel across every panel barrier.
 # A no-fuse stage reruns the GCN/fusion-routed tests with MPS_FUSE=0,
 # proving the fused panel-streaming pipeline is opt-out clean: the
 # classic GEMM -> XW -> SpMM execution (and, for widening layers, the
@@ -134,9 +138,10 @@ echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
     MPS_TILE_D=inf MPS_PREFETCH=0 ctest --output-on-failure -j "$jobs" \
     -R 'Spmm|Locality|Tiled|Reordered|Adaptive|Gcn|Serve' "$@")
 
-echo "==> ctest build-narrowtile (MPS_TILE_D=16, serve)"
+echo "==> ctest build-narrowtile (MPS_TILE_D=16)"
 (cd "$root/build-release" && \
-    MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" -R 'Serve' "$@")
+    MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" \
+    -R 'Serve|Fusion|Determinism|GcnModel' "$@")
 
 echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 (cd "$root/build-release" && \
