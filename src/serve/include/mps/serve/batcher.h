@@ -1,12 +1,17 @@
 /**
  * @file
  * Request coalescing. The Batcher holds requests the dispatcher has
- * drained from the ingress queue, grouped by graph id, and releases a
- * group as one batch when it reaches max_batch requests or its oldest
- * member has waited max_delay_us. One batch becomes one wide SpMM per
- * layer (feature columns concatenated), which is where batching pays:
- * the sparse traversal of A is amortized over every request in the
- * batch.
+ * drained from the ingress queue, grouped by graph id. One batch
+ * becomes one wide SpMM per layer (feature columns concatenated),
+ * which is where batching pays: the sparse traversal of A is
+ * amortized over every request in the batch.
+ *
+ * The server's dispatch is work-conserving: while a worker is idle it
+ * takes the oldest group at once (take_any), whatever its size, so an
+ * idle worker never waits for batch-mates. Only while every worker is
+ * busy does the release rule apply (take_ready): a group leaves
+ * when it reaches max_batch requests or its oldest member has waited
+ * max_delay_us, so the next batch forms while the current ones run.
  *
  * The Batcher is deliberately thread-free (the dispatcher is its only
  * caller) so the coalescing policy is unit-testable without timing.
@@ -29,8 +34,10 @@ struct BatchPolicy
     /** Most requests coalesced into one batch (>= 1). */
     int max_batch = 8;
     /**
-     * Longest a request may wait for batch-mates before dispatching a
-     * partial batch, in microseconds. 0 dispatches immediately.
+     * Longest a request may wait for batch-mates while every worker is
+     * busy, in microseconds; a partial batch is released then. An idle
+     * worker never waits: it takes the oldest group at once. 0
+     * releases every group as soon as the dispatcher sees it.
      */
     int64_t max_delay_us = 200;
 };

@@ -6,6 +6,15 @@
  *            --> Batcher (coalesce per graph) --> worker pool
  *            --> batched layer execution against cached schedules
  *
+ * Dispatch is work-conserving. The dispatcher counts idle workers;
+ * while one is idle it hands that worker the oldest pending group at
+ * once, whatever its size, so a lone request never waits for
+ * batch-mates. Only while every worker is busy do groups coalesce,
+ * released when full (BatchPolicy::max_batch) or when their oldest
+ * request has waited BatchPolicy::max_delay_us; a worker that frees
+ * up wakes the dispatcher and takes the oldest held group at once.
+ * DESIGN.md §6 has the measurements behind this policy.
+ *
  * A registered graph owns its adjacency matrix, its GCN layer stack
  * and (through the ScheduleCache) its merge-path schedules. Workers
  * execute a batch of k requests — k = 1 included — as one fused
@@ -39,8 +48,13 @@
  *  serve.batch.exec_ms / serve.request.wait_ms (timers),
  *  serve.request.latency_ms (histogram; full latency distribution,
  *  quantiles exported), serve.requests.{submitted,completed,rejected,
- *  timed_out} + serve.batches (counters), and
- *  serve.latency.p50_ms/.p95_ms/.p99_ms gauges published on shutdown.
+ *  timed_out} + serve.batches (counters), serve.batches.{idle,full,
+ *  expired} (counters, one per release reason: an idle worker took
+ *  it, it filled, or it waited out max_delay_us; the shutdown drain's
+ *  batches count in none of them), serve.updates.rejected (counter,
+ *  malformed edge deltas), serve.workers.idle (gauge, set by
+ *  publish_telemetry), and serve.latency.p50_ms/.p95_ms/.p99_ms
+ *  gauges published on shutdown.
  * The server additionally owns a private latency histogram so stats()
  * reports exact counts and quantiles even while the registry is
  * disabled.
@@ -58,9 +72,11 @@
 #ifndef MPS_SERVE_SERVER_H
 #define MPS_SERVE_SERVER_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -238,8 +254,13 @@ class Server
      * rebuilds the plan lazily (reorder.plan_rebuilds counter) instead
      * of losing the reordering forever.
      *
-     * @return false when @p graph_id was never registered or the
-     *         server is shutting down.
+     * A delta is validated before anything is copied: every upsert and
+     * remove must name a row and column inside the graph, and every
+     * upsert value must be finite. A malformed delta leaves the graph
+     * untouched, logs the reason and counts serve.updates.rejected.
+     *
+     * @return false when @p graph_id was never registered, the server
+     *         is shutting down, or @p delta is malformed.
      */
     bool update_graph(uint64_t graph_id, const GraphDelta &delta);
 
@@ -276,9 +297,10 @@ class Server
     ServerStats stats() const;
 
     /**
-     * Publish the derived telemetry gauges (serve.queue.depth, the
-     * pool's imbalance gauges) into the global registry. Runs before
-     * every /metrics scrape; safe to call any time.
+     * Publish the derived telemetry gauges (serve.queue.depth,
+     * serve.workers.idle, the pool's imbalance gauges) into the global
+     * registry. Runs before every /metrics scrape; safe to call any
+     * time.
      */
     void publish_telemetry();
 
@@ -349,9 +371,12 @@ class Server
     resolve_reorder_plan(const GraphContext &graph);
     /**
      * Pins the graph snapshot @p requests (all for one graph) execute
-     * against and queues them as one batch for the workers.
+     * against and queues them as one batch for the workers, taking one
+     * from the idle-worker count. @p reason names the release-reason
+     * counter (serve.batches.*) to bump, nullptr for none.
      */
-    void hand_to_workers(std::vector<RequestPtr> requests);
+    void hand_to_workers(std::vector<RequestPtr> requests,
+                         const char *reason);
     void drain_queue_into_batcher(int64_t now_us);
     void record_completion(double latency_ms);
     int64_t now_us() const
@@ -394,6 +419,16 @@ class Server
     std::condition_variable batches_cv_;
     std::deque<Batch> ready_batches_;
     bool batches_closed_ = false;
+    /**
+     * Workers waiting for a batch minus batches queued for them: a
+     * worker adds one each time it goes idle, hand_to_workers() takes
+     * one. Negative while released batches outnumber waiting workers.
+     */
+    std::atomic<int> idle_workers_{0};
+
+    /** Test-only: runs on a worker before each batch it executes. */
+    std::function<void()> before_batch_hook_;
+    friend class ServerTestPeer;
 
     std::thread dispatcher_;
     std::vector<std::thread> workers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <sstream>
@@ -79,6 +80,36 @@ summary_from_histogram(const HistogramSnapshot &h)
     s.p95 = h.quantile(0.95);
     s.p99 = h.quantile(0.99);
     return s;
+}
+
+/**
+ * Why @p delta cannot apply to an n x n graph, or "" when it can:
+ * every edge must lie inside the graph and every upserted value must
+ * be finite. DeltaCsr::apply() checks the same bounds as an internal
+ * invariant, so a delta from a caller is screened here first.
+ */
+std::string
+delta_error(const GraphDelta &delta, index_t n)
+{
+    const auto in_range = [n](const EdgeUpdate &e) {
+        return e.row >= 0 && e.row < n && e.col >= 0 && e.col < n;
+    };
+    const auto edge = [](const char *kind, const EdgeUpdate &e) {
+        return std::string(kind) + " (" + std::to_string(e.row) + ", " +
+               std::to_string(e.col) + ")";
+    };
+    for (const EdgeUpdate &e : delta.upserts) {
+        if (!in_range(e))
+            return edge("upsert", e) + " is outside the " +
+                   std::to_string(n) + "-node graph";
+        if (!std::isfinite(e.value))
+            return edge("upsert", e) + " has a non-finite value";
+    }
+    for (const EdgeUpdate &e : delta.removes)
+        if (!in_range(e))
+            return edge("remove", e) + " is outside the " +
+                   std::to_string(n) + "-node graph";
+    return {};
 }
 
 } // namespace
@@ -174,6 +205,15 @@ Server::update_graph(uint64_t graph_id, const GraphDelta &delta)
         if (it == graphs_.end())
             return false;
         old_ctx = it->second;
+    }
+    const std::string error =
+        delta_error(delta, old_ctx->adjacency().rows());
+    if (!error.empty()) {
+        warn("graph " + std::to_string(graph_id) +
+             ": rejected edge delta: " + error);
+        if (metrics.enabled())
+            metrics.counter_add("serve.updates.rejected");
+        return false;
     }
 
     auto ctx = std::make_shared<GraphContext>();
@@ -384,6 +424,16 @@ void
 Server::worker_loop(WorkStealPool &pool)
 {
     for (;;) {
+        // Going idle: count in and wake the dispatcher, so a group held
+        // while every worker was busy leaves now. Counting in under
+        // wake_mutex_ pairs with the dispatcher's checked wait, so the
+        // wakeup cannot be lost.
+        {
+            std::lock_guard<std::mutex> lk(wake_mutex_);
+            ++idle_workers_;
+        }
+        work_cv_.notify_one();
+
         Batch batch;
         {
             std::unique_lock<std::mutex> lk(batches_mutex_);
@@ -395,6 +445,8 @@ Server::worker_loop(WorkStealPool &pool)
             batch = std::move(ready_batches_.front());
             ready_batches_.pop_front();
         }
+        if (before_batch_hook_)
+            before_batch_hook_();
         execute_batch(std::move(batch), pool);
     }
 }
@@ -430,8 +482,12 @@ Server::drain_queue_into_batcher(int64_t now_us_val)
 }
 
 void
-Server::hand_to_workers(std::vector<RequestPtr> requests)
+Server::hand_to_workers(std::vector<RequestPtr> requests,
+                        const char *reason)
 {
+    auto &metrics = MetricsRegistry::global();
+    if (reason != nullptr && metrics.enabled())
+        metrics.counter_add(reason);
     Batch batch;
     batch.requests = std::move(requests);
     {
@@ -452,6 +508,7 @@ Server::hand_to_workers(std::vector<RequestPtr> requests)
             trace.record_flow(kRequestFlow, "serve", 't',
                               req->request_id);
     }
+    --idle_workers_;
     {
         std::lock_guard<std::mutex> lk(batches_mutex_);
         ready_batches_.push_back(std::move(batch));
@@ -466,11 +523,23 @@ Server::dispatcher_loop()
         int64_t now = now_us();
         drain_queue_into_batcher(now);
 
+        // Work-conserving: an idle worker takes the oldest group at
+        // once, whatever its size. Holding a request back buys nothing
+        // while a worker sits idle.
+        while (batcher_.pending() > 0 && idle_workers_ > 0)
+            hand_to_workers(batcher_.take_any(), "serve.batches.idle");
+
+        // Every worker busy: groups coalesce until full or expired.
+        const auto max_batch =
+            static_cast<size_t>(batcher_.policy().max_batch);
         for (;;) {
             std::vector<RequestPtr> ready = batcher_.take_ready(now);
             if (ready.empty())
                 break;
-            hand_to_workers(std::move(ready));
+            const char *reason = ready.size() >= max_batch
+                                     ? "serve.batches.full"
+                                     : "serve.batches.expired";
+            hand_to_workers(std::move(ready), reason);
         }
 
         if (stopping_.load(std::memory_order_acquire)) {
@@ -479,19 +548,21 @@ Server::dispatcher_loop()
                 std::vector<RequestPtr> rest = batcher_.take_any();
                 if (rest.empty())
                     break;
-                hand_to_workers(std::move(rest));
+                hand_to_workers(std::move(rest), nullptr);
             }
             if (queue_.empty_approx() && batcher_.pending() == 0)
                 break;
             continue; // a racing push landed: loop once more
         }
 
-        // Sleep until new work arrives or the earliest batching
-        // deadline. The check under wake_mutex_ pairs with submit()'s
-        // empty critical section so no wakeup is lost.
+        // Sleep until new work arrives, a worker goes idle with work
+        // pending, or the earliest batching deadline. The check under
+        // wake_mutex_ pairs with submit()'s empty critical section and
+        // worker_loop()'s count-in, so no wakeup is lost.
         std::unique_lock<std::mutex> lk(wake_mutex_);
         if (!queue_.empty_approx() ||
-            stopping_.load(std::memory_order_acquire))
+            stopping_.load(std::memory_order_acquire) ||
+            (batcher_.pending() > 0 && idle_workers_ > 0))
             continue;
         if (batcher_.pending() == 0) {
             work_cv_.wait_for(lk, std::chrono::milliseconds(10));
@@ -765,6 +836,9 @@ Server::publish_telemetry()
         return;
     metrics.gauge_set("serve.queue.depth",
                       static_cast<double>(queue_.size_approx()));
+    metrics.gauge_set(
+        "serve.workers.idle",
+        static_cast<double>(std::max(0, idle_workers_.load())));
     {
         // Per-graph overlay pressure, labeled per OpenMetrics family
         // conventions (split into family + labels by the exporter).

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -27,7 +31,114 @@
 
 namespace mps {
 namespace serve {
+
+/** Test-only access to a Server's dispatch internals. */
+class ServerTestPeer
+{
+  public:
+    /** Install a hook each worker runs before a batch; before start(). */
+    static void
+    set_before_batch_hook(Server &server, std::function<void()> hook)
+    {
+        server.before_batch_hook_ = std::move(hook);
+    }
+
+    /** True once the dispatcher has drained the ingress queue. */
+    static bool
+    ingress_empty(const Server &server)
+    {
+        return server.queue_.empty_approx();
+    }
+};
+
 namespace {
+
+/**
+ * While closed, parks every worker that starts a batch inside the
+ * server's before-batch hook, so a test can hold all workers busy.
+ */
+class WorkerGate
+{
+  public:
+    std::function<void()>
+    hook()
+    {
+        return [this] {
+            std::unique_lock<std::mutex> lk(mutex_);
+            if (!closed_)
+                return;
+            ++held_;
+            cv_.notify_all();
+            cv_.wait(lk, [this] { return !closed_; });
+            --held_;
+        };
+    }
+
+    void
+    close()
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        closed_ = true;
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            closed_ = false;
+        }
+        cv_.notify_all();
+    }
+
+    /** Block until @p n workers are parked. */
+    void
+    wait_held(int n)
+    {
+        std::unique_lock<std::mutex> lk(mutex_);
+        cv_.wait(lk, [&] { return held_ >= n; });
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool closed_ = false;
+    int held_ = 0;
+};
+
+/** Poll @p done every millisecond; false if it stays false for 10 s. */
+template <typename Pred>
+bool
+eventually(Pred done)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/**
+ * Close @p gate and park every worker of @p server on a request of its
+ * own, one at a time, so each worker holds exactly one. Returns the
+ * holders' futures; they resolve once the gate opens.
+ */
+std::vector<std::future<InferenceResult>>
+hold_every_worker(Server &server, WorkerGate &gate, uint64_t gid,
+                  const DenseMatrix &features)
+{
+    gate.close();
+    std::vector<std::future<InferenceResult>> holders;
+    const int workers = static_cast<int>(server.config().num_workers);
+    for (int i = 0; i < workers; ++i) {
+        holders.push_back(server.submit(gid, features));
+        gate.wait_held(i + 1);
+    }
+    return holders;
+}
 
 RequestPtr
 make_request(uint64_t graph_id)
@@ -401,22 +512,154 @@ TEST_F(ServerFixture, ConcurrentClientsAllComplete)
     EXPECT_GT(stats.latency_ms.p99, 0.0);
 }
 
+TEST_F(ServerFixture, IdleWorkerDispatchesAtOnce)
+{
+    ServeConfig cfg;
+    cfg.batch.max_delay_us = 10000000; // a held request would wait 10 s
+    Server server(cfg);
+    uint64_t gid = server.register_graph(graph_, layers_);
+    for (int i = 0; i < 3; ++i) {
+        Timer wall;
+        InferenceResult r = server.infer(gid, features_);
+        ASSERT_EQ(r.status, RequestStatus::kOk) << r.message;
+        EXPECT_EQ(r.batch_size, 1);
+        EXPECT_LT(wall.elapsed_ms(), 1000.0);
+        EXPECT_TRUE(r.output.approx_equal(reference_forward(features_)));
+    }
+}
+
+/**
+ * With every worker held busy, k requests coalesce into one batch of k:
+ * k = max_batch leaves as a full group while the workers are still
+ * held, a smaller k leaves the moment a worker frees up, long before
+ * max_delay_us.
+ */
+TEST_F(ServerFixture, BusyWorkersCoalesce)
+{
+    constexpr int kMaxBatch = 8;
+    for (const int k : {3, kMaxBatch}) {
+        SCOPED_TRACE(::testing::Message() << "k = " << k);
+        WorkerGate gate;
+        ServeConfig cfg;
+        cfg.batch.max_batch = kMaxBatch;
+        cfg.batch.max_delay_us = 10000000;
+        cfg.autostart = false;
+        Server server(cfg);
+        ServerTestPeer::set_before_batch_hook(server, gate.hook());
+        server.start();
+        uint64_t gid = server.register_graph(graph_, layers_);
+
+        auto holders = hold_every_worker(server, gate, gid, features_);
+        std::vector<std::future<InferenceResult>> futures;
+        for (int i = 0; i < k; ++i)
+            futures.push_back(server.submit(gid, features_));
+        // EXPECT, not ASSERT: returning with the gate closed would
+        // leave shutdown() joining parked workers.
+        EXPECT_TRUE(eventually(
+            [&] { return ServerTestPeer::ingress_empty(server); }));
+        Timer since_open;
+        gate.open();
+
+        for (auto &f : holders)
+            EXPECT_EQ(f.get().batch_size, 1);
+        for (auto &f : futures) {
+            InferenceResult r = f.get();
+            ASSERT_EQ(r.status, RequestStatus::kOk) << r.message;
+            EXPECT_EQ(r.batch_size, k);
+        }
+        // The freed worker takes the held group; nobody waits 10 s.
+        EXPECT_LT(since_open.elapsed_ms(), 1000.0);
+        const ServerStats stats = server.stats();
+        EXPECT_EQ(stats.batches,
+                  static_cast<int64_t>(cfg.num_workers) + 1);
+        EXPECT_EQ(stats.max_batch_size, k);
+    }
+}
+
+TEST_F(ServerFixture, UpdateGraphRejectsMalformedDelta)
+{
+    MetricsRegistry &m = MetricsRegistry::global();
+    m.reset();
+    m.set_enabled(true);
+    Server server;
+    uint64_t gid = server.register_graph(graph_, layers_);
+    const index_t nnz = server.graph_nnz(gid);
+    const index_t n = graph_.rows();
+
+    // Each bad delta also carries a valid upsert: nothing may land.
+    const EdgeUpdate good{1, 2, 0.5f};
+    GraphDelta negative_row, column_past_end, nan_value;
+    negative_row.upserts = {good, {-1, 0, 1.0f}};
+    column_past_end.upserts = {good};
+    column_past_end.removes = {{0, n, 0.0f}};
+    nan_value.upserts = {good, {3, 4, std::nanf("")}};
+    for (const GraphDelta *bad :
+         {&negative_row, &column_past_end, &nan_value}) {
+        EXPECT_FALSE(server.update_graph(gid, *bad));
+        EXPECT_EQ(server.graph_nnz(gid), nnz);
+        EXPECT_EQ(server.graph_delta_fraction(gid), 0.0);
+        InferenceResult r = server.infer(gid, features_);
+        ASSERT_EQ(r.status, RequestStatus::kOk) << r.message;
+        EXPECT_TRUE(r.output.approx_equal(reference_forward(features_)));
+    }
+    EXPECT_EQ(server.stats().graph_updates, 0);
+    m.set_enabled(false);
+    EXPECT_EQ(m.counter_value("serve.updates.rejected"), 3);
+    m.reset();
+}
+
 TEST_F(ServerFixture, MetricsInstrumentTheServePath)
 {
     MetricsRegistry &m = MetricsRegistry::global();
     m.reset();
     m.set_enabled(true);
+    const auto workers_idle = [&](Server &server, int n) {
+        return eventually([&] {
+            server.publish_telemetry();
+            return m.gauge_value("serve.workers.idle") == n;
+        });
+    };
     {
         Server server;
         uint64_t gid = server.register_graph(graph_, layers_);
-        for (int i = 0; i < 3; ++i)
+        for (int i = 0; i < 3; ++i) {
+            ASSERT_TRUE(workers_idle(server, 2));
             EXPECT_TRUE(server.infer(gid, features_).ok());
+        }
         server.shutdown();
     }
+    // Busy releases, both workers held: at max_delay_us = 10 s a pair
+    // fills its group; at max_delay_us = 0 a lone request expires.
+    for (const int64_t delay_us : {int64_t{10000000}, int64_t{0}}) {
+        const char *reason =
+            delay_us > 0 ? "serve.batches.full" : "serve.batches.expired";
+        SCOPED_TRACE(reason);
+        WorkerGate gate;
+        ServeConfig cfg;
+        cfg.batch.max_batch = 2;
+        cfg.batch.max_delay_us = delay_us;
+        cfg.autostart = false;
+        Server server(cfg);
+        ServerTestPeer::set_before_batch_hook(server, gate.hook());
+        server.start();
+        uint64_t gid = server.register_graph(graph_, layers_);
+        ASSERT_TRUE(workers_idle(server, 2));
+        auto futures = hold_every_worker(server, gate, gid, features_);
+        for (int i = delay_us > 0 ? 2 : 1; i > 0; --i)
+            futures.push_back(server.submit(gid, features_));
+        EXPECT_TRUE(
+            eventually([&] { return m.counter_value(reason) == 1; }));
+        gate.open();
+        for (auto &f : futures)
+            EXPECT_TRUE(f.get().ok());
+    }
     m.set_enabled(false);
-    EXPECT_EQ(m.counter_value("serve.requests.submitted"), 3);
-    EXPECT_EQ(m.counter_value("serve.requests.completed"), 3);
-    EXPECT_GE(m.counter_value("serve.batches"), 1);
+    EXPECT_EQ(m.counter_value("serve.requests.submitted"), 10);
+    EXPECT_EQ(m.counter_value("serve.requests.completed"), 10);
+    EXPECT_EQ(m.counter_value("serve.batches"), 9);
+    EXPECT_EQ(m.counter_value("serve.batches.idle"), 7);
+    EXPECT_EQ(m.counter_value("serve.batches.full"), 1);
+    EXPECT_EQ(m.counter_value("serve.batches.expired"), 1);
     EXPECT_GE(m.timer_value("serve.batch.size").count, 1);
     const MetricSnapshot lat =
         m.histogram_value("serve.request.latency_ms");

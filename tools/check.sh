@@ -16,8 +16,10 @@
 # instantiation of the GEMM tile and the register-row gathers, which an
 # AVX-512 host otherwise never executes.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
-# bit-identity, pool-size determinism, pool stress) 20 times in a row,
-# so an order-dependent result rarely passes by luck.
+# bit-identity, pool-size determinism, pool stress) and the serve
+# dispatch tests (batcher policy, server lifecycle, idle-worker
+# dispatch and busy-worker coalescing) 20 times in a row, so an
+# order-dependent result or a lost wakeup rarely passes by luck.
 # A no-tile stage reruns the release SpMM/locality tests with the
 # cache-locality layer disabled (MPS_TILE_D=inf MPS_PREFETCH=0),
 # proving column tiling and software prefetch are behavior-neutral.
@@ -67,9 +69,10 @@ cmake --build "$root/build-release" -j "$jobs"
 echo "==> ctest build-release"
 (cd "$root/build-release" && ctest --output-on-failure -j "$jobs" "$@")
 
-echo "==> ctest build-release x20 (determinism-sensitive tests)"
+echo "==> ctest build-release x20 (determinism-sensitive and dispatch tests)"
 (cd "$root/build-release" && ctest --output-on-failure -j "$jobs" \
-    --repeat until-fail:20 -R 'FuzzTest|Determinism|WorkStealPool' "$@")
+    --repeat until-fail:20 \
+    -R 'FuzzTest|Determinism|WorkStealPool|ServerFixture|Batcher' "$@")
 
 echo "==> configure build-asan"
 cmake -S "$root" -B "$root/build-asan" \
