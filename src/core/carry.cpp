@@ -82,17 +82,15 @@ split_index(const SplitRowList &split, index_t row)
 
 /**
  * run_share's part loop, with the sink decided once per share rather
- * than per row. Materialized, each part goes through @p acc (the
- * paper's T[0,:]/T[1,:] thread-local storage; one buffer suffices
- * because the commits are sequential within a thread) into C; streamed,
- * it is gathered straight where it goes next.
+ * than per row. A row's first part is gathered straight where it goes
+ * next: its row of C (stored, so C needs no zero-fill), or when
+ * streamed the staging tile or its split-row head.
  */
 template <bool kStreamed>
 inline void
 run_parts(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
           const index_t *row_map, index_t t, EpilogueCount *epi_count)
 {
-    value_t *acc = kStreamed ? nullptr : microkernel_scratch(p.width);
     EpilogueBatch batch(p, epi_count);
     const auto part = [&](index_t row, index_t begin, index_t end,
                           bool partial) {
@@ -113,9 +111,8 @@ run_parts(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
             if (!partial)
                 batch.add(dst, id);
         } else {
-            gather(acc);
             value_t *crow = p.out_row(id);
-            p.rk->commit_plain(crow, acc, p.width);
+            gather(crow);
             if (!partial)
                 batch.add(crow, id);
         }

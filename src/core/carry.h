@@ -132,7 +132,8 @@ CarrySlots carry_slots(index_t threads, index_t heads, index_t width);
  * prefetches the B row of the non-zero that many positions ahead.
  *
  * With an output @p c the sweep materializes: a row's first part is
- * plain-committed into C's row, which the caller zero-filled. With
+ * gathered straight into C's row, which is stored, not added to — so
+ * every row of C's panel columns is written and C needs no zero-fill. With
  * c == nullptr it streams: rows reach only @p epi (which is then
  * required), through the executors' staging tiles, and split rows'
  * first parts the head rows of @p carries. @p epi, when non-null,

@@ -143,7 +143,6 @@ FusedLayerPlan::run(const PanelSourceFn &source, DenseMatrix &c,
               "fused output must be ", a_->rows(), "x", dim_);
     ScopedSpan span("spmm.fused", "kernel");
     Timer wall;
-    c.fill(0.0f);
     int64_t panels = 0;
     for (index_t col = 0; col < dim_; col += run_tile_) {
         const index_t width = std::min(run_tile_, dim_ - col);

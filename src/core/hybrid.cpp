@@ -594,7 +594,6 @@ hybrid_spmm_parallel(const CsrMatrix &a, const HybridSchedule &hs,
     ScopedSpan span("spmm.hybrid", "kernel");
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool instrumented = metrics.enabled();
-    c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     const SplitRowList split = hs.split_row_list(a);
@@ -647,7 +646,6 @@ hybrid_spmm_sequential(const CsrMatrix &a, const HybridSchedule &hs,
 {
     check_hybrid_shapes(a, hs, b, 0, &c, 0, b.cols());
     MPS_CHECK(c.cols() == b.cols(), "C must be A.rows x B.cols");
-    c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     const SplitRowList split = hs.split_row_list(a);

@@ -235,7 +235,8 @@ class FusedLayerPlan
 
     /**
      * Materialize C = epi(A * B) where B arrives panel-by-panel from
-     * @p source. C is zero-filled first (commits add). @p epi (if any)
+     * @p source. Every element of C is stored, so C needs no
+     * zero-fill and its old contents never matter. @p epi (if any)
      * is applied exactly once to every output row of every panel: at
      * plain commits inline, to split rows in the carry fix-up after
      * the panel barrier. @p post_sweep (if any) runs after that, per

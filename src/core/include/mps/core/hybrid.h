@@ -245,12 +245,13 @@ HybridSchedule repair_hybrid_schedule(const HybridSchedule &old_hs,
 
 /**
  * One column panel of the two-phase execution (the fused pipeline's
- * entry point): C[:, c_col0:c_col0+width) += A * B[:, b_col0:+width),
+ * entry point): C[:, c_col0:c_col0+width) = A * B[:, b_col0:+width),
  * tail shares + dense chunks submitted as sibling jobs of one
  * parallel_for, then the tail's carry fix-up over @p split
- * (hs.split_row_list(a), reused across panels). The caller zero-fills
- * C's target columns: tail commits add onto them, dense rows store
- * their finished value.
+ * (hs.split_row_list(a), reused across panels). Every row of C's
+ * target columns is stored (dense rows and the first parts of tail
+ * rows; the fix-up adds carries onto split rows), so C needs no
+ * zero-fill.
  * @p epi fires once per finished row with the BASE-matrix row id:
  * inline for dense rows and plain tail commits, in the fix-up for
  * split tail rows. With @p c == nullptr the panel streams, as

@@ -54,6 +54,17 @@
 #define MPS_MICROKERNEL_LANES 1
 #endif
 
+// The bf16 tile GEMM (src/gcn/gemm.cpp) runs on the AMX tiles: it is
+// compiled only where the build targets AMX-TILE, AMX-BF16 and
+// AVX512-BF16 (for its conversions), and runs only where
+// amx_tiles_granted().
+#if !defined(MPS_FORCE_SCALAR) && defined(__AMX_TILE__) &&              \
+    defined(__AMX_BF16__) && defined(__AVX512BF16__)
+#define MPS_AMX_BF16 1
+#else
+#define MPS_AMX_BF16 0
+#endif
+
 namespace mps {
 
 /** Which implementation family a dispatch table uses. */
@@ -92,6 +103,15 @@ MicrokernelPath microkernel_default_path();
  * calls this to show the ISA it runs on.
  */
 void publish_microkernel_gauges();
+
+/**
+ * True when the AMX bf16 tile GEMM is compiled in (MPS_AMX_BF16) and
+ * this host lets the process use the tiles: CPUID leaf 7 reports
+ * AMX-TILE and AMX-BF16, and the kernel granted
+ * arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA). Resolved once
+ * per process; published as the microkernel.amx gauge.
+ */
+bool amx_tiles_granted();
 
 // ---------------------------------------------------------------------
 // Atomic scalar primitives — the single shared definition (previously

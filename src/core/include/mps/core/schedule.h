@@ -122,10 +122,10 @@ struct ScheduleCensusPart
  * The split-row fix-up list of a schedule: every row more than one
  * thread contributes to, with the carries to add into it in thread
  * order. The first part of a split row (the one starting at the row's
- * first non-zero) is plain-stored into the zero-filled output by its
- * thread, since no other thread writes that row during the sweep. Every
- * later part is the head of the thread that continues the row, and
- * thread t parks its head in carry slot t. The fix-up pass then adds
+ * first non-zero) is stored into the output row by its thread, since
+ * no other thread writes that row during the sweep. Every later part
+ * is the head of the thread that continues the row, and thread t parks
+ * its head in carry slot t. The fix-up pass then adds
  * the listed carries onto the stored first part. That order is a
  * property of the schedule alone, so the sums are bit-identical on any
  * pool size.

@@ -128,12 +128,13 @@ using PanelEpilogue = void (*)(const FinishedRow *rows, int count,
 /**
  * The "caller supplies the next B-panel" entry point: ONE merge-path
  * sweep of @p sched computing
- *   C[:, c_col0 : c_col0+width) += A * B[:, b_col0 : b_col0+width)
+ *   C[:, c_col0 : c_col0+width) = A * B[:, b_col0 : b_col0+width)
  * where @p b is typically a freshly written panel buffer (b_col0 = 0)
- * rather than a full-width operand. The caller owns the panel loop,
- * zero-fills C's target columns beforehand (commits add), and reuses
- * one schedule, and its @p split list (sched.split_row_list(a)),
- * across panels exactly like the tiled kernels. @p epi, when non-null,
+ * rather than a full-width operand. Every row of C's target columns
+ * is stored, so C needs no zero-fill. The caller owns the panel loop
+ * and reuses one schedule, and its @p split list
+ * (sched.split_row_list(a)), across panels exactly like the tiled
+ * kernels. @p epi, when non-null,
  * runs once on every finished row, in batches (see PanelEpilogue); with
  * metrics enabled the batches are counted into fusion.epilogue_rows and
  * fusion.epilogue_calls. With @p c == nullptr the sweep streams: no

@@ -20,6 +20,12 @@
 #include <arm_neon.h>
 #endif
 
+#if MPS_AMX_BF16 && defined(__linux__)
+#include <cpuid.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 // The scalar implementations are the portable reference the tests
 // cross-check the SIMD path against. Keep the compiler from
 // auto-vectorizing them, otherwise "scalar vs simd" compares AVX
@@ -1071,9 +1077,41 @@ publish_gauges(MicrokernelPath path)
     metrics.gauge_set("microkernel.vector_width",
                       simd_on ? static_cast<double>(microkernel_vector_width())
                               : 1.0);
+    metrics.gauge_set("microkernel.amx", amx_tiles_granted() ? 1.0 : 0.0);
 }
 
+#if MPS_AMX_BF16 && defined(__linux__)
+bool
+request_amx_tiles()
+{
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0)
+        return false;
+    constexpr unsigned kAmxBf16 = 1u << 22, kAmxTile = 1u << 24;
+    if ((edx & (kAmxBf16 | kAmxTile)) != (kAmxBf16 | kAmxTile))
+        return false;
+    // Linux keeps the 8 KiB tile state off until a process asks for it.
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtiledata = 18;
+    return syscall(SYS_arch_prctl, kArchReqXcompPerm,
+                   kXfeatureXtiledata) == 0;
+}
+#else
+bool
+request_amx_tiles()
+{
+    return false;
+}
+#endif
+
 } // namespace
+
+bool
+amx_tiles_granted()
+{
+    static const bool granted = request_amx_tiles();
+    return granted;
+}
 
 const char *
 microkernel_path_name(MicrokernelPath path)

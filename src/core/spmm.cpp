@@ -69,7 +69,6 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
                           const SpmmLocality &loc)
 {
     check_shapes(a, b, c);
-    c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     MetricsRegistry &metrics = MetricsRegistry::global();
@@ -135,7 +134,6 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                           static_cast<double>(sched.num_threads()));
         metrics.counter_add("spmm.mergepath.runs");
     }
-    c.fill(0.0f);
     const index_t dim = b.cols();
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     const bool instrumented = metrics.enabled();

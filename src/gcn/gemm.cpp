@@ -1,14 +1,22 @@
 #include "mps/gcn/gemm.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "mps/core/microkernel.h"
 #include "mps/core/simd_vec.h"
+#include "mps/sparse/aligned_buffer.h"
 #include "mps/util/log.h"
 #include "mps/util/work_steal_pool.h"
+
+#if MPS_AMX_BF16
+#include <immintrin.h>
+#endif
 
 namespace mps {
 
@@ -215,6 +223,206 @@ gemm_parallel(const GemmBlock &g, WorkStealPool &pool,
         }
     });
 }
+
+/** Live ForceGemmFallback guards (see gemm.h). */
+std::atomic<int> g_forced_fallbacks{0};
+
+#if MPS_AMX_BF16
+
+/**
+ * The bf16 tile product. Each task converts a 32-row block of X to
+ * bf16 once and computes its outputs 32 x 32 at a time: two A tiles
+ * (rows 0-15 and 16-31 of the block, 32 k each), two B tiles (two
+ * 16-column VNNI tiles of W) and four C tiles of fp32 accumulators,
+ * over k in steps of 32. A 16-wide remainder uses one B tile and two C
+ * tiles. Tile numbers: C 0-3, A 4-5, B 6-7.
+ */
+constexpr index_t kTileRows = 16;  ///< rows of every tile, columns of C
+constexpr index_t kTileDepth = 32; ///< bf16 k values in an A-tile row
+constexpr index_t kBlockRows = 2 * kTileRows;
+constexpr index_t kBTileElems = kTileRows * kTileDepth;
+
+/** _tile_loadconfig's 64-byte layout, palette 1: 8 tiles of 16 x 64 B. */
+struct alignas(64) TileConfig
+{
+    uint8_t palette = 1;
+    uint8_t start_row = 0;
+    uint8_t reserved[14] = {};
+    uint16_t colsb[16] = {};
+    uint8_t rows[16] = {};
+
+    TileConfig()
+    {
+        for (int t = 0; t < 8; ++t) {
+            colsb[t] = 64;
+            rows[t] = kTileRows;
+        }
+    }
+};
+
+/**
+ * The tile intrinsics are asm statements that do not tell the compiler
+ * which memory they read: keep buffers written in C++ ordered before
+ * the tile loads that read them.
+ */
+inline void
+tile_memory_fence()
+{
+    __asm__ volatile("" ::: "memory");
+}
+
+/**
+ * W[:, w_col0 : w_col0 + width) rounded to bf16 in _tile_dpbf16ps's B
+ * layout: per 32-deep k block and 16-column tile, one contiguous 1 KiB
+ * tile of 16 rows, row r holding the pairs (w[k0 + 2r][j],
+ * w[k0 + 2r + 1][j]) for the tile's 16 columns j.
+ */
+AlignedVectorB16
+pack_w_vnni(const DenseMatrix &w, index_t w_col0, index_t width)
+{
+    const index_t kblocks = w.rows() / kTileDepth;
+    const index_t ctiles = width / kTileRows;
+    AlignedVectorB16 packed(static_cast<size_t>(kblocks * ctiles) *
+                            kBTileElems);
+    for (index_t kb = 0; kb < kblocks; ++kb)
+        for (index_t ct = 0; ct < ctiles; ++ct) {
+            bf16_t *tile = packed.data() +
+                           static_cast<size_t>(kb * ctiles + ct) *
+                               kBTileElems;
+            for (index_t k = 0; k < kTileDepth; ++k) {
+                const value_t *wrow =
+                    w.row(kb * kTileDepth + k) + w_col0 + ct * kTileRows;
+                for (index_t j = 0; j < kTileRows; ++j)
+                    tile[(k / 2) * kTileDepth + 2 * j + (k % 2)] =
+                        bf16_encode(wrow[j]);
+            }
+        }
+    return packed;
+}
+
+/** One panel's tile product: panel bf16 columns [0, width). */
+struct AmxGemm
+{
+    const DenseMatrix *x;
+    const bf16_t *w_packed; ///< pack_w_vnni of the panel's W columns
+    index_t depth;
+    index_t width;
+    DenseMatrix *panel;
+};
+
+/**
+ * X rows [r0, r0 + 32) rounded to bf16 (row stride depth) into @p xa;
+ * rows at or past n are zero, and their outputs are never stored.
+ */
+void
+load_x_block(const AmxGemm &g, index_t r0, bf16_t *xa)
+{
+    for (index_t i = 0; i < kBlockRows; ++i) {
+        bf16_t *dst = xa + i * g.depth;
+        if (r0 + i >= g.x->rows()) {
+            std::fill(dst, dst + g.depth, bf16_t{0});
+            continue;
+        }
+        const value_t *src = g.x->row(r0 + i);
+        for (index_t k = 0; k < g.depth; k += kTileDepth) {
+            const __m512bh v = _mm512_cvtne2ps_pbh(
+                _mm512_loadu_ps(src + k + 16), _mm512_loadu_ps(src + k));
+            std::memcpy(dst + k, &v, sizeof v);
+        }
+    }
+    tile_memory_fence();
+}
+
+/**
+ * The 32 x 16*kCTiles outputs at column j0 of the block in @p xa, as
+ * fp32 into @p cbuf (32 rows of 32 floats).
+ */
+template <int kCTiles>
+void
+tile_block(const AmxGemm &g, const bf16_t *xa, index_t j0, float *cbuf)
+{
+    const long lda = static_cast<long>(g.depth * sizeof(bf16_t));
+    const index_t ctiles = g.width / kTileRows;
+    _tile_zero(0);
+    _tile_zero(2);
+    if constexpr (kCTiles == 2) {
+        _tile_zero(1);
+        _tile_zero(3);
+    }
+    for (index_t kb = 0; kb < g.depth / kTileDepth; ++kb) {
+        const bf16_t *b = g.w_packed +
+                          static_cast<size_t>(kb * ctiles + j0 / kTileRows) *
+                              kBTileElems;
+        _tile_loadd(4, xa + kb * kTileDepth, lda);
+        _tile_loadd(5, xa + kTileRows * g.depth + kb * kTileDepth, lda);
+        _tile_loadd(6, b, 64);
+        _tile_dpbf16ps(0, 4, 6);
+        _tile_dpbf16ps(2, 5, 6);
+        if constexpr (kCTiles == 2) {
+            _tile_loadd(7, b + kBTileElems, 64);
+            _tile_dpbf16ps(1, 4, 7);
+            _tile_dpbf16ps(3, 5, 7);
+        }
+    }
+    constexpr long ldc = kBlockRows * sizeof(float);
+    _tile_stored(0, cbuf, ldc);
+    _tile_stored(2, cbuf + kTileRows * kBlockRows, ldc);
+    if constexpr (kCTiles == 2) {
+        _tile_stored(1, cbuf + kTileRows, ldc);
+        _tile_stored(3, cbuf + kTileRows * kBlockRows + kTileRows, ldc);
+    }
+}
+
+/** The first @p rows rows of @p cbuf, rounded to bf16, into the panel. */
+template <int kCTiles>
+void
+store_block(const AmxGemm &g, const float *cbuf, index_t r0, index_t rows,
+            index_t j0)
+{
+    for (index_t i = 0; i < rows; ++i) {
+        const float *c = cbuf + i * kBlockRows;
+        bf16_t *dst = g.panel->row_bf16_mut(r0 + i) + j0;
+        if constexpr (kCTiles == 2) {
+            const __m512bh v = _mm512_cvtne2ps_pbh(
+                _mm512_loadu_ps(c + kTileRows), _mm512_loadu_ps(c));
+            std::memcpy(dst, &v, sizeof v);
+        } else {
+            const __m256bh v = _mm512_cvtneps_pbh(_mm512_loadu_ps(c));
+            std::memcpy(dst, &v, sizeof v);
+        }
+    }
+}
+
+/** Blocks [begin, end) of 32 rows, on this thread's tiles. */
+void
+amx_blocks(const AmxGemm &g, uint64_t begin, uint64_t end)
+{
+    thread_local AlignedVectorB16 xa;
+    const auto need = static_cast<size_t>(kBlockRows * g.depth);
+    if (xa.size() < need)
+        xa.resize(need);
+    alignas(64) float cbuf[kBlockRows * kBlockRows];
+    const TileConfig cfg;
+    tile_memory_fence();
+    _tile_loadconfig(&cfg);
+    for (uint64_t blk = begin; blk < end; ++blk) {
+        const auto r0 = static_cast<index_t>(blk) * kBlockRows;
+        const index_t rows = std::min(kBlockRows, g.x->rows() - r0);
+        load_x_block(g, r0, xa.data());
+        index_t j = 0;
+        for (; j + 2 * kTileRows <= g.width; j += 2 * kTileRows) {
+            tile_block<2>(g, xa.data(), j, cbuf);
+            store_block<2>(g, cbuf, r0, rows, j);
+        }
+        if (j < g.width) {
+            tile_block<1>(g, xa.data(), j, cbuf);
+            store_block<1>(g, cbuf, r0, rows, j);
+        }
+    }
+    _tile_release();
+}
+
+#endif // MPS_AMX_BF16
 
 // A full epilogue batch runs as one strip of the 6-row tile.
 static_assert(kEpilogueBatchRows == 6,
@@ -491,14 +699,78 @@ gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
 
 PanelSourceFn
 gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
-                  WorkStealPool &pool, DenseMatrix &buf)
+                  WorkStealPool &pool, DenseMatrix &buf,
+                  StorageMode precision)
 {
-    return [&x, &w, &pool, &buf](index_t col0, index_t width) {
-        if (buf.rows() != x.rows() || buf.cols() < width)
+    return [&x, &w, &pool, &buf, precision](index_t col0, index_t width) {
+        if (precision == StorageMode::kBf16 && amx_gemm_enabled() &&
+            amx_gemm_fits(w.rows(), width)) {
+            // The product lands in the bf16 rows: the buffer holds no
+            // f32 rows, and the plan has nothing left to encode.
+            if (buf.has_f32() || buf.rows() != x.rows() ||
+                buf.cols() < width)
+                buf = DenseMatrix::bf16_panel(x.rows(), width);
+            amx_gemm_panel(x, w, col0, width, buf, pool);
+            return PanelSource{&buf, 0};
+        }
+        if (!buf.has_f32() || buf.rows() != x.rows() || buf.cols() < width)
             buf = DenseMatrix(x.rows(), width);
         dense_gemm_panel(x, w, col0, width, buf, pool);
         return PanelSource{&buf, 0, &buf, Freshness::kPanel};
     };
+}
+
+bool
+amx_gemm_enabled()
+{
+    return amx_tiles_granted() &&
+           g_forced_fallbacks.load(std::memory_order_relaxed) == 0;
+}
+
+bool
+amx_gemm_fits(index_t depth, index_t width)
+{
+    return depth > 0 && depth % 32 == 0 && width > 0 && width % 16 == 0;
+}
+
+bool
+amx_gemm_panel(const DenseMatrix &x, const DenseMatrix &w, index_t w_col0,
+               index_t width, DenseMatrix &panel, WorkStealPool &pool)
+{
+    MPS_CHECK(x.cols() == w.rows(), "GEMM inner dimensions differ: ",
+              x.cols(), " vs ", w.rows());
+    MPS_CHECK(width > 0 && w_col0 >= 0 && w_col0 + width <= w.cols(),
+              "W panel [", w_col0, ", ", w_col0 + width,
+              ") out of range for ", w.cols(), " cols");
+    MPS_CHECK(panel.storage() == StorageMode::kBf16 &&
+                  panel.rows() >= x.rows() && panel.cols() >= width,
+              "AMX GEMM needs a bf16 panel of at least ", x.rows(), "x",
+              width);
+    if (!amx_gemm_enabled() || !amx_gemm_fits(w.rows(), width))
+        return false;
+#if MPS_AMX_BF16
+    const AlignedVectorB16 packed = pack_w_vnni(w, w_col0, width);
+    const AmxGemm g{&x, packed.data(), w.rows(), width, &panel};
+    const uint64_t blocks =
+        (static_cast<uint64_t>(x.rows()) + kBlockRows - 1) / kBlockRows;
+    pool.parallel_for_ranges(blocks, [&g](uint64_t begin, uint64_t end) {
+        amx_blocks(g, begin, end);
+    });
+    return true;
+#else
+    (void)pool;
+    return false; // amx_tiles_granted() is false without the kernel
+#endif
+}
+
+ForceGemmFallback::ForceGemmFallback()
+{
+    g_forced_fallbacks.fetch_add(1, std::memory_order_relaxed);
+}
+
+ForceGemmFallback::~ForceGemmFallback()
+{
+    g_forced_fallbacks.fetch_sub(1, std::memory_order_relaxed);
 }
 
 PanelSourceFn

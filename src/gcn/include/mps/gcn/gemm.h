@@ -15,6 +15,13 @@
  * zero term adds ±0.0f, which leaves every accumulator bit-unchanged
  * unless it already holds -0.0f (see RankUpdateEpilogue). DESIGN.md
  * §15 has the numbers.
+ *
+ * One product runs elsewhere: a bf16 plan's GEMM panel source
+ * (gemm_panel_source with precision kBf16) runs on the AMX tiles where
+ * the host grants them (amx_gemm_panel). It rounds X and W to bf16,
+ * accumulates in fp32 on the tiles and writes each output row straight
+ * into the panel's bf16 rows, so the panel has no f32 rows and no
+ * encode pass runs. f32 plans never take it.
  */
 #ifndef MPS_GCN_GEMM_H
 #define MPS_GCN_GEMM_H
@@ -199,9 +206,62 @@ PanelSourceFn gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
  * across every forward instead of allocating per call. @p buf is
  * (re)sized on first use; the callable additionally must not outlive
  * @p buf.
+ *
+ * @p precision is the precision of the plan the source feeds. Under
+ * kBf16, a panel that amx_gemm_fits() runs amx_gemm_panel() into a
+ * DenseMatrix::bf16_panel() — no f32 rows, nothing for the plan to
+ * encode — while amx_gemm_enabled(). Every other panel is the f32
+ * product (dense_gemm_panel) into f32 rows, which the plan encodes
+ * (Freshness::kPanel); a bf16-only @p buf is reallocated with f32
+ * rows first.
  */
 PanelSourceFn gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
-                                WorkStealPool &pool, DenseMatrix &buf);
+                                WorkStealPool &pool, DenseMatrix &buf,
+                                StorageMode precision = StorageMode::kF32);
+
+/**
+ * True when bf16 GEMM panels run on the AMX tiles: amx_tiles_granted()
+ * and no ForceGemmFallback is alive.
+ */
+bool amx_gemm_enabled();
+
+/**
+ * The shapes the tile product takes: depth (X's columns) a multiple of
+ * 32 and a panel width a multiple of 16. Others take the f32 product.
+ */
+bool amx_gemm_fits(index_t depth, index_t width);
+
+/**
+ * The AMX tile product of one panel:
+ *   panel.row_bf16(r)[0 : width)
+ *     = bf16(bf16(x[r]) * bf16(w[:, w_col0 : w_col0 + width)))
+ * with fp32 accumulation on the tiles (_tile_dpbf16ps). X and the
+ * output round to nearest even, with denormals flushed to zero (the
+ * AVX512-BF16 conversions); W rounds as bf16_encode. Row-parallel over
+ * @p pool in 32-row blocks; each output element's sum does not depend
+ * on the block or thread that computes it, so the result is the same
+ * on any pool size. @p panel must have bf16 rows (storage() == kBf16)
+ * of at least x.rows() x width; its f32 rows, if any, are not touched.
+ * Returns false, writing nothing, when !amx_gemm_enabled() or the
+ * shape does not amx_gemm_fits().
+ */
+bool amx_gemm_panel(const DenseMatrix &x, const DenseMatrix &w,
+                    index_t w_col0, index_t width, DenseMatrix &panel,
+                    WorkStealPool &pool);
+
+/**
+ * Test hook: while one is alive, amx_gemm_enabled() is false and every
+ * bf16 GEMM panel takes the f32 product plus encode, exactly as on a
+ * host without AMX.
+ */
+class ForceGemmFallback
+{
+  public:
+    ForceGemmFallback();
+    ~ForceGemmFallback();
+    ForceGemmFallback(const ForceGemmFallback &) = delete;
+    ForceGemmFallback &operator=(const ForceGemmFallback &) = delete;
+};
 
 /**
  * Zero-copy panel source over an already-materialized combination

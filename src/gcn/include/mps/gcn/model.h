@@ -128,7 +128,9 @@ class GcnModel
      * gather precision on graph @p a — what infer() will run. The
      * same decisions are published as gauges gcn.layer<i>.
      * {aggregate_first, sparse_width} when the graph is prepared with
-     * metrics enabled.
+     * metrics enabled, beside gcn.layer<i>.gemm_amx: 1 when the layer's
+     * XW product runs on the AMX tiles (a bf16 layer 0 that combines
+     * first, see gemm_panel_source).
      */
     std::vector<LayerPlanInfo> layer_plans(const CsrMatrix &a) const;
 

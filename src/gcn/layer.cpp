@@ -64,7 +64,8 @@ GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
                                     &CombineEpilogue::apply, &combine);
             } else {
                 plan->run(gemm_panel_source(x, weights_, pool,
-                                            plan->gemm_scratch()),
+                                            plan->gemm_scratch(),
+                                            precision),
                           out, pool, activation_epilogue(act_));
             }
             return;
@@ -83,17 +84,26 @@ GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
         apply_activation(out, act_);
         return;
     }
-    DenseMatrix xw(x.rows(), out_features());
+    // XW in one full-width panel of the fused path's source. Only the
+    // kernels with a fused plan (merge-path and hybrid) gather at the
+    // operand's storage; for every other one XW keeps its f32 rows.
+    DenseMatrix xw;
+    const StorageMode gemm_precision =
+        precision == StorageMode::kBf16 &&
+                kernel.fused_plan(a, out_features()) != nullptr
+            ? StorageMode::kBf16
+            : StorageMode::kF32;
+    PanelSource src;
     {
         ScopedSpan combine("gcn.layer.combine", "gcn");
-        dense_gemm(x, weights_, xw, pool);
+        src = gemm_panel_source(x, weights_, pool, xw,
+                                gemm_precision)(0, out_features());
     }
     {
         ScopedSpan aggregate("gcn.layer.aggregate", "gcn");
-        // Encode the reduced-width shadow before the aggregation: the
-        // merge-path and hybrid kernels gather from b.storage(); every
-        // other kernel reads the untouched f32 master rows.
-        if (precision != StorageMode::kF32)
+        // Encode the reduced-width shadow before the aggregation unless
+        // the product already wrote it.
+        if (precision != StorageMode::kF32 && src.quantizable != nullptr)
             quantize_dense(xw, precision, &pool);
         kernel.run(a, xw, out, pool);
     }

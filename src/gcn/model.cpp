@@ -16,6 +16,37 @@
 
 namespace mps {
 
+namespace {
+
+/**
+ * Whether layer 0, planned as @p plan, computes its XW on the AMX
+ * tiles: gemm_panel_source runs them for a bf16 plan on kernels with a
+ * fused plan (the ones that gather at the operand's storage), fused or
+ * unfused in one full-width panel, for every panel amx_gemm_fits().
+ */
+bool
+gemm_runs_on_amx(const CsrMatrix &a, const GcnLayer &layer,
+                 const SpmmKernel &kernel, const LayerPlanInfo &plan)
+{
+    if (plan.aggregate_first || plan.precision != StorageMode::kBf16 ||
+        !amx_gemm_enabled())
+        return false;
+    const index_t depth = layer.in_features();
+    const index_t dim = plan.sparse_width;
+    FusedLayerPlan *fused = kernel.fused_plan(a, dim);
+    if (fused == nullptr || !amx_gemm_fits(depth, dim))
+        return false;
+    if (!fusion_enabled())
+        return true;
+    // Panels are the tile wide, the last one the remainder of dim: a
+    // tile of whole 16-column groups keeps every one of them on AMX.
+    fused->set_precision(plan.precision); // as fused_infer will
+    return amx_gemm_fits(depth, fused->tile()) &&
+           amx_gemm_fits(depth, fused->run_tile());
+}
+
+} // namespace
+
 GcnModel::GcnModel(const std::string &kernel_name, ScheduleMode mode)
     : kernel_name_(kernel_name), mode_(mode),
       schedule_cache_(&ScheduleCache::global())
@@ -108,6 +139,12 @@ GcnModel::prepare_all(const CsrMatrix &a)
                               plans[i].aggregate_first ? 1.0 : 0.0);
             metrics.gauge_set(layer + ".sparse_width",
                               static_cast<double>(plans[i].sparse_width));
+            metrics.gauge_set(layer + ".gemm_amx",
+                              i == 0 && gemm_runs_on_amx(a, layers_[0],
+                                                         *kernels_[0],
+                                                         plans[0])
+                                  ? 1.0
+                                  : 0.0);
         }
     }
     prepared_rows_ = a.rows();
@@ -161,7 +198,8 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
             : order[0].aggregate_first
                 ? slice_panel_source(x)
                 : gemm_panel_source(x, layer.weights(), pool,
-                                    plans[0]->gemm_scratch());
+                                    plans[0]->gemm_scratch(),
+                                    order[0].precision);
         const bool feeds_xw = i < last && !order[i + 1].aggregate_first;
         DenseMatrix &dst = i < last ? handoff_[i] : result;
         const index_t dst_cols = feeds_xw ? layers_[i + 1].out_features()

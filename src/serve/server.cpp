@@ -310,7 +310,8 @@ Server::submit(uint64_t graph_id, DenseMatrix features, double timeout_ms)
     TraceSession::global().record_flow(kRequestFlow, "serve", 's',
                                        req->request_id);
 
-    metrics.counter_add("serve.requests.submitted");
+    if (metrics.enabled())
+        metrics.counter_add("serve.requests.submitted");
     {
         std::lock_guard<std::mutex> lk(stats_mutex_);
         ++submitted_;
@@ -344,7 +345,8 @@ Server::submit(uint64_t graph_id, DenseMatrix features, double timeout_ms)
 
     if (!queue_.try_push(std::move(req))) {
         if (config_.overflow == OverflowPolicy::kReject) {
-            metrics.counter_add("serve.requests.rejected");
+            if (metrics.enabled())
+                metrics.counter_add("serve.requests.rejected");
             {
                 std::lock_guard<std::mutex> lk(stats_mutex_);
                 ++rejected_;
@@ -460,7 +462,8 @@ Server::drain_queue_into_batcher(int64_t now_us_val)
     while (queue_.try_pop(req)) {
         popped = true;
         if (req->expired()) {
-            metrics.counter_add("serve.requests.timed_out");
+            if (metrics.enabled())
+                metrics.counter_add("serve.requests.timed_out");
             {
                 std::lock_guard<std::mutex> lk(stats_mutex_);
                 ++timed_out_;
@@ -471,8 +474,9 @@ Server::drain_queue_into_batcher(int64_t now_us_val)
         }
         batcher_.add(std::move(req), now_us_val);
     }
-    metrics.gauge_set("serve.queue.depth",
-                      static_cast<double>(queue_.size_approx()));
+    if (metrics.enabled())
+        metrics.gauge_set("serve.queue.depth",
+                          static_cast<double>(queue_.size_approx()));
     if (popped && config_.overflow == OverflowPolicy::kBlock) {
         {
             std::lock_guard<std::mutex> lk(wake_mutex_);
@@ -613,7 +617,8 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
     live.reserve(batch.requests.size());
     for (RequestPtr &req : batch.requests) {
         if (req->expired()) {
-            metrics.counter_add("serve.requests.timed_out");
+            if (metrics.enabled())
+                metrics.counter_add("serve.requests.timed_out");
             {
                 std::lock_guard<std::mutex> lk(stats_mutex_);
                 ++timed_out_;
@@ -622,8 +627,9 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
                       "deadline expired before execution");
             continue;
         }
-        metrics.timer_record_ms("serve.request.wait_ms",
-                                req->since_submit.elapsed_ms());
+        if (metrics.enabled())
+            metrics.timer_record_ms("serve.request.wait_ms",
+                                    req->since_submit.elapsed_ms());
         live.push_back(std::move(req));
     }
     if (live.empty())
@@ -648,8 +654,10 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
     const index_t n = a.rows();
     const int k = static_cast<int>(live.size());
 
-    metrics.counter_add("serve.batches");
-    metrics.timer_record_ms("serve.batch.size", static_cast<double>(k));
+    if (metrics.enabled()) {
+        metrics.counter_add("serve.batches");
+        metrics.timer_record_ms("serve.batch.size", static_cast<double>(k));
+    }
     {
         std::lock_guard<std::mutex> lk(stats_mutex_);
         ++batches_total_;
@@ -745,9 +753,11 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
         result.latency_ms =
             live[static_cast<size_t>(j)]->since_submit.elapsed_ms();
         result.batch_size = k;
-        metrics.histogram_record("serve.request.latency_ms",
-                                 result.latency_ms);
-        metrics.counter_add("serve.requests.completed");
+        if (metrics.enabled()) {
+            metrics.histogram_record("serve.request.latency_ms",
+                                     result.latency_ms);
+            metrics.counter_add("serve.requests.completed");
+        }
         record_completion(result.latency_ms);
         live[static_cast<size_t>(j)]->promise.set_value(
             std::move(result));

@@ -23,10 +23,25 @@ DenseMatrix::DenseMatrix(index_t rows, index_t cols, StorageMode mode)
         set_storage(mode);
 }
 
+DenseMatrix
+DenseMatrix::bf16_panel(index_t rows, index_t cols)
+{
+    MPS_CHECK(rows >= 0 && cols >= 0, "negative matrix dimension");
+    DenseMatrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.stride_ = padded_row_length(cols);
+    m.mode_ = StorageMode::kBf16;
+    m.qb16_.assign(static_cast<size_t>(rows) * static_cast<size_t>(m.stride_),
+                   0);
+    return m;
+}
+
 void
 DenseMatrix::set_storage(StorageMode mode, index_t qcols)
 {
     (void)qcols; // only bounds what the caller encodes; sizing is full
+    MPS_CHECK(has_f32(), "a bf16 panel has no fp32 rows to re-encode");
     mode_ = mode;
     const size_t elems =
         static_cast<size_t>(rows_) * static_cast<size_t>(stride_);

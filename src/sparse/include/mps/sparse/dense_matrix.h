@@ -31,11 +31,13 @@ class Pcg32;
  * Mixed precision: a matrix can additionally carry reduced-width
  * shadow rows (bf16 or int8 + per-row scale/zero, see
  * mps/sparse/quant.h) selected by quantize() / set_storage(). The fp32
- * rows remain the master copy — they are always allocated, always
- * written first, and every path that needs exact values (delta
- * correction, reference kernels, GEMM inputs) keeps reading them. The
- * shadow rows share the element stride padded_cols(), so row_bf16(r)
- * and row_int8(r) are cache-line aligned exactly like row(r).
+ * rows remain the master copy — written first, and read by every path
+ * that needs exact values (delta correction, reference kernels, GEMM
+ * inputs). The one exception is a bf16_panel(): bf16 rows and no fp32
+ * rows, for a producer that writes bf16 where it computes (the AMX
+ * GEMM panel source); has_f32() tells the two apart. The shadow rows
+ * share the element stride padded_cols(), so row_bf16(r) and
+ * row_int8(r) are cache-line aligned exactly like row(r).
  */
 class DenseMatrix
 {
@@ -52,6 +54,19 @@ class DenseMatrix
      * quantize(mode) calls never reallocate.
      */
     DenseMatrix(index_t rows, index_t cols, StorageMode mode);
+
+    /**
+     * rows x cols of zeroed bf16 rows (storage() == kBf16) and no fp32
+     * rows: row(), data() and element access must not be used, and
+     * quantize()/set_storage() refuse it.
+     */
+    static DenseMatrix bf16_panel(index_t rows, index_t cols);
+
+    /** False only for a bf16_panel(), which has no fp32 rows. */
+    bool has_f32() const {
+        return data_.size() ==
+               static_cast<size_t>(rows_) * static_cast<size_t>(stride_);
+    }
 
     index_t rows() const { return rows_; }
     index_t cols() const { return cols_; }

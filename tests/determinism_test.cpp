@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -399,6 +401,57 @@ TEST(Determinism, EpilogueSeesEveryRowOnce)
                     EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
                                         << " (panel, row) pairs";
                 }
+}
+
+/**
+ * A materialized run stores every element of C rather than adding onto
+ * it: run() into a C pre-filled with NaN gives the same bits as into a
+ * zeroed C. Covers the merge-path and hybrid plans, 16-wide panels
+ * (the last one 8 wide) and one full-width panel, on pools of 1, 2 and
+ * 4 workers, over a graph with many split rows and one with empty rows.
+ */
+TEST(Determinism, RunStoresEveryElement)
+{
+    const index_t dim = 40;
+    CsrMatrix sparse = erdos_renyi_graph(400, 300, 61);
+    sparse.normalize_gcn();
+    bool has_empty_row = false;
+    for (index_t r = 0; r < sparse.rows(); ++r)
+        has_empty_row |= sparse.row_begin(r) == sparse.row_end(r);
+    ASSERT_TRUE(has_empty_row);
+    const CsrMatrix graphs[] = {hub_graph(), std::move(sparse)};
+    for (const CsrMatrix &a : graphs) {
+        const MergePathSchedule sched = MergePathSchedule::build(a, 97);
+        const HybridSchedule hs = HybridSchedule::build(a, 40);
+        const DenseMatrix xw = random_dense(a.cols(), dim, 71);
+        for (const bool hybrid : {false, true})
+            for (const index_t tile_d : {16, 0})
+                for (unsigned workers : {1u, 2u, 4u}) {
+                    SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
+                                 " tile_d=" + std::to_string(tile_d) + " on " +
+                                 std::to_string(workers) + " workers, n=" +
+                                 std::to_string(a.rows()));
+                    WorkStealPool pool(workers);
+                    SpmmLocality loc;
+                    loc.tile_d = tile_d;
+                    FusedLayerPlan plan =
+                        hybrid ? FusedLayerPlan(a, dim,
+                                                borrow_hybrid_schedule(hs), loc)
+                               : FusedLayerPlan(a, dim, borrow_schedule(sched),
+                                                loc);
+                    DenseMatrix zeroed(a.rows(), dim);
+                    DenseMatrix poisoned(a.rows(), dim);
+                    poisoned.fill(std::numeric_limits<value_t>::quiet_NaN());
+                    plan.run(slice_panel_source(xw), zeroed, pool);
+                    plan.run(slice_panel_source(xw), poisoned, pool);
+                    for (index_t r = 0; r < a.rows(); ++r)
+                        ASSERT_EQ(std::memcmp(poisoned.row(r), zeroed.row(r),
+                                              static_cast<size_t>(dim) *
+                                                  sizeof(value_t)),
+                                  0)
+                            << "row " << r;
+                }
+    }
 }
 
 } // namespace

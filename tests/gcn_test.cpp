@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -10,9 +11,12 @@
 #include "mps/gcn/gemm.h"
 #include "mps/gcn/layer.h"
 #include "mps/gcn/model.h"
+#include "mps/core/microkernel.h"
+#include "mps/core/precision.h"
 #include "mps/core/spmm.h"
 #include "mps/kernels/registry.h"
 #include "mps/sparse/generate.h"
+#include "mps/sparse/quant.h"
 #include "mps/util/rng.h"
 #include "mps/util/work_steal_pool.h"
 
@@ -231,6 +235,172 @@ TEST(Gemm, SkipsZeroFeatures)
     for (index_t r = 0; r < 10; ++r) {
         for (index_t c = 0; c < 3; ++c)
             ASSERT_FLOAT_EQ(out(r, c), 0.0f);
+    }
+}
+
+/**
+ * x * w[:, col0 : col0 + width) from a bf16 plan's GEMM panel source,
+ * encoded as the plan would encode it when the source left it
+ * quantizable.
+ */
+PanelSource
+bf16_source_panel(const DenseMatrix &x, const DenseMatrix &w, index_t col0,
+                  index_t width, DenseMatrix &buf, WorkStealPool &pool)
+{
+    const PanelSource src = gemm_panel_source(x, w, pool, buf,
+                                              StorageMode::kBf16)(col0,
+                                                                  width);
+    if (src.quantizable != nullptr)
+        quantize_dense(*src.quantizable, StorageMode::kBf16, &pool, width);
+    return src;
+}
+
+/** The bf16 rows [0, rows) x [0, width) of @p a and @p b are equal. */
+void
+expect_bf16_rows_equal(const DenseMatrix &got, const DenseMatrix &want,
+                       index_t rows, index_t width, const std::string &what)
+{
+    for (index_t r = 0; r < rows; ++r)
+        ASSERT_EQ(std::memcmp(got.row_bf16(r), want.row_bf16(r),
+                              static_cast<size_t>(width) * sizeof(bf16_t)),
+                  0)
+            << what << " differs in row " << r;
+}
+
+/**
+ * f32 x -> f32 w -> bf16 product from a dense_gemm_panel + quantize_dense
+ * (the path every bf16 GEMM panel took before the tile product).
+ */
+DenseMatrix
+encoded_f32_panel(const DenseMatrix &x, const DenseMatrix &w, index_t col0,
+                  index_t width, WorkStealPool &pool)
+{
+    DenseMatrix want(x.rows(), width);
+    dense_gemm_panel(x, w, col0, width, want, pool);
+    quantize_dense(want, StorageMode::kBf16, &pool, width);
+    return want;
+}
+
+/**
+ * The tile product against an fp64 reference over bf16-rounded X and
+ * W: within the output's bf16 rounding (2^-9 relative) plus the fp32
+ * accumulation's error. n covers n % 32 in {0, 1, 31} and n < 32 (the
+ * zero-filled rows of a partial 32-row block); the widths one 16-column
+ * C tile, one pair and four pairs; W's panel starts off column 0.
+ */
+TEST(AmxGemm, StaysWithinBf16RoundedInputReference)
+{
+    if (!amx_gemm_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    WorkStealPool pool(3);
+    const auto rounded = [](value_t v) {
+        return static_cast<double>(bf16_decode(bf16_encode(v)));
+    };
+    for (index_t n : {5, 31, 32, 33, 63, 64, 65, 96})
+        for (index_t width : {16, 32, 128})
+            for (index_t depth : {32, 128}) {
+                const auto seed =
+                    static_cast<uint64_t>(n * 1009 + width * 31 + depth);
+                const DenseMatrix x = random_dense(n, depth, seed);
+                const DenseMatrix w = random_dense(depth, 160, seed + 1);
+                const index_t col0 = 16;
+                DenseMatrix buf;
+                const PanelSource src =
+                    bf16_source_panel(x, w, col0, width, buf, pool);
+                const std::string what = "n=" + std::to_string(n) +
+                                         " width=" + std::to_string(width) +
+                                         " depth=" + std::to_string(depth);
+                ASSERT_EQ(src.quantizable, nullptr) << what;
+                ASSERT_EQ(src.b->storage(), StorageMode::kBf16) << what;
+                ASSERT_FALSE(src.b->has_f32()) << what;
+                for (index_t r = 0; r < n; ++r)
+                    for (index_t j = 0; j < width; ++j) {
+                        double ref = 0.0, mag = 0.0;
+                        for (index_t k = 0; k < depth; ++k) {
+                            const double p = rounded(x(r, k)) *
+                                             rounded(w(k, col0 + j));
+                            ref += p;
+                            mag += std::abs(p);
+                        }
+                        const double got = bf16_decode(src.b->row_bf16(r)[j]);
+                        const double tol = std::ldexp(std::abs(ref), -8) +
+                                           std::ldexp(mag, -20);
+                        ASSERT_LE(std::abs(got - ref), tol)
+                            << what << " at (" << r << ", " << j << ")";
+                    }
+            }
+}
+
+/** Each output's sum is fixed per element: the same bits on any pool. */
+TEST(AmxGemm, BitIdenticalAcrossPools)
+{
+    if (!amx_gemm_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    const index_t n = 301, depth = 128, width = 128;
+    const DenseMatrix x = random_dense(n, depth, 41);
+    const DenseMatrix w = random_dense(depth, width, 42);
+    DenseMatrix want = DenseMatrix::bf16_panel(n, width);
+    {
+        WorkStealPool pool(1);
+        ASSERT_TRUE(amx_gemm_panel(x, w, 0, width, want, pool));
+    }
+    for (unsigned workers : {2u, 4u}) {
+        WorkStealPool pool(workers);
+        DenseMatrix got = DenseMatrix::bf16_panel(n, width);
+        ASSERT_TRUE(amx_gemm_panel(x, w, 0, width, got, pool));
+        expect_bf16_rows_equal(got, want, n, width,
+                               std::to_string(workers) + " workers");
+    }
+}
+
+/**
+ * Under ForceGemmFallback the bf16 source is the f32 product plus the
+ * plan's encode, bit for bit — also into a buffer the tile product
+ * left without f32 rows.
+ */
+TEST(AmxGemm, ForcedFallbackMatchesDenseGemmPlusQuantize)
+{
+    WorkStealPool pool(2);
+    const index_t n = 97, depth = 64, width = 32, col0 = 16;
+    const DenseMatrix x = random_dense(n, depth, 51);
+    const DenseMatrix w = random_dense(depth, 64, 52);
+    const DenseMatrix want = encoded_f32_panel(x, w, col0, width, pool);
+    DenseMatrix buf;
+    bf16_source_panel(x, w, col0, width, buf, pool);
+    EXPECT_EQ(buf.has_f32(), !amx_gemm_enabled());
+    {
+        const ForceGemmFallback fallback;
+        EXPECT_FALSE(amx_gemm_enabled());
+        const PanelSource src =
+            bf16_source_panel(x, w, col0, width, buf, pool);
+        ASSERT_EQ(src.quantizable, &buf);
+        ASSERT_TRUE(buf.has_f32());
+        expect_bitwise(buf, want, "fallback f32 rows");
+        expect_bf16_rows_equal(buf, want, n, width, "fallback bf16 rows");
+    }
+    EXPECT_EQ(amx_gemm_enabled(), amx_tiles_granted());
+}
+
+/** Depth 16 and width 8 do not fit the tiles: f32 product plus encode. */
+TEST(AmxGemm, RejectedShapesTakeFallback)
+{
+    WorkStealPool pool(2);
+    struct Case { index_t depth, width; };
+    for (const Case c : {Case{16, 32}, Case{32, 8}}) {
+        const std::string what = "depth=" + std::to_string(c.depth) +
+                                 " width=" + std::to_string(c.width);
+        EXPECT_FALSE(amx_gemm_fits(c.depth, c.width)) << what;
+        const DenseMatrix x = random_dense(70, c.depth, 61);
+        const DenseMatrix w = random_dense(c.depth, c.width, 62);
+        DenseMatrix tiles = DenseMatrix::bf16_panel(70, c.width);
+        EXPECT_FALSE(amx_gemm_panel(x, w, 0, c.width, tiles, pool)) << what;
+        DenseMatrix buf;
+        const PanelSource src =
+            bf16_source_panel(x, w, 0, c.width, buf, pool);
+        ASSERT_EQ(src.quantizable, &buf) << what;
+        const DenseMatrix want = encoded_f32_panel(x, w, 0, c.width, pool);
+        expect_bitwise(buf, want, what);
+        expect_bf16_rows_equal(buf, want, 70, c.width, what);
     }
 }
 

@@ -110,7 +110,11 @@ TEST(OpenMetrics, InlineLabelsSplitIntoFamilyAndLabels)
 
 /**
  * GcnModel explains its plan on /metrics: each layer's association
- * order and sparse width, as gauges set when it prepares a graph.
+ * order and sparse width, and whether its XW product runs on the AMX
+ * tiles, as gauges set when it prepares a graph; microkernel.amx shows
+ * whether the host granted the tiles. An f32 model and an
+ * aggregate-first layer 0 never use them; a bf16 32-32-8 model's layer
+ * 0 does wherever the host grants them.
  */
 TEST(OpenMetrics, GcnPlanGaugesAppear)
 {
@@ -145,20 +149,46 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
         const char *name;
         double value;
     };
+    const double amx = amx_tiles_granted() ? 1.0 : 0.0;
     std::vector<Gauge> want = {{"gcn_layer0_aggregate_first", 1.0},
                                {"gcn_layer0_sparse_width", 16.0},
+                               {"gcn_layer0_gemm_amx", 0.0},
                                {"gcn_layer1_aggregate_first", 0.0},
                                {"gcn_layer1_sparse_width", 8.0},
-                               {"microkernel_vector_width", lanes}};
+                               {"gcn_layer1_gemm_amx", 0.0},
+                               {"microkernel_vector_width", lanes},
+                               {"microkernel_amx", amx}};
     // MPS_FUSE=0 runs no fused plan, so none publishes its lookahead.
     if (fusion_enabled())
         want.push_back({"fusion_prefetch_distance", prefetch});
-    for (const auto &w : want) {
-        const OpenMetricsSample *sample = doc.find(w.name, {});
-        ASSERT_NE(sample, nullptr) << w.name;
-        EXPECT_DOUBLE_EQ(sample->value, w.value) << w.name;
-        EXPECT_EQ(doc.types[w.name], "gauge") << w.name;
-    }
+    const auto expect_gauges = [](OpenMetricsText &parsed,
+                                  const std::vector<Gauge> &gauges) {
+        for (const auto &w : gauges) {
+            const OpenMetricsSample *sample = parsed.find(w.name, {});
+            ASSERT_NE(sample, nullptr) << w.name;
+            EXPECT_DOUBLE_EQ(sample->value, w.value) << w.name;
+            EXPECT_EQ(parsed.types[w.name], "gauge") << w.name;
+        }
+    };
+    expect_gauges(doc, want);
+
+    metrics.reset();
+    metrics.set_enabled(true);
+    DenseMatrix x32(a.rows(), 32);
+    x32.fill_random(rng);
+    GcnModel bf16 = GcnModel::two_layer(32, 32, 8, 5);
+    bf16.set_precision(StorageMode::kBf16);
+    bf16.infer(a, x32, pool);
+    const std::string bf16_text = to_openmetrics(metrics);
+    metrics.set_enabled(false);
+    metrics.reset();
+    OpenMetricsText bf16_doc = parse_openmetrics(bf16_text, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    expect_gauges(bf16_doc,
+                  {{"gcn_layer0_aggregate_first", 0.0},
+                   {"gcn_layer0_gemm_amx", amx_gemm_enabled() ? 1.0 : 0.0},
+                   {"gcn_layer1_gemm_amx", 0.0},
+                   {"microkernel_amx", amx}});
 }
 
 /**

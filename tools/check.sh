@@ -14,7 +14,10 @@
 # determinism tests run there too, on the scalar gemm_block.
 # An AVX2 stage (-mno-avx512f) runs the same kernel tests on the 8-lane
 # instantiation of the GEMM tile and the register-row gathers, which an
-# AVX-512 host otherwise never executes.
+# AVX-512 host otherwise never executes. Neither that build nor the
+# scalar one compiles the AMX bf16 tile GEMM (it needs AVX512-BF16 and
+# the SIMD path), so both run the AmxGemm tests against the fallback
+# every host without AMX takes: the f32 tile plus the bf16 encode.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) and the serve
 # dispatch tests (batcher policy, server lifecycle, idle-worker
@@ -46,7 +49,9 @@
 # A bf16 stage reruns the kernel/GCN-facing tests with
 # MPS_PRECISION=bf16, driving the narrow-operand storage through every
 # inference path whose assertions hold at reduced precision (the
-# quantized aggregate-first handoffs included, GcnAssociation.*). The serve
+# quantized aggregate-first handoffs included, GcnAssociation.*), and
+# the AMX tile GEMM tests (AmxGemm.*; the ASan+UBSan stage runs them
+# too, with the rest of the suite). The serve
 # suites are deliberately excluded there: they pin fp32-exact parity
 # against sequential references (abs_tol 1e-4), which bf16 storage is
 # *supposed* to perturb.
@@ -154,7 +159,7 @@ echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 echo "==> ctest build-bf16 (MPS_PRECISION=bf16)"
 (cd "$root/build-release" && \
     MPS_PRECISION=bf16 ctest --output-on-failure -j "$jobs" \
-    -R 'Gcn|Microkernel|Spmm|Fuzz|Hybrid|Fusion' "$@")
+    -R 'Gcn|Microkernel|Spmm|Fuzz|Hybrid|Fusion|AmxGemm' "$@")
 
 echo "==> ctest build-nofuse (MPS_FUSE=0)"
 (cd "$root/build-release" && \

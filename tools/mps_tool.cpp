@@ -427,6 +427,11 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
         const index_t width = plan_info.sparse_width;
         const MergePathSchedule &sched = scheds.at(width);
         const SpmmLocality loc = locality(width);
+        // GcnModel computes only layer 0's XW with a GEMM panel source
+        // (on the AMX tiles at bf16); later layers' XW is rank-updated
+        // in f32 and encoded.
+        const StorageMode gemm_precision =
+            layer == 1 ? plan_info.precision : StorageMode::kF32;
 
         double unfused_ms = 0.0, fused_ms = 0.0;
         index_t run_tile = width, stream_tile = width;
@@ -438,9 +443,11 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
                     mergepath_spmm_parallel(m, in, ax, sched, pool, loc);
                     dense_gemm(ax, wt, out, pool);
                 } else {
-                    DenseMatrix xw(n, dim);
-                    dense_gemm(in, wt, xw, pool);
-                    if (plan_info.precision != StorageMode::kF32)
+                    DenseMatrix xw;
+                    const PanelSource src = gemm_panel_source(
+                        in, wt, pool, xw, gemm_precision)(0, dim);
+                    if (plan_info.precision != StorageMode::kF32 &&
+                        src.quantizable != nullptr)
                         quantize_dense(xw, plan_info.precision, &pool);
                     mergepath_spmm_parallel(m, xw, out, sched, pool, loc);
                 }
@@ -464,8 +471,10 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
                     plan.run_streaming(slice_panel_source(in), {}, pool,
                                        &CombineEpilogue::apply, &combine);
                 } else {
-                    plan.run(gemm_panel_source(in, wt, pool), out, pool,
-                             activation_epilogue(act));
+                    plan.run(gemm_panel_source(in, wt, pool,
+                                               plan.gemm_scratch(),
+                                               gemm_precision),
+                             out, pool, activation_epilogue(act));
                 }
             });
         }
