@@ -293,7 +293,7 @@ main(int argc, char **argv)
     // the XW it replaces — the pipeline's remaining saving is H1
     // (never built) and XW2's GEMM round trip. The streamed sweep has
     // no output panel at all: each finished row goes from registers
-    // into the executor's 6-row staging tile and the rank update
+    // into the executor's 48-row staging tile and the rank update
     // (RankUpdateEpilogue) consumes it there.
     const double e2e_panels_b =
         plan1.tile() < hidden

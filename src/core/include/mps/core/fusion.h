@@ -20,7 +20,7 @@
  *  - run():            materialize the layer output C (the common case);
  *  - run_streaming():  materialize nothing: every finished row goes
  *                      from the sweep's register row into its
- *                      executor's 6-row staging tile and on to the
+ *                      executor's 48-row staging tile and on to the
  *                      epilogue, which hands it off itself. The
  *                      multi-layer pipeline's epilogues do: the rank
  *                      update (RankUpdateEpilogue in the gcn library)
@@ -253,7 +253,7 @@ class FusedLayerPlan
      * sees panel-local column 0, not the global col0; epilogues that
      * need the global column take it via @p consume or their ctx. No
      * output the size of the graph is ever allocated: each executor
-     * gathers its finished rows straight into a 6-row staging tile and
+     * gathers its finished rows straight into a 48-row staging tile and
      * hands them over from there, and only the first parts of split
      * rows (a few hundred on a CPU-sized schedule) wait in a
      * |split| x width panel for the carry fix-up.

@@ -104,11 +104,10 @@ struct FinishedRow
 
 /**
  * Finished rows an executor collects before it calls the epilogue:
- * the row height of the dense GEMM's register tile, so a combining
- * epilogue runs one full 6-row tile per call (gcn/gemm.cpp asserts the
- * match).
+ * three 16-lane vectors of rows, so a combining epilogue's register
+ * tile (gcn/gemm.cpp) uses each weight it broadcasts on 48 rows.
  */
-constexpr int kEpilogueBatchRows = 6;
+constexpr int kEpilogueBatchRows = 48;
 
 /**
  * Output epilogue of the fused pipeline, called on a batch of

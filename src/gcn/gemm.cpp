@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "mps/core/microkernel.h"
 #include "mps/core/simd_vec.h"
 #include "mps/sparse/aligned_buffer.h"
@@ -424,81 +426,348 @@ amx_blocks(const AmxGemm &g, uint64_t begin, uint64_t end)
 
 #endif // MPS_AMX_BF16
 
-// A full epilogue batch runs as one strip of the 6-row tile.
-static_assert(kEpilogueBatchRows == 6,
-              "an epilogue batch must fill exactly one 6-row strip");
-
-/** Row stride of a scratch tile: whole 16-float tiles. */
-index_t
-tile_ld(index_t width)
+/**
+ * One lane: the stand-in for SimdVec on builds without one and on the
+ * forced-scalar path. A "vector" is then one row and the transposes do
+ * nothing, so the epilogue products run the very same loop nest, one
+ * std::fma per multiply-add, and equal gemm_block_scalar.
+ */
+struct ScalarVec
 {
-    return (width + 15) / 16 * 16;
+    using Reg = value_t;
+    using Mask = int; ///< 1 = the lane is live
+    static constexpr int kLanes = 1;
+
+    static Mask prefix(int n) { return n; }
+    static Reg zero() { return 0.0f; }
+    static Reg broadcast(value_t v) { return v; }
+    static Reg fmadd(Reg a, Reg b, Reg c) { return std::fma(a, b, c); }
+    static Reg max(Reg a, Reg b) { return a > b ? a : b; }
+    static Reg load(const value_t *p) { return *p; }
+    static Reg load(const value_t *p, Mask m) { return m != 0 ? *p : 0.0f; }
+    static void store(value_t *p, Reg v) { *p = v; }
+    static void store(value_t *p, Reg v, Mask m) {
+        if (m != 0)
+            *p = v;
+    }
+    static void transpose(Reg *) {}
+};
+
+/** Runs @p f with SimdVec on the SIMD path, else with ScalarVec. */
+template <class F>
+void
+with_lanes(F &&f)
+{
+#if MPS_SIMD_VEC
+    if (microkernel_default_path() == MicrokernelPath::kSimd) {
+        f(SimdVec{});
+        return;
+    }
+#endif
+    f(ScalarVec{});
 }
 
-/** The per-thread scratch tiles of the batched epilogues. */
-enum class BatchTile { kX, kC, kH };
+/**
+ * The rows-in-lanes layout of an epilogue batch (DESIGN.md §15). Its
+ * rows are transposed into k-major tiles: tile row k holds column k of
+ * every batch row, `groups` vectors of kLanes rows each, so one vector
+ * load reads one column of kLanes rows. A product then runs on a
+ * kOuts-output x kVecs-vector register tile: per k it loads kVecs
+ * vectors, broadcasts kOuts weights and issues kOuts * kVecs FMAs,
+ * with every accumulator in a register (24 + 3 + 1 of 32 zmm on
+ * AVX-512, 12 + 3 + 1 of 16 ymm on AVX2).
+ */
+template <class V>
+struct LaneTile
+{
+    static constexpr int kLanes = V::kLanes;
+    static constexpr int kVecs = 3;
+    static constexpr int kOuts = V::kLanes == 16 ? 8 : 4;
+    /** Tile rows are whole vectors and whole register tiles. */
+    static constexpr index_t kRowAlign = std::max(kLanes, kOuts);
+    static_assert(kRowAlignElems % kRowAlign == 0,
+                  "a product's last outputs must stay inside W's padding");
+
+    int count;
+    int groups; ///< vectors per tile row
+    index_t ld; ///< floats per tile row
+
+    explicit LaneTile(int rows)
+        : count(rows), groups((rows + kLanes - 1) / kLanes),
+          ld(static_cast<index_t>(groups) * kLanes)
+    {
+    }
+
+    /** Tile rows for a dimension of @p n. */
+    static index_t rows(index_t n) {
+        return (n + kRowAlign - 1) / kRowAlign * kRowAlign;
+    }
+
+    /** Floats of a tile over a dimension of @p n. */
+    size_t floats(index_t n) const {
+        return static_cast<size_t>(rows(n)) * static_cast<size_t>(ld);
+    }
+};
 
 /**
- * Per-thread kEpilogueBatchRows-row tile for @p use: the gathered
- * source rows (kX), the gathered destination rows (kC) and the
- * combine's hidden rows (kH). The sweep's own microkernel_scratch
- * accumulator is live while the epilogue runs, so it cannot be
- * borrowed. Rows are whole 16-float tiles, like a DenseMatrix row: the
- * GEMM tile's masked tail vector never reaches past the allocation.
+ * Per-thread scratch of the epilogue products, grown on demand and
+ * reused across batches and sweeps, like the sweep's staging tile, but
+ * mapped straight from the kernel: taken from the heap, this block of
+ * a few dozen KB kept glibc from returning freed heap memory and
+ * raised gcn-amazon-bf16's peak RSS from 379 to 501 MB.
  */
 value_t *
-batch_tile(BatchTile use, index_t ld)
+lane_scratch(size_t floats)
 {
-    thread_local std::vector<value_t> tiles[3];
-    std::vector<value_t> &buf = tiles[static_cast<int>(use)];
-    const auto need = static_cast<size_t>(kEpilogueBatchRows) *
-                      static_cast<size_t>(ld);
-    if (buf.size() < need)
-        buf.resize(need);
-    return buf.data();
-}
+    struct Pages
+    {
+        void *base = nullptr;
+        size_t bytes = 0;
 
-/** Gathers the committed rows of a batch into the kX tile. */
-value_t *
-gather_batch(const FinishedRow *rows, int count, index_t width, index_t ld)
-{
-    value_t *x = batch_tile(BatchTile::kX, ld);
-    for (int i = 0; i < count; ++i)
-        std::copy(rows[i].crow, rows[i].crow + width, x + i * ld);
-    return x;
+        void release()
+        {
+            if (base != nullptr)
+                munmap(base, bytes);
+        }
+        ~Pages() { release(); }
+    };
+    thread_local Pages pages;
+    const size_t need = floats * sizeof(value_t);
+    if (pages.bytes < need) {
+        const size_t bytes = (need + 4095) / 4096 * 4096;
+        void *base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        MPS_CHECK(base != MAP_FAILED, "cannot map ", bytes,
+                  " bytes of epilogue scratch");
+        pages.release();
+        pages.base = base;
+        pages.bytes = bytes;
+    }
+    return static_cast<value_t *>(pages.base);
 }
 
 /**
- * The batched row product of the commit epilogues, for i < count:
- *   dst[i][0:w.cols()) (+)= x[i*ldx][0:depth) * w[w_row0 : w_row0+depth)
- * as ONE gemm_block of @p count rows on the per-thread kC tile, so a
- * full batch runs the 6-row tile with its 12 independent FMA chains.
- * The destination rows, which may lie anywhere, are gathered into the
- * tile when accumulating and copied back after.
+ * Columns [0, width) of @p src's rows into the k-major @p tile, through
+ * kLanes x kLanes register transposes; lanes past the batch read 0.
+ * With @p relu each value goes in as max(x, +0).
+ */
+template <class V>
+void
+to_k_major(const LaneTile<V> &lt, value_t *const *src, index_t width,
+           bool relu, value_t *tile)
+{
+    constexpr int L = V::kLanes;
+    const index_t ld = lt.ld;
+    for (int g = 0; g < lt.groups; ++g) {
+        value_t *const *rows = src + g * L;
+        const int live = std::min(L, lt.count - g * L);
+        value_t *t = tile + g * L;
+        for (index_t k0 = 0; k0 < width; k0 += L) {
+            const auto mask =
+                V::prefix(static_cast<int>(std::min<index_t>(L, width - k0)));
+            const bool tail = width - k0 < L;
+            typename V::Reg v[L];
+#pragma GCC unroll 16
+            for (int r = 0; r < L; ++r) {
+                v[r] = r >= live ? V::zero()
+                       : tail    ? V::load(rows[r] + k0, mask)
+                                 : V::load(rows[r] + k0);
+                if (relu)
+                    v[r] = V::max(v[r], V::zero());
+            }
+            V::transpose(v);
+#pragma GCC unroll 16
+            for (int c = 0; c < L; ++c)
+                V::store(t + (k0 + c) * ld, v[c]);
+        }
+    }
+}
+
+/** The inverse: tile rows [0, width) back into columns of @p dst's rows. */
+template <class V>
+void
+from_k_major(const LaneTile<V> &lt, const value_t *tile, index_t width,
+             value_t *const *dst)
+{
+    constexpr int L = V::kLanes;
+    const index_t ld = lt.ld;
+    for (int g = 0; g < lt.groups; ++g) {
+        value_t *const *rows = dst + g * L;
+        const int live = std::min(L, lt.count - g * L);
+        const value_t *t = tile + g * L;
+        for (index_t j0 = 0; j0 < width; j0 += L) {
+            const auto mask =
+                V::prefix(static_cast<int>(std::min<index_t>(L, width - j0)));
+            const bool tail = width - j0 < L;
+            typename V::Reg v[L];
+#pragma GCC unroll 16
+            for (int c = 0; c < L; ++c)
+                v[c] = V::load(t + (j0 + c) * ld);
+            V::transpose(v);
+#pragma GCC unroll 16
+            for (int r = 0; r < L; ++r) {
+                if (r >= live)
+                    break;
+                if (tail)
+                    V::store(rows[r] + j0, v[r], mask);
+                else
+                    V::store(rows[r] + j0, v[r]);
+            }
+        }
+    }
+}
+
+/**
+ * One register tile: outputs [0, kOuts) of @p w's columns for the NV
+ * row vectors at @p x, into @p o (tile rows = outputs). Per element
+ * this is acc = fma(x[k], w[k][j], acc) over k ascending, from +0 or,
+ * with @p accumulate, from @p o's value; @p relu stores max(acc, +0).
+ */
+template <class V, int NV>
+inline void
+lane_tile(const value_t *x, index_t ld, index_t depth, const value_t *w,
+          index_t ldw, value_t *o, bool accumulate, bool relu)
+{
+    constexpr int L = V::kLanes;
+    constexpr int MR = LaneTile<V>::kOuts;
+    typename V::Reg acc[MR][NV];
+#pragma GCC unroll 8
+    for (int m = 0; m < MR; ++m)
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            acc[m][v] = accumulate ? V::load(o + m * ld + v * L) : V::zero();
+    for (index_t k = 0; k < depth; ++k) {
+        typename V::Reg xv[NV];
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            xv[v] = V::load(x + k * ld + v * L);
+        const value_t *wk = w + k * ldw;
+#pragma GCC unroll 8
+        for (int m = 0; m < MR; ++m) {
+            const typename V::Reg b = V::broadcast(wk[m]);
+#pragma GCC unroll 3
+            for (int v = 0; v < NV; ++v)
+                acc[m][v] = V::fmadd(xv[v], b, acc[m][v]);
+        }
+    }
+#pragma GCC unroll 8
+    for (int m = 0; m < MR; ++m)
+#pragma GCC unroll 3
+        for (int v = 0; v < NV; ++v)
+            V::store(o + m * ld + v * L,
+                     relu ? V::max(acc[m][v], V::zero()) : acc[m][v]);
+}
+
+/**
+ * The epilogue product o (+)= x * w on k-major tiles: x holds @p depth
+ * rows, o gets rows [0, LaneTile::rows(cols)), the last ones from W's
+ * zero padding. @p w points at W's row of k = 0.
+ */
+template <class V>
+void
+lane_product(const LaneTile<V> &lt, const value_t *x, index_t depth,
+             const value_t *w, index_t ldw, index_t cols, value_t *o,
+             bool accumulate, bool relu)
+{
+    constexpr int L = V::kLanes;
+    constexpr int NV = LaneTile<V>::kVecs;
+    constexpr int MR = LaneTile<V>::kOuts;
+    const index_t outs = LaneTile<V>::rows(cols);
+    for (int g = 0; g < lt.groups; g += NV) {
+        const value_t *xg = x + g * L;
+        const int nv = std::min(NV, lt.groups - g);
+        for (index_t j = 0; j < outs; j += MR) {
+            value_t *og = o + j * lt.ld + g * L;
+            if (nv == 3)
+                lane_tile<V, 3>(xg, lt.ld, depth, w + j, ldw, og,
+                                accumulate, relu);
+            else if (nv == 2)
+                lane_tile<V, 2>(xg, lt.ld, depth, w + j, ldw, og,
+                                accumulate, relu);
+            else
+                lane_tile<V, 1>(xg, lt.ld, depth, w + j, ldw, og,
+                                accumulate, relu);
+        }
+    }
+}
+
+/**
+ * @p act over @p n floats of a k-major tile, when the product did not
+ * fuse it as a register max (ReLU): activation_epilogue's own scalar
+ * expression, with the tile handed over as one long row.
  */
 void
-tile_times_w(const value_t *x, index_t ldx, index_t depth,
-             const DenseMatrix &w, index_t w_row0, value_t *const *dst,
-             int count, bool accumulate)
+activate_tile(Activation act, value_t *tile, size_t n)
 {
-    const index_t cols = w.cols();
-    const index_t ldc = tile_ld(cols);
-    value_t *c = batch_tile(BatchTile::kC, ldc);
+    if (act == Activation::kRelu)
+        return;
+    if (const PanelEpilogue epi = activation_epilogue(act)) {
+        const FinishedRow whole{tile, 0};
+        epi(&whole, 1, 0, static_cast<index_t>(n), nullptr);
+    }
+}
+
+/** A batch's rows and the (scattered) destination rows they land on. */
+struct BatchRows
+{
+    int count;
+    value_t *src[kEpilogueBatchRows];
+    value_t *dst[kEpilogueBatchRows];
+
+    BatchRows(const FinishedRow *rows, int n, DenseMatrix &out,
+              const index_t *scatter)
+        : count(n)
+    {
+        for (int i = 0; i < n; ++i) {
+            const index_t row = rows[i].row;
+            src[i] = rows[i].crow;
+            dst[i] = out.row(scatter != nullptr ? scatter[row] : row);
+        }
+    }
+};
+
+template <class V>
+void
+rank_update(const RankUpdateEpilogue &e, const BatchRows &b, index_t width)
+{
+    const LaneTile<V> lt(b.count);
+    const index_t cols = e.w->cols();
+    value_t *x = lane_scratch(lt.floats(width) + lt.floats(cols));
+    value_t *o = x + lt.floats(width);
+    to_k_major(lt, b.src, width, e.act == Activation::kRelu, x);
+    activate_tile(e.act, x, lt.floats(width));
+    // Panels after the first continue each row's chains from its
+    // current value; the first stores, starting them from +0.
+    const bool accumulate = e.w_row0 > 0;
     if (accumulate)
-        for (int i = 0; i < count; ++i)
-            std::copy(dst[i], dst[i] + cols, c + i * ldc);
-    gemm_block({x, ldx, w.row(w_row0), w.padded_cols(), c, ldc, count, cols,
-                depth, accumulate});
-    for (int i = 0; i < count; ++i)
-        std::copy(c + i * ldc, c + i * ldc + cols, dst[i]);
+        to_k_major(lt, b.dst, cols, false, o);
+    lane_product(lt, x, width, e.w->row(e.w_row0), e.w->padded_cols(), cols,
+                 o, accumulate, false);
+    from_k_major(lt, o, cols, b.dst);
 }
 
+template <class V>
 void
-apply_batch_activation(Activation act, const FinishedRow *rows, int count,
-                       index_t width)
+combine(const CombineEpilogue &e, const BatchRows &b, index_t width)
 {
-    if (const PanelEpilogue epi = activation_epilogue(act))
-        epi(rows, count, 0, width, nullptr);
+    const LaneTile<V> lt(b.count);
+    const index_t hidden = e.w->cols();
+    const index_t out = e.w_next != nullptr ? e.w_next->cols() : 0;
+    value_t *x = lane_scratch(lt.floats(width) + lt.floats(hidden) +
+                              lt.floats(out));
+    value_t *h = x + lt.floats(width);
+    to_k_major(lt, b.src, width, false, x);
+    lane_product(lt, x, width, e.w->data(), e.w->padded_cols(), hidden, h,
+                 false, e.act == Activation::kRelu);
+    activate_tile(e.act, h, lt.floats(hidden));
+    if (e.w_next == nullptr) {
+        from_k_major(lt, h, hidden, b.dst);
+        return;
+    }
+    value_t *o = h + lt.floats(hidden);
+    lane_product(lt, h, hidden, e.w_next->data(), e.w_next->padded_cols(),
+                 out, o, false, false);
+    from_k_major(lt, o, out, b.dst);
 }
 
 } // namespace
@@ -590,16 +859,7 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
                           const void *ctx)
 {
     const auto &e = *static_cast<const RankUpdateEpilogue *>(ctx);
-    // activation_epilogue's own expressions — the bit-identity
-    // guarantee against the unfused activation depends on it.
-    apply_batch_activation(e.act, rows, count, width);
-    value_t *dst[kEpilogueBatchRows];
-    for (int i = 0; i < count; ++i) {
-        const index_t row = rows[i].row;
-        dst[i] = e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
-    }
-    const index_t ldx = tile_ld(width);
-    const value_t *x = gather_batch(rows, count, width, ldx);
+    const BatchRows b(rows, count, *e.out, e.scatter);
     // No zero-skip: post-ReLU rows are about half zeros in an
     // unpredictable pattern, and a skip branch would cost more than
     // the FMAs it saves. Adding hv * w with hv == 0 contributes
@@ -607,9 +867,7 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
     // one already holding -0.0f — and these sums cannot produce -0.0f
     // without a product underflowing, far outside the value ranges GNN
     // features reach. The 1-thread bit gates verify this empirically.
-    // The first panel stores: its chains start from +0.0f either way.
-    tile_times_w(x, ldx, width, *e.w, e.w_row0, dst, count,
-                 /*accumulate=*/e.w_row0 > 0);
+    with_lanes([&](auto v) { rank_update<decltype(v)>(e, b, width); });
 }
 
 RankUpdateEpilogue
@@ -633,31 +891,8 @@ CombineEpilogue::apply(const FinishedRow *rows, int count, index_t c_col0,
     const auto &e = *static_cast<const CombineEpilogue *>(ctx);
     MPS_CHECK(c_col0 == 0 && width == e.w->rows(),
               "combine epilogue needs the whole aggregated row");
-    const index_t hidden = e.w->cols();
-    value_t *out[kEpilogueBatchRows];
-    for (int i = 0; i < count; ++i) {
-        const index_t row = rows[i].row;
-        out[i] = e.out->row(e.scatter != nullptr ? e.scatter[row] : row);
-    }
-    const index_t ldx = tile_ld(width);
-    const value_t *x = gather_batch(rows, count, width, ldx);
-    // h = act(T * W) is formed in the kH tile, then either stored as
-    // the destination rows or — when the next layer combines first —
-    // folded into the next layer's XW at once and never stored.
-    const index_t ldh = tile_ld(hidden);
-    value_t *h = batch_tile(BatchTile::kH, ldh);
-    gemm_block({x, ldx, e.w->data(), e.w->padded_cols(), h, ldh, count,
-                hidden, width, false});
-    FinishedRow h_rows[kEpilogueBatchRows];
-    for (int i = 0; i < count; ++i)
-        h_rows[i] = {h + i * ldh, rows[i].row};
-    apply_batch_activation(e.act, h_rows, count, hidden);
-    if (e.w_next != nullptr)
-        tile_times_w(h, ldh, hidden, *e.w_next, 0, out, count,
-                     /*accumulate=*/false);
-    else
-        for (int i = 0; i < count; ++i)
-            std::copy(h + i * ldh, h + i * ldh + hidden, out[i]);
+    const BatchRows b(rows, count, *e.out, e.scatter);
+    with_lanes([&](auto v) { combine<decltype(v)>(e, b, width); });
 }
 
 CombineEpilogue

@@ -3,14 +3,16 @@
  * Dense GEMM for the combination phase of a GCN layer: XW = X * W with
  * X (n x f) the node-feature matrix and W (f x d) the trained weights.
  *
- * Every dense product here — the full GEMM, the panel GEMM feeding
- * the fused pipeline, the rank updates and the batched commit
- * epilogues — runs one kernel: a 6-row x 16-column AVX2/FMA
- * accumulator tile held in registers, with 1-5 row and 8-wide/masked
- * column tails (a plain loop on the scalar microkernel path). Each
- * output element is one FMA chain over k in ascending order, the same
- * chain the SIMD axpy loop produced, so a column slice, a row slice or
- * a k-split rank update of a product is bit-identical to the
+ * The full GEMM, the panel GEMM feeding the fused pipeline and the
+ * rank updates run one kernel: a 6-row x 2-vector accumulator tile held
+ * in registers, with 1-5 row and masked column tails (a plain loop on
+ * the scalar microkernel path). The batched commit epilogues run the
+ * products of a batch of rows with the rows in lanes instead: the batch
+ * is transposed into k-major tiles and each product runs an 8-output x
+ * 3-vector register tile (4 x 3 on AVX2), which loads a third as many
+ * operands per FMA. Each output element is one FMA chain over k in
+ * ascending order either way, so a column slice, a row slice, a batch
+ * or a k-split rank update of a product is bit-identical to the
  * corresponding part of the whole product. X is not zero-skipped: a
  * zero term adds ±0.0f, which leaves every accumulator bit-unchanged
  * unless it already holds -0.0f (see RankUpdateEpilogue). DESIGN.md
@@ -89,8 +91,9 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  * batch of up to kEpilogueBatchRows finished output rows, apply the
  * layer activation to them and rank-update the NEXT layer's XW
  * accumulator from them at once — while the rows are still in L1 —
- * as one 6-row GEMM tile (rows gathered into per-thread scratch
- * tiles). Run under run_streaming, the rows come straight from the
+ * on the rows-in-lanes register tile (the batch transposed into
+ * per-thread k-major scratch; the rows it is handed are only read).
+ * Run under run_streaming, the rows come straight from the
  * sweep's staging tiles: no output panel exists, and nothing re-reads
  * one. The first panel (w_row0 == 0) stores its products, so @p out
  * needs no zero-fill; later panels add theirs.
@@ -155,10 +158,9 @@ RankUpdateEpilogue make_rank_update_epilogue(Activation act,
  * its narrower input H (width in) and combines afterwards:
  * act((A * H) * W) instead of act(A * (H * W)). As the sweep hands
  * over a batch of up to kEpilogueBatchRows finished aggregated rows T,
- * apply() computes h = act(T * W) on the 6-row GEMM tile — a single
- * row would leave each 16-column output tile two vector FMA chains
- * over the whole depth, bound by FMA latency — and hands each row off
- * as whichever is narrower for the next step:
+ * apply() computes h = act(T * W) on the rows-in-lanes register tile
+ * (T transposed into k-major scratch, h formed there too) and hands
+ * each row off as whichever is narrower for the next step:
  *  - w_next == nullptr: store h as row `scatter[row]` of @p out — the
  *    next aggregate-first layer's input, or the model output;
  *  - w_next set: fold h into the next (combine-first) layer's XW,

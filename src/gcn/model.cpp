@@ -204,10 +204,11 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
         DenseMatrix &dst = i < last ? handoff_[i] : result;
         const index_t dst_cols = feeds_xw ? layers_[i + 1].out_features()
                                           : layer.out_features();
-        // Every row of dst is written below: the combine stores, and
-        // the rank update's first panel stores before later ones add.
+        // Every row of dst is written below: the combine stores, the
+        // rank update's first panel stores before later ones add, and
+        // the last sweep stores every row. So it is not zero-filled.
         if (dst.rows() != a.rows() || dst.cols() != dst_cols)
-            dst = DenseMatrix(a.rows(), dst_cols);
+            dst = DenseMatrix::for_overwrite(a.rows(), dst_cols);
         if (order[i].aggregate_first) {
             const CombineEpilogue combine = make_combine_epilogue(
                 layer.activation(), layer.weights(), dst,

@@ -210,8 +210,8 @@ GcnTrainer::predict(const CsrMatrix &a, const DenseMatrix &x,
     DenseMatrix logits(a.rows(), w2_.cols());
     if (fusion_enabled()) {
         // Fused 2-layer pipeline: layer 1's commit epilogue ReLUs its
-        // finished rows and rank-updates H1 * W2 from them, up to six
-        // rows per 6x16 GEMM tile, so neither XW1 nor H1 is ever
+        // finished rows and rank-updates H1 * W2 from them, up to 48
+        // rows per call, so neither XW1 nor H1 is ever
         // materialized; layer 2 then consumes the accumulated HW2 as
         // zero-copy slices.
         FusedLayerPlan plan1(a, w1_.cols(), sched_,

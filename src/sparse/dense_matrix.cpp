@@ -37,6 +37,21 @@ DenseMatrix::bf16_panel(index_t rows, index_t cols)
     return m;
 }
 
+DenseMatrix
+DenseMatrix::for_overwrite(index_t rows, index_t cols)
+{
+    MPS_CHECK(rows >= 0 && cols >= 0, "negative matrix dimension");
+    DenseMatrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.stride_ = padded_row_length(cols);
+    m.data_.resize(static_cast<size_t>(rows) * static_cast<size_t>(m.stride_));
+    if (m.stride_ > cols)
+        for (index_t r = 0; r < rows; ++r)
+            std::fill(m.row(r) + cols, m.row(r) + m.stride_, 0.0f);
+    return m;
+}
+
 void
 DenseMatrix::set_storage(StorageMode mode, index_t qcols)
 {

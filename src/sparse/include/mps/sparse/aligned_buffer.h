@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "mps/sparse/types.h"
@@ -71,6 +72,46 @@ struct AlignedAllocator
 
 /** Cache-line-aligned vector of matrix values. */
 using AlignedVector = std::vector<value_t, AlignedAllocator<value_t>>;
+
+/**
+ * AlignedAllocator whose value-less construct() default-initializes,
+ * so resize(n) of a vector of floats allocates without writing the new
+ * elements. Constructing from a value is unchanged.
+ */
+template <class T>
+struct OverwriteAllocator : AlignedAllocator<T>
+{
+    using value_type = T;
+
+    OverwriteAllocator() noexcept = default;
+    template <class U>
+    OverwriteAllocator(const OverwriteAllocator<U> &) noexcept
+    {
+    }
+
+    template <class U>
+    void construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <class U>
+    struct rebind
+    {
+        using other = OverwriteAllocator<U>;
+    };
+};
+
+/**
+ * The fp32 rows of a DenseMatrix: aligned like AlignedVector, and
+ * resizable without a zero-fill (DenseMatrix::for_overwrite).
+ */
+using OverwritableVector = std::vector<value_t, OverwriteAllocator<value_t>>;
 
 /** Cache-line-aligned vector of bf16 storage (see mps/sparse/quant.h). */
 using AlignedVectorB16 = std::vector<bf16_t, AlignedAllocator<bf16_t>>;

@@ -62,6 +62,13 @@ class DenseMatrix
      */
     static DenseMatrix bf16_panel(index_t rows, index_t cols);
 
+    /**
+     * rows x cols fp32 rows for a producer that stores every element
+     * before anything reads it: allocated, not zero-filled. Only the
+     * row padding is zeroed, so no reachable element is undefined.
+     */
+    static DenseMatrix for_overwrite(index_t rows, index_t cols);
+
     /** False only for a bf16_panel(), which has no fp32 rows. */
     bool has_f32() const {
         return data_.size() ==
@@ -166,7 +173,7 @@ class DenseMatrix
     index_t cols_ = 0;
     index_t stride_ = 0;
     StorageMode mode_ = StorageMode::kF32;
-    AlignedVector data_;
+    OverwritableVector data_;
     AlignedVectorB16 qb16_; ///< bf16 shadow rows (stride_ elems/row)
     AlignedVectorI8 q8_;    ///< int8 shadow rows (stride_ elems/row)
     AlignedVector qscale_;  ///< per-row int8 scale

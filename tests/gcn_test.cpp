@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -155,72 +157,174 @@ TEST(Gemm, RankUpdateAcrossPanelsMatchesFullGemm)
     expect_bitwise(got, want, "rank updates");
 }
 
+/** Bit patterns agree: got's row scatter[r] against want's row r. */
+void
+expect_same_bits(const DenseMatrix &got, const DenseMatrix &want,
+                 const std::vector<index_t> &scatter, const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (index_t r = 0; r < want.rows(); ++r)
+        for (index_t c = 0; c < want.cols(); ++c) {
+            const value_t *gv =
+                got.row(scatter[static_cast<size_t>(r)]) + c;
+            uint32_t g = 0, w = 0;
+            std::memcpy(&g, gv, sizeof g);
+            std::memcpy(&w, want.row(r) + c, sizeof w);
+            ASSERT_EQ(g, w) << what << " differs at (" << r << ", " << c
+                            << "): " << *gv << " vs " << want(r, c);
+        }
+}
+
 /**
- * The batched epilogues run the same kernel on 1-6 rows at a time:
- * their results equal the whole-matrix GEMMs bit for bit, whatever the
- * batch fill, whether the rows are adjacent or scattered, and across
- * a masked column tail (hidden = 37 = 2 * 16 + 5).
+ * Hands columns [col0, col0 + width) of @p m's rows to @p apply in
+ * consecutive batches of fills[0], fills[1], ... rows. Even batches
+ * are rows of @p m in place; odd ones are per-row copies in descending
+ * row order, so the batch's rows share no stride.
+ */
+template <class F>
+void
+feed_batches(DenseMatrix &m, index_t col0, index_t width,
+             const std::vector<int> &fills, F &&apply)
+{
+    index_t r0 = 0;
+    for (size_t b = 0; b < fills.size(); ++b) {
+        const int count = fills[b];
+        const bool scattered = b % 2 == 1;
+        std::vector<std::vector<value_t>> copies;
+        copies.reserve(static_cast<size_t>(count));
+        FinishedRow batch[kEpilogueBatchRows];
+        for (int i = 0; i < count; ++i) {
+            const index_t r = scattered ? r0 + count - 1 - i : r0 + i;
+            value_t *src = m.row(r) + col0;
+            if (scattered) {
+                copies.emplace_back(src, src + width);
+                src = copies.back().data();
+            }
+            batch[i] = {src, r};
+        }
+        apply(batch, count);
+        r0 += count;
+    }
+    ASSERT_EQ(r0, m.rows());
+}
+
+/**
+ * The batched epilogues equal the whole-matrix GEMMs (and the unfused
+ * activation) bit for bit: every batch fill from 1 to
+ * kEpilogueBatchRows, each once with adjacent rows and once with
+ * scattered per-row copies; a masked tail on every dimension (in 12,
+ * 16, 33; hidden 37, 128; out 1, 9, 16); destination rows through a
+ * reversing scatter; the rank update in one panel and across panels of
+ * 5, 16 and 11 columns (w_row0 > 0 continues each row's chains, as in
+ * RankUpdateAcrossPanelsMatchesFullGemm); ReLU and sigmoid. ReLU
+ * inputs hold NaN and -0.0 (a product chain that underflows), which
+ * must come out +0.
  */
 TEST(Gemm, RowEpiloguesMatchWholeGemms)
 {
     WorkStealPool pool(2);
-    const index_t n = 47, in = 12, hidden = 37, out = 9;
-    DenseMatrix t = random_dense(n, in, 9);
-    DenseMatrix w = random_dense(in, hidden, 10);
-    DenseMatrix w_next = random_dense(hidden, out, 11);
-    DenseMatrix h(n, hidden), want_xw(n, out);
-    dense_gemm(t, w, h, pool);
-    apply_activation(h, Activation::kRelu);
-    dense_gemm(h, w_next, want_xw, pool);
+    std::vector<int> fills;
+    for (int f = 1; f <= kEpilogueBatchRows; ++f)
+        fills.insert(fills.end(), {f, f});
+    index_t n = 0;
+    for (const int f : fills)
+        n += f;
+    std::vector<index_t> reverse(static_cast<size_t>(n));
+    for (index_t r = 0; r < n; ++r)
+        reverse[static_cast<size_t>(r)] = n - 1 - r;
+    const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+    const value_t tiny = std::numeric_limits<value_t>::denorm_min();
 
-    // Combine epilogue, storing h = relu(t * W).
-    DenseMatrix got_h(n, hidden);
-    const CombineEpilogue store =
-        make_combine_epilogue(Activation::kRelu, w, got_h, nullptr, nullptr);
-    // Combine epilogue folding h straight into the next layer's XW.
-    DenseMatrix got_xw(n, out);
-    const CombineEpilogue fold = make_combine_epilogue(
-        Activation::kRelu, w, got_xw, &w_next, nullptr);
-    // Rank-update epilogue over h's rows (relu is idempotent).
-    DenseMatrix got_rank(n, out);
-    RankUpdateEpilogue rank = make_rank_update_epilogue(
-        Activation::kRelu, w_next, got_rank, nullptr);
-
-    // Batches of 1, 2, ..., 6 rows, cycling. Even batches are adjacent
-    // rows of one matrix; odd ones come from per-row buffers in
-    // descending row order, so the gathered tiles must keep each row
-    // paired with its own destination.
-    DenseMatrix t_in = t, h_in = h;
-    index_t r0 = 0;
-    for (int b = 0; r0 < n; ++b) {
-        const int count = static_cast<int>(
-            std::min<index_t>(b % kEpilogueBatchRows + 1, n - r0));
-        const bool scattered = b % 2 == 1;
-        std::vector<std::vector<value_t>> t_rows, h_rows;
-        t_rows.reserve(static_cast<size_t>(count));
-        h_rows.reserve(static_cast<size_t>(count));
-        FinishedRow t_batch[kEpilogueBatchRows];
-        FinishedRow h_batch[kEpilogueBatchRows];
-        for (int i = 0; i < count; ++i) {
-            const index_t r = scattered ? r0 + count - 1 - i : r0 + i;
-            if (scattered) {
-                t_rows.emplace_back(t.row(r), t.row(r) + in);
-                h_rows.emplace_back(h.row(r), h.row(r) + hidden);
-                t_batch[i] = {t_rows.back().data(), r};
-                h_batch[i] = {h_rows.back().data(), r};
-            } else {
-                t_batch[i] = {t_in.row(r), r};
-                h_batch[i] = {h_in.row(r), r};
+    struct Shape
+    {
+        index_t in, hidden, out;
+    };
+    std::vector<Shape> shapes;
+    for (const index_t in : {12, 16, 33})
+        for (const index_t hidden : {37, 128})
+            for (const index_t out : {1, 9, 16})
+                shapes.push_back({in, hidden, out});
+    uint64_t seed = 30;
+    for (const Activation act : {Activation::kRelu, Activation::kSigmoid})
+        for (const Shape &shape : shapes) {
+            const index_t in = shape.in, hidden = shape.hidden,
+                          out = shape.out;
+            const std::string what = std::string(act == Activation::kRelu
+                                                     ? "relu"
+                                                     : "sigmoid") +
+                                     " " + std::to_string(in) + "-" +
+                                     std::to_string(hidden) + "-" +
+                                     std::to_string(out);
+            DenseMatrix t = random_dense(n, in, ++seed);
+            DenseMatrix w = random_dense(in, hidden, ++seed);
+            DenseMatrix w_next = random_dense(hidden, out, ++seed);
+            DenseMatrix rank_in = random_dense(n, hidden, ++seed);
+            if (act == Activation::kRelu) {
+                // Row 3's products are NaN; row 4's first output sums
+                // products that round to -0.0 before the activation.
+                t(3, in - 1) = nan;
+                for (index_t k = 0; k < in; ++k) {
+                    t(4, k) = -tiny;
+                    w(k, 0) = std::abs(w(k, 0)) * 0.25f;
+                }
+                rank_in(5, 0) = nan;
+                rank_in(6, hidden - 1) = -0.0f;
             }
+            DenseMatrix h(n, hidden), want_xw(n, out), want_rank(n, out);
+            dense_gemm(t, w, h, pool);
+            if (act == Activation::kRelu) {
+                ASSERT_TRUE(std::signbit(h(4, 0)) && h(4, 0) == 0.0f);
+            }
+            apply_activation(h, act);
+            dense_gemm(h, w_next, want_xw, pool);
+            DenseMatrix rank_act = rank_in;
+            apply_activation(rank_act, act);
+            dense_gemm(rank_act, w_next, want_rank, pool);
+
+            DenseMatrix got_h(n, hidden), got_xw(n, out), got_rank(n, out),
+                got_panels(n, out);
+            for (DenseMatrix *m : {&got_h, &got_xw, &got_rank, &got_panels})
+                m->fill(nan); // every element must be stored
+            const CombineEpilogue store = make_combine_epilogue(
+                act, w, got_h, nullptr, reverse.data());
+            const CombineEpilogue fold = make_combine_epilogue(
+                act, w, got_xw, &w_next, reverse.data());
+            const RankUpdateEpilogue rank = make_rank_update_epilogue(
+                act, w_next, got_rank, reverse.data());
+            RankUpdateEpilogue panels = make_rank_update_epilogue(
+                act, w_next, got_panels, reverse.data());
+
+            feed_batches(t, 0, in, fills, [&](FinishedRow *rows, int count) {
+                CombineEpilogue::apply(rows, count, 0, in, &store);
+                CombineEpilogue::apply(rows, count, 0, in, &fold);
+            });
+            feed_batches(rank_in, 0, hidden, fills,
+                         [&](FinishedRow *rows, int count) {
+                             RankUpdateEpilogue::apply(rows, count, 0, hidden,
+                                                       &rank);
+                         });
+            const index_t panel_widths[] = {5, 16, 11};
+            index_t k0 = 0;
+            for (int p = 0; k0 < hidden; ++p) {
+                const index_t width =
+                    std::min(panel_widths[p % 3], hidden - k0);
+                panels.w_row0 = k0;
+                feed_batches(rank_in, k0, width, fills,
+                             [&](FinishedRow *rows, int count) {
+                                 RankUpdateEpilogue::apply(rows, count, 0,
+                                                           width, &panels);
+                             });
+                k0 += width;
+            }
+            expect_same_bits(got_h, h, reverse, what + " combine store");
+            expect_same_bits(got_xw, want_xw, reverse,
+                             what + " combine fold");
+            expect_same_bits(got_rank, want_rank, reverse,
+                             what + " rank update");
+            expect_same_bits(got_panels, want_rank, reverse,
+                             what + " rank update across panels");
         }
-        CombineEpilogue::apply(t_batch, count, 0, in, &store);
-        CombineEpilogue::apply(t_batch, count, 0, in, &fold);
-        RankUpdateEpilogue::apply(h_batch, count, 0, hidden, &rank);
-        r0 += count;
-    }
-    expect_bitwise(got_h, h, "combine epilogue store");
-    expect_bitwise(got_xw, want_xw, "combine epilogue fold");
-    expect_bitwise(got_rank, want_xw, "rank-update epilogue");
 }
 
 TEST(Gemm, SkipsZeroFeatures)
@@ -501,6 +605,31 @@ TEST(GcnModel, TwoLayerShapesAndDeterminism)
     GcnModel model2 = GcnModel::two_layer(48, 16, 7, 1);
     DenseMatrix out2 = model2.infer(a, x, pool);
     EXPECT_TRUE(out1.approx_equal(out2, 1e-3, 1e-4));
+}
+
+/**
+ * The fused forward allocates its output without a zero-fill and
+ * relies on its last sweep to store every element: consecutive
+ * forwards (the later ones on recycled heap memory) are bit-identical,
+ * and the padding lanes of a 9-wide output read zero.
+ */
+TEST(GcnModel, ConsecutiveForwardsAreBitIdentical)
+{
+    WorkStealPool pool(3);
+    CsrMatrix a = erdos_renyi_graph(500, 3000, 23);
+    a.normalize_gcn();
+    DenseMatrix x = random_dense(500, 16, 24);
+    GcnModel model = GcnModel::two_layer(16, 32, 9, 6);
+    const DenseMatrix first = model.infer(a, x, pool);
+    for (int i = 0; i < 3; ++i) {
+        DenseMatrix out = model.infer(a, x, pool);
+        expect_bitwise(out, first, "forward " + std::to_string(i + 2));
+        ASSERT_EQ(out.padded_cols(), 16);
+        for (index_t r = 0; r < out.rows(); ++r)
+            for (index_t c = out.cols(); c < out.padded_cols(); ++c)
+                ASSERT_EQ(out.row(r)[c], 0.0f) << "padding of row " << r;
+        out.fill(-1.0f); // freed dirty: the next forward may reuse it
+    }
 }
 
 TEST(GcnModel, AllKernelsProduceSameInference)

@@ -35,6 +35,30 @@ TEST(DenseMatrix, ConstructionAndAccess)
     EXPECT_FLOAT_EQ(m.row(1)[0], 5.0f);
 }
 
+/**
+ * for_overwrite() leaves the elements to their producer but zeroes the
+ * row padding (width 9: 7 padding lanes per row), so every lane a
+ * row-wise kernel may read is defined.
+ */
+TEST(DenseMatrix, ForOverwriteZeroesRowPadding)
+{
+    DenseMatrix m = DenseMatrix::for_overwrite(5, 9);
+    EXPECT_EQ(m.rows(), 5);
+    EXPECT_EQ(m.cols(), 9);
+    ASSERT_EQ(m.padded_cols(), 16);
+    EXPECT_TRUE(m.has_f32());
+    EXPECT_EQ(m.storage(), StorageMode::kF32);
+    for (index_t r = 0; r < m.rows(); ++r) {
+        for (index_t c = m.cols(); c < m.padded_cols(); ++c)
+            EXPECT_EQ(m.row(r)[c], 0.0f) << "(" << r << ", " << c << ")";
+        for (index_t c = 0; c < m.cols(); ++c)
+            m(r, c) = static_cast<value_t>(r * m.cols() + c);
+    }
+    EXPECT_EQ(m(4, 8), 44.0f);
+    const DenseMatrix copy = m;
+    EXPECT_EQ(copy.max_abs_diff(m), 0.0);
+}
+
 TEST(DenseMatrix, FillAndDiff)
 {
     DenseMatrix a(2, 2), b(2, 2);

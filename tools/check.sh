@@ -104,7 +104,7 @@ echo "==> ctest build-tsan"
 
 echo "==> fusion: panel-streaming smoke under TSan"
 # The fused pipeline fires its rank-update epilogue from worker
-# threads, on batches of up to six rows each executor finished at
+# threads, on batches of up to 48 rows each executor finished at
 # plain commits and on the fix-up's batches of split rows; the smoke
 # bench drives that multi-thread path end to end so TSan can see any
 # row-ownership violation.
