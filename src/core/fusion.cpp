@@ -100,18 +100,25 @@ FusedLayerPlan::quantize_source(const PanelSource &src, index_t col,
         return;
     // A rewritten operand's shadow is stale whatever the plan's
     // precision: an f32 plan drops it (quantize_dense to kF32) rather
-    // than gather last run's values.
+    // than gather last run's values. Encode passes count as
+    // fusion.encodes.
+    const auto encode = [&](index_t ncols) {
+        quantize_dense(*q, precision_, &pool, ncols);
+        MetricsRegistry &metrics = MetricsRegistry::global();
+        if (precision_ != StorageMode::kF32 && metrics.enabled())
+            metrics.counter_add("fusion.encodes");
+    };
     switch (src.fresh) {
     case Freshness::kPanel:
-        quantize_dense(*q, precision_, &pool, width);
+        encode(width);
         return;
     case Freshness::kRun:
         if (col == 0)
-            quantize_dense(*q, precision_, &pool);
+            encode(-1);
         return;
     case Freshness::kStable:
         if (precision_ != StorageMode::kF32 && q->storage() != precision_)
-            quantize_dense(*q, precision_, &pool);
+            encode(-1);
         return;
     }
 }

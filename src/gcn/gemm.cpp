@@ -229,6 +229,12 @@ gemm_parallel(const GemmBlock &g, WorkStealPool &pool,
 /** Live ForceGemmFallback guards (see gemm.h). */
 std::atomic<int> g_forced_fallbacks{0};
 
+/** Live ForceRankUpdateFallback guards (see gemm.h). */
+std::atomic<int> g_forced_rank_fallbacks{0};
+
+/** The last RankUpdateEpilogue::tile_id handed out. */
+std::atomic<uint64_t> g_rank_tile_ids{0};
+
 #if MPS_AMX_BF16
 
 /**
@@ -375,7 +381,14 @@ tile_block(const AmxGemm &g, const bf16_t *xa, index_t j0, float *cbuf)
     }
 }
 
-/** The first @p rows rows of @p cbuf, rounded to bf16, into the panel. */
+/**
+ * The first @p rows rows of @p cbuf, rounded to bf16, into the panel. A
+ * 32-column pair is one whole cache line of a row: where it starts on a
+ * line, it goes out as a non-temporal store, which writes the line
+ * without first reading it into the cache (the panel is far larger than
+ * the caches, and the sweep reads it back from memory anyway).
+ * amx_blocks fences these stores before it returns.
+ */
 template <int kCTiles>
 void
 store_block(const AmxGemm &g, const float *cbuf, index_t r0, index_t rows,
@@ -387,7 +400,11 @@ store_block(const AmxGemm &g, const float *cbuf, index_t r0, index_t rows,
         if constexpr (kCTiles == 2) {
             const __m512bh v = _mm512_cvtne2ps_pbh(
                 _mm512_loadu_ps(c + kTileRows), _mm512_loadu_ps(c));
-            std::memcpy(dst, &v, sizeof v);
+            if (reinterpret_cast<uintptr_t>(dst) % 64 == 0)
+                _mm512_stream_si512(reinterpret_cast<__m512i *>(dst),
+                                    reinterpret_cast<const __m512i &>(v));
+            else
+                std::memcpy(dst, &v, sizeof v);
         } else {
             const __m256bh v = _mm512_cvtneps_pbh(_mm512_loadu_ps(c));
             std::memcpy(dst, &v, sizeof v);
@@ -395,10 +412,18 @@ store_block(const AmxGemm &g, const float *cbuf, index_t r0, index_t rows,
     }
 }
 
+/**
+ * tile_id of the RankUpdateEpilogue whose W this thread's B tiles 4-7
+ * hold (see rank_tiles), 0 for none. Every other tile user on the
+ * thread clears it.
+ */
+thread_local uint64_t t_rank_tiles = 0;
+
 /** Blocks [begin, end) of 32 rows, on this thread's tiles. */
 void
 amx_blocks(const AmxGemm &g, uint64_t begin, uint64_t end)
 {
+    t_rank_tiles = 0;
     thread_local AlignedVectorB16 xa;
     const auto need = static_cast<size_t>(kBlockRows * g.depth);
     if (xa.size() < need)
@@ -422,6 +447,129 @@ amx_blocks(const AmxGemm &g, uint64_t begin, uint64_t end)
         }
     }
     _tile_release();
+    _mm_sfence(); // the non-temporal stores, before the sweep reads them
+}
+
+/**
+ * The tile rank update's registers: C tiles 0-2 hold the outputs of
+ * batch rows 0-15, 16-31 and 32-47; A tile 3 takes one 16 x 32 block of
+ * the rounded batch at a time; B tiles 4-7 hold W's k blocks 0-3.
+ * The tile intrinsics take their register numbers as literals, hence
+ * the switches.
+ */
+void
+rank_tiles(const RankUpdateEpilogue &e)
+{
+    if (t_rank_tiles == e.tile_id)
+        return;
+    const TileConfig cfg;
+    tile_memory_fence();
+    _tile_loadconfig(&cfg);
+    const bf16_t *b = e.w_tiles->data();
+    switch (e.w->rows() / kTileDepth) {
+    case 4: _tile_loadd(7, b + 3 * kBTileElems, 64); [[fallthrough]];
+    case 3: _tile_loadd(6, b + 2 * kBTileElems, 64); [[fallthrough]];
+    case 2: _tile_loadd(5, b + kBTileElems, 64); [[fallthrough]];
+    default: _tile_loadd(4, b, 64);
+    }
+    t_rank_tiles = e.tile_id;
+}
+
+/** C tile @p group += A tile 3 * B tile 4 + @p kb. */
+inline void
+rank_dp(int group, int kb)
+{
+    switch (group * 4 + kb) {
+    case 0: _tile_dpbf16ps(0, 3, 4); break;
+    case 1: _tile_dpbf16ps(0, 3, 5); break;
+    case 2: _tile_dpbf16ps(0, 3, 6); break;
+    case 3: _tile_dpbf16ps(0, 3, 7); break;
+    case 4: _tile_dpbf16ps(1, 3, 4); break;
+    case 5: _tile_dpbf16ps(1, 3, 5); break;
+    case 6: _tile_dpbf16ps(1, 3, 6); break;
+    case 7: _tile_dpbf16ps(1, 3, 7); break;
+    case 8: _tile_dpbf16ps(2, 3, 4); break;
+    case 9: _tile_dpbf16ps(2, 3, 5); break;
+    case 10: _tile_dpbf16ps(2, 3, 6); break;
+    default: _tile_dpbf16ps(2, 3, 7); break;
+    }
+}
+
+/**
+ * The tile rank update of one batch (RankUpdateEpilogue, gemm.h): its
+ * rows as act(H) rounded to bf16, 16-row groups against the resident
+ * W, each C row rounded to bf16 into its (scattered) handoff row.
+ */
+void
+amx_rank_update(const RankUpdateEpilogue &e, const FinishedRow *rows,
+                int count)
+{
+    constexpr index_t kMaxDepth = 4 * kTileDepth;
+    const index_t depth = e.w->rows();
+    const index_t cols = e.w->cols();
+    alignas(64) bf16_t a[kEpilogueBatchRows * kMaxDepth];
+    alignas(64) float c[kEpilogueBatchRows * kTileRows];
+    alignas(64) value_t act_row[kMaxDepth];
+    const PanelEpilogue activate = e.act == Activation::kRelu
+                                       ? nullptr
+                                       : activation_epilogue(e.act);
+    for (int i = 0; i < count; ++i) {
+        const value_t *h = rows[i].crow;
+        if (activate != nullptr) {
+            std::memcpy(act_row, h, static_cast<size_t>(depth) * sizeof *h);
+            const FinishedRow one{act_row, 0};
+            activate(&one, 1, 0, depth, nullptr);
+            h = act_row;
+        }
+        bf16_t *dst = a + i * depth;
+        for (index_t k = 0; k < depth; k += kTileDepth) {
+            __m512 lo = _mm512_loadu_ps(h + k);
+            __m512 hi = _mm512_loadu_ps(h + k + 16);
+            if (e.act == Activation::kRelu) {
+                // max(x, +0) returns its second operand for a NaN or a
+                // -0.0 x, as the vector tile's ReLU does.
+                lo = SimdVec::max(lo, SimdVec::zero());
+                hi = SimdVec::max(hi, SimdVec::zero());
+            }
+            const __m512bh v = _mm512_cvtne2ps_pbh(hi, lo);
+            std::memcpy(dst + k, &v, sizeof v);
+        }
+    }
+    tile_memory_fence();
+    rank_tiles(e);
+    // Rows past count in the last group hold stale values; a tile row's
+    // outputs depend on that row alone, and these are never stored.
+    const int groups = (count + kTileRows - 1) / static_cast<int>(kTileRows);
+    const long lda = static_cast<long>(depth * sizeof(bf16_t));
+    constexpr long ldc = kTileRows * sizeof(float);
+    for (int g = 0; g < groups; ++g) {
+        switch (g) {
+        case 0: _tile_zero(0); break;
+        case 1: _tile_zero(1); break;
+        default: _tile_zero(2); break;
+        }
+        for (index_t kb = 0; kb < depth / kTileDepth; ++kb) {
+            _tile_loadd(3, a + g * kTileRows * depth + kb * kTileDepth, lda);
+            rank_dp(g, static_cast<int>(kb));
+        }
+        float *cg = c + g * kTileRows * kTileRows;
+        switch (g) {
+        case 0: _tile_stored(0, cg, ldc); break;
+        case 1: _tile_stored(1, cg, ldc); break;
+        default: _tile_stored(2, cg, ldc); break;
+        }
+    }
+    tile_memory_fence();
+    const __mmask16 live = static_cast<__mmask16>((1u << cols) - 1u);
+    for (int i = 0; i < count; ++i) {
+        const index_t row = rows[i].row;
+        bf16_t *dst =
+            e.out->row_bf16_mut(e.scatter != nullptr ? e.scatter[row] : row);
+        const __m256bh v =
+            _mm512_cvtneps_pbh(_mm512_load_ps(c + i * kTileRows));
+        _mm256_mask_storeu_epi16(dst, live,
+                                 reinterpret_cast<const __m256i &>(v));
+    }
 }
 
 #endif // MPS_AMX_BF16
@@ -859,6 +1007,14 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
                           const void *ctx)
 {
     const auto &e = *static_cast<const RankUpdateEpilogue *>(ctx);
+    if (e.w_tiles != nullptr) {
+        MPS_CHECK(e.w_row0 == 0 && width == e.w->rows(),
+                  "the tile rank update needs the whole row in one panel");
+#if MPS_AMX_BF16
+        amx_rank_update(e, rows, count);
+#endif
+        return;
+    }
     const BatchRows b(rows, count, *e.out, e.scatter);
     // No zero-skip: post-ReLU rows are about half zeros in an
     // unpredictable pattern, and a skip branch would cost more than
@@ -881,6 +1037,18 @@ make_rank_update_epilogue(Activation act, const DenseMatrix &w,
     e.w = &w;
     e.out = &out;
     e.scatter = scatter;
+    if (!out.has_f32()) {
+        MPS_CHECK(amx_rank_update_enabled() &&
+                      amx_rank_update_fits(w.rows(), w.cols()),
+                  "a bf16 rank-update destination needs the AMX tiles and a ",
+                  "depth of at most 128 in steps of 32 into at most 16 ",
+                  "outputs");
+#if MPS_AMX_BF16
+        e.w_tiles = std::make_shared<const AlignedVectorB16>(
+            pack_w_vnni(w, 0, kTileRows));
+#endif
+        e.tile_id = g_rank_tile_ids.fetch_add(1) + 1;
+    }
     return e;
 }
 
@@ -996,6 +1164,30 @@ amx_gemm_panel(const DenseMatrix &x, const DenseMatrix &w, index_t w_col0,
     (void)pool;
     return false; // amx_tiles_granted() is false without the kernel
 #endif
+}
+
+bool
+amx_rank_update_enabled()
+{
+    return amx_tiles_granted() &&
+           g_forced_rank_fallbacks.load(std::memory_order_relaxed) == 0;
+}
+
+bool
+amx_rank_update_fits(index_t depth, index_t cols)
+{
+    return depth > 0 && depth <= 128 && depth % 32 == 0 && cols > 0 &&
+           cols <= 16;
+}
+
+ForceRankUpdateFallback::ForceRankUpdateFallback()
+{
+    g_forced_rank_fallbacks.fetch_add(1, std::memory_order_relaxed);
+}
+
+ForceRankUpdateFallback::~ForceRankUpdateFallback()
+{
+    g_forced_rank_fallbacks.fetch_sub(1, std::memory_order_relaxed);
 }
 
 ForceGemmFallback::ForceGemmFallback()

@@ -18,15 +18,23 @@
  * unless it already holds -0.0f (see RankUpdateEpilogue). DESIGN.md
  * §15 has the numbers.
  *
- * One product runs elsewhere: a bf16 plan's GEMM panel source
- * (gemm_panel_source with precision kBf16) runs on the AMX tiles where
- * the host grants them (amx_gemm_panel). It rounds X and W to bf16,
- * accumulates in fp32 on the tiles and writes each output row straight
- * into the panel's bf16 rows, so the panel has no f32 rows and no
- * encode pass runs. f32 plans never take it.
+ * Two products run elsewhere, on the AMX tiles where the host grants
+ * them, and only for bf16 plans:
+ *  - a bf16 plan's GEMM panel source (gemm_panel_source with precision
+ *    kBf16, amx_gemm_panel) rounds X and W to bf16, accumulates in
+ *    fp32 on the tiles and writes each output row straight into the
+ *    panel's bf16 rows, so the panel has no f32 rows and no encode
+ *    pass runs;
+ *  - a rank update into a bf16_panel() (RankUpdateEpilogue) rounds
+ *    act(H) and W to bf16 the same way and writes the next layer's
+ *    bf16 handoff rows, which that layer gathers without an encode.
+ * f32 plans never take either.
  */
 #ifndef MPS_GCN_GEMM_H
 #define MPS_GCN_GEMM_H
+
+#include <cstdint>
+#include <memory>
 
 #include "mps/core/fusion.h"
 #include "mps/gcn/activation.h"
@@ -112,6 +120,18 @@ void dense_gemm_rank_update(const DenseMatrix &h_panel, index_t width,
  * the panel barrier, which hands each row to exactly one executor.
  * Rows of @p out are therefore never written concurrently.
  *
+ * The tile rank update: when @p out is a DenseMatrix::bf16_panel(),
+ * apply() runs the product on the AMX tiles and writes bf16 rows
+ * instead (DESIGN.md §13 and §15). A 48-row batch is three 16-row A
+ * tiles per 32-deep k block of act(H), rounded to bf16 (ReLU as
+ * max(x, +0), so NaN and -0.0 enter as +0); W's k blocks sit in four B
+ * tiles, configured and loaded once per executor thread and kept
+ * there for every later batch with the same tile_id; each output is
+ *   out.row_bf16(r)[j] = bf16(sum over k of bf16(act(h[k])) * bf16(w[k][j]))
+ * with fp32 accumulation on the tiles, whichever executor runs the
+ * row. The whole row must arrive in one panel (w_row0 == 0 and the
+ * width W's rows), and the shape must amx_rank_update_fits().
+ *
  * `w_row0` must track the global first column of the panel in flight.
  * Panels stream in ascending order starting at 0, so start it at 0 and
  * advance it from run_streaming's consumer callback (which fires after
@@ -137,6 +157,13 @@ struct RankUpdateEpilogue
      */
     const index_t *scatter = nullptr;
     index_t w_row0 = 0; ///< global col0 of the panel in flight
+    /**
+     * The tile rank update's W in the AMX B layout (null on the vector
+     * tile), and the id that tells an executor whether its B tiles
+     * already hold it.
+     */
+    std::shared_ptr<const AlignedVectorB16> w_tiles;
+    uint64_t tile_id = 0;
 
     /** PanelEpilogue trampoline; @p ctx is the RankUpdateEpilogue. */
     static void apply(const FinishedRow *rows, int count, index_t c_col0,
@@ -146,7 +173,10 @@ struct RankUpdateEpilogue
 /**
  * Build a RankUpdateEpilogue accumulating act(panel) * w into @p out
  * (which must outlive the run, like @p w and the scatter array; every
- * row of it is written, the first panel storing).
+ * row of it is written, the first panel storing). A bf16_panel()
+ * @p out selects the tile rank update, which needs
+ * amx_rank_update_enabled() and amx_rank_update_fits(w.rows(),
+ * w.cols()).
  */
 RankUpdateEpilogue make_rank_update_epilogue(Activation act,
                                              const DenseMatrix &w,
@@ -263,6 +293,36 @@ class ForceGemmFallback
     ~ForceGemmFallback();
     ForceGemmFallback(const ForceGemmFallback &) = delete;
     ForceGemmFallback &operator=(const ForceGemmFallback &) = delete;
+};
+
+/**
+ * True when a bf16 plan's rank update may run on the AMX tiles:
+ * amx_tiles_granted() and no ForceRankUpdateFallback is alive.
+ */
+bool amx_rank_update_enabled();
+
+/**
+ * The shapes the tile rank update takes: a depth (W's rows) of 32, 64,
+ * 96 or 128, so W's k blocks fit the four B tiles it keeps loaded, and
+ * at most 16 outputs (W's columns, one C tile wide; W's zero padding
+ * fills the rest of the tile). Others keep the vector tile.
+ */
+bool amx_rank_update_fits(index_t depth, index_t cols);
+
+/**
+ * Test hook: while one is alive, amx_rank_update_enabled() is false, so
+ * a bf16 model hands its layers an f32 accumulator updated on the
+ * vector tile and encoded by the next layer, exactly as on a host
+ * without AMX.
+ */
+class ForceRankUpdateFallback
+{
+  public:
+    ForceRankUpdateFallback();
+    ~ForceRankUpdateFallback();
+    ForceRankUpdateFallback(const ForceRankUpdateFallback &) = delete;
+    ForceRankUpdateFallback &
+    operator=(const ForceRankUpdateFallback &) = delete;
 };
 
 /**

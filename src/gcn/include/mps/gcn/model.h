@@ -130,9 +130,19 @@ class GcnModel
      * {aggregate_first, sparse_width} when the graph is prepared with
      * metrics enabled, beside gcn.layer<i>.gemm_amx: 1 when the layer's
      * XW product runs on the AMX tiles (a bf16 layer 0 that combines
-     * first, see gemm_panel_source).
+     * first, see gemm_panel_source), and gcn.layer<i>.rank_amx: 1 when
+     * its rank update into layer i + 1's XW does (a bf16 layer swept
+     * in one panel, see RankUpdateEpilogue).
      */
     std::vector<LayerPlanInfo> layer_plans(const CsrMatrix &a) const;
+
+    /**
+     * The fused pipeline's handoff from layer @p i to layer i + 1 as
+     * the last forward left it: layer i + 1's input H or its XW. Its
+     * rows are f32, or bf16 only (has_f32() false) when the tile rank
+     * update wrote them.
+     */
+    const DenseMatrix &handoff(size_t i) const { return handoff_[i]; }
 
   private:
     void prepare_all(const CsrMatrix &a);

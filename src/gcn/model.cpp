@@ -45,6 +45,29 @@ gemm_runs_on_amx(const CsrMatrix &a, const GcnLayer &layer,
            amx_gemm_fits(depth, fused->run_tile());
 }
 
+/**
+ * Whether a layer planned as @p plan (swept by @p fused) rank-updates
+ * the next layer's XW on the AMX tiles and hands it a bf16_panel():
+ * both layers combine first at bf16 under fusion, the tiles are
+ * enabled, @p next's weights fit them, and the layer sweeps its width
+ * in one panel — the tile product needs whole rows, so a narrower
+ * panel keeps the vector tile.
+ */
+bool
+rank_update_runs_on_amx(const GcnLayer &next, const LayerPlanInfo &plan,
+                        const LayerPlanInfo &next_plan,
+                        FusedLayerPlan *fused)
+{
+    if (!fusion_enabled() || fused == nullptr || plan.aggregate_first ||
+        next_plan.aggregate_first || plan.precision != StorageMode::kBf16 ||
+        next_plan.precision != StorageMode::kBf16 ||
+        !amx_rank_update_enabled() ||
+        !amx_rank_update_fits(next.weights().rows(), next.weights().cols()))
+        return false;
+    fused->set_precision(plan.precision); // as fused_infer will
+    return fused->tile() >= plan.sparse_width;
+}
+
 } // namespace
 
 GcnModel::GcnModel(const std::string &kernel_name, ScheduleMode mode)
@@ -145,6 +168,12 @@ GcnModel::prepare_all(const CsrMatrix &a)
                                                          plans[0])
                                   ? 1.0
                                   : 0.0);
+            const bool rank_amx =
+                i + 1 < layers_.size() &&
+                rank_update_runs_on_amx(
+                    layers_[i + 1], plans[i], plans[i + 1],
+                    kernels_[i]->fused_plan(a, plans[i].sparse_width));
+            metrics.gauge_set(layer + ".rank_amx", rank_amx ? 1.0 : 0.0);
         }
     }
     prepared_rows_ = a.rows();
@@ -189,26 +218,36 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
                               "gcn");
         const GcnLayer &layer = layers_[i];
         const index_t *scatter = plans[i]->locality().row_scatter;
-        // The sparse operand: the previous handoff (rewritten by the
-        // previous layer, so re-encoded in place at reduced precision),
-        // the caller's const X (gathered at its own f32 storage), or
-        // X * W0 panels.
+        // The sparse operand: the previous handoff (bf16 rows written
+        // by the tile rank update, gathered as they are; or f32 rows
+        // rewritten by the previous layer, so re-encoded in place at
+        // reduced precision), the caller's const X (gathered at its own
+        // f32 storage), or X * W0 panels.
         const PanelSourceFn src =
-            i > 0 ? handoff_panel_source(handoff_[i - 1])
+            i > 0 ? (handoff_[i - 1].has_f32()
+                         ? handoff_panel_source(handoff_[i - 1])
+                         : slice_panel_source(std::as_const(handoff_[i - 1])))
             : order[0].aggregate_first
                 ? slice_panel_source(x)
                 : gemm_panel_source(x, layer.weights(), pool,
                                     plans[0]->gemm_scratch(),
                                     order[0].precision);
         const bool feeds_xw = i < last && !order[i + 1].aggregate_first;
+        // The tile rank update writes the next layer's operand as bf16
+        // rows; every other handoff has f32 rows.
+        const bool bf16_dst =
+            feeds_xw && rank_update_runs_on_amx(layers_[i + 1], order[i],
+                                                order[i + 1], plans[i]);
         DenseMatrix &dst = i < last ? handoff_[i] : result;
         const index_t dst_cols = feeds_xw ? layers_[i + 1].out_features()
                                           : layer.out_features();
         // Every row of dst is written below: the combine stores, the
         // rank update's first panel stores before later ones add, and
         // the last sweep stores every row. So it is not zero-filled.
-        if (dst.rows() != a.rows() || dst.cols() != dst_cols)
-            dst = DenseMatrix::for_overwrite(a.rows(), dst_cols);
+        if (dst.rows() != a.rows() || dst.cols() != dst_cols ||
+            dst.has_f32() == bf16_dst)
+            dst = bf16_dst ? DenseMatrix::bf16_panel(a.rows(), dst_cols)
+                           : DenseMatrix::for_overwrite(a.rows(), dst_cols);
         if (order[i].aggregate_first) {
             const CombineEpilogue combine = make_combine_epilogue(
                 layer.activation(), layer.weights(), dst,

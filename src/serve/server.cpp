@@ -705,8 +705,9 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
         const bool first = &layer == &graph.layers->front();
         DenseMatrix panel;
         const PanelSourceFn src = [&](index_t col0, index_t width) {
+            // The GEMMs below store every element the sweep reads.
             if (panel.rows() != n || panel.cols() < width)
-                panel = DenseMatrix(n, width);
+                panel = DenseMatrix::for_overwrite(n, width);
             for (index_t off = 0; off < width;) {
                 const index_t j = (col0 + off) / h;
                 const index_t local = (col0 + off) % h;
@@ -724,8 +725,9 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
 
         // With a clean overlay the activation folds into the commit
         // sweep's row batches; with a dirty one it waits for the
-        // per-panel correction, which needs the raw sums.
-        DenseMatrix out(n, wide_d);
+        // per-panel correction, which needs the raw sums. run() stores
+        // every element of out, so it is not zero-filled.
+        DenseMatrix out = DenseMatrix::for_overwrite(n, wide_d);
         const PanelEpilogue epi =
             has_delta ? nullptr : activation_epilogue(layer.activation());
         PanelPostSweepFn post;
@@ -742,11 +744,18 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
         wide = std::move(out);
     }
 
+    // A lone request's result is the whole wide output: it moves out.
+    // A batch's requests each get their column block copied out.
     const index_t h_out = graph.layers->back().out_features();
     for (int j = 0; j < k; ++j) {
-        DenseMatrix out(n, h_out);
-        for (index_t r = 0; r < n; ++r)
-            row_copy(out.row(r), wide.row(r) + j * h_out, h_out);
+        DenseMatrix out;
+        if (k == 1) {
+            out = std::move(wide);
+        } else {
+            out = DenseMatrix::for_overwrite(n, h_out);
+            for (index_t r = 0; r < n; ++r)
+                row_copy(out.row(r), wide.row(r) + j * h_out, h_out);
+        }
         InferenceResult result;
         result.status = RequestStatus::kOk;
         result.output = std::move(out);

@@ -6,6 +6,11 @@
  * dense row starts on a cache-line boundary; DenseMatrix and the
  * per-thread accumulator scratch both allocate through this allocator
  * so the fixed-dimension vector paths never straddle a line.
+ *
+ * Large blocks also go on 2 MiB pages (DESIGN.md, "Huge pages"): a
+ * block of at least kHugeBlockBytes is 2 MiB-aligned and advised
+ * MADV_HUGEPAGE, so a sweep gathering rows of it at random takes one
+ * TLB entry per 2 MiB instead of one per 4 KiB.
  */
 #ifndef MPS_SPARSE_ALIGNED_BUFFER_H
 #define MPS_SPARSE_ALIGNED_BUFFER_H
@@ -33,7 +38,54 @@ padded_row_length(index_t n)
     return ((n + kRowAlignElems - 1) / kRowAlignElems) * kRowAlignElems;
 }
 
-/** Minimal std::allocator replacement with a fixed alignment. */
+/** Bytes of a transparent huge page on x86-64. */
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/**
+ * The size rule: blocks of at least 12 MiB go on 2 MiB pages. The
+ * second-level TLB reaches about 8 MiB with 4 KiB pages (2048 entries
+ * on the AMX-class cores this was measured on), so a gather over a
+ * smaller block mostly hits it anyway. Blocks up to 12 MiB keep 4 KiB
+ * pages on purpose: the server allocates its per-batch layer buffers
+ * (up to about 10 MB on Pubmed at the default batch of 8) and frees
+ * them after every batch, and on 2 MiB pages those raised the serving
+ * benchmark's peak RSS by 10-20%, because glibc then recycles
+ * huge-page-backed heap for small allocations.
+ */
+inline constexpr std::size_t kHugeBlockBytes = std::size_t{12} << 20;
+
+/**
+ * True unless the host's transparent huge pages are off ("[never]" in
+ * /sys/kernel/mm/transparent_hugepage/enabled, read once per process):
+ * then no block takes the huge-page path, exactly as before huge pages
+ * were used.
+ */
+bool huge_pages_enabled();
+
+/** True when a block of @p bytes goes on 2 MiB pages. */
+inline bool
+huge_block(std::size_t bytes)
+{
+    return bytes >= kHugeBlockBytes && huge_pages_enabled();
+}
+
+/**
+ * A 2 MiB-aligned block of @p bytes, advised MADV_HUGEPAGE. It is carved
+ * out of a plain operator new of bytes + 2 MiB, not an aligned new: glibc
+ * serves a 2 MiB-aligned request with a fresh mmap every time, which
+ * defeats its dynamic mmap threshold, so a block freed and allocated
+ * again every forward (a model's result) would fault its pages in anew
+ * each time.
+ */
+void *allocate_huge_block(std::size_t bytes);
+
+/** Frees a block of @p bytes from allocate_huge_block(). */
+void free_huge_block(void *p, std::size_t bytes) noexcept;
+
+/**
+ * Minimal std::allocator replacement with a fixed alignment, raised to
+ * 2 MiB (and the block advised onto huge pages) under the size rule.
+ */
 template <class T, std::size_t Align = kRowAlignBytes>
 struct AlignedAllocator
 {
@@ -49,12 +101,19 @@ struct AlignedAllocator
     {
         if (n == 0)
             return nullptr;
-        return static_cast<T *>(::operator new(
-            n * sizeof(T), std::align_val_t(Align)));
+        const std::size_t bytes = n * sizeof(T);
+        if (huge_block(bytes))
+            return static_cast<T *>(allocate_huge_block(bytes));
+        return static_cast<T *>(
+            ::operator new(bytes, std::align_val_t(Align)));
     }
     void deallocate(T *p, std::size_t n) noexcept
     {
-        ::operator delete(p, n * sizeof(T), std::align_val_t(Align));
+        const std::size_t bytes = n * sizeof(T);
+        if (huge_block(bytes))
+            free_huge_block(p, bytes);
+        else
+            ::operator delete(p, bytes, std::align_val_t(Align));
     }
 
     template <class U>

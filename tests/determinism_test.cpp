@@ -238,6 +238,69 @@ TEST(Determinism, FusedPlansAcrossPoolSizes)
 }
 
 /**
+ * The tile rank update (a bf16_panel destination): the streamed
+ * rank-update run on one full-width panel writes the same bf16 rows on
+ * every pool size, whichever executor finishes a row and whatever
+ * batch carries it; and a whole bf16 128-128-16 model, whose layer 0
+ * combines first and hands layer 1 that handoff, gives the same output
+ * bits on every pool.
+ */
+TEST(Determinism, TileRankUpdateAcrossPoolSizes)
+{
+    if (!amx_rank_update_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    CsrMatrix a = hub_graph();
+    MergePathSchedule sched = MergePathSchedule::build(a, 97);
+    const index_t f = 128, hidden = 128, classes = 16;
+    DenseMatrix x = random_dense(a.rows(), f, 41);
+    DenseMatrix w1 = random_dense(f, hidden, 42);
+    DenseMatrix w2 = random_dense(hidden, classes, 43);
+    SpmmLocality loc; // tile_d 0: one full-width panel
+
+    const auto stream = [&](WorkStealPool &pool) {
+        FusedLayerPlan plan(a, hidden, borrow_schedule(sched), loc);
+        plan.set_precision(StorageMode::kBf16);
+        DenseMatrix xw2 = DenseMatrix::bf16_panel(a.rows(), classes);
+        const RankUpdateEpilogue rank = make_rank_update_epilogue(
+            Activation::kRelu, w2, xw2, nullptr);
+        plan.run_streaming(gemm_panel_source(x, w1, pool), {}, pool,
+                           &RankUpdateEpilogue::apply, &rank);
+        return xw2;
+    };
+    DenseMatrix want;
+    {
+        WorkStealPool pool(2);
+        want = stream(pool);
+    }
+    for (unsigned workers : kPoolSizes) {
+        WorkStealPool pool(workers);
+        const DenseMatrix got = stream(pool);
+        for (index_t r = 0; r < a.rows(); ++r)
+            ASSERT_EQ(std::memcmp(got.row_bf16(r), want.row_bf16(r),
+                                  static_cast<size_t>(classes) *
+                                      sizeof(bf16_t)),
+                      0)
+                << "tile rank update on " << workers
+                << " workers differs in row " << r;
+    }
+
+    DenseMatrix model_want;
+    {
+        WorkStealPool pool(2);
+        GcnModel model = GcnModel::two_layer(f, hidden, classes, 44);
+        model.set_precision(StorageMode::kBf16);
+        model_want = model.infer(a, x, pool);
+    }
+    expect_same_on_every_pool(
+        model_want, "bf16 model with the tile rank update",
+        [&](WorkStealPool &pool, DenseMatrix &out) {
+            GcnModel model = GcnModel::two_layer(f, hidden, classes, 44);
+            model.set_precision(StorageMode::kBf16);
+            out = model.infer(a, x, pool);
+        });
+}
+
+/**
  * Aggregate-first layers: the sweep runs at the narrow input width and
  * the combine epilogue finishes each row, storing act(t * W) as the
  * next layer's input or folding it into the next layer's XW. Both

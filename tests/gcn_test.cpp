@@ -13,12 +13,14 @@
 #include "mps/gcn/gemm.h"
 #include "mps/gcn/layer.h"
 #include "mps/gcn/model.h"
+#include "mps/core/fusion.h"
 #include "mps/core/microkernel.h"
 #include "mps/core/precision.h"
 #include "mps/core/spmm.h"
 #include "mps/kernels/registry.h"
 #include "mps/sparse/generate.h"
 #include "mps/sparse/quant.h"
+#include "mps/util/metrics.h"
 #include "mps/util/rng.h"
 #include "mps/util/work_steal_pool.h"
 
@@ -508,6 +510,144 @@ TEST(AmxGemm, RejectedShapesTakeFallback)
     }
 }
 
+/**
+ * The tile rank update against the vector tile's f32 rank update. Per
+ * element |tile - vector| <= 2^-8 * sum |act(h_k) w_kj| (rounding act(H)
+ * and W to bf16, 2^-9 relative each) + 2^-9 * |vector| (the output's
+ * bf16 rounding) + 2^-14 * sum |act(h_k) w_kj| (both fp32 sums). Covers
+ * every batch fill from 1 to 48, each once with adjacent rows and once
+ * with scattered per-row copies; destination rows through a reversing
+ * scatter; depths 32 and 128 (one and four B tiles) into 1, 9 and 16
+ * outputs; ReLU with NaN and -0.0 inputs, which enter as +0, and
+ * sigmoid. Each output row is the same bits whatever batch carries it,
+ * and the handoff's padding lanes stay zero.
+ */
+TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
+{
+    if (!amx_rank_update_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    std::vector<int> fills;
+    for (int f = 1; f <= kEpilogueBatchRows; ++f)
+        fills.insert(fills.end(), {f, f});
+    index_t n = 0;
+    for (const int f : fills)
+        n += f;
+    const std::vector<int> singles(static_cast<size_t>(n), 1);
+    std::vector<index_t> reverse(static_cast<size_t>(n));
+    for (index_t r = 0; r < n; ++r)
+        reverse[static_cast<size_t>(r)] = n - 1 - r;
+    const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
+    uint64_t seed = 70;
+    for (const Activation act : {Activation::kRelu, Activation::kSigmoid})
+        for (const index_t depth : {32, 128})
+            for (const index_t out : {1, 9, 16}) {
+                const std::string what =
+                    std::string(act == Activation::kRelu ? "relu"
+                                                         : "sigmoid") +
+                    " " + std::to_string(depth) + "-" + std::to_string(out);
+                DenseMatrix h = random_dense(n, depth, ++seed);
+                const DenseMatrix w = random_dense(depth, out, ++seed);
+                if (act == Activation::kRelu) {
+                    h(5, 0) = nan;
+                    h(6, depth - 1) = -0.0f;
+                    for (index_t k = 0; k < depth; ++k)
+                        h(7, k) = k % 2 == 0 ? nan : -0.0f;
+                }
+                DenseMatrix want(n, out);
+                const RankUpdateEpilogue vec = make_rank_update_epilogue(
+                    act, w, want, reverse.data());
+                DenseMatrix got = DenseMatrix::bf16_panel(n, out);
+                const RankUpdateEpilogue tiles = make_rank_update_epilogue(
+                    act, w, got, reverse.data());
+                ASSERT_NE(tiles.w_tiles, nullptr) << what;
+                DenseMatrix one_by_one = DenseMatrix::bf16_panel(n, out);
+                const RankUpdateEpilogue singly = make_rank_update_epilogue(
+                    act, w, one_by_one, reverse.data());
+                feed_batches(h, 0, depth, fills,
+                             [&](FinishedRow *rows, int count) {
+                                 RankUpdateEpilogue::apply(rows, count, 0,
+                                                           depth, &vec);
+                                 RankUpdateEpilogue::apply(rows, count, 0,
+                                                           depth, &tiles);
+                             });
+                feed_batches(h, 0, depth, singles,
+                             [&](FinishedRow *rows, int count) {
+                                 RankUpdateEpilogue::apply(rows, count, 0,
+                                                           depth, &singly);
+                             });
+                DenseMatrix act_h = h;
+                apply_activation(act_h, act);
+                for (index_t r = 0; r < n; ++r) {
+                    const index_t dst = reverse[static_cast<size_t>(r)];
+                    ASSERT_EQ(std::memcmp(got.row_bf16(dst),
+                                          one_by_one.row_bf16(dst),
+                                          static_cast<size_t>(
+                                              got.padded_cols()) *
+                                              sizeof(bf16_t)),
+                              0)
+                        << what << " row " << r << " depends on its batch";
+                    for (index_t j = out; j < got.padded_cols(); ++j)
+                        ASSERT_EQ(got.row_bf16(dst)[j], 0)
+                            << what << " padding lane " << j;
+                    for (index_t j = 0; j < out; ++j) {
+                        double mag = 0.0;
+                        for (index_t k = 0; k < depth; ++k)
+                            mag += std::abs(static_cast<double>(act_h(r, k)) *
+                                            w(k, j));
+                        const double v = want(dst, j);
+                        const double t = bf16_decode(got.row_bf16(dst)[j]);
+                        ASSERT_TRUE(std::isfinite(t))
+                            << what << " at (" << r << ", " << j << ")";
+                        ASSERT_LE(std::abs(t - v),
+                                  std::ldexp(mag, -8) +
+                                      std::ldexp(std::abs(v), -9) +
+                                      std::ldexp(mag, -14))
+                            << what << " at (" << r << ", " << j << ")";
+                    }
+                }
+                if (act == Activation::kRelu) {
+                    for (index_t j = 0; j < out; ++j)
+                        ASSERT_EQ(bf16_decode(got.row_bf16(reverse[7])[j]),
+                                  0.0f)
+                            << what << ": NaN and -0.0 enter as +0";
+                }
+            }
+}
+
+/**
+ * The tile rank update takes only what its tiles hold: the whole row
+ * in one panel, and at most 128 deep into at most 16 outputs.
+ */
+TEST(AmxRankUpdateDeathTest, NeedsOnePanelAndFittingShape)
+{
+    EXPECT_TRUE(amx_rank_update_fits(128, 16));
+    EXPECT_TRUE(amx_rank_update_fits(32, 1));
+    EXPECT_FALSE(amx_rank_update_fits(160, 16));
+    EXPECT_FALSE(amx_rank_update_fits(48, 16));
+    EXPECT_FALSE(amx_rank_update_fits(64, 17));
+    const DenseMatrix w = random_dense(64, 8, 81);
+    DenseMatrix dst = DenseMatrix::bf16_panel(4, 8);
+    if (!amx_rank_update_enabled()) {
+        EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, w, dst,
+                                               nullptr),
+                     "needs the AMX tiles");
+        return;
+    }
+    const DenseMatrix deep = random_dense(160, 8, 82);
+    EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, deep, dst,
+                                           nullptr),
+                 "needs the AMX tiles");
+    DenseMatrix h = random_dense(4, 64, 83);
+    RankUpdateEpilogue e =
+        make_rank_update_epilogue(Activation::kRelu, w, dst, nullptr);
+    FinishedRow rows[] = {{h.row(0), 0}, {h.row(1), 1}};
+    EXPECT_DEATH(RankUpdateEpilogue::apply(rows, 2, 0, 32, &e),
+                 "whole row in one panel");
+    e.w_row0 = 32;
+    EXPECT_DEATH(RankUpdateEpilogue::apply(rows, 2, 0, 32, &e),
+                 "whole row in one panel");
+}
+
 TEST(GemmDeathTest, ShapeMismatch)
 {
     DenseMatrix x(2, 3), w(4, 2), out(2, 2);
@@ -724,6 +864,67 @@ TEST(GcnModel, PrecisionSwitchReencodesRewrittenOperands)
     expect_bitwise(model.infer(a, x, pool), want_f32, "f32 after bf16");
     model.set_precision(StorageMode::kBf16);
     expect_bitwise(model.infer(a, x, pool), want_bf16, "bf16 after f32");
+}
+
+/**
+ * A bf16 64-64-16 model (both layers combine first) whose layer 0
+ * sweeps its 64 columns in one panel hands
+ * layer 1 a handoff of bf16 rows only, written by the tile rank update
+ * (gcn.layer0.rank_amx = 1), and a forward runs no encode pass: the
+ * layer-0 GEMM writes bf16 on the tiles and layer 1 gathers the
+ * handoff as it is. Under ForceRankUpdateFallback, without AMX, or
+ * with a narrower panel (MPS_TILE_D=16) the handoff has f32 rows,
+ * which layer 1 encodes; the two outputs agree within bf16's error.
+ */
+TEST(GcnModel, Bf16HandoffComesFromTheTileRankUpdate)
+{
+    if (!fusion_enabled())
+        GTEST_SKIP() << "the unfused path has no handoff";
+    WorkStealPool pool(2);
+    CsrMatrix a = erdos_renyi_graph(300, 2400, 23);
+    a.normalize_gcn();
+    const DenseMatrix x = random_dense(300, 64, 24);
+    const auto kernel = make_spmm_kernel("mergepath");
+    kernel->prepare(a, 64);
+    FusedLayerPlan *plan = kernel->fused_plan(a, 64);
+    ASSERT_NE(plan, nullptr);
+    plan->set_precision(StorageMode::kBf16);
+    const bool tiles = amx_rank_update_enabled() && plan->tile() >= 64;
+
+    MetricsRegistry &metrics = MetricsRegistry::global();
+    metrics.reset();
+    metrics.set_enabled(true);
+    GcnModel model = GcnModel::two_layer(64, 64, 16, 7);
+    model.set_precision(StorageMode::kBf16);
+    model.infer(a, x, pool);
+    const int64_t encodes = metrics.counter_value("fusion.encodes");
+    const DenseMatrix got = model.infer(a, x, pool);
+    const int64_t forward_encodes =
+        metrics.counter_value("fusion.encodes") - encodes;
+    const double rank_amx = metrics.gauge_value("gcn.layer0.rank_amx");
+    metrics.set_enabled(false);
+    metrics.reset();
+    EXPECT_EQ(rank_amx, tiles ? 1.0 : 0.0);
+    EXPECT_EQ(model.handoff(0).has_f32(), !tiles);
+    EXPECT_EQ(model.handoff(0).storage(), StorageMode::kBf16);
+    if (tiles && amx_gemm_enabled())
+        EXPECT_EQ(forward_encodes, 0);
+    else
+        EXPECT_GT(forward_encodes, 0);
+
+    const ForceRankUpdateFallback fallback;
+    GcnModel vector = GcnModel::two_layer(64, 64, 16, 7);
+    vector.set_precision(StorageMode::kBf16);
+    const DenseMatrix want = vector.infer(a, x, pool);
+    EXPECT_TRUE(vector.handoff(0).has_f32());
+    double worst = 0.0, scale = 0.0;
+    for (index_t r = 0; r < want.rows(); ++r)
+        for (index_t c = 0; c < want.cols(); ++c) {
+            worst = std::max(worst, std::abs(static_cast<double>(got(r, c)) -
+                                             want(r, c)));
+            scale = std::max(scale, std::abs(static_cast<double>(want(r, c))));
+        }
+    EXPECT_LE(worst, 2e-2 * scale);
 }
 
 TEST(GcnModelDeathTest, MismatchedLayerWidths)

@@ -153,9 +153,11 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
     std::vector<Gauge> want = {{"gcn_layer0_aggregate_first", 1.0},
                                {"gcn_layer0_sparse_width", 16.0},
                                {"gcn_layer0_gemm_amx", 0.0},
+                               {"gcn_layer0_rank_amx", 0.0},
                                {"gcn_layer1_aggregate_first", 0.0},
                                {"gcn_layer1_sparse_width", 8.0},
                                {"gcn_layer1_gemm_amx", 0.0},
+                               {"gcn_layer1_rank_amx", 0.0},
                                {"microkernel_vector_width", lanes},
                                {"microkernel_amx", amx}};
     // MPS_FUSE=0 runs no fused plan, so none publishes its lookahead.
@@ -184,10 +186,15 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
     metrics.reset();
     OpenMetricsText bf16_doc = parse_openmetrics(bf16_text, &error);
     ASSERT_TRUE(error.empty()) << error;
+    // The gauge tells whether layer 1's operand came from the tile
+    // rank update, which the handoff's storage shows.
+    const bool rank_amx = fusion_enabled() && !bf16.handoff(0).has_f32();
     expect_gauges(bf16_doc,
                   {{"gcn_layer0_aggregate_first", 0.0},
                    {"gcn_layer0_gemm_amx", amx_gemm_enabled() ? 1.0 : 0.0},
+                   {"gcn_layer0_rank_amx", rank_amx ? 1.0 : 0.0},
                    {"gcn_layer1_gemm_amx", 0.0},
+                   {"gcn_layer1_rank_amx", 0.0},
                    {"microkernel_amx", amx}});
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -353,6 +354,49 @@ TEST_F(ServerFixture, BatchedExecutionMatchesPerRequestResults)
             EXPECT_EQ(stats.batches, 1);
             EXPECT_EQ(stats.max_batch_size, k);
         }
+}
+
+/**
+ * A lone request's result is the batch's whole last-layer output,
+ * moved out rather than copied: it equals, bit for bit, the copy of
+ * column block 0 that a batch of two identical requests returns, and
+ * its row padding is zero as a fresh matrix's is.
+ */
+TEST_F(ServerFixture, LoneRequestResultEqualsBatchedCopy)
+{
+    const auto serve = [&](int k) {
+        ServeConfig cfg;
+        cfg.batch.max_batch = k;
+        cfg.batch.max_delay_us = 1000000;
+        cfg.autostart = false;
+        Server server(cfg);
+        const uint64_t gid = server.register_graph(graph_, layers_);
+        std::vector<std::future<InferenceResult>> futures;
+        for (int i = 0; i < k; ++i)
+            futures.push_back(server.submit(gid, features_));
+        server.start();
+        std::vector<InferenceResult> results;
+        for (auto &f : futures)
+            results.push_back(f.get());
+        return results;
+    };
+    const InferenceResult lone = serve(1).front();
+    const InferenceResult copied = serve(2).front();
+    ASSERT_EQ(lone.status, RequestStatus::kOk) << lone.message;
+    ASSERT_EQ(copied.status, RequestStatus::kOk) << copied.message;
+    EXPECT_EQ(lone.batch_size, 1);
+    EXPECT_EQ(copied.batch_size, 2);
+    const DenseMatrix &got = lone.output;
+    const DenseMatrix &want = copied.output;
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    ASSERT_EQ(got.padded_cols(), want.padded_cols());
+    for (index_t r = 0; r < got.rows(); ++r)
+        ASSERT_EQ(std::memcmp(got.row(r), want.row(r),
+                              static_cast<size_t>(got.padded_cols()) *
+                                  sizeof(value_t)),
+                  0)
+            << "row " << r;
 }
 
 /** Largest absolute error over the largest reference magnitude. */

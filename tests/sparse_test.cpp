@@ -1,8 +1,10 @@
 /** Tests for matrix containers, conversions and file IO. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
+#include "mps/sparse/aligned_buffer.h"
 #include "mps/sparse/coo_matrix.h"
 #include "mps/sparse/csr_matrix.h"
 #include "mps/sparse/degree_stats.h"
@@ -57,6 +59,45 @@ TEST(DenseMatrix, ForOverwriteZeroesRowPadding)
     EXPECT_EQ(m(4, 8), 44.0f);
     const DenseMatrix copy = m;
     EXPECT_EQ(copy.max_abs_diff(m), 0.0);
+}
+
+/**
+ * The huge-page size rule: a block of at least kHugeBlockBytes starts
+ * on a 2 MiB boundary (when the host's transparent huge pages are not
+ * off), a smaller one on a cache line, and both keep the row padding
+ * zero — the zero-filled, for_overwrite and bf16-shadow forms alike.
+ * 200,000 rows of width 9 are 200,000 x 16 floats, 12.8 MB.
+ */
+TEST(DenseMatrix, LargeBlocksSitOnHugePages)
+{
+    const index_t rows = 200000, cols = 9;
+    ASSERT_GE(static_cast<size_t>(rows) * 16 * sizeof(value_t),
+              kHugeBlockBytes);
+    const size_t huge = huge_pages_enabled() ? kHugePageBytes : kRowAlignBytes;
+    const auto offset = [](const void *p, size_t align) {
+        return reinterpret_cast<uintptr_t>(p) % align;
+    };
+    DenseMatrix zeroed(rows, cols);
+    DenseMatrix overwrite = DenseMatrix::for_overwrite(rows, cols);
+    DenseMatrix shadowed(rows, cols, StorageMode::kBf16);
+    const DenseMatrix small(1000, cols);
+    EXPECT_EQ(offset(zeroed.data(), huge), 0u);
+    EXPECT_EQ(offset(overwrite.data(), huge), 0u);
+    EXPECT_EQ(offset(small.data(), kRowAlignBytes), 0u);
+    for (DenseMatrix *m : {&zeroed, &overwrite, &shadowed}) {
+        for (index_t r = 0; r < rows; ++r)
+            for (index_t c = 0; c < cols; ++c)
+                (*m)(r, c) = 1.0f;
+        for (index_t r = 0; r < rows; ++r)
+            for (index_t c = cols; c < m->padded_cols(); ++c)
+                ASSERT_EQ(m->row(r)[c], 0.0f) << "(" << r << ", " << c << ")";
+    }
+    for (index_t r = 0; r < rows; ++r)
+        for (index_t c = cols; c < shadowed.padded_cols(); ++c)
+            ASSERT_EQ(shadowed.row_bf16(r)[c], 0) << "(" << r << ", " << c
+                                                  << ")";
+    AlignedVectorB16 big(kHugeBlockBytes / sizeof(bf16_t));
+    EXPECT_EQ(offset(big.data(), huge), 0u);
 }
 
 TEST(DenseMatrix, FillAndDiff)

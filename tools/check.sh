@@ -17,7 +17,15 @@
 # AVX-512 host otherwise never executes. Neither that build nor the
 # scalar one compiles the AMX bf16 tile GEMM (it needs AVX512-BF16 and
 # the SIMD path), so both run the AmxGemm tests against the fallback
-# every host without AMX takes: the f32 tile plus the bf16 encode.
+# every host without AMX takes: the f32 tile plus the bf16 encode,
+# and the AmxRankUpdate tests skip there while the model tests check
+# that a bf16 handoff then keeps its f32 rows. Both stages, and the
+# TSan and narrow-tile ones, also run the tile rank update, huge-page
+# and lone-request tests (AmxRank, Bf16Handoff, LargeBlocks,
+# LoneRequest); the ASan stage runs them with the rest of the suite,
+# and checks that a 2 MiB-aligned block is freed with the alignment it
+# was allocated with. Under MPS_TILE_D=16 a bf16 layer 0 sweeps in
+# several panels, so its rank update stays on the vector tile.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) and the serve
 # dispatch tests (batcher policy, server lifecycle, idle-worker
@@ -96,10 +104,10 @@ cmake --build "$root/build-tsan" -j "$jobs" --target \
     mps_metrics_test mps_work_steal_pool_test mps_telemetry_test \
     mps_dynamic_graph_test mps_fusion_test mps_hybrid_test \
     mps_microkernel_test mps_property_fuzz_test mps_determinism_test \
-    fusion
+    mps_gcn_test mps_sparse_test fusion
 echo "==> ctest build-tsan"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism' \
+    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxRank|Bf16Handoff|LargeBlocks' \
     "$@")
 
 echo "==> fusion: panel-streaming smoke under TSan"
@@ -122,10 +130,10 @@ echo "==> build build-scalar (kernel tests only)"
 cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
     mps_property_fuzz_test mps_gcn_test mps_fusion_test \
-    mps_determinism_test
+    mps_determinism_test mps_sparse_test mps_serve_test
 echo "==> ctest build-scalar"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism' \
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest' \
     "$@")
 
 echo "==> configure build-avx2"
@@ -135,10 +143,10 @@ echo "==> build build-avx2 (kernel tests only)"
 cmake --build "$root/build-avx2" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
     mps_property_fuzz_test mps_gcn_test mps_fusion_test \
-    mps_determinism_test
+    mps_determinism_test mps_sparse_test mps_serve_test
 echo "==> ctest build-avx2"
 (cd "$root/build-avx2" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism' \
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest' \
     "$@")
 
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
@@ -149,7 +157,7 @@ echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 echo "==> ctest build-narrowtile (MPS_TILE_D=16)"
 (cd "$root/build-release" && \
     MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" \
-    -R 'Serve|Fusion|Determinism|GcnModel' "$@")
+    -R 'Serve|Fusion|Determinism|GcnModel|AmxRank|LargeBlocks' "$@")
 
 echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 (cd "$root/build-release" && \
@@ -159,7 +167,7 @@ echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 echo "==> ctest build-bf16 (MPS_PRECISION=bf16)"
 (cd "$root/build-release" && \
     MPS_PRECISION=bf16 ctest --output-on-failure -j "$jobs" \
-    -R 'Gcn|Microkernel|Spmm|Fuzz|Hybrid|Fusion|AmxGemm' "$@")
+    -R 'Gcn|Microkernel|Spmm|Fuzz|Hybrid|Fusion|AmxGemm|AmxRank' "$@")
 
 echo "==> ctest build-nofuse (MPS_FUSE=0)"
 (cd "$root/build-release" && \
