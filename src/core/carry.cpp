@@ -1,11 +1,13 @@
 #include "carry.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "mps/core/microkernel.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
 #include "mps/util/trace.h"
+#include "row_gather.h"
 
 namespace mps {
 
@@ -24,38 +26,15 @@ carry_slots(index_t threads, index_t heads, index_t width)
     return slots;
 }
 
-PanelSweep
-make_panel_sweep(const DenseMatrix &b, index_t b_col, DenseMatrix *c,
-                 index_t c_col, index_t width, const SpmmLocality &loc,
-                 const SplitRowList &split, index_t threads,
-                 PanelEpilogue epi, const void *epi_ctx)
-{
-    MPS_CHECK(c != nullptr || epi != nullptr,
-              "a streamed sweep needs an epilogue to hand its rows to");
-    PanelSweep p;
-    p.b = &b;
-    p.b_col = b_col;
-    p.prefetch = loc.prefetch;
-    p.c = c;
-    p.c_col = c_col;
-    p.width = width;
-    p.scatter = loc.row_scatter;
-    p.split = &split;
-    p.rk = &select_row_kernels(width);
-    p.epi = epi;
-    p.epi_ctx = epi_ctx;
-    p.carries =
-        carry_slots(threads, c == nullptr ? split.size() : 0, width);
-    return p;
-}
-
 void
-flush_epilogue_count(MetricsRegistry &metrics, const EpilogueCount &count)
+flush_sweep_count(MetricsRegistry &metrics, const SweepCount &count)
 {
-    if (count.calls == 0)
-        return;
-    metrics.counter_add("fusion.epilogue_rows", count.rows);
-    metrics.counter_add("fusion.epilogue_calls", count.calls);
+    if (count.epilogue_calls > 0) {
+        metrics.counter_add("fusion.epilogue_rows", count.epilogue_rows);
+        metrics.counter_add("fusion.epilogue_calls", count.epilogue_calls);
+    }
+    if (count.fallback_rows > 0)
+        metrics.counter_add("spmm.fallback_rows", count.fallback_rows);
 }
 
 value_t *
@@ -80,66 +59,238 @@ split_index(const SplitRowList &split, index_t row)
         split.rows.begin());
 }
 
+/** The non-zeros of @p m as the gathers read them (empty range). */
+NnzRange
+nnz_range(const PanelSweep &p, const CsrMatrix &m)
+{
+    return {m.values().data(), m.col_idx().data(), 0, 0,
+            p.b->padded_cols(), p.prefetch, m.nnz()};
+}
+
+/** B's panel columns at storage type @p T, row 0. */
+template <class T>
+const T *
+operand(const PanelSweep &p)
+{
+    if constexpr (std::is_same_v<T, bf16_t>)
+        return p.b->row_bf16(0) + p.b_col;
+    else
+        return p.b->row(0) + p.b_col;
+}
+
 /**
- * run_share's part loop, with the sink decided once per share rather
- * than per row. A row's first part is gathered straight where it goes
- * next: its row of C (stored, so C needs no zero-fill), or when
+ * The per-row fallback gather (the scalar table, widths off the
+ * 8-column grid, builds without SimdVec, int8 operands): zero(), then
+ * one RowKernels axpy per non-zero.
+ */
+template <class T>
+struct RowByRow
+{
+    static constexpr bool kPerRow = true;
+
+    const PanelSweep &p;
+    NnzRange r;
+
+    RowByRow(const PanelSweep &sweep, const CsrMatrix &m)
+        : p(sweep), r(nnz_range(sweep, m))
+    {
+    }
+
+    void operator()(value_t *acc, index_t begin, index_t end) const
+    {
+        if constexpr (std::is_same_v<T, int8_t>) {
+            const DenseMatrix &b = *p.b;
+            p.rk->zero(acc, p.width);
+            for (index_t k = begin; k < end; ++k) {
+                if (r.prefetch > 0 && k + r.prefetch < r.nnz)
+                    locality_prefetch(b.row_int8(r.cols[k + r.prefetch]) +
+                                      p.b_col);
+                const index_t src = r.cols[k];
+                p.rk->axpy_int8(acc, r.vals[k], b.row_int8(src) + p.b_col,
+                                b.quant_scale(src), b.quant_zero(src),
+                                p.width);
+            }
+        } else {
+            const T *x = operand<T>(p);
+            p.rk->zero(acc, p.width);
+            for (index_t k = begin; k < end; ++k) {
+                prefetch_ahead(x, r, k, p.width);
+                if constexpr (std::is_same_v<T, bf16_t>)
+                    p.rk->axpy_bf16(acc, r.vals[k], gather_row(x, r, k),
+                                    p.width);
+                else
+                    p.rk->axpy(acc, r.vals[k], gather_row(x, r, k),
+                               p.width);
+            }
+        }
+    }
+};
+
+#if MPS_SIMD_VEC
+/**
+ * The share loop's gather: register rows at a width of full whole
+ * chunks plus one of 8 * kLastEighths columns, inlined into the loop.
+ */
+template <class T, int kLastEighths>
+struct RegisterRows
+{
+    static constexpr bool kPerRow = false;
+
+    NnzRange r;
+    const T *x;
+    index_t full;
+
+    RegisterRows(const PanelSweep &p, const CsrMatrix &m)
+        : r(nnz_range(p, m)), x(operand<T>(p)),
+          full(chunk_split(p.width).full)
+    {
+    }
+
+    [[gnu::always_inline]] void operator()(value_t *acc, index_t begin,
+                                           index_t end) const
+    {
+        NnzRange part = r;
+        part.begin = begin;
+        part.end = end;
+        gather_chunks<T, kLastEighths>(acc, part, x, full);
+    }
+};
+#endif // MPS_SIMD_VEC
+
+/**
+ * The share loop (see ShareLoop), with the gather and the sink fixed
+ * at compile time. A row's first part is gathered straight where it
+ * goes next: its row of C (stored, so C needs no zero-fill), or when
  * streamed the staging tile or its split-row head.
  */
-template <bool kStreamed>
-inline void
-run_parts(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
-          const index_t *row_map, index_t t, EpilogueCount *epi_count)
+template <class Gather, bool kStreamed>
+void
+share_loop(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
+           const index_t *row_map, index_t t, SweepCount *count)
 {
-    EpilogueBatch batch(p, epi_count);
+    const Gather gather(p, m);
+    EpilogueBatch batch(p, count);
     const auto part = [&](index_t row, index_t begin, index_t end,
                           bool partial) {
-        const auto gather = [&](value_t *dst) {
-            gather_nonzeros(m, *p.b, p.b_col, p.width, p.prefetch, begin,
-                            end, dst, *p.rk);
-        };
         if (begin > m.row_begin(row)) {
-            gather(p.carries.slot(t));
+            gather(p.carries.slot(t), begin, end);
             return;
         }
         const index_t id = row_map != nullptr ? row_map[row] : row;
-        if constexpr (kStreamed) {
-            value_t *dst = partial
-                               ? p.carries.head(split_index(*p.split, id))
-                               : batch.stage();
-            gather(dst);
-            if (!partial)
-                batch.add(dst, id);
-        } else {
-            value_t *crow = p.out_row(id);
-            gather(crow);
-            if (!partial)
-                batch.add(crow, id);
-        }
+        value_t *dst;
+        if constexpr (kStreamed)
+            dst = partial ? p.carries.head(split_index(*p.split, id))
+                          : batch.stage();
+        else
+            dst = p.out_row(id);
+        gather(dst, begin, end);
+        if (!partial)
+            batch.add(dst, id);
     };
 
     if (w.has_head())
         part(w.head_row, w.head_begin, w.head_end, w.head_atomic);
+    // The complete rows, the bulk of a share, run here rather than
+    // through part, which the compiler keeps out of line.
     for (index_t row = w.first_complete_row; row < w.last_complete_row;
-         ++row)
-        part(row, m.row_begin(row), m.row_end(row), false);
+         ++row) {
+        const index_t id = row_map != nullptr ? row_map[row] : row;
+        value_t *dst;
+        if constexpr (kStreamed)
+            dst = batch.stage();
+        else
+            dst = p.out_row(id);
+        gather(dst, m.row_begin(row), m.row_end(row));
+        batch.add(dst, id);
+    }
     if (w.has_tail())
         part(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
     batch.flush();
+    if (Gather::kPerRow && count != nullptr &&
+        w.last_complete_row > w.first_complete_row)
+        count->fallback_rows += w.last_complete_row - w.first_complete_row;
+}
+
+template <class Gather>
+ShareLoop
+share_loop_for(const PanelSweep &p)
+{
+    return p.streamed() ? &share_loop<Gather, true>
+                        : &share_loop<Gather, false>;
+}
+
+/** The share loop of an f32 or bf16 sweep (element type @p T). */
+template <class T>
+ShareLoop
+select_share_loop(const PanelSweep &p)
+{
+#if MPS_SIMD_VEC
+    if (p.rk->path == MicrokernelPath::kSimd && p.width % 8 == 0) {
+        static constexpr auto kStreamed = by_last_eighths([](auto last) {
+            return &share_loop<RegisterRows<T, decltype(last)::value>,
+                               true>;
+        });
+        static constexpr auto kStored = by_last_eighths([](auto last) {
+            return &share_loop<RegisterRows<T, decltype(last)::value>,
+                               false>;
+        });
+        const auto i =
+            static_cast<size_t>(chunk_split(p.width).last_eighths - 1);
+        return p.streamed() ? kStreamed[i] : kStored[i];
+    }
+#endif
+    return share_loop_for<RowByRow<T>>(p);
+}
+
+ShareLoop
+select_share_loop(const PanelSweep &p)
+{
+    switch (p.b->storage()) {
+    case StorageMode::kBf16:
+        return select_share_loop<bf16_t>(p);
+    case StorageMode::kInt8:
+        return share_loop_for<RowByRow<int8_t>>(p);
+    case StorageMode::kF32:
+        break;
+    }
+    return select_share_loop<value_t>(p);
 }
 
 } // namespace
 
+PanelSweep
+make_panel_sweep(const DenseMatrix &b, index_t b_col, DenseMatrix *c,
+                 index_t c_col, index_t width, const SpmmLocality &loc,
+                 const SplitRowList &split, index_t threads,
+                 PanelEpilogue epi, const void *epi_ctx)
+{
+    MPS_CHECK(c != nullptr || epi != nullptr,
+              "a streamed sweep needs an epilogue to hand its rows to");
+    PanelSweep p;
+    p.b = &b;
+    p.b_col = b_col;
+    p.prefetch = loc.prefetch;
+    p.c = c;
+    p.c_col = c_col;
+    p.width = width;
+    p.scatter = loc.row_scatter;
+    p.split = &split;
+    p.rk = &select_row_kernels(width);
+    p.epi = epi;
+    p.epi_ctx = epi_ctx;
+    p.loop = select_share_loop(p);
+    p.carries =
+        carry_slots(threads, c == nullptr ? split.size() : 0, width);
+    return p;
+}
+
 void
 run_share(const PanelSweep &p, const CsrMatrix &m,
           const MergePathSchedule &sched, const index_t *row_map,
-          index_t t, WriteCensus *census, EpilogueCount *epi_count)
+          index_t t, WriteCensus *census, SweepCount *count)
 {
     const ResolvedWork w = sched.resolve(t, m);
-    if (p.streamed())
-        run_parts<true>(p, m, w, row_map, t, epi_count);
-    else
-        run_parts<false>(p, m, w, row_map, t, epi_count);
+    p.loop(p, m, w, row_map, t, count);
 
     if (census == nullptr)
         return;
@@ -159,7 +310,17 @@ run_share(const PanelSweep &p, const CsrMatrix &m,
 }
 
 void
-apply_carries(const PanelSweep &p, EpilogueCount *count)
+run_rows(const PanelSweep &p, const CsrMatrix &m, index_t first,
+         index_t last, SweepCount *count)
+{
+    ResolvedWork w;
+    w.first_complete_row = first;
+    w.last_complete_row = last;
+    p.loop(p, m, w, nullptr, 0, count);
+}
+
+void
+apply_carries(const PanelSweep &p, SweepCount *count)
 {
     const SplitRowList &split = *p.split;
     if (split.empty())

@@ -1,8 +1,9 @@
 /**
  * @file
- * What the merge-path sweep and the hybrid tail share (internal to
- * mps_core): the non-zero gather, the thread share of Algorithm 2, the
- * epilogue batch and the split-row carry fix-up.
+ * What the merge-path sweep and the hybrid sweep share (internal to
+ * mps_core): the share loop, which runs the thread share of Algorithm 2
+ * and the hybrid dense chunks, the epilogue batch and the split-row
+ * carry fix-up.
  *
  * A row split across schedule threads gets one partial sum per
  * contributing thread. Instead of committing each with a float atomic,
@@ -39,40 +40,6 @@
 namespace mps {
 
 class MetricsRegistry;
-
-/**
- * acc[0:width) = the sum over non-zeros [begin, end) of @p a of
- * vals[k] * B[cols[k]][b_col : b_col + width), read at B's storage
- * mode: f32 and bf16 rows accumulate in registers (rk.gather_axpy*),
- * int8 rows one axpy per non-zero. @p prefetch > 0 prefetches the B
- * row that many non-zeros ahead.
- */
-inline void
-gather_nonzeros(const CsrMatrix &a, const DenseMatrix &b, index_t b_col,
-                index_t width, index_t prefetch, index_t begin,
-                index_t end, value_t *acc, const RowKernels &rk)
-{
-    const NnzRange r{a.values().data(), a.col_idx().data(), begin, end,
-                     b.padded_cols(), prefetch, a.nnz()};
-    switch (b.storage()) {
-    case StorageMode::kBf16:
-        rk.gather_axpy_bf16(acc, r, b.row_bf16(0) + b_col, width);
-        return;
-    case StorageMode::kInt8:
-        rk.zero(acc, width);
-        for (index_t k = begin; k < end; ++k) {
-            if (prefetch > 0 && k + prefetch < r.nnz)
-                locality_prefetch(b.row_int8(r.cols[k + prefetch]) + b_col);
-            const index_t src = r.cols[k];
-            rk.axpy_int8(acc, r.vals[k], b.row_int8(src) + b_col,
-                         b.quant_scale(src), b.quant_zero(src), width);
-        }
-        return;
-    case StorageMode::kF32:
-        rk.gather_axpy(acc, r, b.row(0) + b_col, width);
-        return;
-    }
-}
 
 /**
  * The fix-up scratch of one sweep, padded to whole lines: one carry
@@ -123,6 +90,24 @@ class CarrySlots
  */
 CarrySlots carry_slots(index_t threads, index_t heads, index_t width);
 
+struct PanelSweep;
+struct SweepCount;
+
+/**
+ * A share loop: gathers @p w's head, complete rows [first_complete_row,
+ * last_complete_row) and tail of @p m, puts each where the sweep says
+ * and hands the finished rows to the epilogue (see run_share). On the
+ * SIMD path, for f32 and bf16 operands at a width that is a multiple
+ * of 8, it is specialised for the storage mode, the width and the sink
+ * (stored or streamed), and every part's non-zero loop runs inline on
+ * register rows (row_gather.h). Int8 operands, the scalar table and
+ * other widths take the per-row fallback: zero() and one RowKernels
+ * axpy per non-zero, counted in SweepCount::fallback_rows.
+ */
+using ShareLoop = void (*)(const PanelSweep &p, const CsrMatrix &m,
+                           const ResolvedWork &w, const index_t *row_map,
+                           index_t t, SweepCount *count);
+
 /**
  * One panel sweep of the gather/commit datapath, shared by every
  * executor of it. The traversal reads B columns [b_col, b_col + width)
@@ -139,6 +124,9 @@ CarrySlots carry_slots(index_t threads, index_t heads, index_t width);
  * first parts the head rows of @p carries. @p epi, when non-null,
  * runs on every finished row, batched per executor: rows finished by
  * a share as it goes, split rows by the carry fix-up.
+ *
+ * @p loop is the sweep's share loop, picked once per sweep for B's
+ * storage mode, the width and the sink (see ShareLoop).
  */
 struct PanelSweep
 {
@@ -153,6 +141,7 @@ struct PanelSweep
     const RowKernels *rk = nullptr;
     PanelEpilogue epi = nullptr;
     const void *epi_ctx = nullptr;
+    ShareLoop loop = nullptr;
     CarrySlots carries;
 
     bool streamed() const { return c == nullptr; }
@@ -175,25 +164,27 @@ PanelSweep make_panel_sweep(const DenseMatrix &b, index_t b_col,
                             PanelEpilogue epi, const void *epi_ctx);
 
 /**
- * Epilogue batch census of one executor (fusion.epilogue_rows /
- * fusion.epilogue_calls): rows handed over and the calls that carried
- * them. Lives inside the per-executor census slots, flushed once per
- * sweep.
+ * Sweep census of one executor: rows handed to the epilogue and the
+ * calls that carried them (fusion.epilogue_rows / fusion.epilogue_calls),
+ * and complete rows gathered one call per row instead of in the share
+ * loop's register rows (spmm.fallback_rows, see PanelSweep::loop).
+ * Lives inside the per-executor census slots, flushed once per sweep.
  */
-struct EpilogueCount
+struct SweepCount
 {
-    int64_t rows = 0;
-    int64_t calls = 0;
+    int64_t epilogue_rows = 0;
+    int64_t epilogue_calls = 0;
+    int64_t fallback_rows = 0;
 
-    void merge(const EpilogueCount &o) {
-        rows += o.rows;
-        calls += o.calls;
+    void merge(const SweepCount &o) {
+        epilogue_rows += o.epilogue_rows;
+        epilogue_calls += o.epilogue_calls;
+        fallback_rows += o.fallback_rows;
     }
 };
 
-/** Add a sweep's summed batch census to fusion.epilogue_{rows,calls}. */
-void flush_epilogue_count(MetricsRegistry &metrics,
-                          const EpilogueCount &count);
+/** Add a sweep's summed census to its counters (see SweepCount). */
+void flush_sweep_count(MetricsRegistry &metrics, const SweepCount &count);
 
 /**
  * Write census of one executor (the runtime counterpart of Figure 5's
@@ -232,7 +223,7 @@ class EpilogueBatch
 {
   public:
     /** @p count (may be null) receives the batch census. */
-    EpilogueBatch(const PanelSweep &p, EpilogueCount *count)
+    EpilogueBatch(const PanelSweep &p, SweepCount *count)
         : epi_(p.epi), ctx_(p.epi_ctx), c_col0_(p.c_col), width_(p.width),
           ld_(padded_row_length(p.width)), count_(count)
     {
@@ -258,8 +249,8 @@ class EpilogueBatch
             return;
         epi_(rows_, size_, c_col0_, width_, ctx_);
         if (count_ != nullptr) {
-            count_->rows += size_;
-            ++count_->calls;
+            count_->epilogue_rows += size_;
+            ++count_->epilogue_calls;
         }
         size_ = 0;
     }
@@ -270,27 +261,35 @@ class EpilogueBatch
     index_t c_col0_;
     index_t width_;
     index_t ld_;
-    EpilogueCount *count_;
+    SweepCount *count_;
     value_t *staging_ = nullptr;
     FinishedRow rows_[kEpilogueBatchRows];
     int size_ = 0;
 };
 
 /**
- * Execute share @p t of @p sched over @p m (Algorithm 2): the share's
- * head, complete rows and tail, each part gathered in registers and
- * put where @p p says (see PanelSweep), its finished rows handed to
- * the epilogue in batches, the last one flushed before returning. A
- * head that continues a split row goes to carry slot t for the fix-up.
- * @p row_map (nullptr = identity) maps m's rows to the executed
- * matrix's, whose ids the split list, the scatter and the epilogue
- * see: the hybrid tail sweeps a compacted copy of its rows. @p census
- * and @p epi_count (each may be null) receive the write and the
- * epilogue batch census.
+ * Execute share @p t of @p sched over @p m (Algorithm 2) with the
+ * sweep's share loop: the share's head, complete rows and tail, each
+ * part gathered in registers and put where @p p says (see PanelSweep),
+ * its finished rows handed to the epilogue in batches, the last one
+ * flushed before returning. A head that continues a split row goes to
+ * carry slot t for the fix-up. @p row_map (nullptr = identity) maps
+ * m's rows to the executed matrix's, whose ids the split list, the
+ * scatter and the epilogue see: the hybrid tail sweeps a compacted
+ * copy of its rows. @p census and @p count (each may be null) receive
+ * the write and the sweep census.
  */
 void run_share(const PanelSweep &p, const CsrMatrix &m,
                const MergePathSchedule &sched, const index_t *row_map,
-               index_t t, WriteCensus *census, EpilogueCount *epi_count);
+               index_t t, WriteCensus *census, SweepCount *count);
+
+/**
+ * Gather rows [first, last) of @p m, each complete and owned by the
+ * caller, with the sweep's share loop: the hybrid dense chunks. Census
+ * into @p count (may be null).
+ */
+void run_rows(const PanelSweep &p, const CsrMatrix &m, index_t first,
+              index_t last, SweepCount *count);
 
 /**
  * The fix-up pass: for every split row of @p p, add its carries onto
@@ -301,7 +300,7 @@ void run_share(const PanelSweep &p, const CsrMatrix &m,
  * pass; a CPU-sized schedule has at most one split row per thread
  * boundary.
  */
-void apply_carries(const PanelSweep &p, EpilogueCount *count);
+void apply_carries(const PanelSweep &p, SweepCount *count);
 
 } // namespace mps
 

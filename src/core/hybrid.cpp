@@ -365,7 +365,7 @@ namespace {
 
 /**
  * Per-executor phase accumulator: tail write census + dense row
- * counts + per-phase wall time + epilogue batch census.
+ * counts + per-phase wall time + sweep census.
  * Cacheline-aligned, written only by the owning executor; the pool's
  * completion barrier makes the final aggregation race-free.
  */
@@ -376,7 +376,7 @@ struct alignas(64) PhaseSlot
     WriteCensus writes;
     int64_t dense_rows = 0;
     int64_t dense_nnz = 0;
-    EpilogueCount epilogue;
+    SweepCount sweep;
 };
 
 /** One panel's immutable execution context for both phases. */
@@ -392,43 +392,35 @@ struct HybridPanel
  * Execute tail share @p t: one merge-path thread over the tail matrix,
  * whose finished rows reach the epilogue with their BASE row ids, so
  * structural epilogues index side inputs of the executed matrix, not
- * the compacted tail. @p census and @p epi_count (may be null) receive
- * the write and the epilogue batch census.
+ * the compacted tail. @p census and @p count (may be null) receive
+ * the write and the sweep census.
  */
 void
 run_tail_share(const HybridPanel &p, index_t t, PhaseSlot *census,
-               EpilogueCount *epi_count)
+               SweepCount *count)
 {
     const HybridSchedule &hs = *p.hs;
     run_share(p.sweep, hs.tail_is_base() ? *p.a : hs.tail(),
               hs.tail_schedule(),
               hs.tail_is_base() ? nullptr : hs.tail_rows().data(), t,
-              census != nullptr ? &census->writes : nullptr, epi_count);
+              census != nullptr ? &census->writes : nullptr, count);
 }
 
 /**
- * Execute dense chunk @p idx: each row gathers in registers and is
- * stored straight where it goes — its output row, or when streamed the
- * staging tile — no scratch round trip, no atomics; every band row is
- * owned by exactly one chunk, and reaches the epilogue in the chunk's
- * batches. @p census and @p epi_count (may be null) as for
- * run_tail_share.
+ * Execute dense chunk @p idx with the sweep's share loop: each row
+ * gathers in registers and is stored straight where it goes — its
+ * output row, or when streamed the staging tile — no scratch round
+ * trip, no atomics; every band row is owned by exactly one chunk, and
+ * reaches the epilogue in the chunk's batches. @p census and @p count
+ * (may be null) as for run_tail_share.
  */
 void
 run_dense_chunk(const HybridPanel &p, size_t idx, PhaseSlot *census,
-                EpilogueCount *epi_count)
+                SweepCount *count)
 {
     const CsrMatrix &a = *p.a;
-    const PanelSweep &s = p.sweep;
     const RowBand chunk = p.hs->dense_chunks()[idx];
-    EpilogueBatch batch(s, epi_count);
-    for (index_t r = chunk.begin; r < chunk.end; ++r) {
-        value_t *crow = s.streamed() ? batch.stage() : s.out_row(r);
-        gather_nonzeros(a, *s.b, s.b_col, s.width, s.prefetch,
-                        a.row_begin(r), a.row_end(r), crow, *s.rk);
-        batch.add(crow, r);
-    }
-    batch.flush();
+    run_rows(p.sweep, a, chunk.begin, chunk.end, count);
     if (census != nullptr) {
         census->dense_rows += chunk.end - chunk.begin;
         census->dense_nnz +=
@@ -468,7 +460,7 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
         total.writes.merge(slots[i].writes);
         total.dense_rows += slots[i].dense_rows;
         total.dense_nnz += slots[i].dense_nnz;
-        total.epilogue.merge(slots[i].epilogue);
+        total.sweep.merge(slots[i].sweep);
     }
     if (total.writes.atomics > 0)
         metrics.counter_add("spmm.hybrid.atomic_commits",
@@ -485,7 +477,7 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
     if (total.dense_nnz > 0)
         metrics.counter_add("spmm.hybrid.dense_nnz_processed",
                             total.dense_nnz);
-    flush_epilogue_count(metrics, total.epilogue);
+    flush_sweep_count(metrics, total.sweep);
 }
 
 /**
@@ -493,7 +485,7 @@ flush_phase_counters(MetricsRegistry &metrics, const PhaseSlot *slots,
  * and dense chunks are sibling indices of ONE parallel_for on @p pool
  * (nullptr: run them in index order on the caller), so the pool's
  * stealing rebalances stragglers across the phases. @p slots (when
- * non-null) receives the epilogue batch census, the write census when
+ * non-null) receives the sweep census, the write census when
  * @p census is set, and with @p timed the per-item wall time of the
  * owning phase.
  */
@@ -516,14 +508,14 @@ run_hybrid_panel(const HybridPanel &p, WorkStealPool *pool,
     const auto run_item = [&](uint64_t i, PhaseSlot *slot) {
         Timer wall;
         PhaseSlot *cs = census ? slot : nullptr;
-        EpilogueCount *ec = slot != nullptr ? &slot->epilogue : nullptr;
+        SweepCount *sc = slot != nullptr ? &slot->sweep : nullptr;
         if (i < tail_shares) {
-            run_tail_share(p, static_cast<index_t>(i), cs, ec);
+            run_tail_share(p, static_cast<index_t>(i), cs, sc);
             if (timed && slot != nullptr)
                 slot->tail_ns += static_cast<int64_t>(wall.elapsed_ns());
         } else {
             run_dense_chunk(p, static_cast<size_t>(i - tail_shares), cs,
-                            ec);
+                            sc);
             if (timed && slot != nullptr)
                 slot->dense_ns +=
                     static_cast<int64_t>(wall.elapsed_ns());
@@ -538,7 +530,7 @@ run_hybrid_panel(const HybridPanel &p, WorkStealPool *pool,
     }
     // After the barrier the caller's executor slot is free again.
     PhaseSlot *slot = slot_of();
-    apply_carries(p.sweep, slot != nullptr ? &slot->epilogue : nullptr);
+    apply_carries(p.sweep, slot != nullptr ? &slot->sweep : nullptr);
 }
 
 HybridPanel
@@ -570,10 +562,10 @@ hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
     check_hybrid_shapes(a, hs, b, b_col0, c, c_col0, width);
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool count = count_census && metrics.enabled();
-    // The write census counts the first panel only; the epilogue batch
-    // census counts every sweep that has an epilogue.
+    // The write census counts the first panel only; the sweep census
+    // counts every sweep.
     std::vector<PhaseSlot> slots;
-    if (metrics.enabled() && (count_census || epi != nullptr))
+    if (metrics.enabled())
         slots.resize(pool.max_concurrency());
     const HybridPanel p = make_panel(a, hs, split, b, b_col0, c, c_col0,
                                      width, loc, epi, epi_ctx);

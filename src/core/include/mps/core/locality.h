@@ -188,8 +188,13 @@ SpmmLocality default_fused_locality(index_t n_rows, index_t dim,
 SpmmLocality default_spmm_locality(index_t n_cols, index_t dim,
                                    index_t elem_bytes = sizeof(value_t));
 
-/** Prefetch @p addr into all cache levels for reading (no-op if unsupported). */
-inline void
+/**
+ * Prefetch @p addr into all cache levels for reading (no-op if
+ * unsupported). Forced inline: GCC 12 can judge a call whose only
+ * effect is a prefetch side-effect free and delete it before inlining
+ * it, which silently dropped every prefetch of the sweep's share loop.
+ */
+[[gnu::always_inline]] inline void
 locality_prefetch(const void *addr)
 {
 #if defined(__GNUC__) || defined(__clang__)

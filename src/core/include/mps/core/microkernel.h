@@ -150,28 +150,6 @@ atomic_max(value_t &slot, value_t v)
 // ---------------------------------------------------------------------
 
 /**
- * Non-zeros [begin, end) of a CSR matrix as the gather_axpy kernels
- * read them: weights vals[k], operand row cols[k], operand rows ld
- * elements apart. With prefetch > 0 the operand row prefetch non-zeros
- * ahead is prefetched whole while that non-zero is below nnz, the
- * matrix's count. The lookahead crosses row boundaries: the merge
- * traversal consumes the non-zeros in global order, and clamping to
- * the current row would silence the prefetch on every short row. The
- * operand's rows must start on cache lines, as DenseMatrix rows do:
- * the prefetch starts at the line holding the gathered element.
- */
-struct NnzRange
-{
-    const value_t *vals;
-    const index_t *cols;
-    index_t begin;
-    index_t end;
-    index_t ld;
-    index_t prefetch;
-    index_t nnz;
-};
-
-/**
  * One resolved set of row primitives. All pointers are non-null; dim
  * is passed on every call and must match the dim the table was
  * selected for only in the fixed-dimension tables (asserted there).
@@ -252,22 +230,6 @@ struct RowKernels
     /** dst[0:dim) = scale * src + zero. */
     void (*decode_int8)(value_t *dst, const int8_t *src, value_t scale,
                         value_t zero, index_t dim);
-
-    // -----------------------------------------------------------------
-    // Register rows: the SpMM sweep's whole non-zero loop for one row
-    // range. On the SIMD path a width that is a multiple of 8 keeps
-    // the row in registers (column chunks of at most 8 vectors) and
-    // stores it once; other widths, and the scalar path, run zero()
-    // then one axpy per non-zero. Either way each element is one FMA
-    // chain from zero in ascending k, bit-identical to that loop.
-    // -----------------------------------------------------------------
-
-    /** acc[0:dim) = sum over r of vals[k] * x[cols[k] * ld + 0:dim). */
-    void (*gather_axpy)(value_t *acc, const NnzRange &r, const value_t *x,
-                        index_t dim);
-    /** gather_axpy over bf16 operand rows, widened in registers. */
-    void (*gather_axpy_bf16)(value_t *acc, const NnzRange &r,
-                             const bf16_t *x, index_t dim);
 
     MicrokernelPath path;
     /** Compile-time dimension of this table, 0 for the generic ones. */

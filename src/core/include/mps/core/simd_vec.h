@@ -3,7 +3,7 @@
  * One vector register of value_t lanes, the type the hot loops are
  * written over once: the GEMM register tile and the rows-in-lanes
  * epilogue products (src/gcn/gemm.cpp), and the SpMM register-row
- * gather (RowKernels::gather_axpy*). SimdVec is the
+ * gather (src/core/row_gather.h). SimdVec is the
  * widest x86 ISA compiled in — AVX-512 (16 lanes) where the build
  * targets AVX512F/BW/VL, AVX2+FMA (8 lanes) otherwise — and absent
  * (MPS_SIMD_VEC 0) on scalar, NEON and FMA-less builds.

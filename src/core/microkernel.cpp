@@ -1,14 +1,9 @@
 #include "mps/core/microkernel.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
-#include "mps/core/locality.h"
-#include "mps/core/simd_vec.h"
 #include "mps/sparse/aligned_buffer.h"
 #include "mps/sparse/quant.h"
 #include "mps/util/log.h"
@@ -247,50 +242,6 @@ axpy_atomic_impl(value_t *dst, value_t a, const value_t *x, index_t dim)
         atomic_add(dst[d], a * x[d]);
 }
 
-/** The operand row of non-zero @p k of @p r. */
-template <class T>
-inline const T *
-gather_row(const T *x, const NnzRange &r, index_t k)
-{
-    return x + static_cast<size_t>(r.cols[k]) * static_cast<size_t>(r.ld);
-}
-
-/**
- * Prefetches every cache line of the first @p dim elements of the
- * operand row r.prefetch non-zeros past @p k, if there is one. Forced
- * inline: GCC 12 deduces that an out-of-line function whose only
- * effect is a prefetch is side-effect free, and deletes its calls.
- */
-template <class T>
-[[gnu::always_inline]] inline void
-prefetch_ahead(const T *x, const NnzRange &r, index_t k, index_t dim)
-{
-    if (r.prefetch <= 0 || k + r.prefetch >= r.nnz)
-        return;
-    constexpr auto kLine = static_cast<index_t>(kRowAlignBytes / sizeof(T));
-    const T *row = gather_row(x, r, k + r.prefetch);
-    const auto skew = static_cast<index_t>(
-        reinterpret_cast<uintptr_t>(row) % kRowAlignBytes / sizeof(T));
-    for (index_t i = -skew; i < dim; i += kLine)
-        locality_prefetch(row + i);
-}
-
-/**
- * gather_axpy in memory: Zero, then one Axpy per non-zero. The scalar
- * path's form, and the SIMD path's for widths that are not a multiple
- * of 8.
- */
-template <class T, auto Zero, auto Axpy>
-void
-gather_loop(value_t *acc, const NnzRange &r, const T *x, index_t dim)
-{
-    Zero(acc, dim);
-    for (index_t k = r.begin; k < r.end; ++k) {
-        prefetch_ahead(x, r, k, dim);
-        Axpy(acc, r.vals[k], gather_row(x, r, k), dim);
-    }
-}
-
 constexpr RowKernels kScalarTable = {
     scalar::zero,         scalar::fill,
     scalar::copy,         scalar::add,
@@ -305,8 +256,6 @@ constexpr RowKernels kScalarTable = {
     scalar::axpy_int8,    scalar::dot_int8,
     scalar::gather_dot_int8,
     scalar::encode_int8,  scalar::decode_int8,
-    gather_loop<value_t, scalar::zero, scalar::axpy>,
-    gather_loop<bf16_t, scalar::zero, scalar::axpy_bf16>,
     MicrokernelPath::kScalar,
     /*fixed_dim=*/0,
     "scalar",
@@ -765,100 +714,6 @@ axpy_int8_fixed(value_t *acc, value_t a, const int8_t *x, value_t scale,
     }
 }
 
-#if MPS_SIMD_VEC
-// ---------------------------------------------------------------------
-// Register rows, written once over SimdVec: zmm on AVX-512 builds, ymm
-// on AVX2. Each chunk of columns keeps its accumulators in registers
-// for the whole non-zero loop and stores them once.
-// ---------------------------------------------------------------------
-
-using V = SimdVec;
-
-/** Widest chunk, in 8-column units: 8 vectors. */
-constexpr int kMaxChunkEighths = V::kLanes;
-
-/**
- * gather_axpy over one chunk of 8 * N8 columns: whole vectors, then on
- * AVX-512 a half-full masked one when N8 is odd. Each lane is
- * fmadd(vals[k], x, sum) over k ascending from zero, exactly the axpy
- * chain.
- */
-template <class T, int N8>
-void
-gather_chunk(value_t *acc, const NnzRange &r, const T *x, index_t /*dim*/)
-{
-    constexpr int kCols = 8 * N8;
-    constexpr int kFull = kCols / V::kLanes;
-    constexpr int kPart = kCols % V::kLanes;
-    constexpr int kRegs = kFull + (kPart != 0 ? 1 : 0);
-    static_assert(kRegs <= 8, "a chunk is at most 8 vectors");
-    [[maybe_unused]] const V::Mask part = V::prefix(kPart);
-    V::Reg sum[kRegs];
-#pragma GCC unroll 8
-    for (int v = 0; v < kRegs; ++v)
-        sum[v] = V::zero();
-    for (index_t k = r.begin; k < r.end; ++k) {
-        prefetch_ahead(x, r, k, kCols);
-        const T *row = gather_row(x, r, k);
-        const V::Reg a = V::broadcast(r.vals[k]);
-#pragma GCC unroll 8
-        for (int v = 0; v < kFull; ++v)
-            sum[v] = V::fmadd(a, V::load(row + v * V::kLanes), sum[v]);
-        if constexpr (kPart != 0)
-            sum[kFull] = V::fmadd(a, V::load(row + kFull * V::kLanes, part),
-                                  sum[kFull]);
-    }
-#pragma GCC unroll 8
-    for (int v = 0; v < kFull; ++v)
-        V::store(acc + v * V::kLanes, sum[v]);
-    if constexpr (kPart != 0)
-        V::store(acc + kFull * V::kLanes, sum[kFull], part);
-}
-
-template <class T, int... N>
-constexpr auto
-chunk_table(std::integer_sequence<int, N...>)
-{
-    return std::array{&gather_chunk<T, N + 1>...};
-}
-
-/** gather_axpy at a runtime width that is a multiple of 8. */
-template <class T>
-void
-gather_chunks(value_t *acc, const NnzRange &r, const T *x, index_t dim)
-{
-    static constexpr auto kChunks = chunk_table<T>(
-        std::make_integer_sequence<int, kMaxChunkEighths>{});
-    constexpr index_t kChunkCols = 8 * kMaxChunkEighths;
-    for (index_t c0 = 0; c0 < dim; c0 += kChunkCols) {
-        const index_t cols = std::min(kChunkCols, dim - c0);
-        kChunks[static_cast<size_t>(cols / 8 - 1)](acc + c0, r, x + c0,
-                                                   cols);
-    }
-}
-#endif // MPS_SIMD_VEC
-
-void
-gather_axpy(value_t *acc, const NnzRange &r, const value_t *x, index_t dim)
-{
-#if MPS_SIMD_VEC
-    if (dim % 8 == 0)
-        return gather_chunks(acc, r, x, dim);
-#endif
-    gather_loop<value_t, zero, axpy>(acc, r, x, dim);
-}
-
-void
-gather_axpy_bf16(value_t *acc, const NnzRange &r, const bf16_t *x,
-                 index_t dim)
-{
-#if MPS_SIMD_VEC
-    if (dim % 8 == 0)
-        return gather_chunks(acc, r, x, dim);
-#endif
-    gather_loop<bf16_t, zero, axpy_bf16>(acc, r, x, dim);
-}
-
 } // namespace simd
 
 constexpr RowKernels kSimdGeneric = {
@@ -875,7 +730,6 @@ constexpr RowKernels kSimdGeneric = {
     simd::axpy_int8,    simd::dot_int8,
     simd::gather_dot_int8,
     simd::encode_int8,  simd::decode_int8,
-    simd::gather_axpy,  simd::gather_axpy_bf16,
     MicrokernelPath::kSimd,
     /*fixed_dim=*/0,
     "simd",
@@ -892,10 +746,6 @@ make_fixed_table(const char *table_name)
     t.commit_plain = simd::commit_plain_fixed<DIM>;
     t.axpy_bf16 = simd::axpy_bf16_fixed<DIM>;
     t.axpy_int8 = simd::axpy_int8_fixed<DIM>;
-#if MPS_SIMD_VEC
-    t.gather_axpy = simd::gather_chunk<value_t, DIM / 8>;
-    t.gather_axpy_bf16 = simd::gather_chunk<bf16_t, DIM / 8>;
-#endif
     t.fixed_dim = DIM;
     t.name = table_name;
     return t;
@@ -1058,8 +908,6 @@ constexpr RowKernels kSimdGeneric = {
     scalar::axpy_int8,    scalar::dot_int8,
     scalar::gather_dot_int8,
     scalar::encode_int8,  scalar::decode_int8,
-    gather_loop<value_t, simd::zero, simd::axpy>,
-    gather_loop<bf16_t, simd::zero, scalar::axpy_bf16>,
     MicrokernelPath::kSimd,
     /*fixed_dim=*/0,
     "simd",

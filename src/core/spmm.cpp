@@ -19,8 +19,8 @@ namespace mps {
 namespace {
 
 /**
- * Per-executor census slot: the write census and the epilogue batch
- * census (see carry.h). Each executor of a parallel_for owns one
+ * Per-executor census slot: the write census and the sweep census
+ * (see carry.h). Each executor of a parallel_for owns one
  * cacheline-aligned slot and bumps it with plain stores; the sums
  * reach the metrics registry in one flush per SpMM instead of up to
  * three contended counter_add calls per scheduled task.
@@ -28,7 +28,7 @@ namespace {
 struct alignas(64) CommitCensus
 {
     WriteCensus writes;
-    EpilogueCount epilogue;
+    SweepCount sweep;
 };
 
 void
@@ -38,7 +38,7 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
     CommitCensus total;
     for (size_t i = 0; i < count; ++i) {
         total.writes.merge(census[i].writes);
-        total.epilogue.merge(census[i].epilogue);
+        total.sweep.merge(census[i].sweep);
     }
     if (total.writes.atomics > 0)
         metrics.counter_add("spmm.mergepath.atomic_commits",
@@ -49,7 +49,7 @@ flush_census(MetricsRegistry &metrics, const CommitCensus *census,
     if (total.writes.nnz > 0)
         metrics.counter_add("spmm.mergepath.nnz_processed",
                             total.writes.nnz);
-    flush_epilogue_count(metrics, total.epilogue);
+    flush_sweep_count(metrics, total.sweep);
 }
 
 void
@@ -85,9 +85,10 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
         // count: count it on the first panel only.
         WriteCensus *cs =
             instrumented && col == 0 ? &census.writes : nullptr;
+        SweepCount *sc = instrumented ? &census.sweep : nullptr;
         for (index_t t = 0; t < sched.num_threads(); ++t)
-            run_share(p, a, sched, nullptr, t, cs, nullptr);
-        apply_carries(p, nullptr);
+            run_share(p, a, sched, nullptr, t, cs, sc);
+        apply_carries(p, sc);
         ++sweeps;
     }
     if (instrumented) {
@@ -138,12 +139,13 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
     const index_t tile = loc.tiled(dim) ? loc.tile_d : dim;
     const bool instrumented = metrics.enabled();
     const SplitRowList split = sched.split_row_list(a);
-    // One write-census accumulator per pool executor, merged into the
-    // registry once per SpMM (first panel only — the census describes
-    // the schedule's write structure, which every sweep repeats).
-    // Entries are cacheline-aligned and each is written only by its
-    // owning executor; the pool's completion acquire/release makes the
-    // final read race-free.
+    // One census slot per pool executor, merged into the registry once
+    // per SpMM. The write census counts the first panel only (it
+    // describes the schedule's write structure, which every sweep
+    // repeats); the sweep census counts every panel. Entries are
+    // cacheline-aligned and each is written only by its owning
+    // executor; the pool's completion acquire/release makes the final
+    // read race-free.
     std::vector<CommitCensus> census;
     if (instrumented)
         census.resize(pool.max_concurrency());
@@ -161,12 +163,14 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
         // threads).
         pool.parallel_for(
             static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
-                WriteCensus *cs =
-                    count ? &census[pool.current_slot()].writes : nullptr;
+                CommitCensus *slot =
+                    instrumented ? &census[pool.current_slot()] : nullptr;
                 run_share(p, a, sched, nullptr, static_cast<index_t>(t),
-                          cs, nullptr);
+                          count ? &slot->writes : nullptr,
+                          slot != nullptr ? &slot->sweep : nullptr);
             });
-        apply_carries(p, nullptr);
+        apply_carries(p, instrumented ? &census[pool.current_slot()].sweep
+                                      : nullptr);
         ++sweeps;
     }
     if (instrumented) {
@@ -228,10 +232,10 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     check_panel_shapes(a, b, b_col0, c, c_col0, width);
     MetricsRegistry &metrics = MetricsRegistry::global();
     const bool count = count_census && metrics.enabled();
-    // The write census counts the first panel only; the epilogue batch
-    // census counts every sweep that has an epilogue.
+    // The write census counts the first panel only; the sweep census
+    // counts every sweep.
     std::vector<CommitCensus> census;
-    if (metrics.enabled() && (count_census || epi != nullptr))
+    if (metrics.enabled())
         census.resize(pool.max_concurrency());
     const auto slot = [&]() -> CommitCensus * {
         return census.empty() ? nullptr : &census[pool.current_slot()];
@@ -244,11 +248,11 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
             CommitCensus *cs = slot();
             run_share(p, a, sched, nullptr, static_cast<index_t>(t),
                       count && cs != nullptr ? &cs->writes : nullptr,
-                      cs != nullptr ? &cs->epilogue : nullptr);
+                      cs != nullptr ? &cs->sweep : nullptr);
         });
     // After the barrier the caller's executor slot is free again.
     CommitCensus *cs = slot();
-    apply_carries(p, cs != nullptr ? &cs->epilogue : nullptr);
+    apply_carries(p, cs != nullptr ? &cs->sweep : nullptr);
     if (!census.empty())
         flush_census(metrics, census.data(), census.size());
 }

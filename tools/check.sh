@@ -26,6 +26,12 @@
 # and checks that a 2 MiB-aligned block is freed with the alignment it
 # was allocated with. Under MPS_TILE_D=16 a bf16 layer 0 sweeps in
 # several panels, so its rank update stays on the vector tile.
+# The share-loop tests (ShareLoop: bit identity of every sweep width,
+# storage mode and sink against the zero-then-axpy chain, and the
+# count of rows that take the per-row fallback) run in the TSan,
+# scalar, AVX2, narrow-tile and no-hybrid stages too: the scalar build
+# has no share loop, so there every complete row is counted as a
+# fallback row, and the AVX2 build runs the 8-lane one.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) and the serve
 # dispatch tests (batcher policy, server lifecycle, idle-worker
@@ -104,10 +110,10 @@ cmake --build "$root/build-tsan" -j "$jobs" --target \
     mps_metrics_test mps_work_steal_pool_test mps_telemetry_test \
     mps_dynamic_graph_test mps_fusion_test mps_hybrid_test \
     mps_microkernel_test mps_property_fuzz_test mps_determinism_test \
-    mps_gcn_test mps_sparse_test fusion
+    mps_gcn_test mps_sparse_test mps_share_loop_test fusion
 echo "==> ctest build-tsan"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxRank|Bf16Handoff|LargeBlocks' \
+    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxRank|Bf16Handoff|LargeBlocks|ShareLoop' \
     "$@")
 
 echo "==> fusion: panel-streaming smoke under TSan"
@@ -130,10 +136,11 @@ echo "==> build build-scalar (kernel tests only)"
 cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
     mps_property_fuzz_test mps_gcn_test mps_fusion_test \
-    mps_determinism_test mps_sparse_test mps_serve_test
+    mps_determinism_test mps_sparse_test mps_serve_test \
+    mps_share_loop_test
 echo "==> ctest build-scalar"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest' \
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest|ShareLoop' \
     "$@")
 
 echo "==> configure build-avx2"
@@ -143,10 +150,11 @@ echo "==> build build-avx2 (kernel tests only)"
 cmake --build "$root/build-avx2" -j "$jobs" --target \
     mps_microkernel_test mps_spmm_test mps_kernels_test \
     mps_property_fuzz_test mps_gcn_test mps_fusion_test \
-    mps_determinism_test mps_sparse_test mps_serve_test
+    mps_determinism_test mps_sparse_test mps_serve_test \
+    mps_share_loop_test
 echo "==> ctest build-avx2"
 (cd "$root/build-avx2" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest' \
+    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest|ShareLoop' \
     "$@")
 
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
@@ -157,12 +165,12 @@ echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 echo "==> ctest build-narrowtile (MPS_TILE_D=16)"
 (cd "$root/build-release" && \
     MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" \
-    -R 'Serve|Fusion|Determinism|GcnModel|AmxRank|LargeBlocks' "$@")
+    -R 'Serve|Fusion|Determinism|GcnModel|AmxRank|LargeBlocks|ShareLoop' "$@")
 
 echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
 (cd "$root/build-release" && \
     MPS_HYBRID=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Hybrid|Kernel|Spmm|Adaptive|Fuzz' "$@")
+    -R 'Hybrid|Kernel|Spmm|Adaptive|Fuzz|ShareLoop' "$@")
 
 echo "==> ctest build-bf16 (MPS_PRECISION=bf16)"
 (cd "$root/build-release" && \

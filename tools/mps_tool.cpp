@@ -18,6 +18,8 @@
  *                     [--out=report.json]
  *   mps_tool top      --url=http://127.0.0.1:9464/metrics
  *                     [--interval-ms=1000] [--once] [--strict]
+ *   mps_tool hash     --powerlaw=250000 --model=16-128-16 --precision=f32
+ *                     --kernel=mergepath --seed=1
  *
  * Containers: .bin (this library's binary CSR), .mtx (MatrixMarket),
  * .el (edge list, read-only), or a Table II dataset name via
@@ -56,6 +58,7 @@
 #include "mps/sparse/delta_csr.h"
 #include "mps/sparse/generate.h"
 #include "mps/sparse/io.h"
+#include "mps/sparse/quant.h"
 #include "mps/sparse/reorder.h"
 #include "mps/util/cli.h"
 #include "mps/util/json.h"
@@ -1423,6 +1426,103 @@ cmd_top(int argc, char **argv)
     return 0;
 }
 
+/**
+ * mps_tool hash: the FNV-1a hash of one GcnModel::infer output, so two
+ * builds' forwards can be compared bit for bit. The graph is a Table
+ * II dataset or a power-law graph shaped like the benchmark's
+ * (10 non-zeros per row, hubs up to a tenth of the nodes, graph seed
+ * 20), GCN-normalized; the weights come from two_layer's fixed seed 1
+ * and the features from --seed. The merge-path schedule is sized for
+ * the pool, so builds compare at equal --workers.
+ */
+int
+cmd_hash(int argc, char **argv)
+{
+    FlagParser flags("hash a GcnModel::infer output (FNV-1a over every "
+                     "float)");
+    flags.add_string("dataset", "", "Table II dataset name");
+    flags.add_int("powerlaw", 0,
+                  "generate a power-law graph of this many nodes instead");
+    flags.add_string("model", "16-128-16",
+                     "layer widths f-h-c of a two-layer GCN");
+    flags.add_string("precision", "f32", "operand precision: f32|bf16");
+    flags.add_string("kernel", "mergepath",
+                     "aggregation kernel: mergepath|hybrid");
+    flags.add_int("seed", 1, "feature seed");
+    flags.add_int("workers", 0,
+                  "pool workers (0: one per core but the caller's)");
+    flags.parse(argc, argv);
+
+    CsrMatrix a;
+    const int64_t nodes = flags.get_int("powerlaw");
+    if (nodes != 0 && (nodes < 10 || nodes > 100000000))
+        fatal("--powerlaw wants 10 to 100000000 nodes");
+    if (nodes > 0) {
+        PowerLawParams p;
+        p.nodes = static_cast<index_t>(nodes);
+        p.target_nnz = p.nodes * 10;
+        p.max_degree = std::max<index_t>(10, p.nodes / 10);
+        p.seed = 20;
+        a = power_law_graph(p);
+    } else if (!flags.get_string("dataset").empty()) {
+        a = make_dataset(flags.get_string("dataset"));
+    } else {
+        fatal("provide --dataset=<name> or --powerlaw=<nodes>");
+    }
+    a.normalize_gcn();
+
+    int f[3] = {0, 0, 0};
+    char extra = 0;
+    if (std::sscanf(flags.get_string("model").c_str(), "%d-%d-%d%c", &f[0],
+                    &f[1], &f[2], &extra) != 3 ||
+        *std::min_element(f, f + 3) <= 0 ||
+        *std::max_element(f, f + 3) > 4096)
+        fatal("--model wants three widths f-h-c in [1, 4096], got '" +
+              flags.get_string("model") + "'");
+    StorageMode precision = StorageMode::kF32;
+    if (!parse_storage_mode(flags.get_string("precision").c_str(),
+                            &precision) ||
+        precision == StorageMode::kInt8)
+        fatal("--precision wants f32 or bf16, got '" +
+              flags.get_string("precision") + "'");
+    const std::string &kernel = flags.get_string("kernel");
+    if (kernel != "mergepath" && kernel != "hybrid")
+        fatal("--kernel wants mergepath or hybrid, got '" + kernel + "'");
+
+    constexpr int64_t kMaxWorkers = 256;
+    int64_t workers = flags.get_int("workers");
+    if (workers < 0 || workers > kMaxWorkers)
+        fatal("--workers wants 0 to 256");
+    if (workers == 0) {
+        // hardware_concurrency() may be 0 when the count is unknown.
+        const int64_t hw = std::thread::hardware_concurrency();
+        workers = std::clamp<int64_t>(hw - 1, 1, kMaxWorkers);
+    }
+    WorkStealPool pool(static_cast<unsigned>(workers));
+    GcnModel model = GcnModel::two_layer(f[0], f[1], f[2], 1, kernel);
+    model.set_precision(precision);
+    DenseMatrix x(a.rows(), f[0]);
+    Pcg32 rng(static_cast<uint64_t>(flags.get_int("seed")));
+    x.fill_random(rng);
+    const DenseMatrix out = model.infer(a, x, pool);
+
+    uint64_t h = 14695981039346656037ull;
+    for (index_t r = 0; r < out.rows(); ++r) {
+        const auto *bytes = reinterpret_cast<const unsigned char *>(out.row(r));
+        for (size_t i = 0;
+             i < static_cast<size_t>(out.cols()) * sizeof(value_t); ++i) {
+            h ^= bytes[i];
+            h *= 1099511628211ull;
+        }
+    }
+    std::printf("fnv1a %016llx  %d x %d  %s %s %s seed %lld\n",
+                static_cast<unsigned long long>(h), out.rows(), out.cols(),
+                flags.get_string("model").c_str(),
+                storage_mode_name(precision), kernel.c_str(),
+                static_cast<long long>(flags.get_int("seed")));
+    return 0;
+}
+
 void
 usage(std::FILE *to)
 {
@@ -1438,7 +1538,8 @@ usage(std::FILE *to)
         "  reorder      relabel a graph (bfs | degree | degree-asc)\n"
         "  serve-bench  serving load sweep into one JSON report\n"
         "  churn-bench  dynamic-graph churn sweep into one JSON report\n"
-        "  top          live telemetry dashboard (scrapes /metrics)\n");
+        "  top          live telemetry dashboard (scrapes /metrics)\n"
+        "  hash         FNV-1a hash of a GCN forward's output\n");
 }
 
 } // namespace
@@ -1476,6 +1577,8 @@ main(int argc, char **argv)
         return cmd_churn_bench(argc - 1, argv + 1);
     if (cmd == "top")
         return cmd_top(argc - 1, argv + 1);
+    if (cmd == "hash")
+        return cmd_hash(argc - 1, argv + 1);
     std::fprintf(stderr, "mps_tool: unknown command '%s'\n", cmd.c_str());
     usage(stderr);
     return 1;

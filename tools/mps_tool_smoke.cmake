@@ -7,6 +7,7 @@
 #  - unknown flag        -> non-zero exit
 #  - help / --help       -> zero exit, usage on stdout
 #  - a real command runs -> zero exit
+#  - hash prints one FNV-1a line, the same on a second run
 
 if(NOT DEFINED MPS_TOOL)
     message(FATAL_ERROR "pass -DMPS_TOOL=<path to mps_tool>")
@@ -55,6 +56,25 @@ if(NOT code EQUAL 0)
 endif()
 if(NOT out MATCHES "non-zeros")
     message(FATAL_ERROR "info --dataset=Cora: unexpected output: ${out}")
+endif()
+
+foreach(run 1 2)
+    execute_process(COMMAND ${MPS_TOOL} hash --dataset=Cora --model=16-16-8
+            --workers=2
+        RESULT_VARIABLE code
+        OUTPUT_VARIABLE hash_${run}
+        ERROR_VARIABLE err)
+    if(NOT code EQUAL 0)
+        message(FATAL_ERROR "hash --dataset=Cora: expected exit 0, got"
+            " ${code} (stderr: ${err})")
+    endif()
+endforeach()
+if(NOT hash_1 MATCHES "^fnv1a [0-9a-f]+  2708 x 8 ")
+    message(FATAL_ERROR "hash --dataset=Cora: unexpected output: ${hash_1}")
+endif()
+if(NOT hash_1 STREQUAL hash_2)
+    message(FATAL_ERROR "hash --dataset=Cora: two runs differ: ${hash_1}"
+        " vs ${hash_2}")
 endif()
 
 message(STATUS "mps_tool smoke: all checks passed")
