@@ -50,8 +50,7 @@ bench_precision(const std::vector<DatasetSpec> &specs,
                 const std::vector<index_t> &dims, int reps,
                 WorkStealPool &pool)
 {
-    const StorageMode modes[] = {StorageMode::kF32, StorageMode::kBf16,
-                                 StorageMode::kInt8};
+    const StorageMode modes[] = {StorageMode::kF32, StorageMode::kBf16};
     std::vector<PrecisionRow> rows;
     for (index_t dim : dims) {
         double f32_ms = 0.0;
@@ -98,7 +97,7 @@ main(int argc, char **argv)
     flags.add_string("graphs", "all", "graph selector");
     flags.add_bool("csv", false, "emit CSV instead of aligned text");
     flags.add_bool("precision", false,
-                   "measure mergepath at f32/bf16/int8 per dimension");
+                   "measure mergepath at f32/bf16 per dimension");
     flags.add_int("reps", 3, "timing repetitions for --precision");
     flags.add_int("threads", 0,
                   "pool threads for --precision (0 = hw)");

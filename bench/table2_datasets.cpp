@@ -103,13 +103,10 @@ struct PrecisionRow
     std::string name;
     double f32_ms = 0.0;
     double bf16_ms = 0.0;
-    double int8_ms = 0.0;
     double bf16_speedup = 0.0;
-    double int8_speedup = 0.0;
     // Accuracy vs an fp64-accumulated reference of the same f32 data.
     double f32_max_abs = 0.0, f32_rel = 0.0;
     double bf16_max_abs = 0.0, bf16_rel = 0.0;
-    double int8_max_abs = 0.0, int8_rel = 0.0;
     // End-to-end 2-layer GCN inference (hidden width = d).
     double gcn_f32_ms = 0.0;
     double gcn_bf16_ms = 0.0;
@@ -119,7 +116,7 @@ struct PrecisionRow
 /**
  * fp64-accumulated SpMM of the f32 inputs: the accuracy yardstick.
  * Every kernel mode (including f32) is scored against this, so the
- * bf16/int8 deltas can be read next to the f32 rounding floor.
+ * bf16 deltas can be read next to the f32 rounding floor.
  */
 std::vector<double>
 reference_spmm_f64(const CsrMatrix &a, const DenseMatrix &b, index_t dim,
@@ -192,10 +189,7 @@ bench_precision(const DatasetSpec &spec, index_t dim, int reps,
                           &row.f32_rel);
     row.bf16_ms = run_mode(StorageMode::kBf16, &row.bf16_max_abs,
                            &row.bf16_rel);
-    row.int8_ms = run_mode(StorageMode::kInt8, &row.int8_max_abs,
-                           &row.int8_rel);
     row.bf16_speedup = row.f32_ms / row.bf16_ms;
-    row.int8_speedup = row.f32_ms / row.int8_ms;
 
     // End-to-end: 2-layer GCN with hidden width d, bf16 inference vs
     // f32 (training-shaped f32 stays the default; set_precision is the
@@ -224,7 +218,7 @@ main(int argc, char **argv)
     flags.add_bool("hybrid", false,
                    "measure HybridSpmm vs adaptive/merge-path per graph");
     flags.add_bool("precision", false,
-                   "measure f32/bf16/int8 mergepath + 2-layer GCN with "
+                   "measure f32/bf16 mergepath + 2-layer GCN with "
                    "accuracy vs an fp64 reference");
     flags.add_int("dim", 128, "dense dimension for --hybrid");
     flags.add_int("reps", 5, "timing repetitions for --hybrid");
@@ -332,9 +326,8 @@ main(int argc, char **argv)
                 std::max(1u, std::thread::hardware_concurrency());
         WorkStealPool pool(threads);
 
-        Table pt({"graph", "f32_ms", "bf16_ms", "int8_ms", "bf16_x",
-                  "int8_x", "bf16_maxabs", "bf16_rel", "int8_maxabs",
-                  "int8_rel", "gcn_f32_ms", "gcn_bf16_ms", "gcn_x"});
+        Table pt({"graph", "f32_ms", "bf16_ms", "bf16_x", "bf16_maxabs",
+                  "bf16_rel", "gcn_f32_ms", "gcn_bf16_ms", "gcn_x"});
         std::vector<PrecisionRow> rows;
         int gcn_wins = 0;
         for (const auto &spec : specs) {
@@ -344,13 +337,9 @@ main(int argc, char **argv)
             pt.add(row.name);
             pt.add(row.f32_ms, 3);
             pt.add(row.bf16_ms, 3);
-            pt.add(row.int8_ms, 3);
             pt.add(row.bf16_speedup, 2);
-            pt.add(row.int8_speedup, 2);
             pt.add(row.bf16_max_abs, 6);
             pt.add(row.bf16_rel, 6);
-            pt.add(row.int8_max_abs, 6);
-            pt.add(row.int8_rel, 6);
             pt.add(row.gcn_f32_ms, 3);
             pt.add(row.gcn_bf16_ms, 3);
             pt.add(row.gcn_speedup, 2);
@@ -378,15 +367,11 @@ main(int argc, char **argv)
                 w.key("graph").value(row.name);
                 w.key("f32_ms").value(row.f32_ms);
                 w.key("bf16_ms").value(row.bf16_ms);
-                w.key("int8_ms").value(row.int8_ms);
                 w.key("bf16_speedup_vs_f32").value(row.bf16_speedup);
-                w.key("int8_speedup_vs_f32").value(row.int8_speedup);
                 w.key("f32_max_abs_err").value(row.f32_max_abs);
                 w.key("f32_rel_err").value(row.f32_rel);
                 w.key("bf16_max_abs_err").value(row.bf16_max_abs);
                 w.key("bf16_rel_err").value(row.bf16_rel);
-                w.key("int8_max_abs_err").value(row.int8_max_abs);
-                w.key("int8_rel_err").value(row.int8_rel);
                 w.key("gcn_f32_ms").value(row.gcn_f32_ms);
                 w.key("gcn_bf16_ms").value(row.gcn_bf16_ms);
                 w.key("gcn_bf16_speedup").value(row.gcn_speedup);

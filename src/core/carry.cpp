@@ -80,8 +80,8 @@ operand(const PanelSweep &p)
 
 /**
  * The per-row fallback gather (the scalar table, widths off the
- * 8-column grid, builds without SimdVec, int8 operands): zero(), then
- * one RowKernels axpy per non-zero.
+ * 8-column grid, builds without SimdVec): zero(), then one RowKernels
+ * axpy per non-zero.
  */
 template <class T>
 struct RowByRow
@@ -98,30 +98,15 @@ struct RowByRow
 
     void operator()(value_t *acc, index_t begin, index_t end) const
     {
-        if constexpr (std::is_same_v<T, int8_t>) {
-            const DenseMatrix &b = *p.b;
-            p.rk->zero(acc, p.width);
-            for (index_t k = begin; k < end; ++k) {
-                if (r.prefetch > 0 && k + r.prefetch < r.nnz)
-                    locality_prefetch(b.row_int8(r.cols[k + r.prefetch]) +
-                                      p.b_col);
-                const index_t src = r.cols[k];
-                p.rk->axpy_int8(acc, r.vals[k], b.row_int8(src) + p.b_col,
-                                b.quant_scale(src), b.quant_zero(src),
+        const T *x = operand<T>(p);
+        p.rk->zero(acc, p.width);
+        for (index_t k = begin; k < end; ++k) {
+            prefetch_ahead(x, r, k, p.width);
+            if constexpr (std::is_same_v<T, bf16_t>)
+                p.rk->axpy_bf16(acc, r.vals[k], gather_row(x, r, k),
                                 p.width);
-            }
-        } else {
-            const T *x = operand<T>(p);
-            p.rk->zero(acc, p.width);
-            for (index_t k = begin; k < end; ++k) {
-                prefetch_ahead(x, r, k, p.width);
-                if constexpr (std::is_same_v<T, bf16_t>)
-                    p.rk->axpy_bf16(acc, r.vals[k], gather_row(x, r, k),
-                                    p.width);
-                else
-                    p.rk->axpy(acc, r.vals[k], gather_row(x, r, k),
-                               p.width);
-            }
+            else
+                p.rk->axpy(acc, r.vals[k], gather_row(x, r, k), p.width);
         }
     }
 };
@@ -245,15 +230,9 @@ select_share_loop(const PanelSweep &p)
 ShareLoop
 select_share_loop(const PanelSweep &p)
 {
-    switch (p.b->storage()) {
-    case StorageMode::kBf16:
-        return select_share_loop<bf16_t>(p);
-    case StorageMode::kInt8:
-        return share_loop_for<RowByRow<int8_t>>(p);
-    case StorageMode::kF32:
-        break;
-    }
-    return select_share_loop<value_t>(p);
+    return p.b->storage() == StorageMode::kBf16
+               ? select_share_loop<bf16_t>(p)
+               : select_share_loop<value_t>(p);
 }
 
 } // namespace

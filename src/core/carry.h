@@ -100,9 +100,9 @@ struct SweepCount;
  * SIMD path, for f32 and bf16 operands at a width that is a multiple
  * of 8, it is specialised for the storage mode, the width and the sink
  * (stored or streamed), and every part's non-zero loop runs inline on
- * register rows (row_gather.h). Int8 operands, the scalar table and
- * other widths take the per-row fallback: zero() and one RowKernels
- * axpy per non-zero, counted in SweepCount::fallback_rows.
+ * register rows (row_gather.h). The scalar table and other widths
+ * take the per-row fallback: zero() and one RowKernels axpy per
+ * non-zero, counted in SweepCount::fallback_rows.
  */
 using ShareLoop = void (*)(const PanelSweep &p, const CsrMatrix &m,
                            const ResolvedWork &w, const index_t *row_map,

@@ -83,8 +83,7 @@ enum class Freshness
     kStable,
     /**
      * Rewritten for THIS panel (a GEMM-backed buffer): every panel
-     * re-encodes the panel's columns only, so stale trailing columns
-     * of a wider earlier panel cannot pollute int8 per-row ranges.
+     * re-encodes the panel's columns only.
      */
     kPanel,
     /**
@@ -204,9 +203,9 @@ class FusedLayerPlan
 
     /**
      * Operand storage precision of the panel sweeps. kF32 (the default)
-     * is the exact pre-existing execution. kBf16/kInt8 make the plan
+     * is the exact pre-existing execution. kBf16 makes the plan
      * encode each panel operand's shadow buffer (when the source marks
-     * it quantizable) before the sweep, so the gather loop reads 2 or 1
+     * it quantizable) before the sweep, so the gather loop reads 2
      * bytes per element instead of 4; accumulation and the commit
      * protocol stay fp32. Re-derives the panel widths: quantized
      * operands fit more columns per cache level.

@@ -8,8 +8,8 @@
  * unit of work every kernel repeats per non-zero. On a CPU the same
  * mapping is a vector register per 16 (AVX-512), 8 (AVX2) or 4 (NEON)
  * columns. This header centralizes that datapath so mergepath, the
- * split baselines, the aggregators and the GCN training path all share
- * one implementation instead of ~25 hand-rolled copies.
+ * split baselines and the GCN training path all share one
+ * implementation instead of ~25 hand-rolled copies.
  *
  * Two code paths exist behind one dispatch table:
  *   - scalar: portable reference, kept deliberately un-autovectorized
@@ -134,17 +134,6 @@ atomic_add(value_t &slot, value_t v)
     }
 }
 
-/** Atomic slot = max(slot, v) (relaxed). */
-inline void
-atomic_max(value_t &slot, value_t v)
-{
-    std::atomic_ref<value_t> ref(slot);
-    value_t old = ref.load(std::memory_order_relaxed);
-    while (old < v && !ref.compare_exchange_weak(
-                          old, v, std::memory_order_relaxed)) {
-    }
-}
-
 // ---------------------------------------------------------------------
 // Dispatch table
 // ---------------------------------------------------------------------
@@ -160,8 +149,6 @@ struct RowKernels
 {
     /** row[0:dim) = 0. */
     void (*zero)(value_t *row, index_t dim);
-    /** row[0:dim) = v. */
-    void (*fill)(value_t *row, value_t v, index_t dim);
     /** dst[0:dim) = src[0:dim). */
     void (*copy)(value_t *dst, const value_t *src, index_t dim);
     /** acc += x. */
@@ -170,11 +157,6 @@ struct RowKernels
     void (*axpy)(value_t *acc, value_t a, const value_t *x, index_t dim);
     /** row *= a. */
     void (*scale)(value_t *row, value_t a, index_t dim);
-    /** y = a * y + x. */
-    void (*scale_add)(value_t *y, value_t a, const value_t *x,
-                      index_t dim);
-    /** acc = max(acc, x) element-wise. */
-    void (*vmax)(value_t *acc, const value_t *x, index_t dim);
     /** Sum of x[i] * y[i]. */
     value_t (*dot)(const value_t *x, const value_t *y, index_t dim);
     /** Sum of vals[k] * x[cols[k]] for k in [begin, end) — SpMV row. */
@@ -184,52 +166,24 @@ struct RowKernels
     void (*commit_plain)(value_t *dst, const value_t *acc, index_t dim);
     /** dst += acc with one atomic_add per element (shared row). */
     void (*commit_atomic)(value_t *dst, const value_t *acc, index_t dim);
-    /** dst = max(dst, acc) with one atomic_max per element. */
-    void (*commit_max_atomic)(value_t *dst, const value_t *acc,
-                              index_t dim);
     /** dst += a * x with one atomic_add per element (column split). */
     void (*axpy_atomic)(value_t *dst, value_t a, const value_t *x,
                         index_t dim);
 
     // -----------------------------------------------------------------
     // Mixed precision (mps/sparse/quant.h): B-operand rows stored at
-    // bf16 or int8 width, widened to fp32 in registers. Accumulators
-    // and destinations are always fp32, so the commit_* protocol above
-    // is reused unchanged — only the load side narrows. The encode_*
-    // kernels are the quantizing stores that build the shadow rows;
-    // they are bit-identical to the scalar quant.h primitives.
+    // bf16 width, widened to fp32 in registers. Accumulators and
+    // destinations are always fp32, so the commit_* protocol above is
+    // reused unchanged — only the load side narrows. encode_bf16 is
+    // the quantizing store that builds the shadow rows; it is
+    // bit-identical to the scalar quant.h primitive.
     // -----------------------------------------------------------------
 
     /** acc += a * widen(x) — bf16 operand, fp32 accumulate. */
     void (*axpy_bf16)(value_t *acc, value_t a, const bf16_t *x,
                       index_t dim);
-    /** Sum of x[i] * widen(y[i]) — fp32 times bf16 row. */
-    value_t (*dot_bf16)(const value_t *x, const bf16_t *y, index_t dim);
-    /** gather_dot over a bf16 x vector. */
-    value_t (*gather_dot_bf16)(const value_t *vals, const index_t *cols,
-                               index_t begin, index_t end,
-                               const bf16_t *x);
     /** dst[0:dim) = bf16(src[0:dim)) (round-to-nearest-even). */
     void (*encode_bf16)(bf16_t *dst, const value_t *src, index_t dim);
-    /** dst[0:dim) = widen(src[0:dim)). */
-    void (*decode_bf16)(value_t *dst, const bf16_t *src, index_t dim);
-    /** acc += a * (scale * x + zero) — int8 operand, fp32 accumulate. */
-    void (*axpy_int8)(value_t *acc, value_t a, const int8_t *x,
-                      value_t scale, value_t zero, index_t dim);
-    /** Sum of x[i] * (scale * y[i] + zero). */
-    value_t (*dot_int8)(const value_t *x, const int8_t *y, value_t scale,
-                        value_t zero, index_t dim);
-    /** gather_dot over an int8 x vector under (scale, zero). */
-    value_t (*gather_dot_int8)(const value_t *vals, const index_t *cols,
-                               index_t begin, index_t end,
-                               const int8_t *x, value_t scale,
-                               value_t zero);
-    /** dst[0:dim) = int8 code of src under (scale, zero), saturating. */
-    void (*encode_int8)(int8_t *dst, const value_t *src, value_t scale,
-                        value_t zero, index_t dim);
-    /** dst[0:dim) = scale * src + zero. */
-    void (*decode_int8)(value_t *dst, const int8_t *src, value_t scale,
-                        value_t zero, index_t dim);
 
     MicrokernelPath path;
     /** Compile-time dimension of this table, 0 for the generic ones. */
@@ -251,27 +205,20 @@ const RowKernels &select_row_kernels(index_t dim);
 const RowKernels &select_row_kernels(index_t dim, MicrokernelPath path);
 
 // ---------------------------------------------------------------------
-// Convenience free functions for single-shot call sites (activation,
-// SGD updates, ...). Each forwards through select_row_kernels(dim).
+// Convenience free functions for single-shot call sites (SGD updates,
+// serve's result copy, SpMV rows). Each forwards through
+// select_row_kernels(dim).
 // ---------------------------------------------------------------------
 
-void row_zero(value_t *row, index_t dim);
-void row_fill(value_t *row, value_t v, index_t dim);
 void row_copy(value_t *dst, const value_t *src, index_t dim);
-void row_add(value_t *acc, const value_t *x, index_t dim);
 void row_axpy(value_t *acc, value_t a, const value_t *x, index_t dim);
 void row_scale(value_t *row, value_t a, index_t dim);
-void row_scale_add(value_t *y, value_t a, const value_t *x, index_t dim);
-void row_max(value_t *acc, const value_t *x, index_t dim);
-value_t row_dot(const value_t *x, const value_t *y, index_t dim);
 value_t row_gather_dot(const value_t *vals, const index_t *cols,
                        index_t begin, index_t end, const value_t *x);
-void row_commit_plain(value_t *dst, const value_t *acc, index_t dim);
-void row_commit_atomic(value_t *dst, const value_t *acc, index_t dim);
 
 /**
  * Per-thread 64-byte-aligned accumulator scratch of at least @p dim
- * elements (uninitialized; callers zero/fill it). Grows on demand and
+ * elements (uninitialized; callers zero it). Grows on demand and
  * is reused across parallel_for tasks, so the pool kernels no longer
  * allocate a std::vector per task. One buffer per thread: a caller
  * must finish with it before invoking anything else that uses it.

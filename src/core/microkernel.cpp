@@ -49,13 +49,6 @@ zero(value_t *row, index_t dim)
 }
 
 MPS_SCALAR_KERNEL void
-fill(value_t *row, value_t v, index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        row[d] = v;
-}
-
-MPS_SCALAR_KERNEL void
 copy(value_t *dst, const value_t *src, index_t dim)
 {
     for (index_t d = 0; d < dim; ++d)
@@ -81,20 +74,6 @@ scale(value_t *row, value_t a, index_t dim)
 {
     for (index_t d = 0; d < dim; ++d)
         row[d] *= a;
-}
-
-MPS_SCALAR_KERNEL void
-scale_add(value_t *y, value_t a, const value_t *x, index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        y[d] = a * y[d] + x[d];
-}
-
-MPS_SCALAR_KERNEL void
-vmax(value_t *acc, const value_t *x, index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        acc[d] = acc[d] < x[d] ? x[d] : acc[d];
 }
 
 MPS_SCALAR_KERNEL value_t
@@ -134,88 +113,11 @@ axpy_bf16(value_t *acc, value_t a, const bf16_t *x, index_t dim)
         acc[d] += a * bf16_decode(x[d]);
 }
 
-MPS_SCALAR_KERNEL value_t
-dot_bf16(const value_t *x, const bf16_t *y, index_t dim)
-{
-    value_t sum = 0.0f;
-    for (index_t d = 0; d < dim; ++d)
-        sum += x[d] * bf16_decode(y[d]);
-    return sum;
-}
-
-MPS_SCALAR_KERNEL value_t
-gather_dot_bf16(const value_t *vals, const index_t *cols, index_t begin,
-                index_t end, const bf16_t *x)
-{
-    value_t sum = 0.0f;
-    for (index_t k = begin; k < end; ++k)
-        sum += vals[k] * bf16_decode(x[cols[k]]);
-    return sum;
-}
-
 MPS_SCALAR_KERNEL void
 encode_bf16(bf16_t *dst, const value_t *src, index_t dim)
 {
     for (index_t d = 0; d < dim; ++d)
         dst[d] = bf16_encode(src[d]);
-}
-
-MPS_SCALAR_KERNEL void
-decode_bf16(value_t *dst, const bf16_t *src, index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        dst[d] = bf16_decode(src[d]);
-}
-
-MPS_SCALAR_KERNEL void
-axpy_int8(value_t *acc, value_t a, const int8_t *x, value_t scale,
-          value_t zero, index_t dim)
-{
-    // acc += a * (scale*q + zero) as (acc + a*zero) + (a*scale)*q:
-    // two row-invariant products hoist out and the loop is one fma
-    // per element — the SIMD path uses the same association.
-    const value_t as = a * scale;
-    const value_t az = a * zero;
-    for (index_t d = 0; d < dim; ++d)
-        acc[d] = (acc[d] + az) + as * static_cast<value_t>(x[d]);
-}
-
-MPS_SCALAR_KERNEL value_t
-dot_int8(const value_t *x, const int8_t *y, value_t scale, value_t zero,
-         index_t dim)
-{
-    value_t sum = 0.0f;
-    for (index_t d = 0; d < dim; ++d)
-        sum += x[d] * (scale * static_cast<value_t>(y[d]) + zero);
-    return sum;
-}
-
-MPS_SCALAR_KERNEL value_t
-gather_dot_int8(const value_t *vals, const index_t *cols, index_t begin,
-                index_t end, const int8_t *x, value_t scale,
-                value_t zero)
-{
-    value_t sum = 0.0f;
-    for (index_t k = begin; k < end; ++k)
-        sum += vals[k] *
-               (scale * static_cast<value_t>(x[cols[k]]) + zero);
-    return sum;
-}
-
-MPS_SCALAR_KERNEL void
-encode_int8(int8_t *dst, const value_t *src, value_t scale, value_t zero,
-            index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        dst[d] = int8_encode(src[d], scale, zero);
-}
-
-MPS_SCALAR_KERNEL void
-decode_int8(value_t *dst, const int8_t *src, value_t scale, value_t zero,
-            index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        dst[d] = int8_decode(src[d], scale, zero);
 }
 
 } // namespace scalar
@@ -229,13 +131,6 @@ commit_atomic_impl(value_t *dst, const value_t *acc, index_t dim)
 }
 
 void
-commit_max_atomic_impl(value_t *dst, const value_t *acc, index_t dim)
-{
-    for (index_t d = 0; d < dim; ++d)
-        atomic_max(dst[d], acc[d]);
-}
-
-void
 axpy_atomic_impl(value_t *dst, value_t a, const value_t *x, index_t dim)
 {
     for (index_t d = 0; d < dim; ++d)
@@ -243,19 +138,12 @@ axpy_atomic_impl(value_t *dst, value_t a, const value_t *x, index_t dim)
 }
 
 constexpr RowKernels kScalarTable = {
-    scalar::zero,         scalar::fill,
-    scalar::copy,         scalar::add,
-    scalar::axpy,         scalar::scale,
-    scalar::scale_add,    scalar::vmax,
-    scalar::dot,          scalar::gather_dot,
-    scalar::commit_plain, commit_atomic_impl,
-    commit_max_atomic_impl, axpy_atomic_impl,
-    scalar::axpy_bf16,    scalar::dot_bf16,
-    scalar::gather_dot_bf16,
-    scalar::encode_bf16,  scalar::decode_bf16,
-    scalar::axpy_int8,    scalar::dot_int8,
-    scalar::gather_dot_int8,
-    scalar::encode_int8,  scalar::decode_int8,
+    scalar::zero,         scalar::copy,
+    scalar::add,          scalar::axpy,
+    scalar::scale,        scalar::dot,
+    scalar::gather_dot,   scalar::commit_plain,
+    commit_atomic_impl,   axpy_atomic_impl,
+    scalar::axpy_bf16,    scalar::encode_bf16,
     MicrokernelPath::kScalar,
     /*fixed_dim=*/0,
     "scalar",
@@ -297,17 +185,6 @@ zero(value_t *row, index_t dim)
         _mm256_storeu_ps(row + d, z);
     for (; d < dim; ++d)
         row[d] = 0.0f;
-}
-
-void
-fill(value_t *row, value_t v, index_t dim)
-{
-    const __m256 vv = _mm256_set1_ps(v);
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8)
-        _mm256_storeu_ps(row + d, vv);
-    for (; d < dim; ++d)
-        row[d] = v;
 }
 
 void
@@ -368,32 +245,6 @@ scale(value_t *row, value_t a, index_t dim)
         row[d] *= a;
 }
 
-void
-scale_add(value_t *y, value_t a, const value_t *x, index_t dim)
-{
-    const __m256 va = _mm256_set1_ps(a);
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        _mm256_storeu_ps(y + d, fmadd(va, _mm256_loadu_ps(y + d),
-                                      _mm256_loadu_ps(x + d)));
-    }
-    for (; d < dim; ++d)
-        y[d] = a * y[d] + x[d];
-}
-
-void
-vmax(value_t *acc, const value_t *x, index_t dim)
-{
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        _mm256_storeu_ps(acc + d,
-                         _mm256_max_ps(_mm256_loadu_ps(acc + d),
-                                       _mm256_loadu_ps(x + d)));
-    }
-    for (; d < dim; ++d)
-        acc[d] = acc[d] < x[d] ? x[d] : acc[d];
-}
-
 value_t
 dot(const value_t *x, const value_t *y, index_t dim)
 {
@@ -434,10 +285,9 @@ commit_plain(value_t *dst, const value_t *acc, index_t dim)
 }
 
 // ---------------------------------------------------------------------
-// Mixed-precision variants: the operand widens to fp32 IN REGISTERS
-// (bf16: zero-extend 16-bit halves and shift into the high mantissa;
-// int8: sign-extend bytes, convert, and fold the affine (scale, zero)
-// into the axpy coefficient), accumulators stay fp32.
+// Mixed-precision variants: the bf16 operand widens to fp32 IN
+// REGISTERS (zero-extend 16-bit halves and shift into the high
+// mantissa), accumulators stay fp32.
 // ---------------------------------------------------------------------
 
 /** Widen 8 bf16 values at @p p to an fp32 vector. */
@@ -448,15 +298,6 @@ load_bf16x8(const bf16_t *p)
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
     return _mm256_castsi256_ps(
         _mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
-}
-
-/** Widen 8 int8 codes at @p p to an fp32 vector (no scale applied). */
-inline __m256
-load_int8x8(const int8_t *p)
-{
-    const __m128i b =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p));
-    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
 }
 
 void
@@ -477,33 +318,6 @@ axpy_bf16(value_t *acc, value_t a, const bf16_t *x, index_t dim)
     }
     for (; d < dim; ++d)
         acc[d] += a * bf16_decode(x[d]);
-}
-
-value_t
-dot_bf16(const value_t *x, const bf16_t *y, index_t dim)
-{
-    __m256 acc = _mm256_setzero_ps();
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8)
-        acc = fmadd(_mm256_loadu_ps(x + d), load_bf16x8(y + d), acc);
-    value_t sum = hsum(acc);
-    for (; d < dim; ++d)
-        sum += x[d] * bf16_decode(y[d]);
-    return sum;
-}
-
-value_t
-gather_dot_bf16(const value_t *vals, const index_t *cols, index_t begin,
-                index_t end, const bf16_t *x)
-{
-    // AVX2 gathers are 32-bit granular: gathering 16-bit elements
-    // would read past the buffer for the last column. Scalar decode
-    // keeps the loads exact-width (same reasoning as the NEON
-    // gather); the bandwidth win is already in the halved buffer.
-    value_t sum = 0.0f;
-    for (index_t k = begin; k < end; ++k)
-        sum += vals[k] * bf16_decode(x[cols[k]]);
-    return sum;
 }
 
 void
@@ -537,111 +351,6 @@ encode_bf16(bf16_t *dst, const value_t *src, index_t dim)
     }
     for (; d < dim; ++d)
         dst[d] = bf16_encode(src[d]);
-}
-
-void
-decode_bf16(value_t *dst, const bf16_t *src, index_t dim)
-{
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8)
-        _mm256_storeu_ps(dst + d, load_bf16x8(src + d));
-    for (; d < dim; ++d)
-        dst[d] = bf16_decode(src[d]);
-}
-
-void
-axpy_int8(value_t *acc, value_t a, const int8_t *x, value_t scale,
-          value_t zero, index_t dim)
-{
-    // acc = (acc + a*zero) + (a*scale) * q — same association as the
-    // scalar reference.
-    const __m256 vas = _mm256_set1_ps(a * scale);
-    const __m256 vaz = _mm256_set1_ps(a * zero);
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        const __m256 base =
-            _mm256_add_ps(_mm256_loadu_ps(acc + d), vaz);
-        _mm256_storeu_ps(acc + d, fmadd(vas, load_int8x8(x + d), base));
-    }
-    const value_t as = a * scale;
-    const value_t az = a * zero;
-    for (; d < dim; ++d)
-        acc[d] = (acc[d] + az) + as * static_cast<value_t>(x[d]);
-}
-
-value_t
-dot_int8(const value_t *x, const int8_t *y, value_t scale, value_t zero,
-         index_t dim)
-{
-    const __m256 vs = _mm256_set1_ps(scale);
-    const __m256 vz = _mm256_set1_ps(zero);
-    __m256 acc = _mm256_setzero_ps();
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        const __m256 yv = fmadd(vs, load_int8x8(y + d), vz);
-        acc = fmadd(_mm256_loadu_ps(x + d), yv, acc);
-    }
-    value_t sum = hsum(acc);
-    for (; d < dim; ++d)
-        sum += x[d] * (scale * static_cast<value_t>(y[d]) + zero);
-    return sum;
-}
-
-value_t
-gather_dot_int8(const value_t *vals, const index_t *cols, index_t begin,
-                index_t end, const int8_t *x, value_t scale,
-                value_t zero)
-{
-    // Same exact-width-load argument as gather_dot_bf16.
-    value_t sum = 0.0f;
-    for (index_t k = begin; k < end; ++k)
-        sum += vals[k] *
-               (scale * static_cast<value_t>(x[cols[k]]) + zero);
-    return sum;
-}
-
-void
-encode_int8(int8_t *dst, const value_t *src, value_t scale, value_t zero,
-            index_t dim)
-{
-    const __m256 vs = _mm256_set1_ps(scale);
-    const __m256 vz = _mm256_set1_ps(zero);
-    const __m256 lo = _mm256_set1_ps(-127.0f);
-    const __m256 hi = _mm256_set1_ps(127.0f);
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-        // True division (not reciprocal multiply) and explicit RNE
-        // rounding: bit-parity with the scalar nearbyintf reference.
-        const __m256 q = _mm256_round_ps(
-            _mm256_div_ps(
-                _mm256_sub_ps(_mm256_loadu_ps(src + d), vz), vs),
-            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-        // max_ps propagates the second operand on NaN, so NaN lanes
-        // saturate to -127 exactly like the scalar std::max order.
-        const __m256 c = _mm256_min_ps(_mm256_max_ps(q, lo), hi);
-        const __m256i i32 = _mm256_cvtps_epi32(c);
-        const __m256i i16 =
-            _mm256_packs_epi32(i32, _mm256_setzero_si256());
-        const __m128i lanes = _mm256_castsi256_si128(
-            _mm256_permute4x64_epi64(i16, 0x08));
-        const __m128i i8 = _mm_packs_epi16(lanes, _mm_setzero_si128());
-        _mm_storel_epi64(reinterpret_cast<__m128i *>(dst + d), i8);
-    }
-    for (; d < dim; ++d)
-        dst[d] = int8_encode(src[d], scale, zero);
-}
-
-void
-decode_int8(value_t *dst, const int8_t *src, value_t scale, value_t zero,
-            index_t dim)
-{
-    const __m256 vs = _mm256_set1_ps(scale);
-    const __m256 vz = _mm256_set1_ps(zero);
-    index_t d = 0;
-    for (; d + 8 <= dim; d += 8)
-        _mm256_storeu_ps(dst + d, fmadd(vs, load_int8x8(src + d), vz));
-    for (; d < dim; ++d)
-        dst[d] = int8_decode(src[d], scale, zero);
 }
 
 // Fully unrolled fixed-dimension variants of the inner-loop hot set.
@@ -700,36 +409,15 @@ axpy_bf16_fixed(value_t *acc, value_t a, const bf16_t *x,
     }
 }
 
-template <index_t DIM>
-void
-axpy_int8_fixed(value_t *acc, value_t a, const int8_t *x, value_t scale,
-                value_t zero, index_t /*dim*/)
-{
-    const __m256 vas = _mm256_set1_ps(a * scale);
-    const __m256 vaz = _mm256_set1_ps(a * zero);
-    for (index_t d = 0; d < DIM; d += 8) {
-        const __m256 base =
-            _mm256_add_ps(_mm256_loadu_ps(acc + d), vaz);
-        _mm256_storeu_ps(acc + d, fmadd(vas, load_int8x8(x + d), base));
-    }
-}
-
 } // namespace simd
 
 constexpr RowKernels kSimdGeneric = {
-    simd::zero,         simd::fill,
-    simd::copy,         simd::add,
-    simd::axpy,         simd::scale,
-    simd::scale_add,    simd::vmax,
-    simd::dot,          simd::gather_dot,
-    simd::commit_plain, commit_atomic_impl,
-    commit_max_atomic_impl, axpy_atomic_impl,
-    simd::axpy_bf16,    simd::dot_bf16,
-    simd::gather_dot_bf16,
-    simd::encode_bf16,  simd::decode_bf16,
-    simd::axpy_int8,    simd::dot_int8,
-    simd::gather_dot_int8,
-    simd::encode_int8,  simd::decode_int8,
+    simd::zero,         simd::copy,
+    simd::add,          simd::axpy,
+    simd::scale,        simd::dot,
+    simd::gather_dot,   simd::commit_plain,
+    commit_atomic_impl, axpy_atomic_impl,
+    simd::axpy_bf16,    simd::encode_bf16,
     MicrokernelPath::kSimd,
     /*fixed_dim=*/0,
     "simd",
@@ -745,7 +433,6 @@ make_fixed_table(const char *table_name)
     t.axpy = simd::axpy_fixed<DIM>;
     t.commit_plain = simd::commit_plain_fixed<DIM>;
     t.axpy_bf16 = simd::axpy_bf16_fixed<DIM>;
-    t.axpy_int8 = simd::axpy_int8_fixed<DIM>;
     t.fixed_dim = DIM;
     t.name = table_name;
     return t;
@@ -777,17 +464,6 @@ zero(value_t *row, index_t dim)
         vst1q_f32(row + d, z);
     for (; d < dim; ++d)
         row[d] = 0.0f;
-}
-
-void
-fill(value_t *row, value_t v, index_t dim)
-{
-    const float32x4_t vv = vdupq_n_f32(v);
-    index_t d = 0;
-    for (; d + 4 <= dim; d += 4)
-        vst1q_f32(row + d, vv);
-    for (; d < dim; ++d)
-        row[d] = v;
 }
 
 void
@@ -835,30 +511,6 @@ scale(value_t *row, value_t a, index_t dim)
         row[d] *= a;
 }
 
-void
-scale_add(value_t *y, value_t a, const value_t *x, index_t dim)
-{
-    const float32x4_t va = vdupq_n_f32(a);
-    index_t d = 0;
-    for (; d + 4 <= dim; d += 4) {
-        vst1q_f32(y + d,
-                  fmadd(va, vld1q_f32(y + d), vld1q_f32(x + d)));
-    }
-    for (; d < dim; ++d)
-        y[d] = a * y[d] + x[d];
-}
-
-void
-vmax(value_t *acc, const value_t *x, index_t dim)
-{
-    index_t d = 0;
-    for (; d + 4 <= dim; d += 4)
-        vst1q_f32(acc + d, vmaxq_f32(vld1q_f32(acc + d),
-                                     vld1q_f32(x + d)));
-    for (; d < dim; ++d)
-        acc[d] = acc[d] < x[d] ? x[d] : acc[d];
-}
-
 value_t
 dot(const value_t *x, const value_t *y, index_t dim)
 {
@@ -895,19 +547,12 @@ commit_plain(value_t *dst, const value_t *acc, index_t dim)
 // NEON: 4-lane widening loops don't beat the scalar fma chain, and
 // the bandwidth saving comes from the narrow buffers either way.
 constexpr RowKernels kSimdGeneric = {
-    simd::zero,         simd::fill,
-    simd::copy,         simd::add,
-    simd::axpy,         simd::scale,
-    simd::scale_add,    simd::vmax,
-    simd::dot,          simd::gather_dot,
-    simd::commit_plain, commit_atomic_impl,
-    commit_max_atomic_impl, axpy_atomic_impl,
-    scalar::axpy_bf16,    scalar::dot_bf16,
-    scalar::gather_dot_bf16,
-    scalar::encode_bf16,  scalar::decode_bf16,
-    scalar::axpy_int8,    scalar::dot_int8,
-    scalar::gather_dot_int8,
-    scalar::encode_int8,  scalar::decode_int8,
+    simd::zero,         simd::copy,
+    simd::add,          simd::axpy,
+    simd::scale,        simd::dot,
+    simd::gather_dot,   simd::commit_plain,
+    commit_atomic_impl, axpy_atomic_impl,
+    scalar::axpy_bf16,  scalar::encode_bf16,
     MicrokernelPath::kSimd,
     /*fixed_dim=*/0,
     "simd",
@@ -1038,27 +683,9 @@ select_row_kernels(index_t dim)
 }
 
 void
-row_zero(value_t *row, index_t dim)
-{
-    select_row_kernels(dim).zero(row, dim);
-}
-
-void
-row_fill(value_t *row, value_t v, index_t dim)
-{
-    select_row_kernels(dim).fill(row, v, dim);
-}
-
-void
 row_copy(value_t *dst, const value_t *src, index_t dim)
 {
     select_row_kernels(dim).copy(dst, src, dim);
-}
-
-void
-row_add(value_t *acc, const value_t *x, index_t dim)
-{
-    select_row_kernels(dim).add(acc, x, dim);
 }
 
 void
@@ -1073,42 +700,12 @@ row_scale(value_t *row, value_t a, index_t dim)
     select_row_kernels(dim).scale(row, a, dim);
 }
 
-void
-row_scale_add(value_t *y, value_t a, const value_t *x, index_t dim)
-{
-    select_row_kernels(dim).scale_add(y, a, x, dim);
-}
-
-void
-row_max(value_t *acc, const value_t *x, index_t dim)
-{
-    select_row_kernels(dim).vmax(acc, x, dim);
-}
-
-value_t
-row_dot(const value_t *x, const value_t *y, index_t dim)
-{
-    return select_row_kernels(dim).dot(x, y, dim);
-}
-
 value_t
 row_gather_dot(const value_t *vals, const index_t *cols, index_t begin,
                index_t end, const value_t *x)
 {
     return select_row_kernels(end - begin).gather_dot(vals, cols, begin,
                                                       end, x);
-}
-
-void
-row_commit_plain(value_t *dst, const value_t *acc, index_t dim)
-{
-    select_row_kernels(dim).commit_plain(dst, acc, dim);
-}
-
-void
-row_commit_atomic(value_t *dst, const value_t *acc, index_t dim)
-{
-    select_row_kernels(dim).commit_atomic(dst, acc, dim);
 }
 
 value_t *

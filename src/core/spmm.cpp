@@ -8,7 +8,6 @@
 #include "mps/core/microkernel.h"
 #include "mps/core/policy.h"
 #include "mps/sparse/delta_csr.h"
-#include "mps/sparse/spgemm.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
 #include "mps/util/work_steal_pool.h"
@@ -255,33 +254,6 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     apply_carries(p, cs != nullptr ? &cs->sweep : nullptr);
     if (!census.empty())
         flush_census(metrics, census.data(), census.size());
-}
-
-void
-sparse_dense_matmul(const CsrMatrix &x, const DenseMatrix &w,
-                    DenseMatrix &out, WorkStealPool &pool)
-{
-    MPS_CHECK(x.cols() == w.rows(), "inner dimensions differ: ", x.cols(),
-              " vs ", w.rows());
-    MPS_CHECK(out.rows() == x.rows() && out.cols() == w.cols(),
-              "output must be ", x.rows(), "x", w.cols());
-    const index_t dim = w.cols();
-    const RowKernels &rk = select_row_kernels(dim);
-    // Row blocks are sized by the pool from (rows, width) — a
-    // ~100-row graph no longer collapses into one serial 128-row
-    // chunk, and a million-row one no longer pays thousands of chunk
-    // claims.
-    pool.parallel_for_ranges(
-        static_cast<uint64_t>(x.rows()), [&](uint64_t begin, uint64_t end) {
-            for (index_t r = static_cast<index_t>(begin);
-                 r < static_cast<index_t>(end); ++r) {
-                value_t *orow = out.row(r);
-                rk.zero(orow, dim);
-                for (index_t k = x.row_begin(r); k < x.row_end(r); ++k)
-                    rk.axpy(orow, x.values()[k], w.row(x.col_idx()[k]),
-                            dim);
-            }
-        });
 }
 
 namespace {

@@ -335,7 +335,7 @@ PanelSourceFn slice_panel_source(const DenseMatrix &xw);
 /**
  * Mutable-operand overload: identical slicing, but the returned
  * PanelSource marks @p xw quantizable so a FusedLayerPlan running at
- * reduced precision may encode its bf16/int8 shadow buffers in place
+ * reduced precision may encode its bf16 shadow buffer in place
  * (once, full-width). The f32 data is never modified.
  */
 PanelSourceFn slice_panel_source(DenseMatrix &xw);

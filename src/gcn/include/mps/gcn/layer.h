@@ -75,7 +75,7 @@ class GcnLayer
      * @param out    n x out_features() output (overwritten)
      * @param pool   worker pool for GEMM + SpMM
      * @param precision aggregation operand storage: kF32 is the exact
-     *        historical execution; kBf16/kInt8 store XW reduced-width
+     *        historical execution; kBf16 stores XW reduced-width
      *        for the SpMM gather (fp32 accumulate throughout). Only the
      *        merge-path/hybrid aggregation honors it — other registry
      *        kernels keep reading the f32 master, which stays valid.

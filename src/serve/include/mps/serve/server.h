@@ -165,9 +165,6 @@ struct ServeConfig
      * for the SpMM gather, halving the gather's DRAM traffic;
      * accumulation and the commit protocol stay fp32, and the
      * delta-correction pass keeps reading the f32 master rows.
-     * kInt8 is served as kBf16 (the constructor logs a warning): its
-     * per-row range would span every request of a wide panel row, so
-     * one request's magnitudes would set its batch-mates' error.
      * Defaults to the cached MPS_PRECISION parse (f32 unset), so
      * serving tenants opt in per process or per ServeConfig.
      */

@@ -138,12 +138,6 @@ Server::Server(ServeConfig config, ScheduleCache *cache)
       queue_(config_.queue_capacity), batcher_(config_.batch)
 {
     MPS_CHECK(config_.num_workers >= 1, "num_workers must be >= 1");
-    if (config_.precision == StorageMode::kInt8) {
-        warn("serving int8 as bf16: int8 encodes one range per wide "
-             "panel row, which spans every request of a batch, so one "
-             "request's magnitudes would set its batch-mates' error");
-        config_.precision = StorageMode::kBf16;
-    }
     accepting_.store(true, std::memory_order_release);
     if (config_.autostart)
         start();

@@ -53,9 +53,8 @@ DenseMatrix::for_overwrite(index_t rows, index_t cols)
 }
 
 void
-DenseMatrix::set_storage(StorageMode mode, index_t qcols)
+DenseMatrix::set_storage(StorageMode mode)
 {
-    (void)qcols; // only bounds what the caller encodes; sizing is full
     MPS_CHECK(has_f32(), "a bf16 panel has no fp32 rows to re-encode");
     mode_ = mode;
     const size_t elems =
@@ -64,24 +63,10 @@ DenseMatrix::set_storage(StorageMode mode, index_t qcols)
     case StorageMode::kF32:
         qb16_.clear();
         qb16_.shrink_to_fit();
-        q8_.clear();
-        q8_.shrink_to_fit();
-        qscale_.clear();
-        qscale_.shrink_to_fit();
-        qzero_.clear();
-        qzero_.shrink_to_fit();
         break;
     case StorageMode::kBf16:
         if (qb16_.size() != elems)
             qb16_.assign(elems, 0);
-        break;
-    case StorageMode::kInt8:
-        if (q8_.size() != elems)
-            q8_.assign(elems, 0);
-        if (qscale_.size() != static_cast<size_t>(rows_)) {
-            qscale_.assign(static_cast<size_t>(rows_), 1.0f);
-            qzero_.assign(static_cast<size_t>(rows_), 0.0f);
-        }
         break;
     }
 }
@@ -89,24 +74,15 @@ DenseMatrix::set_storage(StorageMode mode, index_t qcols)
 void
 DenseMatrix::quantize(StorageMode mode, index_t ncols)
 {
-    set_storage(mode, ncols);
+    set_storage(mode);
     if (mode == StorageMode::kF32)
         return;
     const index_t qcols = ncols >= 0 ? std::min(ncols, cols_) : cols_;
     for (index_t r = 0; r < rows_; ++r) {
         const value_t *src = row(r);
-        if (mode == StorageMode::kBf16) {
-            bf16_t *dst = row_bf16_mut(r);
-            for (index_t c = 0; c < qcols; ++c)
-                dst[c] = bf16_encode(src[c]);
-        } else {
-            value_t scale, zero;
-            int8_row_params(src, qcols, &scale, &zero);
-            set_quant_params(r, scale, zero);
-            int8_t *dst = row_int8_mut(r);
-            for (index_t c = 0; c < qcols; ++c)
-                dst[c] = int8_encode(src[c], scale, zero);
-        }
+        bf16_t *dst = row_bf16_mut(r);
+        for (index_t c = 0; c < qcols; ++c)
+            dst[c] = bf16_encode(src[c]);
     }
 }
 

@@ -175,9 +175,6 @@ using OverwritableVector = std::vector<value_t, OverwriteAllocator<value_t>>;
 /** Cache-line-aligned vector of bf16 storage (see mps/sparse/quant.h). */
 using AlignedVectorB16 = std::vector<bf16_t, AlignedAllocator<bf16_t>>;
 
-/** Cache-line-aligned vector of int8 storage (see mps/sparse/quant.h). */
-using AlignedVectorI8 = std::vector<int8_t, AlignedAllocator<int8_t>>;
-
 } // namespace mps
 
 #endif // MPS_SPARSE_ALIGNED_BUFFER_H

@@ -28,16 +28,15 @@ class Pcg32;
 /**
  * Row-major dense matrix of value_t with cache-line-aligned rows.
  *
- * Mixed precision: a matrix can additionally carry reduced-width
- * shadow rows (bf16 or int8 + per-row scale/zero, see
- * mps/sparse/quant.h) selected by quantize() / set_storage(). The fp32
- * rows remain the master copy — written first, and read by every path
+ * Mixed precision: a matrix can additionally carry bf16 shadow rows
+ * (see mps/sparse/quant.h) selected by quantize() / set_storage(). The
+ * fp32 rows remain the master copy — written first, and read by every path
  * that needs exact values (delta correction, reference kernels, GEMM
  * inputs). The one exception is a bf16_panel(): bf16 rows and no fp32
  * rows, for a producer that writes bf16 where it computes (the AMX
  * GEMM panel source); has_f32() tells the two apart. The shadow rows
- * share the element stride padded_cols(), so row_bf16(r) and
- * row_int8(r) are cache-line aligned exactly like row(r).
+ * share the element stride padded_cols(), so row_bf16(r) is cache-line
+ * aligned exactly like row(r).
  */
 class DenseMatrix
 {
@@ -112,8 +111,8 @@ class DenseMatrix
      * quant.h primitives, row by row); hot paths use the SIMD
      * quantize_dense() in mps/core/precision.h instead, which is
      * bit-identical. Only the first @p ncols columns are encoded
-     * (and, for int8, ranged) when ncols >= 0 — panel sources use
-     * that to keep a narrower final panel from reading stale columns.
+     * when ncols >= 0 — panel sources use that to keep a narrower
+     * final panel from reading stale columns.
      * kF32 releases the shadow storage.
      */
     void quantize(StorageMode mode, index_t ncols = -1);
@@ -121,11 +120,9 @@ class DenseMatrix
     /**
      * Allocate (zeroed) shadow storage for @p mode and mark it
      * active WITHOUT converting — the caller fills the shadow rows
-     * itself via the encode microkernels (quantize_dense does this).
-     * @p qcols bounds the columns the caller will encode; it only
-     * gates the "already sized" fast path.
+     * itself via the encode microkernel (quantize_dense does this).
      */
-    void set_storage(StorageMode mode, index_t qcols = -1);
+    void set_storage(StorageMode mode);
 
     /** bf16 shadow row r (valid when storage() == kBf16). */
     const bf16_t *row_bf16(index_t r) const {
@@ -133,22 +130,6 @@ class DenseMatrix
     }
     bf16_t *row_bf16_mut(index_t r) {
         return qb16_.data() + static_cast<size_t>(r) * stride_;
-    }
-
-    /** int8 shadow row r (valid when storage() == kInt8). */
-    const int8_t *row_int8(index_t r) const {
-        return q8_.data() + static_cast<size_t>(r) * stride_;
-    }
-    int8_t *row_int8_mut(index_t r) {
-        return q8_.data() + static_cast<size_t>(r) * stride_;
-    }
-
-    /** Per-row affine params of the int8 shadow (value = s*q + z). */
-    value_t quant_scale(index_t r) const { return qscale_[static_cast<size_t>(r)]; }
-    value_t quant_zero(index_t r) const { return qzero_[static_cast<size_t>(r)]; }
-    void set_quant_params(index_t r, value_t scale, value_t zero) {
-        qscale_[static_cast<size_t>(r)] = scale;
-        qzero_[static_cast<size_t>(r)] = zero;
     }
 
     /** Set every logical element to @p v (padding stays zero). */
@@ -175,9 +156,6 @@ class DenseMatrix
     StorageMode mode_ = StorageMode::kF32;
     OverwritableVector data_;
     AlignedVectorB16 qb16_; ///< bf16 shadow rows (stride_ elems/row)
-    AlignedVectorI8 q8_;    ///< int8 shadow rows (stride_ elems/row)
-    AlignedVector qscale_;  ///< per-row int8 scale
-    AlignedVector qzero_;   ///< per-row int8 zero point
 };
 
 } // namespace mps

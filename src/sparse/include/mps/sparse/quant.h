@@ -5,29 +5,23 @@
  *
  * The merge-path gather loop is load-bound (bench/fig_locality: gather
  * GB/s is the ceiling), so the win here is bytes, not flops: the B
- * operand is stored at 16 (bf16) or 8 (int8) bits per element and
- * widened back to fp32 in registers inside the kernels. Accumulators
- * and the C output stay fp32 throughout — the atomic split-row commit
- * protocol never sees a narrow type.
+ * operand is stored at 16 (bf16) bits per element and widened back to
+ * fp32 in registers inside the kernels. Accumulators and the C output
+ * stay fp32 throughout — the split-row commit protocol never sees a
+ * narrow type.
  *
  * bf16 is the top half of an IEEE binary32: decode is a 16-bit shift,
- * encode rounds to nearest-even with a NaN quieting fixup. int8 is a
- * per-row affine code q in [-127, 127] with value = scale * q + zero;
- * scale/zero are derived from the row's min/max so the code range is
- * symmetric around the row midpoint (zero) and -128 is never produced
- * (keeps negation exact and the SIMD widen free of the -128 asymmetry).
+ * encode rounds to nearest-even with a NaN quieting fixup.
  *
  * These scalar primitives are the reference semantics: the SIMD
- * encode/decode kernels in mps/core/microkernel.cpp are bit-identical
- * to them (including the NaN and saturation edges), which is what the
- * scalar-vs-SIMD cross-check tests pin down.
+ * encode kernel in mps/core/microkernel.cpp is bit-identical to them
+ * (including the NaN edges), which is what the scalar-vs-SIMD
+ * cross-check tests pin down.
  */
 #ifndef MPS_SPARSE_QUANT_H
 #define MPS_SPARSE_QUANT_H
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "mps/sparse/types.h"
@@ -39,16 +33,13 @@ enum class StorageMode : std::uint8_t
 {
     kF32 = 0,  ///< full fp32 rows only (the default; bit-exact paths)
     kBf16 = 1, ///< shadow bf16 rows beside the fp32 master
-    kInt8 = 2, ///< shadow int8 rows + per-row (scale, zero) params
 };
 
-/** Bytes per stored element under @p mode (4 / 2 / 1). */
+/** Bytes per stored element under @p mode (4 / 2). */
 constexpr index_t
 storage_elem_bytes(StorageMode mode)
 {
-    return mode == StorageMode::kInt8
-               ? 1
-               : (mode == StorageMode::kBf16 ? 2 : 4);
+    return mode == StorageMode::kBf16 ? 2 : 4;
 }
 
 /**
@@ -74,66 +65,13 @@ bf16_decode(bf16_t h)
     return std::bit_cast<value_t>(static_cast<std::uint32_t>(h) << 16);
 }
 
-/**
- * Derive the affine int8 code for a row: value = scale * q + zero with
- * q in [-127, 127]. zero is the range midpoint so the extremes map to
- * +/-127 exactly; a degenerate (constant, empty, or non-finite) range
- * falls back to scale 1 so decode stays finite and the row round-trips
- * to its midpoint.
- */
-inline void
-int8_row_params(const value_t *row, index_t n, value_t *scale,
-                value_t *zero)
-{
-    value_t lo = 0.0f;
-    value_t hi = 0.0f;
-    bool seen = false;
-    for (index_t i = 0; i < n; ++i) {
-        const value_t v = row[i];
-        if (!std::isfinite(v))
-            continue;
-        if (!seen) {
-            lo = hi = v;
-            seen = true;
-        } else {
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-    }
-    *zero = 0.5f * (hi + lo);
-    value_t s = (hi - lo) / 254.0f;
-    if (!(s > 0.0f))
-        s = 1.0f;
-    *scale = s;
-}
-
-/**
- * Quantize @p f under (@p scale, @p zero): nearest-even code, clamped
- * to [-127, 127]. NaN clamps to -127 (the min/max order below makes
- * that deterministic, and the SIMD min_ps/max_ps sequence matches it).
- */
-inline int8_t
-int8_encode(value_t f, value_t scale, value_t zero)
-{
-    const value_t q = std::nearbyintf((f - zero) / scale);
-    return static_cast<int8_t>(
-        std::min(127.0f, std::max(-127.0f, q)));
-}
-
-/** Reconstruct the fp32 value of code @p q under (@p scale, @p zero). */
-inline value_t
-int8_decode(int8_t q, value_t scale, value_t zero)
-{
-    return scale * static_cast<value_t>(q) + zero;
-}
-
-/** Human-readable name of @p mode ("f32" / "bf16" / "int8"). */
+/** Human-readable name of @p mode ("f32" / "bf16"). */
 const char *storage_mode_name(StorageMode mode);
 
 /**
- * Parse a precision name ("f32"/"fp32"/"float", "bf16"/"bfloat16",
- * "int8"/"i8"). Returns false (leaving @p out untouched) on anything
- * else.
+ * Parse a precision name ("f32"/"fp32"/"float"/"float32",
+ * "bf16"/"bfloat16"). Returns false (leaving @p out untouched) on
+ * anything else.
  */
 bool parse_storage_mode(const char *s, StorageMode *out);
 

@@ -13,8 +13,6 @@ storage_mode_name(StorageMode mode)
     switch (mode) {
     case StorageMode::kBf16:
         return "bf16";
-    case StorageMode::kInt8:
-        return "int8";
     case StorageMode::kF32:
         break;
     }
@@ -35,10 +33,6 @@ parse_storage_mode(const char *s, StorageMode *out)
         *out = StorageMode::kBf16;
         return true;
     }
-    if (v == "int8" || v == "i8") {
-        *out = StorageMode::kInt8;
-        return true;
-    }
     return false;
 }
 
@@ -53,7 +47,7 @@ parse_precision_env()
     StorageMode mode = StorageMode::kF32;
     if (!parse_storage_mode(v, &mode)) {
         warn("unrecognized MPS_PRECISION value '" + std::string(v) +
-             "' (want f32/bf16/int8); staying at f32");
+             "' (want f32/bf16); staying at f32");
         return StorageMode::kF32;
     }
     return mode;

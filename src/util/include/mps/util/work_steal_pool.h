@@ -2,12 +2,11 @@
  * @file
  * Persistent work-stealing parallel runtime.
  *
- * This is the scheduler every kernel dispatches through. It replaces
- * the legacy mutex/condvar ThreadPool (kept in thread_pool.h as the
- * baseline for bench/pool_overhead) whose per-call costs — a condvar
- * broadcast per parallel_for, every worker contending on one shared
- * fetch_add cacheline, and a full wake/sleep round-trip even for tiny
- * jobs — are the CPU transplant of the warp-scheduling waste the paper
+ * This is the scheduler every kernel dispatches through. It avoids the
+ * per-call costs of a plain mutex/condvar pool — a condvar broadcast
+ * per parallel_for, every worker contending on one shared fetch_add
+ * cacheline, and a full wake/sleep round-trip even for tiny jobs —
+ * which are the CPU transplant of the warp-scheduling waste the paper
  * eliminates on GPU (DESIGN.md §7b).
  *
  * Design:

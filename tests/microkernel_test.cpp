@@ -106,9 +106,6 @@ TEST(MicrokernelTest, ScalarVsSimdAllOps)
             rk.zero(row, dim);
         }, "zero");
         run_both([&](const RowKernels &rk, value_t *row) {
-            rk.fill(row, a, dim);
-        }, "fill");
-        run_both([&](const RowKernels &rk, value_t *row) {
             rk.copy(row, x.data(), dim);
         }, "copy");
         run_both([&](const RowKernels &rk, value_t *row) {
@@ -121,20 +118,11 @@ TEST(MicrokernelTest, ScalarVsSimdAllOps)
             rk.scale(row, a, dim);
         }, "scale");
         run_both([&](const RowKernels &rk, value_t *row) {
-            rk.scale_add(row, a, x.data(), dim);
-        }, "scale_add");
-        run_both([&](const RowKernels &rk, value_t *row) {
-            rk.vmax(row, x.data(), dim);
-        }, "vmax");
-        run_both([&](const RowKernels &rk, value_t *row) {
             rk.commit_plain(row, x.data(), dim);
         }, "commit_plain");
         run_both([&](const RowKernels &rk, value_t *row) {
             rk.commit_atomic(row, x.data(), dim);
         }, "commit_atomic");
-        run_both([&](const RowKernels &rk, value_t *row) {
-            rk.commit_max_atomic(row, x.data(), dim);
-        }, "commit_max_atomic");
         run_both([&](const RowKernels &rk, value_t *row) {
             rk.axpy_atomic(row, a, x.data(), dim);
         }, "axpy_atomic");
@@ -231,11 +219,11 @@ TEST(MicrokernelTest, NegativeAndNanPropagation)
 
         std::vector<value_t> s(static_cast<size_t>(dim), 3.0f);
         s[2] = nan;
-        std::vector<value_t> t(static_cast<size_t>(dim), 1.0f);
-        rk.scale_add(s.data(), 2.0f, t.data(), dim);
+        rk.scale(s.data(), 2.0f, dim);
         EXPECT_TRUE(std::isnan(s[2]));
-        EXPECT_NEAR(s[0], 7.0f, kTol);
+        EXPECT_NEAR(s[0], 6.0f, kTol);
 
+        std::vector<value_t> t(static_cast<size_t>(dim), 1.0f);
         EXPECT_TRUE(std::isnan(rk.dot(x.data(), t.data(), dim)));
     }
 }
@@ -260,29 +248,14 @@ TEST(MicrokernelTest, AtomicAddConcurrent)
     EXPECT_EQ(slot, static_cast<value_t>(kThreads * kAdds));
 }
 
-TEST(MicrokernelTest, AtomicMaxConcurrent)
-{
-    value_t slot = std::numeric_limits<value_t>::lowest();
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&slot, t] {
-            for (int i = 0; i < 2000; ++i)
-                atomic_max(slot, static_cast<value_t>(t * 2000 + i));
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    EXPECT_EQ(slot, 7999.0f);
-}
-
 TEST(MicrokernelTest, ScratchIsAlignedAndGrows)
 {
     value_t *p = microkernel_scratch(5);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kRowAlignBytes, 0u);
-    row_fill(p, 1.0f, 5);
+    select_row_kernels(5).zero(p, 5);
     value_t *q = microkernel_scratch(1000);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % kRowAlignBytes, 0u);
-    row_zero(q, 1000);
+    select_row_kernels(1000).zero(q, 1000);
     EXPECT_EQ(q[999], 0.0f);
 }
 
@@ -393,7 +366,7 @@ TEST(MicrokernelTest, RowRangeAccumulateMatchesAxpyChain)
 }
 
 // ---------------------------------------------------------------------
-// Mixed precision: bf16 / int8 operand kernels, fp32 accumulate.
+// Mixed precision: bf16 operand kernels, fp32 accumulate.
 // ---------------------------------------------------------------------
 
 TEST(MicrokernelTest, MixedPrecisionScalarVsSimd)
@@ -407,11 +380,10 @@ TEST(MicrokernelTest, MixedPrecisionScalarVsSimd)
         const RowKernels &sv =
             select_row_kernels(dim, MicrokernelPath::kSimd);
         const std::vector<value_t> x = random_row(rng, dim);
-        const std::vector<value_t> w = random_row(rng, dim);
         const value_t a = rng.next_float(-3.0f, 3.0f);
 
-        // The encoders must be BIT-identical to the quant.h scalar
-        // primitives — the shadow rows are shared state, so the two
+        // The encoder must be BIT-identical to the quant.h scalar
+        // primitive — the shadow rows are shared state, so the two
         // paths may never disagree on a stored code.
         std::vector<bf16_t> h1(static_cast<size_t>(dim));
         std::vector<bf16_t> h2 = h1;
@@ -424,90 +396,11 @@ TEST(MicrokernelTest, MixedPrecisionScalarVsSimd)
                 << "encode_bf16 vs quant.h lane " << i;
         }
 
-        value_t scale = 0.0f, zero = 0.0f;
-        int8_row_params(x.data(), dim, &scale, &zero);
-        std::vector<int8_t> q1(static_cast<size_t>(dim));
-        std::vector<int8_t> q2 = q1;
-        sc.encode_int8(q1.data(), x.data(), scale, zero, dim);
-        sv.encode_int8(q2.data(), x.data(), scale, zero, dim);
-        for (size_t i = 0; i < q1.size(); ++i) {
-            EXPECT_EQ(q1[i], q2[i])
-                << "encode_int8 lane " << i << " dim " << dim;
-            EXPECT_EQ(q1[i], int8_encode(x[i], scale, zero))
-                << "encode_int8 vs quant.h lane " << i;
-        }
-
-        // decode_bf16 is a pure shift: exact on both paths.
-        std::vector<value_t> d1(static_cast<size_t>(dim));
-        std::vector<value_t> d2 = d1;
-        sc.decode_bf16(d1.data(), h1.data(), dim);
-        sv.decode_bf16(d2.data(), h1.data(), dim);
-        for (size_t i = 0; i < d1.size(); ++i) {
-            EXPECT_EQ(d1[i], d2[i])
-                << "decode_bf16 lane " << i << " dim " << dim;
-            EXPECT_EQ(d1[i], bf16_decode(h1[i]));
-        }
-
-        // decode_int8 may contract scale*q+zero into an fma.
-        sc.decode_int8(d1.data(), q1.data(), scale, zero, dim);
-        sv.decode_int8(d2.data(), q1.data(), scale, zero, dim);
-        expect_rows_close(d1, d2, "decode_int8", dim);
-
         std::vector<value_t> r1 = random_row(rng, dim);
         std::vector<value_t> r2 = r1;
         sc.axpy_bf16(r1.data(), a, h1.data(), dim);
         sv.axpy_bf16(r2.data(), a, h1.data(), dim);
         expect_rows_close(r1, r2, "axpy_bf16", dim);
-        sc.axpy_int8(r1.data(), a, q1.data(), scale, zero, dim);
-        sv.axpy_int8(r2.data(), a, q1.data(), scale, zero, dim);
-        expect_rows_close(r1, r2, "axpy_int8", dim);
-
-        EXPECT_NEAR(sc.dot_bf16(w.data(), h1.data(), dim),
-                    sv.dot_bf16(w.data(), h1.data(), dim),
-                    kTol * static_cast<value_t>(dim))
-            << "dot_bf16 at dim " << dim;
-        EXPECT_NEAR(sc.dot_int8(w.data(), q1.data(), scale, zero, dim),
-                    sv.dot_int8(w.data(), q1.data(), scale, zero, dim),
-                    kTol * static_cast<value_t>(dim))
-            << "dot_int8 at dim " << dim;
-    }
-}
-
-TEST(MicrokernelTest, GatherDotMixedPrecisionScalarVsSimd)
-{
-    if (!microkernel_simd_compiled())
-        GTEST_SKIP() << "scalar-only build";
-    Pcg32 rng(17, 23);
-    const index_t n = 200;
-    std::vector<value_t> xf = random_row(rng, n);
-    std::vector<bf16_t> xh(static_cast<size_t>(n));
-    std::vector<int8_t> xq(static_cast<size_t>(n));
-    value_t scale = 0.0f, zero = 0.0f;
-    int8_row_params(xf.data(), n, &scale, &zero);
-    const RowKernels &sc = select_row_kernels(n, MicrokernelPath::kScalar);
-    const RowKernels &sv = select_row_kernels(n, MicrokernelPath::kSimd);
-    sc.encode_bf16(xh.data(), xf.data(), n);
-    sc.encode_int8(xq.data(), xf.data(), scale, zero, n);
-    for (index_t nnz : {0, 1, 3, 7, 8, 9, 40, 150}) {
-        std::vector<value_t> vals = random_row(rng, nnz);
-        std::vector<index_t> cols(static_cast<size_t>(nnz));
-        for (auto &c : cols)
-            c = static_cast<index_t>(
-                rng.next_below(static_cast<uint32_t>(n)));
-        const value_t tol =
-            kTol * static_cast<value_t>(std::max<index_t>(nnz, 1));
-        EXPECT_NEAR(sc.gather_dot_bf16(vals.data(), cols.data(), 0, nnz,
-                                       xh.data()),
-                    sv.gather_dot_bf16(vals.data(), cols.data(), 0, nnz,
-                                       xh.data()),
-                    tol)
-            << "gather_dot_bf16 at nnz " << nnz;
-        EXPECT_NEAR(sc.gather_dot_int8(vals.data(), cols.data(), 0, nnz,
-                                       xq.data(), scale, zero),
-                    sv.gather_dot_int8(vals.data(), cols.data(), 0, nnz,
-                                       xq.data(), scale, zero),
-                    tol)
-            << "gather_dot_int8 at nnz " << nnz;
     }
 }
 
@@ -525,24 +418,16 @@ TEST(MicrokernelTest, MixedPrecisionUnalignedBasesAgree)
         for (auto &v : src)
             v = rng.next_float(-1.0f, 1.0f);
         std::vector<bf16_t> hb(n);
-        std::vector<int8_t> qb(n);
-        value_t scale = 0.0f, zero = 0.0f;
-        int8_row_params(src.data() + 1, dim, &scale, &zero);
         const RowKernels &sc =
             select_row_kernels(dim, MicrokernelPath::kScalar);
         const RowKernels &sv =
             select_row_kernels(dim, MicrokernelPath::kSimd);
         sc.encode_bf16(hb.data() + 1, src.data() + 1, dim);
-        sc.encode_int8(qb.data() + 1, src.data() + 1, scale, zero, dim);
 
         std::vector<bf16_t> hb2(n);
-        std::vector<int8_t> qb2(n);
         sv.encode_bf16(hb2.data() + 1, src.data() + 1, dim);
-        sv.encode_int8(qb2.data() + 1, src.data() + 1, scale, zero, dim);
-        for (size_t i = 1; i < n; ++i) {
+        for (size_t i = 1; i < n; ++i)
             EXPECT_EQ(hb[i], hb2[i]) << "unaligned encode_bf16 " << i;
-            EXPECT_EQ(qb[i], qb2[i]) << "unaligned encode_int8 " << i;
-        }
 
         AlignedVector acc1(n);
         for (auto &v : acc1)
@@ -550,10 +435,6 @@ TEST(MicrokernelTest, MixedPrecisionUnalignedBasesAgree)
         AlignedVector acc2 = acc1;
         sc.axpy_bf16(acc1.data() + 1, 1.5f, hb.data() + 1, dim);
         sv.axpy_bf16(acc2.data() + 1, 1.5f, hb.data() + 1, dim);
-        sc.axpy_int8(acc1.data() + 1, -0.75f, qb.data() + 1, scale, zero,
-                     dim);
-        sv.axpy_int8(acc2.data() + 1, -0.75f, qb.data() + 1, scale, zero,
-                     dim);
         for (index_t d = 0; d < dim; ++d)
             EXPECT_NEAR(acc1[static_cast<size_t>(d) + 1],
                         acc2[static_cast<size_t>(d) + 1], kTol)
@@ -608,101 +489,37 @@ TEST(MicrokernelTest, Bf16EncodeEdgeCases)
     }
 }
 
-TEST(MicrokernelTest, Int8SaturationAndNanEdges)
-{
-    const value_t inf = std::numeric_limits<value_t>::infinity();
-    const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
-    // Params ignore non-finite entries; the extremes map to +/-127.
-    const value_t row[6] = {-3.0f, 3.0f, 0.5f, nan, inf, -inf};
-    value_t scale = 0.0f, zero = 0.0f;
-    int8_row_params(row, 6, &scale, &zero);
-    EXPECT_FLOAT_EQ(zero, 0.0f);
-    EXPECT_FLOAT_EQ(scale, 6.0f / 254.0f);
-    EXPECT_EQ(int8_encode(3.0f, scale, zero), 127);
-    EXPECT_EQ(int8_encode(-3.0f, scale, zero), -127);
-    // Out-of-range and infinite inputs saturate; NaN pins to -127 and
-    // -128 is never produced.
-    EXPECT_EQ(int8_encode(100.0f, scale, zero), 127);
-    EXPECT_EQ(int8_encode(-100.0f, scale, zero), -127);
-    EXPECT_EQ(int8_encode(inf, scale, zero), 127);
-    EXPECT_EQ(int8_encode(-inf, scale, zero), -127);
-    EXPECT_EQ(int8_encode(nan, scale, zero), -127);
-
-    // SIMD encoder reproduces every edge lane bit-for-bit.
-    if (microkernel_simd_compiled()) {
-        const index_t dim = 16;
-        std::vector<value_t> src = {-3.0f, 3.0f,   0.5f,  nan,
-                                    inf,   -inf,   100.0f, -100.0f,
-                                    0.0f,  2.999f, -2.999f, 1e-6f,
-                                    -0.0f, 1.5f,   -1.5f,  nan};
-        std::vector<int8_t> q1(static_cast<size_t>(dim));
-        std::vector<int8_t> q2 = q1;
-        select_row_kernels(dim, MicrokernelPath::kScalar)
-            .encode_int8(q1.data(), src.data(), scale, zero, dim);
-        select_row_kernels(dim, MicrokernelPath::kSimd)
-            .encode_int8(q2.data(), src.data(), scale, zero, dim);
-        for (size_t i = 0; i < q1.size(); ++i)
-            EXPECT_EQ(q1[i], q2[i]) << "edge lane " << i;
-    }
-
-    // Degenerate ranges fall back to scale 1 around the midpoint.
-    const value_t flat[4] = {2.5f, 2.5f, 2.5f, 2.5f};
-    int8_row_params(flat, 4, &scale, &zero);
-    EXPECT_FLOAT_EQ(zero, 2.5f);
-    EXPECT_FLOAT_EQ(scale, 1.0f);
-    EXPECT_EQ(int8_encode(2.5f, scale, zero), 0);
-    EXPECT_FLOAT_EQ(int8_decode(0, scale, zero), 2.5f);
-    const value_t nans[2] = {nan, nan};
-    int8_row_params(nans, 2, &scale, &zero);
-    EXPECT_FLOAT_EQ(zero, 0.0f);
-    EXPECT_FLOAT_EQ(scale, 1.0f);
-}
-
 TEST(MicrokernelTest, QuantizeDenseMatchesSequentialReference)
 {
     // DenseMatrix::quantize (sequential, quant.h primitives) and
-    // quantize_dense (encode microkernels on the pool) must produce
-    // identical shadow bytes and params, and neither may disturb the
-    // fp32 master.
+    // quantize_dense (encode microkernel on the pool) must produce
+    // identical shadow bytes, and neither may disturb the fp32 master.
     Pcg32 rng(91, 7);
     WorkStealPool pool(3);
-    for (StorageMode mode : {StorageMode::kBf16, StorageMode::kInt8}) {
-        DenseMatrix a(37, 33), b(37, 33);
-        a.fill_random(rng);
-        for (index_t r = 0; r < a.rows(); ++r)
-            for (index_t c = 0; c < a.cols(); ++c)
-                b(r, c) = a(r, c);
-        a.quantize(mode);
-        quantize_dense(b, mode, &pool);
-        ASSERT_EQ(a.storage(), mode);
-        ASSERT_EQ(b.storage(), mode);
-        for (index_t r = 0; r < a.rows(); ++r) {
-            if (mode == StorageMode::kInt8) {
-                EXPECT_EQ(a.quant_scale(r), b.quant_scale(r))
-                    << "scale row " << r;
-                EXPECT_EQ(a.quant_zero(r), b.quant_zero(r))
-                    << "zero row " << r;
-            }
-            for (index_t c = 0; c < a.cols(); ++c) {
-                if (mode == StorageMode::kBf16)
-                    EXPECT_EQ(a.row_bf16(r)[c], b.row_bf16(r)[c])
-                        << "bf16 code at (" << r << ", " << c << ")";
-                else
-                    EXPECT_EQ(a.row_int8(r)[c], b.row_int8(r)[c])
-                        << "int8 code at (" << r << ", " << c << ")";
-                EXPECT_EQ(a(r, c), b(r, c))
-                    << "fp32 master disturbed at (" << r << ", " << c
-                    << ")";
-            }
+    DenseMatrix a(37, 33), b(37, 33);
+    a.fill_random(rng);
+    for (index_t r = 0; r < a.rows(); ++r)
+        for (index_t c = 0; c < a.cols(); ++c)
+            b(r, c) = a(r, c);
+    a.quantize(StorageMode::kBf16);
+    quantize_dense(b, StorageMode::kBf16, &pool);
+    ASSERT_EQ(a.storage(), StorageMode::kBf16);
+    ASSERT_EQ(b.storage(), StorageMode::kBf16);
+    for (index_t r = 0; r < a.rows(); ++r) {
+        for (index_t c = 0; c < a.cols(); ++c) {
+            EXPECT_EQ(a.row_bf16(r)[c], b.row_bf16(r)[c])
+                << "bf16 code at (" << r << ", " << c << ")";
+            EXPECT_EQ(a(r, c), b(r, c))
+                << "fp32 master disturbed at (" << r << ", " << c << ")";
         }
-        // Dropping back to f32 releases the shadow without touching
-        // the master.
-        quantize_dense(b, StorageMode::kF32, &pool);
-        EXPECT_EQ(b.storage(), StorageMode::kF32);
-        for (index_t r = 0; r < a.rows(); ++r)
-            for (index_t c = 0; c < a.cols(); ++c)
-                EXPECT_EQ(a(r, c), b(r, c));
     }
+    // Dropping back to f32 releases the shadow without touching the
+    // master.
+    quantize_dense(b, StorageMode::kF32, &pool);
+    EXPECT_EQ(b.storage(), StorageMode::kF32);
+    for (index_t r = 0; r < a.rows(); ++r)
+        for (index_t c = 0; c < a.cols(); ++c)
+            EXPECT_EQ(a(r, c), b(r, c));
 }
 
 TEST(MicrokernelTest, DefaultPathAndNames)

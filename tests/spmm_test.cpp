@@ -1,10 +1,12 @@
-/** Correctness tests for the MergePath-SpMM kernels. */
+/** Correctness tests for the MergePath-SpMM and -SpMV kernels. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
+#include <vector>
 
 #include "mps/core/spmm.h"
+#include "mps/core/spmv.h"
 #include "mps/sparse/datasets.h"
 #include "mps/sparse/generate.h"
 #include "mps/util/rng.h"
@@ -213,6 +215,47 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(0, 1, 2),
                      testing::Values(1, 2, 3, 16, 33),
                      testing::Values(1, 7, 64, 1024)));
+
+TEST(Spmv, MergePathMatchesReference)
+{
+    PowerLawParams p;
+    p.nodes = 400;
+    p.target_nnz = 2500;
+    p.max_degree = 350;
+    p.seed = 9;
+    CsrMatrix a = power_law_graph(p);
+    std::vector<value_t> x(static_cast<size_t>(a.cols()));
+    Pcg32 rng(4);
+    for (auto &v : x)
+        v = rng.next_float(-1.0f, 1.0f);
+
+    std::vector<value_t> expect;
+    reference_spmv(a, x, expect);
+
+    WorkStealPool pool(4);
+    for (index_t threads : {1, 13, 200, 1500}) {
+        MergePathSchedule sched = MergePathSchedule::build(a, threads);
+        std::vector<value_t> got;
+        mergepath_spmv(a, x, got, sched, pool);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < got.size(); ++i)
+            ASSERT_NEAR(got[i], expect[i], 1e-3) << "threads " << threads;
+    }
+}
+
+TEST(Spmv, EmptyRowsYieldZero)
+{
+    CsrMatrix a(4, 4, {0, 0, 2, 2, 2}, {0, 3}, {2.0f, 3.0f});
+    std::vector<value_t> x{1.0f, 1.0f, 1.0f, 1.0f};
+    std::vector<value_t> y;
+    WorkStealPool pool(2);
+    MergePathSchedule sched = MergePathSchedule::build(a, 3);
+    mergepath_spmv(a, x, y, sched, pool);
+    EXPECT_FLOAT_EQ(y[0], 0.0f);
+    EXPECT_FLOAT_EQ(y[1], 5.0f);
+    EXPECT_FLOAT_EQ(y[2], 0.0f);
+    EXPECT_FLOAT_EQ(y[3], 0.0f);
+}
 
 TEST(MergePathSpmmDeathTest, ShapeMismatchIsFatal)
 {

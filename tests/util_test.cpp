@@ -1,7 +1,6 @@
-/** Tests for the util module: stats, RNG, thread pool, CLI, tables. */
+/** Tests for the util module: stats, RNG, CLI, tables. */
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -11,7 +10,6 @@
 #include "mps/util/rng.h"
 #include "mps/util/stats.h"
 #include "mps/util/table.h"
-#include "mps/util/thread_pool.h"
 #include "mps/util/timer.h"
 
 namespace mps {
@@ -181,51 +179,6 @@ TEST(Rng, SplitmixAdvancesState)
     uint64_t a = splitmix64(s);
     uint64_t b = splitmix64(s);
     EXPECT_NE(a, b);
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce)
-{
-    ThreadPool pool(4);
-    const uint64_t n = 10000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](uint64_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (uint64_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPool, GrainedDispatchCoversAll)
-{
-    ThreadPool pool(3);
-    std::atomic<uint64_t> sum{0};
-    const uint64_t n = 1237; // deliberately not a multiple of the grain
-    pool.parallel_for(
-        n, [&](uint64_t i) { sum.fetch_add(i); }, /*grain=*/64);
-    EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(ThreadPool, ZeroTasksIsNoop)
-{
-    ThreadPool pool(2);
-    bool ran = false;
-    pool.parallel_for(0, [&](uint64_t) { ran = true; });
-    EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, Reusable)
-{
-    ThreadPool pool(2);
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<int> count{0};
-        pool.parallel_for(100, [&](uint64_t) { ++count; });
-        ASSERT_EQ(count.load(), 100);
-    }
-}
-
-TEST(ThreadPool, GlobalPoolExists)
-{
-    EXPECT_GE(ThreadPool::global().size(), 2u);
 }
 
 TEST(Cli, ParsesAllTypes)

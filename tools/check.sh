@@ -180,7 +180,7 @@ echo "==> ctest build-bf16 (MPS_PRECISION=bf16)"
 echo "==> ctest build-nofuse (MPS_FUSE=0)"
 (cd "$root/build-release" && \
     MPS_FUSE=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Gcn|Fusion|Train|Sage|Gin|Gat|Serve' "$@")
+    -R 'Gcn|Fusion|Train|Serve' "$@")
 
 echo "==> telemetry: live /metrics scrape during serve-bench"
 tool="$root/build-release/tools/mps_tool"

@@ -1481,8 +1481,7 @@ cmd_hash(int argc, char **argv)
               flags.get_string("model") + "'");
     StorageMode precision = StorageMode::kF32;
     if (!parse_storage_mode(flags.get_string("precision").c_str(),
-                            &precision) ||
-        precision == StorageMode::kInt8)
+                            &precision))
         fatal("--precision wants f32 or bf16, got '" +
               flags.get_string("precision") + "'");
     const std::string &kernel = flags.get_string("kernel");
