@@ -61,6 +61,9 @@ namespace {
 
 using namespace mps;
 
+/** The bench runs f32 panels throughout. */
+constexpr index_t kF32Bytes = storage_elem_bytes(StorageMode::kF32);
+
 template <class Fn>
 double
 best_of_reps(int reps, const Fn &run)
@@ -154,10 +157,12 @@ main(int argc, char **argv)
     // Fused plans: one schedule shared by both layers, panel width from
     // the fused auto-tuner.
     auto shared = borrow_schedule(sched);
-    FusedLayerPlan plan1(a, hidden, shared,
-                         default_fused_locality(a.cols(), hidden));
-    FusedLayerPlan plan2(a, classes, shared,
-                         default_fused_locality(a.cols(), classes));
+    FusedLayerPlan plan1(
+        a, hidden, shared,
+        default_fused_locality(a.cols(), hidden, kF32Bytes));
+    FusedLayerPlan plan2(
+        a, classes, shared,
+        default_fused_locality(a.cols(), classes, kF32Bytes));
 
     // ---- Bit-identity gate: streaming pipeline vs unfused forward on
     // a 1-thread schedule (plain commits, 16-aligned panel offsets).
@@ -176,12 +181,14 @@ main(int argc, char **argv)
 
         // Pin a narrow width for the gate: it must prove identity
         // ACROSS panel seams even when the tuner would run one panel.
-        SpmmLocality gloc = default_fused_locality(a.cols(), hidden);
+        SpmmLocality gloc =
+            default_fused_locality(a.cols(), hidden, kF32Bytes);
         gloc.tile_d = std::min<index_t>(32, hidden);
         gloc.auto_width = false;
         FusedLayerPlan g1(a, hidden, shared1, gloc);
-        FusedLayerPlan g2(a, classes, shared1,
-                          default_fused_locality(a.cols(), classes));
+        FusedLayerPlan g2(
+            a, classes, shared1,
+            default_fused_locality(a.cols(), classes, kF32Bytes));
         DenseMatrix hw2f(n, classes), got(n, classes);
         RankUpdateEpilogue rank = make_rank_update_epilogue(
             Activation::kRelu, w2, hw2f, gloc.row_scatter);

@@ -44,6 +44,19 @@ fusion_enabled()
 void
 FusedLayerPlan::derive_tiles()
 {
+    // An auto width is sized at the bytes the sweeps gather: a bf16
+    // panel stores half the bytes of an f32 one, so where the f32
+    // operand needs two panels the bf16 one may fit in one. The
+    // lookahead follows the width unless MPS_PREFETCH pins it.
+    // Explicit widths are honored in both modes.
+    const index_t eb = storage_elem_bytes(precision_);
+    const bool auto_prefetch = locality_env().prefetch_auto;
+    if (loc_.auto_width) {
+        loc_.tile_d = auto_fused_tile_d(a_->cols(), dim_, eb);
+        if (auto_prefetch)
+            loc_.prefetch = auto_prefetch_distance(
+                loc_.tiled(dim_) ? loc_.tile_d : dim_, eb);
+    }
     tile_ = loc_.tiled(dim_) ? loc_.tile_d : dim_;
     // run() materializes into a full-width C. When the auto tuner
     // picked the width and the whole n x dim operand is LLC-resident,
@@ -51,10 +64,9 @@ FusedLayerPlan::derive_tiles()
     // the merge traversal and commits through strided column stores —
     // so run() widens to a single full-width panel. Streaming keeps
     // the narrow width: its panels are the residency the pipeline is
-    // built on. Explicit widths are honored in both modes.
+    // built on.
     run_tile_ = tile_;
     run_loc_ = loc_;
-    const index_t eb = storage_elem_bytes(precision_);
     if (loc_.auto_width && tile_ < dim_) {
         const int64_t padded = (dim_ + 15) / 16 * 16;
         const int64_t operand_bytes = static_cast<int64_t>(a_->cols()) *
@@ -62,7 +74,8 @@ FusedLayerPlan::derive_tiles()
         if (operand_bytes <= detected_llc_bytes()) {
             run_tile_ = dim_;
             run_loc_.tile_d = 0;
-            run_loc_.prefetch = auto_prefetch_distance(dim_, eb);
+            if (auto_prefetch)
+                run_loc_.prefetch = auto_prefetch_distance(dim_, eb);
         }
     }
 }

@@ -179,7 +179,9 @@ class FusedLayerPlan
     /**
      * Resolved STREAMING panel width (== dim when running one
      * full-width panel): the width of each run_streaming() panel,
-     * sized so the source panel stays cache-hot.
+     * sized so the source panel stays cache-hot. An auto width
+     * (SpmmLocality::auto_width) is sized at the plan's precision
+     * and follows set_precision().
      */
     index_t tile() const { return tile_; }
     /**
@@ -199,7 +201,10 @@ class FusedLayerPlan
     bool uses_hybrid() const { return hybrid_ != nullptr; }
     /** Hybrid schedule (nullptr unless uses_hybrid()). */
     const HybridSchedule *hybrid() const { return hybrid_.get(); }
+    /** Streaming-mode locality (width tile(), its lookahead). */
     const SpmmLocality &locality() const { return loc_; }
+    /** run()-mode locality (width run_tile(), its lookahead). */
+    const SpmmLocality &run_locality() const { return run_loc_; }
 
     /**
      * Operand storage precision of the panel sweeps. kF32 (the default)
@@ -207,8 +212,9 @@ class FusedLayerPlan
      * encode each panel operand's shadow buffer (when the source marks
      * it quantizable) before the sweep, so the gather loop reads 2
      * bytes per element instead of 4; accumulation and the commit
-     * protocol stay fp32. Re-derives the panel widths: quantized
-     * operands fit more columns per cache level.
+     * protocol stay fp32. Re-derives the panel widths (when auto) and
+     * the lookahead at storage_elem_bytes(p): quantized operands fit
+     * more columns per cache level.
      */
     void set_precision(StorageMode p) {
         if (p == precision_)

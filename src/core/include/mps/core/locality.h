@@ -65,9 +65,12 @@ struct SpmmLocality
 
     /**
      * True when tile_d came from the auto tuner rather than an
-     * explicit MPS_TILE_D override or a caller-pinned width. Executors
-     * with several dataflow modes (FusedLayerPlan) may then re-derive
-     * the width per mode; an explicit width is always honored as-is.
+     * explicit MPS_TILE_D override or a caller-pinned width. A
+     * FusedLayerPlan then owns the width: it re-derives tile_d, and
+     * prefetch unless MPS_PREFETCH pins it, from the bytes its panels
+     * store at the plan's precision, and widens run() when the whole
+     * operand is LLC-resident. An explicit width is always honored
+     * as-is.
      */
     bool auto_width = false;
 
@@ -153,29 +156,32 @@ index_t auto_prefetch_distance(index_t dim,
  * n x d temporary. This is the STREAMING width; FusedLayerPlan::run()
  * into a full-width output widens it when the whole temporary is
  * LLC-resident (see fusion.h).
+ *
+ * @p elem_bytes is the stored width of one panel element, which every
+ * caller names (storage_elem_bytes): a bf16 panel is half the bytes of
+ * an f32 one, so it may fit one panel where f32 needs two.
  */
-index_t auto_fused_tile_d(index_t n_rows, index_t dim,
-                          index_t elem_bytes = sizeof(value_t));
+index_t auto_fused_tile_d(index_t n_rows, index_t dim, index_t elem_bytes);
 
 /**
  * The streaming panel width default_fused_locality() resolves for
- * @p dim (== dim when the plan sweeps every column in one panel),
- * without publishing gauges: planners ask it before any plan exists.
+ * @p dim (== dim when the plan sweeps every column in one panel):
+ * the MPS_TILE_D width when one is set, else auto_fused_tile_d.
  */
-index_t fused_tile_width(index_t n_rows, index_t dim,
-                         index_t elem_bytes = sizeof(value_t));
+index_t fused_tile_width(index_t n_rows, index_t dim, index_t elem_bytes);
 
 /**
  * Resolve locality options for a fused panel-streaming execution over
- * an @p n_rows-row panel buffer at output dimension @p dim. Honors an
- * explicit MPS_TILE_D width (kDisabled runs one full-width panel —
- * useful for A/B measurement, it degenerates to the unfused dataflow
- * plus a copy); kAuto uses auto_fused_tile_d. Publishes the
- * fusion.tile_d and fusion.prefetch_distance gauges when metrics are
- * enabled.
+ * an @p n_rows-row panel buffer at output dimension @p dim, whose
+ * elements are stored @p elem_bytes wide. Honors an explicit
+ * MPS_TILE_D width (kDisabled runs one full-width panel — useful for
+ * A/B measurement, it degenerates to the unfused dataflow plus a
+ * copy); kAuto uses auto_fused_tile_d and sets auto_width, so a
+ * FusedLayerPlan re-derives the width and lookahead at its own
+ * precision (FusedLayerPlan::set_precision).
  */
 SpmmLocality default_fused_locality(index_t n_rows, index_t dim,
-                                    index_t elem_bytes = sizeof(value_t));
+                                    index_t elem_bytes);
 
 /**
  * Resolve the process-default locality options for a SpMM gathering

@@ -259,14 +259,6 @@ default_fused_locality(index_t n_rows, index_t dim, index_t elem_bytes)
     loc.prefetch = env.prefetch_auto
                        ? auto_prefetch_distance(effective, elem_bytes)
                        : env.prefetch;
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    if (metrics.enabled()) {
-        metrics.gauge_set("fusion.tile_d",
-                          static_cast<double>(loc.tiled(dim) ? loc.tile_d
-                                                             : dim));
-        metrics.gauge_set("fusion.prefetch_distance",
-                          static_cast<double>(loc.prefetch));
-    }
     return loc;
 }
 

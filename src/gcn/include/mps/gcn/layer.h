@@ -49,7 +49,9 @@ class GcnLayer
 
     /**
      * aggregate_first() for this layer on graph @p a, at the panel
-     * width a fused plan over the input would use (fused_tile_width).
+     * width an f32 fused plan over the input would use
+     * (fused_tile_width). A bf16 plan's width is never narrower, so
+     * an aggregate-first layer sweeps one panel at either precision.
      */
     bool aggregates_first(const CsrMatrix &a) const;
 

@@ -132,7 +132,10 @@ class GcnModel
      * XW product runs on the AMX tiles (a bf16 layer 0 that combines
      * first, see gemm_panel_source), and gcn.layer<i>.rank_amx: 1 when
      * its rank update into layer i + 1's XW does (a bf16 layer swept
-     * in one panel, see RankUpdateEpilogue).
+     * in one panel, see RankUpdateEpilogue). When the layer runs a
+     * fused plan, gcn.layer<i>.{tile_d, prefetch_distance} give the
+     * panel width and lookahead its sweeps use at the model's
+     * precision.
      */
     std::vector<LayerPlanInfo> layer_plans(const CsrMatrix &a) const;
 

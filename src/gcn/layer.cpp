@@ -29,8 +29,13 @@ aggregate_first(index_t in_features, index_t out_features,
 bool
 GcnLayer::aggregates_first(const CsrMatrix &a) const
 {
-    return aggregate_first(in_features(), out_features(),
-                           fused_tile_width(a.cols(), in_features()));
+    // Sized at f32: an aggregate-first layer 0 gathers the caller's
+    // f32 X, and a bf16 width is never narrower, so the order does not
+    // depend on the precision.
+    return aggregate_first(
+        in_features(), out_features(),
+        fused_tile_width(a.cols(), in_features(),
+                         storage_elem_bytes(StorageMode::kF32)));
 }
 
 void

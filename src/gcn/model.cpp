@@ -168,12 +168,33 @@ GcnModel::prepare_all(const CsrMatrix &a)
                                                          plans[0])
                                   ? 1.0
                                   : 0.0);
+            FusedLayerPlan *fused =
+                fusion_enabled()
+                    ? kernels_[i]->fused_plan(a, plans[i].sparse_width)
+                    : nullptr;
+            const bool feeds_xw =
+                i + 1 < layers_.size() && !plans[i + 1].aggregate_first;
             const bool rank_amx =
-                i + 1 < layers_.size() &&
-                rank_update_runs_on_amx(
-                    layers_[i + 1], plans[i], plans[i + 1],
-                    kernels_[i]->fused_plan(a, plans[i].sparse_width));
+                feeds_xw && rank_update_runs_on_amx(layers_[i + 1],
+                                                    plans[i], plans[i + 1],
+                                                    fused);
             metrics.gauge_set(layer + ".rank_amx", rank_amx ? 1.0 : 0.0);
+            if (fused != nullptr) {
+                // The panels fused_infer sweeps: streamed (tile()) into
+                // an epilogue that hands rows on, else materialized by
+                // run() (run_tile()), at the model's precision.
+                fused->set_precision(precision_); // as fused_infer will
+                const bool streamed = plans[i].aggregate_first || feeds_xw;
+                const index_t width =
+                    streamed ? fused->tile() : fused->run_tile();
+                const index_t prefetch =
+                    streamed ? fused->locality().prefetch
+                             : fused->run_locality().prefetch;
+                metrics.gauge_set(layer + ".tile_d",
+                                  static_cast<double>(width));
+                metrics.gauge_set(layer + ".prefetch_distance",
+                                  static_cast<double>(prefetch));
+            }
         }
     }
     prepared_rows_ = a.rows();

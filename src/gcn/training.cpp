@@ -23,6 +23,14 @@ namespace mps {
 
 namespace {
 
+/** Fused locality over @p a at width @p dim: training runs f32. */
+SpmmLocality
+f32_fused_locality(const CsrMatrix &a, index_t dim)
+{
+    return default_fused_locality(a.cols(), dim,
+                                  storage_elem_bytes(StorageMode::kF32));
+}
+
 /** out = a^T * b with a (n x k), b (n x m); out is k x m. */
 void
 gemm_at_b(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
@@ -215,9 +223,9 @@ GcnTrainer::predict(const CsrMatrix &a, const DenseMatrix &x,
         // materialized; layer 2 then consumes the accumulated HW2 as
         // zero-copy slices.
         FusedLayerPlan plan1(a, w1_.cols(), sched_,
-                             default_fused_locality(a.cols(), w1_.cols()));
+                             f32_fused_locality(a, w1_.cols()));
         FusedLayerPlan plan2(a, w2_.cols(), sched_,
-                             default_fused_locality(a.cols(), w2_.cols()));
+                             f32_fused_locality(a, w2_.cols()));
         DenseMatrix hw2(a.rows(), w2_.cols());
         RankUpdateEpilogue rank = make_rank_update_epilogue(
             Activation::kRelu, w2_, hw2, plan1.locality().row_scatter);
@@ -266,12 +274,10 @@ GcnTrainer::step(const CsrMatrix &a, const DenseMatrix &x,
             // The backward ReLU gate needs z1 pre-activation, so layer
             // 1 runs without an epilogue; the XW temporaries still
             // never touch DRAM.
-            FusedLayerPlan plan1(
-                a, w1_.cols(), sched_,
-                default_fused_locality(a.cols(), w1_.cols()));
-            FusedLayerPlan plan2(
-                a, w2_.cols(), sched_,
-                default_fused_locality(a.cols(), w2_.cols()));
+            FusedLayerPlan plan1(a, w1_.cols(), sched_,
+                                 f32_fused_locality(a, w1_.cols()));
+            FusedLayerPlan plan2(a, w2_.cols(), sched_,
+                                 f32_fused_locality(a, w2_.cols()));
             plan1.run(gemm_panel_source(x, w1_, pool), z1, pool);
             h1 = z1;
             apply_activation(h1, Activation::kRelu);

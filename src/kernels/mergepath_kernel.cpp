@@ -97,7 +97,10 @@ MergePathSpmm::fused_plan(const CsrMatrix &a, index_t dim) const
     if (fused_cache_ != nullptr && fused_cache_key_ == &exec &&
         fused_cache_dim_ == dim)
         return fused_cache_.get();
-    SpmmLocality loc = default_fused_locality(exec.cols(), dim);
+    // The plan starts at kF32; set_precision re-sizes an auto width
+    // at the bytes the plan's panels then store.
+    SpmmLocality loc = default_fused_locality(
+        exec.cols(), dim, storage_elem_bytes(StorageMode::kF32));
     if (plan_ != nullptr)
         loc.row_scatter = plan_->inverse.data();
     // The plan borrows the schedule (shared when a cache is attached,

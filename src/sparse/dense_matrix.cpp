@@ -16,13 +16,6 @@ DenseMatrix::DenseMatrix(index_t rows, index_t cols)
     MPS_CHECK(rows >= 0 && cols >= 0, "negative matrix dimension");
 }
 
-DenseMatrix::DenseMatrix(index_t rows, index_t cols, StorageMode mode)
-    : DenseMatrix(rows, cols)
-{
-    if (mode != StorageMode::kF32)
-        set_storage(mode);
-}
-
 DenseMatrix
 DenseMatrix::bf16_panel(index_t rows, index_t cols)
 {

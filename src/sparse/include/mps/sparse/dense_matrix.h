@@ -48,13 +48,6 @@ class DenseMatrix
     DenseMatrix(index_t rows, index_t cols);
 
     /**
-     * Convert-on-construct: zero-initialized like the two-arg ctor,
-     * then quantized shadow storage is allocated up front so later
-     * quantize(mode) calls never reallocate.
-     */
-    DenseMatrix(index_t rows, index_t cols, StorageMode mode);
-
-    /**
      * rows x cols of zeroed bf16 rows (storage() == kBf16) and no fp32
      * rows: row(), data() and element access must not be used, and
      * quantize()/set_storage() refuse it.

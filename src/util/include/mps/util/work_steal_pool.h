@@ -35,7 +35,7 @@
  *    allocation and one indirect call per chunk rather than per index.
  *
  * Observability (all through the PR 1 registry, no-ops when disabled):
- * pool.dispatch_ns (timer; nanosecond samples of the submit path),
+ * pool.dispatch_ms (timer; millisecond samples of the submit path),
  * pool.steals / pool.parks / pool.jobs / pool.inline_runs (counters).
  * Load-balance telemetry (the live analog of the paper's Fig. 8):
  * per-executor busy and steal durations per job class go into the

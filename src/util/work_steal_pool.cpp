@@ -416,8 +416,8 @@ WorkStealPool::run(uint64_t n, uint64_t grain, RangeFn invoke,
         work_cv_.notify_all();
     }
     if (instrumented) {
-        metrics.timer_record_ms("pool.dispatch_ns",
-                                dispatch->elapsed_ns());
+        metrics.timer_record_ms("pool.dispatch_ms",
+                                dispatch->elapsed_ms());
         metrics.counter_add("pool.jobs");
     }
 

@@ -691,5 +691,77 @@ TEST(GcnAssociation, SigmoidAggregateFirstCoversEmptyRows)
     }
 }
 
+
+/**
+ * A fused plan sizes an auto panel width at the bytes its panels
+ * store. On an operand whose n rows make 128 f32 columns too wide for
+ * the width's cache budget while 128 bf16 columns fit it, the plans
+ * the merge-path and hybrid kernels build sweep 128 columns in one
+ * panel at kBf16 and in narrower ones at kF32, back and forth as the
+ * precision changes; the lookahead follows the same rule. An explicit
+ * MPS_TILE_D width holds at both precisions. Only an n-row diagonal
+ * CSR is built: no n x 128 operand exists until a run.
+ */
+TEST(FusionTileWidth, SizedAtStoredBytes)
+{
+    const index_t dim = 128;
+    const index_t f32 = storage_elem_bytes(StorageMode::kF32);
+    const index_t bf16 = storage_elem_bytes(StorageMode::kBf16);
+    // The fewest rows at which the auto f32 width drops below dim, for
+    // this host's detected LLC.
+    index_t lo = 1, hi = 2;
+    while (auto_fused_tile_d(hi, dim, f32) == dim) {
+        lo = hi;
+        hi *= 2;
+        ASSERT_LT(hi, index_t{1} << 28) << "no narrowing row count";
+    }
+    while (hi - lo > 1) {
+        const index_t mid = lo + (hi - lo) / 2;
+        (auto_fused_tile_d(mid, dim, f32) == dim ? lo : hi) = mid;
+    }
+    const index_t n = hi;
+    const index_t narrow = auto_fused_tile_d(n, dim, f32);
+    ASSERT_LT(narrow, dim);
+    ASSERT_EQ(auto_fused_tile_d(n, dim, bf16), dim);
+
+    std::vector<index_t> row_ptr(static_cast<size_t>(n) + 1), cols(
+        static_cast<size_t>(n));
+    for (index_t i = 0; i <= n; ++i)
+        row_ptr[static_cast<size_t>(i)] = i;
+    for (index_t i = 0; i < n; ++i)
+        cols[static_cast<size_t>(i)] = i;
+    const CsrMatrix a(n, n, std::move(row_ptr), std::move(cols),
+                      std::vector<value_t>(static_cast<size_t>(n), 1.0f));
+
+    const LocalityEnv &env = locality_env();
+    const auto want = [&](StorageMode p) {
+        switch (env.tile_policy) {
+        case TilePolicy::kDisabled:
+            return dim;
+        case TilePolicy::kExplicit:
+            return std::min(env.tile_d, dim);
+        case TilePolicy::kAuto:
+            break;
+        }
+        return p == StorageMode::kBf16 ? dim : narrow;
+    };
+    for (const char *name : {"mergepath", "hybrid"}) {
+        auto kernel = make_spmm_kernel(name);
+        kernel->prepare(a, dim);
+        FusedLayerPlan *plan = kernel->fused_plan(a, dim);
+        ASSERT_NE(plan, nullptr) << name;
+        // A new plan runs at kF32.
+        for (StorageMode p : {StorageMode::kF32, StorageMode::kBf16,
+                              StorageMode::kF32, StorageMode::kBf16}) {
+            plan->set_precision(p);
+            const index_t eb = storage_elem_bytes(p);
+            EXPECT_EQ(plan->tile(), want(p)) << name << " at " << eb;
+            EXPECT_EQ(plan->locality().prefetch,
+                      default_fused_locality(n, dim, eb).prefetch)
+                << name << " at " << eb;
+        }
+    }
+}
+
 } // namespace
 } // namespace mps

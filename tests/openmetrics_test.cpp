@@ -110,11 +110,12 @@ TEST(OpenMetrics, InlineLabelsSplitIntoFamilyAndLabels)
 
 /**
  * GcnModel explains its plan on /metrics: each layer's association
- * order and sparse width, and whether its XW product runs on the AMX
- * tiles, as gauges set when it prepares a graph; microkernel.amx shows
- * whether the host granted the tiles. An f32 model and an
- * aggregate-first layer 0 never use them; a bf16 32-32-8 model's layer
- * 0 does wherever the host grants them.
+ * order and sparse width, whether its XW product runs on the AMX
+ * tiles, and the panel width and lookahead of its fused sweeps, as
+ * gauges set when it prepares a graph; microkernel.amx shows whether
+ * the host granted the tiles. An f32 model and an aggregate-first
+ * layer 0 never use them; a bf16 32-32-8 model's layer 0 does wherever
+ * the host grants them.
  */
 TEST(OpenMetrics, GcnPlanGaugesAppear)
 {
@@ -132,9 +133,14 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
     const std::string text = to_openmetrics(metrics);
     metrics.set_enabled(false);
     metrics.reset();
-    // The last fused plan built is layer 1's, sweeping 8 columns.
-    const double prefetch = static_cast<double>(
-        default_fused_locality(a.cols(), 8).prefetch);
+    // Each f32 layer's lookahead, at the width it sweeps: layer 0
+    // aggregates first at 16 columns, layer 1 combines first at 8.
+    const auto prefetch = [&a](index_t width) {
+        return static_cast<double>(
+            default_fused_locality(a.cols(), width,
+                                   storage_elem_bytes(StorageMode::kF32))
+                .prefetch);
+    };
     const double lanes =
         microkernel_default_path() == MicrokernelPath::kSimd
             ? static_cast<double>(microkernel_vector_width())
@@ -160,9 +166,16 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
                                {"gcn_layer1_rank_amx", 0.0},
                                {"microkernel_vector_width", lanes},
                                {"microkernel_amx", amx}};
-    // MPS_FUSE=0 runs no fused plan, so none publishes its lookahead.
-    if (fusion_enabled())
-        want.push_back({"fusion_prefetch_distance", prefetch});
+    // MPS_FUSE=0 runs no fused plan, so no layer publishes its panel
+    // width or lookahead.
+    if (fusion_enabled()) {
+        want.push_back({"gcn_layer0_tile_d", 16.0});
+        want.push_back({"gcn_layer0_prefetch_distance", prefetch(16)});
+        want.push_back({"gcn_layer1_tile_d", 8.0});
+        want.push_back({"gcn_layer1_prefetch_distance", prefetch(8)});
+    } else {
+        EXPECT_EQ(doc.find("gcn_layer0_tile_d", {}), nullptr);
+    }
     const auto expect_gauges = [](OpenMetricsText &parsed,
                                   const std::vector<Gauge> &gauges) {
         for (const auto &w : gauges) {
@@ -189,13 +202,21 @@ TEST(OpenMetrics, GcnPlanGaugesAppear)
     // The gauge tells whether layer 1's operand came from the tile
     // rank update, which the handoff's storage shows.
     const bool rank_amx = fusion_enabled() && !bf16.handoff(0).has_f32();
-    expect_gauges(bf16_doc,
-                  {{"gcn_layer0_aggregate_first", 0.0},
-                   {"gcn_layer0_gemm_amx", amx_gemm_enabled() ? 1.0 : 0.0},
-                   {"gcn_layer0_rank_amx", rank_amx ? 1.0 : 0.0},
-                   {"gcn_layer1_gemm_amx", 0.0},
-                   {"gcn_layer1_rank_amx", 0.0},
-                   {"microkernel_amx", amx}});
+    std::vector<Gauge> bf16_want = {
+        {"gcn_layer0_aggregate_first", 0.0},
+        {"gcn_layer0_gemm_amx", amx_gemm_enabled() ? 1.0 : 0.0},
+        {"gcn_layer0_rank_amx", rank_amx ? 1.0 : 0.0},
+        {"gcn_layer1_gemm_amx", 0.0},
+        {"gcn_layer1_rank_amx", 0.0},
+        {"microkernel_amx", amx}};
+    // Layer 0 streams its 32 columns in panels of the width its bf16
+    // plan resolves: one panel unless MPS_TILE_D narrows it.
+    if (fusion_enabled())
+        bf16_want.push_back(
+            {"gcn_layer0_tile_d",
+             static_cast<double>(fused_tile_width(
+                 a.cols(), 32, storage_elem_bytes(StorageMode::kBf16)))});
+    expect_gauges(bf16_doc, bf16_want);
 }
 
 /**

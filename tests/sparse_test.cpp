@@ -80,7 +80,8 @@ TEST(DenseMatrix, LargeBlocksSitOnHugePages)
     };
     DenseMatrix zeroed(rows, cols);
     DenseMatrix overwrite = DenseMatrix::for_overwrite(rows, cols);
-    DenseMatrix shadowed(rows, cols, StorageMode::kBf16);
+    DenseMatrix shadowed(rows, cols);
+    shadowed.set_storage(StorageMode::kBf16);
     const DenseMatrix small(1000, cols);
     EXPECT_EQ(offset(zeroed.data(), huge), 0u);
     EXPECT_EQ(offset(overwrite.data(), huge), 0u);

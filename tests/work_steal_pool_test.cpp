@@ -222,7 +222,7 @@ TEST(WorkStealPool, PublishesSchedulerMetrics)
             pool.parallel_for(2048, [&](uint64_t i) { (void)i; });
         }
         EXPECT_GE(metrics.counter_value("pool.jobs"), 8);
-        EXPECT_GE(metrics.timer_value("pool.dispatch_ns").count, 8);
+        EXPECT_GE(metrics.timer_value("pool.dispatch_ms").count, 8);
         EXPECT_GE(metrics.counter_value("pool.steals"), 0);
         EXPECT_GE(metrics.counter_value("pool.parks"), 0);
         // A single-index job cannot fan out: it runs inline.

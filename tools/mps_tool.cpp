@@ -459,9 +459,11 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
         }
         if (time_fused) {
             fused_ms = avg_ms([&] {
-                FusedLayerPlan plan(m, width, borrow_schedule(sched),
-                                    default_fused_locality(m.cols(),
-                                                           width));
+                FusedLayerPlan plan(
+                    m, width, borrow_schedule(sched),
+                    default_fused_locality(
+                        m.cols(), width,
+                        storage_elem_bytes(plan_info.precision)));
                 plan.set_precision(plan_info.precision);
                 run_tile = plan.run_tile();
                 stream_tile = plan.tile();
