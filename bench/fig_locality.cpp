@@ -1,12 +1,12 @@
 /**
  * @file
  * Cache-locality study: the auto-resolved locality layer (column
- * tiling + software prefetch), an explicitly tiled configuration and
- * BFS reordering against the untiled pre-locality kernel, on a
- * power-law graph whose dense operand exceeds the detected caches.
+ * tiling + software prefetch) and an explicitly tiled configuration
+ * against the untiled pre-locality kernel, on a power-law graph whose
+ * dense operand exceeds the detected caches.
  *
  * For each d in {32, 128, 256, 512} the same merge-path schedule is
- * executed four ways and the best-of-reps wall time reported:
+ * executed three ways and the best-of-reps wall time reported:
  *
  *  - untiled: one full-width sweep, no prefetch (the pre-locality
  *    kernel — the baseline every speedup is against);
@@ -16,10 +16,7 @@
  *    one sweep and lets the prefetcher carry the win;
  *  - tiled: an explicit MPS_TILE_D-style panel (the auto width when
  *    the tuner tiles, 64 otherwise), isolating what forced tiling
- *    costs or saves on this host;
- *  - reordered: locality + BFS row permutation with commit-time
- *    scatter (plan built once outside the timed region, as in
- *    serving).
+ *    costs or saves on this host.
  *
  * Alongside wall time the effective gather bandwidth nnz * d * 4 B /
  * time is reported — the B-row traffic the traversal pulls through the
@@ -40,7 +37,6 @@
 #include "mps/core/schedule.h"
 #include "mps/core/spmm.h"
 #include "mps/sparse/generate.h"
-#include "mps/sparse/reorder.h"
 #include "mps/util/json.h"
 #include "mps/util/rng.h"
 #include "mps/util/timer.h"
@@ -98,7 +94,6 @@ main(int argc, char **argv)
     params.max_degree = max_degree;
     params.seed = 20;
     CsrMatrix a = power_law_graph(params);
-    ReorderPlan plan = build_reorder_plan(a, ReorderKind::kBfs);
     WorkStealPool pool(threads);
 
     JsonWriter w;
@@ -111,7 +106,6 @@ main(int argc, char **argv)
     w.key("reps").value(static_cast<int64_t>(reps));
     w.key("l2_bytes").value(detected_l2_bytes());
     w.key("llc_bytes").value(detected_llc_bytes());
-    w.key("reorder").value("bfs");
 
     bool all_bit_identical = true;
     w.key("sweep").begin_array();
@@ -123,18 +117,14 @@ main(int argc, char **argv)
 
         MergePathSchedule sched = MergePathSchedule::build(
             a, static_cast<index_t>(threads) * 16);
-        MergePathSchedule psched = MergePathSchedule::build(
-            plan.matrix, static_cast<index_t>(threads) * 16);
 
-        SpmmLocality untiled; // one sweep, no prefetch, identity
+        SpmmLocality untiled; // one sweep, no prefetch
         SpmmLocality locality;
         locality.tile_d = auto_tile_d(a.cols(), dim);
         locality.prefetch = auto_prefetch_distance(dim);
         SpmmLocality tiled = locality;
         if (!tiled.tiled(dim))
             tiled.tile_d = std::min<index_t>(64, dim);
-        SpmmLocality reordered = locality;
-        reordered.row_scatter = plan.inverse.data();
 
         // Bit-identity gate (sequential: commit order fixed).
         {
@@ -153,10 +143,6 @@ main(int argc, char **argv)
         const double tiled_s = best_of_reps(reps, [&] {
             mergepath_spmm_parallel(a, b, c, sched, pool, tiled);
         });
-        const double reordered_s = best_of_reps(reps, [&] {
-            mergepath_spmm_parallel(plan.matrix, b, c, psched, pool,
-                                    reordered);
-        });
 
         const double gathered_gb = static_cast<double>(a.nnz()) * dim *
                                    sizeof(value_t) / 1e9;
@@ -170,12 +156,10 @@ main(int argc, char **argv)
         w.key("untiled_ms").value(untiled_s * 1e3);
         w.key("locality_ms").value(locality_s * 1e3);
         w.key("tiled_ms").value(tiled_s * 1e3);
-        w.key("reordered_ms").value(reordered_s * 1e3);
         w.key("untiled_gather_gbps").value(gathered_gb / untiled_s);
         w.key("locality_gather_gbps").value(gathered_gb / locality_s);
         w.key("locality_speedup").value(untiled_s / locality_s);
         w.key("tiled_speedup").value(untiled_s / tiled_s);
-        w.key("reordered_speedup").value(untiled_s / reordered_s);
         w.end_object();
     }
     w.end_array();

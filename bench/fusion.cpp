@@ -190,8 +190,8 @@ main(int argc, char **argv)
             a, classes, shared1,
             default_fused_locality(a.cols(), classes, kF32Bytes));
         DenseMatrix hw2f(n, classes), got(n, classes);
-        RankUpdateEpilogue rank = make_rank_update_epilogue(
-            Activation::kRelu, w2, hw2f, gloc.row_scatter);
+        RankUpdateEpilogue rank =
+            make_rank_update_epilogue(Activation::kRelu, w2, hw2f);
         g1.run_streaming(
             gemm_panel_source(x, w1, pool),
             [&rank](index_t col0, index_t width) {
@@ -253,8 +253,8 @@ main(int argc, char **argv)
     });
     const double e2e_fused_s = best_of_reps(reps, [&] {
         DenseMatrix hw2(n, classes);
-        RankUpdateEpilogue rank = make_rank_update_epilogue(
-            Activation::kRelu, w2, hw2, plan1.locality().row_scatter);
+        RankUpdateEpilogue rank =
+            make_rank_update_epilogue(Activation::kRelu, w2, hw2);
         plan1.run_streaming(
             gemm_panel_source(x, w1, pool, plan1.gemm_scratch()),
             [&rank](index_t col0, index_t width) {

@@ -252,7 +252,6 @@ make_panel_sweep(const DenseMatrix &b, index_t b_col, DenseMatrix *c,
     p.c = c;
     p.c_col = c_col;
     p.width = width;
-    p.scatter = loc.row_scatter;
     p.split = &split;
     p.rk = &select_row_kernels(width);
     p.epi = epi;

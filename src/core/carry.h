@@ -111,9 +111,8 @@ using ShareLoop = void (*)(const PanelSweep &p, const CsrMatrix &m,
 /**
  * One panel sweep of the gather/commit datapath, shared by every
  * executor of it. The traversal reads B columns [b_col, b_col + width)
- * and finishes output columns [c_col, c_col + width), with output rows
- * indirected through @p scatter (nullptr = identity; reorder-aware
- * execution passes the inverse permutation). @p prefetch > 0
+ * and finishes output columns [c_col, c_col + width); each output row
+ * lands on its traversal row. @p prefetch > 0
  * prefetches the B row of the non-zero that many positions ahead.
  *
  * With an output @p c the sweep materializes: a row's first part is
@@ -136,7 +135,6 @@ struct PanelSweep
     DenseMatrix *c = nullptr;
     index_t c_col = 0;
     index_t width = 0;
-    const index_t *scatter = nullptr;
     const SplitRowList *split = nullptr;
     const RowKernels *rk = nullptr;
     PanelEpilogue epi = nullptr;
@@ -148,7 +146,7 @@ struct PanelSweep
 
     /** C's slice of row @p row (materialized sweeps only). */
     value_t *out_row(index_t row) const {
-        return c->row(scatter != nullptr ? scatter[row] : row) + c_col;
+        return c->row(row) + c_col;
     }
 };
 
@@ -275,7 +273,7 @@ class EpilogueBatch
  * flushed before returning. A head that continues a split row goes to
  * carry slot t for the fix-up. @p row_map (nullptr = identity) maps
  * m's rows to the executed matrix's, whose ids the split list, the
- * scatter and the epilogue see: the hybrid tail sweeps a compacted
+ * output and the epilogue see: the hybrid tail sweeps a compacted
  * copy of its rows. @p census and @p count (each may be null) receive
  * the write and the sweep census.
  */
@@ -295,7 +293,7 @@ void run_rows(const PanelSweep &p, const CsrMatrix &m, index_t first,
  * The fix-up pass: for every split row of @p p, add its carries onto
  * the row's first part in slot order — C's row when materialized, its
  * head row when streamed — then hand the finished row to the epilogue
- * with the unscattered row id, batched like the sweep's own rows
+ * with its row id, batched like the sweep's own rows
  * (census into @p count, may be null). Runs on the caller in one
  * pass; a CPU-sized schedule has at most one split row per thread
  * boundary.

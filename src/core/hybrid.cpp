@@ -32,36 +32,6 @@ parse_hybrid_env()
     return true;
 }
 
-int64_t
-env_int64(const char *name, int64_t fallback, int64_t lo)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (end == v || *end != '\0' || parsed < lo) {
-        warn(detail::format_parts("ignoring invalid ", name, "=", v));
-        return fallback;
-    }
-    return static_cast<int64_t>(parsed);
-}
-
-double
-env_double(const char *name, double fallback, double lo)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || parsed < lo) {
-        warn(detail::format_parts("ignoring invalid ", name, "=", v));
-        return fallback;
-    }
-    return parsed;
-}
-
 } // namespace
 
 bool
@@ -69,21 +39,6 @@ hybrid_enabled()
 {
     static const bool on = parse_hybrid_env();
     return on;
-}
-
-HybridParams
-resolve_hybrid_params()
-{
-    HybridParams p;
-    p.min_degree = static_cast<index_t>(
-        env_int64("MPS_HYBRID_MIN_DEGREE", p.min_degree, 1));
-    p.span_ratio = env_double("MPS_HYBRID_SPAN_RATIO", p.span_ratio, 1.0);
-    p.min_span = static_cast<index_t>(
-        env_int64("MPS_HYBRID_MIN_SPAN", p.min_span, 1));
-    p.long_degree = static_cast<index_t>(
-        env_int64("MPS_HYBRID_LONG_DEGREE", p.long_degree, 0));
-    p.min_band_nnz = env_int64("MPS_HYBRID_MIN_BAND_NNZ", p.min_band_nnz, 1);
-    return p;
 }
 
 RowClassPartition
@@ -225,12 +180,6 @@ compact_tail(const CsrMatrix &a, const std::vector<index_t> &tail_rows)
 }
 
 } // namespace
-
-HybridSchedule
-HybridSchedule::build(const CsrMatrix &a, index_t cost, index_t min_threads)
-{
-    return build(a, cost, min_threads, resolve_hybrid_params());
-}
 
 HybridSchedule
 HybridSchedule::build(const CsrMatrix &a, index_t cost, index_t min_threads,

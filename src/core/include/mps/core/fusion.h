@@ -149,12 +149,11 @@ using PanelPostSweepFn = std::function<void(
 
 /**
  * One prepared fused execution: sparse matrix + output dimension +
- * shared schedule + locality (fused tile width, prefetch, optional
- * reorder scatter) + the precomputed split-row list the carry fix-up
- * walks after every panel. Build once per (matrix, dim), run per
- * layer call; panel buffers are lazily allocated and reused across
- * runs. The plan borrows @p a, the schedule and any scatter array —
- * it must not outlive them.
+ * shared schedule + locality (fused tile width, prefetch) + the
+ * precomputed split-row list the carry fix-up walks after every
+ * panel. Build once per (matrix, dim), run per layer call; panel buffers are lazily allocated and reused across
+ * runs. The plan borrows @p a and the schedule — it must not outlive
+ * them.
  */
 class FusedLayerPlan
 {

@@ -15,11 +15,10 @@
  *
  *  - dense class: rows the merge path serves poorly — long rows (deg >=
  *    the merge-path cost, i.e. rows the schedule would split across
- *    threads) and column-clustered rows (deg >=
- *    min_degree with a column span within span_ratio * deg; after an
- *    RCM/BFS reorder, and on banded Type II graphs natively, these
- *    gather near-contiguously). Maximal runs of dense-class rows whose
- *    total nnz reaches min_band_nnz become dense BANDS, executed by a
+ *    threads) and column-clustered rows (deg >= min_degree with a
+ *    column span within span_ratio * deg; on banded Type II graphs
+ *    these gather near-contiguously). Maximal runs of dense-class rows
+ *    whose total nnz reaches min_band_nnz become dense BANDS, executed by a
  *    row_split-style per-row microkernel GEMM: direct accumulation into
  *    the output row (RowKernels axpy + gather prefetch), no scratch
  *    round trip, no carries — each band row is owned by exactly one
@@ -45,9 +44,8 @@
  * `MPS_HYBRID=0` turns classification off: every row lands in the tail
  * and the hybrid schedule degenerates to plain merge-path over the base
  * matrix (the check.sh build-nohybrid stage proves this opt-out is
- * behavior-neutral). The remaining knobs are MPS_HYBRID_MIN_DEGREE,
- * MPS_HYBRID_SPAN_RATIO, MPS_HYBRID_MIN_SPAN, MPS_HYBRID_LONG_DEGREE
- * and MPS_HYBRID_MIN_BAND_NNZ (see HybridParams).
+ * behavior-neutral). The classification thresholds are the
+ * HybridParams defaults; no environment variable overrides them.
  */
 #ifndef MPS_CORE_HYBRID_H
 #define MPS_CORE_HYBRID_H
@@ -85,29 +83,26 @@ inline constexpr double kHybridDenseFractionMin = 0.25;
 /** Row-classification thresholds (see the file comment). */
 struct HybridParams
 {
-    /** Minimum degree for the clustered-row rule (MPS_HYBRID_MIN_DEGREE). */
+    /** Minimum degree for the clustered-row rule. */
     index_t min_degree = 4;
     /**
      * Column-span budget per clustered row: span <= max(span_ratio *
-     * deg, min_span) (MPS_HYBRID_SPAN_RATIO / MPS_HYBRID_MIN_SPAN).
+     * deg, min_span).
      */
     double span_ratio = 16.0;
     index_t min_span = 128;
     /**
      * Degree at which a row is dense-class regardless of span — the
      * merge path would split it across shares.
-     * 0 = auto: the schedule's merge-path cost (MPS_HYBRID_LONG_DEGREE).
+     * 0 = auto: the schedule's merge-path cost.
      */
     index_t long_degree = 0;
     /**
      * Minimum nnz for a run of dense-class rows to become a band;
-     * smaller runs fall back to the tail (MPS_HYBRID_MIN_BAND_NNZ).
+     * smaller runs fall back to the tail.
      */
     int64_t min_band_nnz = 64;
 };
-
-/** Env-resolved classification thresholds (cheap, parsed per call). */
-HybridParams resolve_hybrid_params();
 
 /** A maximal run of dense-class rows [begin, end). */
 struct RowBand
@@ -132,9 +127,7 @@ struct RowClassPartition
 };
 
 /**
- * Classify the rows of @p a (the matrix the traversal will execute —
- * callers with a reorder plan pass the permuted matrix, which is what
- * makes the classification reorder-aware). @p cost is the merge-path
+ * Classify the rows of @p a. @p cost is the merge-path
  * cost the tail schedule will use; it anchors the auto long-row
  * threshold. O(rows) plus one column scan per clustered-rule candidate.
  */
@@ -154,13 +147,11 @@ class HybridSchedule
     /**
      * Build for @p a at merge-path cost @p cost (>= 1) with the
      * small-graph thread floor @p min_threads applied to the tail
-     * schedule (0 disables).
+     * schedule (0 disables), classifying rows by @p params.
      */
     static HybridSchedule build(const CsrMatrix &a, index_t cost,
-                                index_t min_threads = 0);
-    static HybridSchedule build(const CsrMatrix &a, index_t cost,
-                                index_t min_threads,
-                                const HybridParams &params);
+                                index_t min_threads = 0,
+                                const HybridParams &params = {});
 
     const RowClassPartition &partition() const { return partition_; }
     const HybridParams &params() const { return params_; }
@@ -178,7 +169,7 @@ class HybridSchedule
     bool tail_is_base() const { return tail_is_base_; }
     /** Compacted tail matrix (only when has_tail() && !tail_is_base()). */
     const CsrMatrix &tail() const { return tail_; }
-    /** tail() row -> base row (the tail commit scatter). */
+    /** tail() row -> base row (the tail's row_map). */
     const std::vector<index_t> &tail_rows() const { return tail_rows_; }
     /** Merge-path schedule of the tail (empty when !has_tail()). */
     const MergePathSchedule &tail_schedule() const { return tail_sched_; }
@@ -270,7 +261,7 @@ void hybrid_spmm_panel(const CsrMatrix &a, const HybridSchedule &hs,
 
 /**
  * Full C = A * B through the two-phase schedule, with the locality
- * panel loop (column tiling, prefetch, reorder scatter) applied to both
+ * panel loop (column tiling, prefetch) applied to both
  * phases. Records the kernel.hybrid.dense_ms / kernel.hybrid.tail_ms
  * phase histograms when metrics are enabled.
  */

@@ -19,16 +19,20 @@
  *  - software prefetch: issue prefetches for the B rows of upcoming
  *    non-zeros inside the traversal loop, hiding the gather latency the
  *    tiling cannot (MPS_PREFETCH: distance in non-zeros, 0 disables,
- *    unset auto-derives from d);
- *  - reorder-aware execution (MPS_REORDER + ReorderPlan in
- *    mps/sparse/reorder.h): traverse a row-permuted matrix and scatter
- *    output rows through the inverse permutation at commit time.
+ *    unset auto-derives from d).
  *
- * All knobs are observable through locality.* metrics: tile width and
- * sweep count, prefetch distance, permutation-plan cache hits/misses.
+ * Accel-GCN's third technique, remapping rows by degree, is not here:
+ * merge-path already balances the work, and a degree or RCM row order
+ * measured no faster than the natural one (DESIGN §8). Every output
+ * row lands on its traversal row.
+ *
+ * Both knobs are observable through locality.* metrics: tile width and
+ * sweep count, prefetch distance.
  */
 #ifndef MPS_CORE_LOCALITY_H
 #define MPS_CORE_LOCALITY_H
+
+#include <cstddef>
 
 #include "mps/sparse/types.h"
 
@@ -37,7 +41,7 @@ namespace mps {
 /**
  * Per-call locality options of one merge-path SpMM execution. The
  * default-constructed value means "exactly the pre-locality behavior":
- * one full-width sweep, no prefetch, identity row mapping.
+ * one full-width sweep, no prefetch.
  */
 struct SpmmLocality
 {
@@ -54,14 +58,8 @@ struct SpmmLocality
      */
     index_t prefetch = 0;
 
-    /**
-     * Output-row scatter map of length a.rows(): the thread that
-     * finishes traversal row r commits to c.row(row_scatter[r]).
-     * nullptr = identity. Used by reorder-aware execution, where the
-     * traversal runs on a row-permuted matrix and row_scatter is the
-     * inverse permutation (new id -> old id).
-     */
-    const index_t *row_scatter = nullptr;
+    /// Always null; goes when bench/e2e/probes.cpp drops it (ROADMAP 1(b)).
+    std::nullptr_t row_scatter = nullptr;
 
     /**
      * True when tile_d came from the auto tuner rather than an
@@ -186,8 +184,7 @@ SpmmLocality default_fused_locality(index_t n_rows, index_t dim,
 /**
  * Resolve the process-default locality options for a SpMM gathering
  * from an n_cols-row dense operand at dimension @p dim, honoring the
- * MPS_TILE_D / MPS_PREFETCH overrides. row_scatter is left nullptr —
- * reordering is opt-in per kernel, not ambient. Publishes the
+ * MPS_TILE_D / MPS_PREFETCH overrides. Publishes the
  * locality.tile_d / locality.prefetch_distance gauges when metrics
  * are enabled.
  */

@@ -37,7 +37,6 @@
 
 #include "mps/core/schedule.h"
 #include "mps/sparse/csr_matrix.h"
-#include "mps/sparse/reorder.h"
 
 namespace mps {
 
@@ -143,21 +142,8 @@ class ScheduleCache
     /** Number of distinct (graph, cost, min_threads) hybrid entries. */
     size_t hybrid_size() const;
 
-    /**
-     * Reorder plan (row permutation + permuted matrix + inverse
-     * scatter map) for @p a of @p kind, built on first use and shared
-     * read-only afterwards — serving pays the permutation cost once
-     * per graph, not once per request. Publishes
-     * locality.permutation.hits / .misses. kind must not be kNone.
-     */
-    std::shared_ptr<const ReorderPlan>
-    get_or_build_reorder(const CsrMatrix &a, ReorderKind kind);
-
     /** Number of distinct (graph, threads, cost) entries held. */
     size_t size() const;
-
-    /** Number of distinct (graph, reorder kind) plans held. */
-    size_t reorder_size() const;
 
     /** Cache hits / misses since construction (or the last clear()). */
     int64_t hits() const;
@@ -175,7 +161,6 @@ class ScheduleCache
 
   private:
     using Key = std::tuple<uint64_t, index_t, index_t>;
-    using ReorderKey = std::pair<uint64_t, int>;
 
     struct Entry
     {
@@ -217,7 +202,6 @@ class ScheduleCache
     mutable std::mutex mutex_;
     std::map<Key, Entry> entries_;
     std::map<Key, HybridEntry> hybrids_;
-    std::map<ReorderKey, std::shared_ptr<const ReorderPlan>> reorders_;
     size_t max_entries_ = default_schedule_cache_max();
     uint64_t lru_tick_ = 0;
     int64_t hits_ = 0;

@@ -39,7 +39,7 @@ void mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
 
 /**
  * Sequential execution with explicit locality options (column tiling,
- * prefetch distance, output-row scatter). Per output element the
+ * prefetch distance). Per output element the
  * accumulation order is independent of the tiling — the panel loop
  * partitions columns, never the non-zero stream — so tiling is
  * bit-identical to the untiled run on the same schedule whenever every
@@ -58,7 +58,7 @@ void mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
  * the carry fix-up instead of the paper's atomic adds. Locality
  * options resolve from
  * the process defaults (MPS_TILE_D / MPS_PREFETCH, auto-tuned from the
- * detected L2 size) with an identity row mapping.
+ * detected L2 size).
  */
 void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                              DenseMatrix &c,
@@ -70,8 +70,6 @@ void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
  * tiles b.cols(), the merge-path traversal runs once per column panel
  * against the same schedule (one diagonal search, d/tile_d sweeps), each
  * panel finishing its split rows in its own fix-up pass.
- * loc.row_scatter routes output rows through a permutation
- * (reorder-aware execution; see mps/sparse/reorder.h).
  */
 void mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
                              DenseMatrix &c,
@@ -92,9 +90,9 @@ void reference_spmm(const CsrMatrix &a, const DenseMatrix &b,
 
 /**
  * One finished output row handed to a PanelEpilogue: @p crow =
- * &C(out_row, c_col0), the start of the row's width-wide slice, and
- * @p row, the TRAVERSAL row id (before any scatter), so structural
- * epilogues can index side inputs.
+ * &C(row, c_col0) (or its staging row when streamed), the start of the
+ * row's width-wide slice, and @p row, the traversal row id, so
+ * structural epilogues can index side inputs.
  */
 struct FinishedRow
 {
@@ -155,13 +153,13 @@ void mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
 
 /**
  * Overlay correction pass of the dynamic-graph datapath: for every
- * dirty row r of @p dcsr, add sum_k corr_k * B[col_k] onto C's row for
- * r (routed through loc.row_scatter like the base traversal). Run
- * AFTER a base-matrix SpMM into @p c; base + correction equals SpMM
+ * dirty row r of @p dcsr, add sum_k corr_k * B[col_k] onto C's row r.
+ * Run AFTER a base-matrix SpMM into @p c; base + correction equals SpMM
  * over the materialized base ∪ overlay. Plain (non-atomic) adds — each
  * dirty row is owned by exactly one executor. Cost is O(delta · d),
  * independent of the base nnz: the hot gather loop never sees the
- * overlay.
+ * overlay. Runs delta_correction_panel at full width; @p loc is
+ * unused, kept while bench/e2e/probes.cpp passes it (ROADMAP 1(b)).
  */
 void delta_correction_pass(const DeltaCsr &dcsr, const DenseMatrix &b,
                            DenseMatrix &c, WorkStealPool &pool,
@@ -182,8 +180,7 @@ void delta_correction_pass(const DeltaCsr &dcsr, const DenseMatrix &b,
  */
 void delta_correction_panel(const DeltaCsr &dcsr, const DenseMatrix &b,
                             index_t b_col0, DenseMatrix &c, index_t c_col0,
-                            index_t width, WorkStealPool &pool,
-                            const index_t *row_scatter);
+                            index_t width, WorkStealPool &pool);
 
 /**
  * C = (base ∪ overlay) * B: unmodified merge-path traversal of

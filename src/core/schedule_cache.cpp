@@ -395,46 +395,11 @@ ScheduleCache::repair_for_update(const CsrMatrix &old_a,
     return migrated.size() + hybrid_migrated.size();
 }
 
-std::shared_ptr<const ReorderPlan>
-ScheduleCache::get_or_build_reorder(const CsrMatrix &a, ReorderKind kind)
-{
-    MPS_CHECK(kind != ReorderKind::kNone,
-              "identity needs no reorder plan");
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    const ReorderKey key{csr_fingerprint(a), static_cast<int>(kind)};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = reorders_.find(key);
-    if (it != reorders_.end()) {
-        if (metrics.enabled())
-            metrics.counter_add("locality.permutation.hits");
-        return it->second;
-    }
-    // Built under the lock, like the schedules: the permutation is an
-    // O(rows + nnz) one-off per graph, and serializing first-miss
-    // builds keeps the "one plan per (graph, kind)" invariant simple.
-    auto plan = std::make_shared<const ReorderPlan>(
-        build_reorder_plan(a, kind));
-    reorders_.emplace(key, plan);
-    if (metrics.enabled()) {
-        metrics.counter_add("locality.permutation.misses");
-        metrics.gauge_set("locality.permutation.plans",
-                          static_cast<double>(reorders_.size()));
-    }
-    return plan;
-}
-
 size_t
 ScheduleCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-size_t
-ScheduleCache::reorder_size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return reorders_.size();
 }
 
 int64_t
@@ -473,7 +438,6 @@ ScheduleCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     hybrids_.clear();
-    reorders_.clear();
     hits_ = 0;
     misses_ = 0;
     evictions_ = 0;

@@ -258,21 +258,21 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
 
 namespace {
 
-/** Apply dirty row @p i's corrections onto C (full width, plain add). */
+/**
+ * Add dirty row @p i's corrections, gathered from @p b columns
+ * [b_col0, b_col0 + width), onto @p crow (plain add).
+ */
 inline void
 correct_dirty_row(const DeltaCsr &dcsr, index_t i, const DenseMatrix &b,
-                  DenseMatrix &c, const index_t *scatter, value_t *acc,
-                  const RowKernels &rk)
+                  index_t b_col0, index_t width, value_t *crow,
+                  value_t *acc, const RowKernels &rk)
 {
-    const index_t dim = b.cols();
-    rk.zero(acc, dim);
+    rk.zero(acc, width);
     dcsr.for_each_correction(
         i, [&](index_t col, value_t corr, value_t, bool) {
-            rk.axpy(acc, corr, b.row(col), dim);
+            rk.axpy(acc, corr, b.row(col) + b_col0, width);
         });
-    const index_t row = dcsr.dirty_row(i);
-    value_t *crow = c.row(scatter != nullptr ? scatter[row] : row);
-    rk.add(crow, acc, dim);
+    rk.add(crow, acc, width);
 }
 
 } // namespace
@@ -280,27 +280,12 @@ correct_dirty_row(const DeltaCsr &dcsr, index_t i, const DenseMatrix &b,
 void
 delta_correction_pass(const DeltaCsr &dcsr, const DenseMatrix &b,
                       DenseMatrix &c, WorkStealPool &pool,
-                      const SpmmLocality &loc)
+                      const SpmmLocality &)
 {
-    const index_t dirty = dcsr.num_dirty_rows();
-    if (dirty == 0)
+    if (dcsr.num_dirty_rows() == 0)
         return;
     check_shapes(dcsr.base(), b, c);
-    const RowKernels &rk = select_row_kernels(b.cols());
-    const index_t *scatter = loc.row_scatter;
-    pool.parallel_for_ranges(
-        static_cast<uint64_t>(dirty), [&](uint64_t begin, uint64_t end) {
-            value_t *acc = microkernel_scratch(b.cols());
-            for (index_t i = static_cast<index_t>(begin);
-                 i < static_cast<index_t>(end); ++i)
-                correct_dirty_row(dcsr, i, b, c, scatter, acc, rk);
-        });
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    if (metrics.enabled()) {
-        metrics.counter_add("spmm.delta.corrected_rows", dirty);
-        metrics.counter_add("spmm.delta.correction_nnz",
-                            dcsr.delta_edges());
-    }
+    delta_correction_panel(dcsr, b, 0, c, 0, b.cols(), pool);
 }
 
 void
@@ -311,17 +296,18 @@ delta_correction_pass(const DeltaCsr &dcsr, const DenseMatrix &b,
     if (dirty == 0)
         return;
     check_shapes(dcsr.base(), b, c);
-    const RowKernels &rk = select_row_kernels(b.cols());
-    value_t *acc = microkernel_scratch(b.cols());
+    const index_t dim = b.cols();
+    const RowKernels &rk = select_row_kernels(dim);
+    value_t *acc = microkernel_scratch(dim);
     for (index_t i = 0; i < dirty; ++i)
-        correct_dirty_row(dcsr, i, b, c, nullptr, acc, rk);
+        correct_dirty_row(dcsr, i, b, 0, dim, c.row(dcsr.dirty_row(i)), acc,
+                          rk);
 }
 
 void
 delta_correction_panel(const DeltaCsr &dcsr, const DenseMatrix &b,
                        index_t b_col0, DenseMatrix &c, index_t c_col0,
-                       index_t width, WorkStealPool &pool,
-                       const index_t *row_scatter)
+                       index_t width, WorkStealPool &pool)
 {
     const index_t dirty = dcsr.num_dirty_rows();
     if (dirty == 0)
@@ -332,19 +318,10 @@ delta_correction_panel(const DeltaCsr &dcsr, const DenseMatrix &b,
         static_cast<uint64_t>(dirty), [&](uint64_t begin, uint64_t end) {
             value_t *acc = microkernel_scratch(width);
             for (index_t i = static_cast<index_t>(begin);
-                 i < static_cast<index_t>(end); ++i) {
-                rk.zero(acc, width);
-                dcsr.for_each_correction(
-                    i, [&](index_t col, value_t corr, value_t, bool) {
-                        rk.axpy(acc, corr, b.row(col) + b_col0, width);
-                    });
-                const index_t row = dcsr.dirty_row(i);
-                value_t *crow = c.row(row_scatter != nullptr
-                                          ? row_scatter[row]
-                                          : row) +
-                                c_col0;
-                rk.add(crow, acc, width);
-            }
+                 i < static_cast<index_t>(end); ++i)
+                correct_dirty_row(dcsr, i, b, b_col0, width,
+                                  c.row(dcsr.dirty_row(i)) + c_col0, acc,
+                                  rk);
         });
     MetricsRegistry &metrics = MetricsRegistry::global();
     if (metrics.enabled()) {

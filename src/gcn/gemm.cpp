@@ -498,7 +498,7 @@ rank_dp(int group, int kb)
 /**
  * The tile rank update of one batch (RankUpdateEpilogue, gemm.h): its
  * rows as act(H) rounded to bf16, 16-row groups against the resident
- * W, each C row rounded to bf16 into its (scattered) handoff row.
+ * W, each C row rounded to bf16 into its handoff row.
  */
 void
 amx_rank_update(const RankUpdateEpilogue &e, const FinishedRow *rows,
@@ -562,9 +562,7 @@ amx_rank_update(const RankUpdateEpilogue &e, const FinishedRow *rows,
     tile_memory_fence();
     const __mmask16 live = static_cast<__mmask16>((1u << cols) - 1u);
     for (int i = 0; i < count; ++i) {
-        const index_t row = rows[i].row;
-        bf16_t *dst =
-            e.out->row_bf16_mut(e.scatter != nullptr ? e.scatter[row] : row);
+        bf16_t *dst = e.out->row_bf16_mut(rows[i].row);
         const __m256bh v =
             _mm512_cvtneps_pbh(_mm512_load_ps(c + i * kTileRows));
         _mm256_mask_storeu_epi16(dst, live,
@@ -855,21 +853,18 @@ activate_tile(Activation act, value_t *tile, size_t n)
     }
 }
 
-/** A batch's rows and the (scattered) destination rows they land on. */
+/** A batch's rows and the destination rows they land on. */
 struct BatchRows
 {
     int count;
     value_t *src[kEpilogueBatchRows];
     value_t *dst[kEpilogueBatchRows];
 
-    BatchRows(const FinishedRow *rows, int n, DenseMatrix &out,
-              const index_t *scatter)
-        : count(n)
+    BatchRows(const FinishedRow *rows, int n, DenseMatrix &out) : count(n)
     {
         for (int i = 0; i < n; ++i) {
-            const index_t row = rows[i].row;
             src[i] = rows[i].crow;
-            dst[i] = out.row(scatter != nullptr ? scatter[row] : row);
+            dst[i] = out.row(rows[i].row);
         }
     }
 };
@@ -1015,7 +1010,7 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
 #endif
         return;
     }
-    const BatchRows b(rows, count, *e.out, e.scatter);
+    const BatchRows b(rows, count, *e.out);
     // No zero-skip: post-ReLU rows are about half zeros in an
     // unpredictable pattern, and a skip branch would cost more than
     // the FMAs it saves. Adding hv * w with hv == 0 contributes
@@ -1028,7 +1023,7 @@ RankUpdateEpilogue::apply(const FinishedRow *rows, int count,
 
 RankUpdateEpilogue
 make_rank_update_epilogue(Activation act, const DenseMatrix &w,
-                          DenseMatrix &out, const index_t *scatter)
+                          DenseMatrix &out)
 {
     MPS_CHECK(out.cols() == w.cols(), "rank-update accumulator must be n x ",
               w.cols());
@@ -1036,7 +1031,6 @@ make_rank_update_epilogue(Activation act, const DenseMatrix &w,
     e.act = act;
     e.w = &w;
     e.out = &out;
-    e.scatter = scatter;
     if (!out.has_f32()) {
         MPS_CHECK(amx_rank_update_enabled() &&
                       amx_rank_update_fits(w.rows(), w.cols()),
@@ -1059,14 +1053,13 @@ CombineEpilogue::apply(const FinishedRow *rows, int count, index_t c_col0,
     const auto &e = *static_cast<const CombineEpilogue *>(ctx);
     MPS_CHECK(c_col0 == 0 && width == e.w->rows(),
               "combine epilogue needs the whole aggregated row");
-    const BatchRows b(rows, count, *e.out, e.scatter);
+    const BatchRows b(rows, count, *e.out);
     with_lanes([&](auto v) { combine<decltype(v)>(e, b, width); });
 }
 
 CombineEpilogue
 make_combine_epilogue(Activation act, const DenseMatrix &w,
-                      DenseMatrix &out, const DenseMatrix *w_next,
-                      const index_t *scatter)
+                      DenseMatrix &out, const DenseMatrix *w_next)
 {
     const index_t out_width = w_next != nullptr ? w_next->cols() : w.cols();
     MPS_CHECK(w_next == nullptr || w_next->rows() == w.cols(),
@@ -1078,7 +1071,6 @@ make_combine_epilogue(Activation act, const DenseMatrix &w,
     e.w = &w;
     e.out = &out;
     e.w_next = w_next;
-    e.scatter = scatter;
     return e;
 }
 

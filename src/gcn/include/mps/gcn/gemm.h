@@ -33,6 +33,7 @@
 #ifndef MPS_GCN_GEMM_H
 #define MPS_GCN_GEMM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -147,15 +148,6 @@ struct RankUpdateEpilogue
     Activation act = Activation::kNone;
     const DenseMatrix *w = nullptr; ///< next layer's weights
     DenseMatrix *out = nullptr;     ///< next layer's XW accumulator
-    /**
-     * The plan's SpmmLocality::row_scatter (or nullptr). The sweep
-     * hands the epilogue the traversal row id while the commit itself
-     * lands on the scattered row — the rank update must write the
-     * accumulator row the panel row was physically committed to, so
-     * slice-fed downstream layers see the same positional pairing as
-     * the consumer-based pipeline.
-     */
-    const index_t *scatter = nullptr;
     index_t w_row0 = 0; ///< global col0 of the panel in flight
     /**
      * The tile rank update's W in the AMX B layout (null on the vector
@@ -172,16 +164,23 @@ struct RankUpdateEpilogue
 
 /**
  * Build a RankUpdateEpilogue accumulating act(panel) * w into @p out
- * (which must outlive the run, like @p w and the scatter array; every
- * row of it is written, the first panel storing). A bf16_panel()
+ * (which must outlive the run, like @p w; every row of it is written,
+ * the first panel storing). A bf16_panel()
  * @p out selects the tile rank update, which needs
  * amx_rank_update_enabled() and amx_rank_update_fits(w.rows(),
  * w.cols()).
  */
 RankUpdateEpilogue make_rank_update_epilogue(Activation act,
                                              const DenseMatrix &w,
-                                             DenseMatrix &out,
-                                             const index_t *scatter);
+                                             DenseMatrix &out);
+
+/// Takes bench/e2e/probes.cpp's row_scatter until ROADMAP 1(b) drops it.
+inline RankUpdateEpilogue
+make_rank_update_epilogue(Activation act, const DenseMatrix &w,
+                          DenseMatrix &out, std::nullptr_t)
+{
+    return make_rank_update_epilogue(act, w, out);
+}
 
 /**
  * Batched epilogue of an AGGREGATE-FIRST layer, which sweeps A over
@@ -191,7 +190,7 @@ RankUpdateEpilogue make_rank_update_epilogue(Activation act,
  * apply() computes h = act(T * W) on the rows-in-lanes register tile
  * (T transposed into k-major scratch, h formed there too) and hands
  * each row off as whichever is narrower for the next step:
- *  - w_next == nullptr: store h as row `scatter[row]` of @p out — the
+ *  - w_next == nullptr: store h as row `row` of @p out — the
  *    next aggregate-first layer's input, or the model output;
  *  - w_next set: fold h into the next (combine-first) layer's XW,
  *    out[row] = h * w_next, and never store h.
@@ -205,7 +204,6 @@ struct CombineEpilogue
     const DenseMatrix *w = nullptr;      ///< this layer's weights (in x out)
     DenseMatrix *out = nullptr;          ///< destination (see above)
     const DenseMatrix *w_next = nullptr; ///< next layer's weights, or null
-    const index_t *scatter = nullptr;    ///< plan's row_scatter, or null
 
     /** PanelEpilogue trampoline; @p ctx is the CombineEpilogue. */
     static void apply(const FinishedRow *rows, int count, index_t c_col0,
@@ -220,8 +218,7 @@ struct CombineEpilogue
  */
 CombineEpilogue make_combine_epilogue(Activation act, const DenseMatrix &w,
                                       DenseMatrix &out,
-                                      const DenseMatrix *w_next,
-                                      const index_t *scatter);
+                                      const DenseMatrix *w_next);
 
 /**
  * Panel source computing X * W slices on demand into a closure-owned

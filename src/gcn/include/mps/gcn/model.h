@@ -104,15 +104,6 @@ class GcnModel
     void set_schedule_cache(ScheduleCache *cache);
 
     /**
-     * Apply a locality reordering to every layer's aggregation kernel
-     * (see SpmmKernel::set_reorder): the adjacency is row-permuted
-     * once per graph through the schedule cache and outputs scatter
-     * back through the inverse permutation — features and results stay
-     * in the caller's node order. Kernels default to MPS_REORDER.
-     */
-    void set_reorder(ReorderKind kind);
-
-    /**
      * Run inference on graph @p a with input features @p x; returns the
      * final layer's output. In offline mode the first call against a
      * graph prepares the kernel and later calls reuse the schedule; a
@@ -169,7 +160,6 @@ class GcnModel
     std::string kernel_name_;
     ScheduleMode mode_;
     ScheduleCache *schedule_cache_; // nullptr = private per-kernel schedules
-    ReorderKind reorder_ = default_reorder_kind();
     StorageMode precision_ = default_precision();
     // fused_infer()'s inter-layer handoffs (entry i feeds layer i + 1:
     // its input H or its XW accumulator), kept across forwards so a

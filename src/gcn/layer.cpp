@@ -62,9 +62,8 @@ GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
             ScopedSpan fused("gcn.layer.fused", "gcn");
             plan->set_precision(precision);
             if (agg_first) {
-                const CombineEpilogue combine = make_combine_epilogue(
-                    act_, weights_, out, nullptr,
-                    plan->locality().row_scatter);
+                const CombineEpilogue combine =
+                    make_combine_epilogue(act_, weights_, out, nullptr);
                 plan->run_streaming(slice_panel_source(x), {}, pool,
                                     &CombineEpilogue::apply, &combine);
             } else {

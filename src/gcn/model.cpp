@@ -88,18 +88,7 @@ GcnModel::add_layer(GcnLayer layer)
     layers_.push_back(std::move(layer));
     kernels_.push_back(make_spmm_kernel(kernel_name_));
     kernels_.back()->set_schedule_cache(schedule_cache_);
-    kernels_.back()->set_reorder(reorder_);
     prepared_rows_ = -1; // invalidate the offline cache
-    prepared_nnz_ = -1;
-}
-
-void
-GcnModel::set_reorder(ReorderKind kind)
-{
-    reorder_ = kind;
-    for (auto &kernel : kernels_)
-        kernel->set_reorder(kind);
-    prepared_rows_ = -1; // plans must be re-resolved at next prepare
     prepared_nnz_ = -1;
 }
 
@@ -238,7 +227,6 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
         ScopedSpan layer_span("gcn.layer" + std::to_string(i) + ".fused",
                               "gcn");
         const GcnLayer &layer = layers_[i];
-        const index_t *scatter = plans[i]->locality().row_scatter;
         // The sparse operand: the previous handoff (bf16 rows written
         // by the tile rank update, gathered as they are; or f32 rows
         // rewritten by the previous layer, so re-encoded in place at
@@ -272,13 +260,12 @@ GcnModel::fused_infer(const CsrMatrix &a, const DenseMatrix &x,
         if (order[i].aggregate_first) {
             const CombineEpilogue combine = make_combine_epilogue(
                 layer.activation(), layer.weights(), dst,
-                feeds_xw ? &layers_[i + 1].weights() : nullptr, scatter);
+                feeds_xw ? &layers_[i + 1].weights() : nullptr);
             plans[i]->run_streaming(src, {}, pool, &CombineEpilogue::apply,
                                     &combine);
         } else if (feeds_xw) {
             RankUpdateEpilogue rank = make_rank_update_epilogue(
-                layer.activation(), layers_[i + 1].weights(), dst,
-                scatter);
+                layer.activation(), layers_[i + 1].weights(), dst);
             plans[i]->run_streaming(
                 src,
                 [&rank](index_t col0, index_t width) {

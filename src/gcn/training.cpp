@@ -227,8 +227,8 @@ GcnTrainer::predict(const CsrMatrix &a, const DenseMatrix &x,
         FusedLayerPlan plan2(a, w2_.cols(), sched_,
                              f32_fused_locality(a, w2_.cols()));
         DenseMatrix hw2(a.rows(), w2_.cols());
-        RankUpdateEpilogue rank = make_rank_update_epilogue(
-            Activation::kRelu, w2_, hw2, plan1.locality().row_scatter);
+        RankUpdateEpilogue rank =
+            make_rank_update_epilogue(Activation::kRelu, w2_, hw2);
         plan1.run_streaming(
             gemm_panel_source(x, w1_, pool),
             [&rank](index_t col0, index_t width) {

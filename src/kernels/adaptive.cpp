@@ -1,7 +1,6 @@
 #include "mps/kernels/adaptive.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "mps/core/locality.h"
 #include "mps/core/microkernel.h"
@@ -14,30 +13,8 @@
 
 namespace mps {
 
-namespace {
-
-double
-adaptive_env_double(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || parsed <= 0.0) {
-        warn(detail::format_parts("ignoring invalid ", name, "=", v));
-        return fallback;
-    }
-    return parsed;
-}
-
-} // namespace
-
 AdaptiveSpmm::AdaptiveSpmm(double cv_threshold, bool enable_hybrid)
-    : cv_threshold_(cv_threshold), enable_hybrid_(enable_hybrid),
-      // Parsed per instance (not static-cached) so tests and serving
-      // tenants can retune without restarting the process.
-      evil_factor_(adaptive_env_double("MPS_ADAPTIVE_EVIL_FACTOR", 15.0))
+    : cv_threshold_(cv_threshold), enable_hybrid_(enable_hybrid)
 {
 }
 
@@ -49,7 +26,7 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
     // relative to the average (evil rows in an otherwise flat graph).
     bool skewed = stats.degree_cv > cv_threshold_ ||
                   (stats.avg_degree > 0.0 &&
-                   stats.max_degree > evil_factor_ * stats.avg_degree);
+                   stats.max_degree > kEvilFactor * stats.avg_degree);
     const index_t cost = cpu_merge_path_cost(a.rows(), a.nnz(), dim);
     // Once the dense operand spills out of L2 (d wide, many columns),
     // locality beats scheduling: the column-tiled merge-path variant
@@ -84,7 +61,6 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
         metrics.gauge_set("adaptive.strategy",
                           static_cast<double>(strategy_));
         metrics.gauge_set("adaptive.cv_threshold", cv_threshold_);
-        metrics.gauge_set("adaptive.evil_factor", evil_factor_);
         metrics.gauge_set("adaptive.degree_cv", stats.degree_cv);
         metrics.gauge_set("adaptive.dense_fraction",
                           strategy_ == AdaptiveStrategy::kHybrid

@@ -16,9 +16,9 @@
  *    hybrid dispatch (mps/core/hybrid.h), which routes the long rows
  *    that dominate nnz to the atomics-free row-GEMM phase.
  *
- * The skew threshold is env-tunable: MPS_ADAPTIVE_EVIL_FACTOR (max/avg
- * degree ratio that marks a graph skewed, default 15), parsed per
- * kernel instance at construction. The merge-path and hybrid schedules
+ * A graph is skewed when its degree CV passes the constructor's
+ * threshold or its max/avg degree ratio passes kEvilFactor (15). The
+ * merge-path and hybrid schedules
  * use the CPU granularity rule (cpu_merge_path_cost) like the other
  * kernels.
  */
@@ -62,8 +62,8 @@ class AdaptiveSpmm final : public SpmmKernel
     /** Strategy selected by the last prepare(). */
     AdaptiveStrategy strategy() const { return strategy_; }
 
-    /** Evil-row factor in effect (MPS_ADAPTIVE_EVIL_FACTOR). */
-    double evil_factor() const { return evil_factor_; }
+    /** Max/avg degree ratio above which the input counts as skewed. */
+    static constexpr double kEvilFactor = 15.0;
 
     /**
      * Dense-band nnz fraction below which a skewed input stays on the
@@ -77,7 +77,6 @@ class AdaptiveSpmm final : public SpmmKernel
   private:
     double cv_threshold_;
     bool enable_hybrid_;
-    double evil_factor_;
     AdaptiveStrategy strategy_ = AdaptiveStrategy::kRowSplit;
     MergePathSchedule schedule_;  // kMergePath / kMergePathTiled
     HybridSchedule hybrid_;       // kHybrid only

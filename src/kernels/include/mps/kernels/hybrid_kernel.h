@@ -17,9 +17,8 @@
 namespace mps {
 
 /**
- * Two-phase hybrid kernel. prepare() classifies rows once (reorder-
- * aware: against the matrix the traversal will execute) and builds the
- * HybridSchedule; run() submits dense chunks and tail shares as sibling
+ * Two-phase hybrid kernel. prepare() classifies rows once and builds
+ * the HybridSchedule; run() submits dense chunks and tail shares as sibling
  * jobs of one parallel_for. With MPS_HYBRID=0 the schedule degenerates
  * to plain merge-path over the base matrix.
  */
@@ -58,13 +57,6 @@ class HybridSpmm final : public SpmmKernel
         cache_ = cache;
     }
 
-    void set_reorder(ReorderKind kind) override { reorder_ = kind; }
-
-    ReorderKind reorder() const { return reorder_; }
-
-    /** Plan built by the last prepare(), nullptr when identity. */
-    const ReorderPlan *reorder_plan() const { return plan_.get(); }
-
     /** Two-phase schedule built by prepare(). */
     const HybridSchedule &schedule() const
     {
@@ -78,12 +70,10 @@ class HybridSpmm final : public SpmmKernel
     index_t cost_;
     index_t min_threads_;
     index_t prepared_cost_ = 0;
-    ReorderKind reorder_ = default_reorder_kind();
     HybridSchedule schedule_;
     // When a cache is attached, prepare() stores its shared immutable
     // schedule here and leaves schedule_ empty.
     std::shared_ptr<const HybridSchedule> shared_schedule_;
-    std::shared_ptr<const ReorderPlan> plan_;
     ScheduleCache *cache_ = nullptr;
     mutable std::unique_ptr<FusedLayerPlan> fused_cache_;
     mutable const CsrMatrix *fused_cache_key_ = nullptr;

@@ -40,7 +40,7 @@ class MergePathSpmm final : public SpmmKernel
 
     /**
      * Fused panel-streaming plan over the prepared schedule: same
-     * traversal, same reorder scatter, locality resolved through
+     * traversal, locality resolved through
      * default_fused_locality(). Returns nullptr before prepare().
      * Cached per (matrix, dim) — repeat calls for the same prepared
      * layer return the same plan with its panel buffers intact;
@@ -58,20 +58,6 @@ class MergePathSpmm final : public SpmmKernel
         cache_ = cache;
     }
 
-    /**
-     * Execute on a row-permuted copy of the matrix (built/cached at
-     * prepare() time) and scatter output rows back through the inverse
-     * permutation at commit time. Rectangular inputs fall back to
-     * identity order — reorderings are graph relabelings.
-     */
-    void set_reorder(ReorderKind kind) override { reorder_ = kind; }
-
-    /** The reordering this kernel applies (kNone = identity). */
-    ReorderKind reorder() const { return reorder_; }
-
-    /** Plan built by the last prepare(), nullptr when identity. */
-    const ReorderPlan *reorder_plan() const { return plan_.get(); }
-
     /** Schedule built by prepare() (consumed by the SIMT codegen). */
     const MergePathSchedule &schedule() const
     {
@@ -85,17 +71,13 @@ class MergePathSpmm final : public SpmmKernel
     index_t cost_;
     index_t min_threads_;
     index_t prepared_cost_ = 0;
-    ReorderKind reorder_ = default_reorder_kind();
     MergePathSchedule schedule_;
     // When a cache is attached, prepare() stores its shared immutable
     // schedule here and leaves schedule_ empty.
     std::shared_ptr<const MergePathSchedule> shared_schedule_;
-    // Reorder plan the schedule was built against (the schedule always
-    // describes the matrix actually traversed). nullptr = identity.
-    std::shared_ptr<const ReorderPlan> plan_;
     ScheduleCache *cache_ = nullptr;
     // fused_plan() cache: one plan per prepared layer, keyed by the
-    // executed matrix's address + dim, dropped by prepare(). Keeping
+    // matrix's address + dim, dropped by prepare(). Keeping
     // it here (not rebuilt per call) is what lets the plan's panel
     // buffers survive across forwards.
     mutable std::unique_ptr<FusedLayerPlan> fused_cache_;

@@ -24,7 +24,6 @@
 #include "mps/core/fusion.h"
 #include "mps/sparse/csr_matrix.h"
 #include "mps/sparse/dense_matrix.h"
-#include "mps/sparse/reorder.h"
 
 namespace mps {
 
@@ -47,15 +46,6 @@ class SpmmKernel
      * to revert to private schedules. Decorators must forward.
      */
     virtual void set_schedule_cache(ScheduleCache *cache) { (void)cache; }
-
-    /**
-     * Select a row reordering for locality-aware execution (takes
-     * effect at the next prepare()). Kernels without reorder-aware
-     * execution ignore the request; decorators must forward. The
-     * default for reorder-capable kernels is the MPS_REORDER env
-     * setting (kNone when unset).
-     */
-    virtual void set_reorder(ReorderKind kind) { (void)kind; }
 
     /**
      * Build input-dependent schedule state for matrix @p a at dense
@@ -81,7 +71,7 @@ class SpmmKernel
      * Requires a prior prepare(a, dim). The plan is owned and CACHED
      * by the kernel (so its panel buffers are reused across forwards);
      * it stays valid until the next prepare() or fused_plan() call on
-     * this kernel and borrows the kernel's schedule and reorder state.
+     * this kernel and borrows the kernel's schedule.
      * Like prepare(), not safe to call concurrently with itself or
      * run(). Decorators must forward.
      */

@@ -66,12 +66,6 @@ class InstrumentedSpmmKernel final : public SpmmKernel
     }
 
     void
-    set_reorder(ReorderKind kind) override
-    {
-        inner_->set_reorder(kind);
-    }
-
-    void
     prepare(const CsrMatrix &a, index_t dim) override
     {
         ScopedSpan span(prepare_span_, "kernel");

@@ -148,15 +148,6 @@ struct ServeConfig
     BatchPolicy batch;
     /** Backpressure behaviour when the ingress queue is full. */
     OverflowPolicy overflow = OverflowPolicy::kReject;
-    /**
-     * Locality reordering applied to each registered graph: the
-     * adjacency is row-permuted once at register_graph() time (plan
-     * cached in the schedule cache) and every batched SpMM traverses
-     * the permuted matrix, scattering output rows back through the
-     * inverse permutation — request features and results stay in the
-     * client's node order. Defaults to MPS_REORDER (kNone unset).
-     */
-    ReorderKind reorder = default_reorder_kind();
     /** Default per-request deadline; <= 0 means none. */
     double default_timeout_ms = 0.0;
     /**
@@ -243,13 +234,7 @@ class Server
      * update mutex. Under the default kIncremental policy the delta
      * lands in the DeltaCsr overlay; when the overlay passes the
      * compaction ratio the base is rebuilt and every cached schedule
-     * is migrated via incremental repair. A graph registered with a
-     * locality reorder plan retires the plan on update (repairing a
-     * schedule across a row re-permutation is a rebuild by another
-     * name); execution continues in natural row order while the
-     * overlay is dirty, and the next batch that finds the graph clean
-     * rebuilds the plan lazily (reorder.plan_rebuilds counter) instead
-     * of losing the reordering forever.
+     * is migrated via incremental repair.
      *
      * A delta is validated before anything is copied: every upsert and
      * remove must name a row and column inside the graph, and every
@@ -328,20 +313,6 @@ class Server
     {
         DeltaCsr dynamic;
         std::shared_ptr<const std::vector<GcnLayer>> layers;
-        /**
-         * Reorder plan shared via the schedule cache; nullptr =
-         * identity. An update retires the plan (the permutation is only
-         * valid against the base it was built from), but instead of
-         * staying retired forever it is rebuilt lazily by the next
-         * batch that finds the overlay clean — see
-         * resolve_reorder_plan(). Mutable + mutex because the rebuild
-         * happens on worker threads against a published (otherwise
-         * immutable) snapshot.
-         */
-        mutable std::shared_ptr<const ReorderPlan> reorder;
-        mutable std::mutex reorder_mutex;
-        /** Reordering this graph wants; kNone = never build a plan. */
-        ReorderKind reorder_kind = ReorderKind::kNone;
         /** Monotone update counter (0 at registration). */
         uint64_t update_seq = 0;
 
@@ -357,15 +328,6 @@ class Server
     void dispatcher_loop();
     void worker_loop(WorkStealPool &pool);
     void execute_batch(Batch batch, WorkStealPool &pool);
-    /**
-     * The reorder plan a batch should execute with: the cached plan
-     * when present, nullptr while the overlay is dirty (correction
-     * uses base row ids, which must not coexist with a scatter map),
-     * and a lazily rebuilt plan — counted by reorder.plan_rebuilds —
-     * the first time a batch finds the graph clean again.
-     */
-    std::shared_ptr<const ReorderPlan>
-    resolve_reorder_plan(const GraphContext &graph);
     /**
      * Pins the graph snapshot @p requests (all for one graph) execute
      * against and queues them as one batch for the workers, taking one

@@ -167,13 +167,6 @@ Server::register_graph(CsrMatrix adjacency, std::vector<GcnLayer> layers)
         ctx->dynamic.set_compact_ratio(config_.delta_compact_ratio);
     ctx->layers = std::make_shared<const std::vector<GcnLayer>>(
         std::move(layers));
-    // The permutation is paid once here, at registration: every batch
-    // against this graph then traverses the row-permuted matrix and
-    // scatters outputs back through the plan's inverse permutation.
-    ctx->reorder_kind = config_.reorder;
-    if (config_.reorder != ReorderKind::kNone)
-        ctx->reorder = cache_->get_or_build_reorder(ctx->adjacency(),
-                                                    config_.reorder);
 
     std::lock_guard<std::mutex> lk(graphs_mutex_);
     const uint64_t id = next_graph_id_++;
@@ -213,24 +206,7 @@ Server::update_graph(uint64_t graph_id, const GraphDelta &delta)
     auto ctx = std::make_shared<GraphContext>();
     ctx->dynamic = old_ctx->dynamic; // shares the base, copies overlay
     ctx->layers = old_ctx->layers;
-    ctx->reorder_kind = old_ctx->reorder_kind;
     ctx->update_seq = old_ctx->update_seq + 1;
-    {
-        std::lock_guard<std::mutex> plan_lk(old_ctx->reorder_mutex);
-        if (old_ctx->reorder != nullptr) {
-            // Repairing schedules across a row re-permutation is a
-            // rebuild by another name (every row id changes), so an
-            // update retires the plan. The successor starts without
-            // one; the next batch that sees a clean overlay rebuilds
-            // it lazily (resolve_reorder_plan) instead of this path
-            // paying for a permutation the delta may invalidate again.
-            inform("graph " + std::to_string(graph_id) +
-                   ": retiring locality reorder plan (lazily rebuilt "
-                   "after the overlay settles)");
-            if (metrics.enabled())
-                metrics.counter_add("serve.reorder_dropped");
-        }
-    }
     ctx->dynamic.apply(delta);
 
     bool compacted = false;
@@ -580,27 +556,6 @@ Server::dispatcher_loop()
     batches_cv_.notify_all();
 }
 
-std::shared_ptr<const ReorderPlan>
-Server::resolve_reorder_plan(const GraphContext &graph)
-{
-    if (graph.reorder_kind == ReorderKind::kNone)
-        return nullptr;
-    std::lock_guard<std::mutex> lk(graph.reorder_mutex);
-    if (graph.reorder == nullptr && graph.dynamic.num_dirty_rows() == 0) {
-        // Lazy rebuild: the plan retired by update_graph() comes back
-        // the first time a batch finds the overlay clean. While dirty
-        // the graph keeps executing in natural row order — the delta
-        // correction pass addresses base row ids and must never
-        // coexist with a scatter map.
-        graph.reorder = cache_->get_or_build_reorder(graph.adjacency(),
-                                                     graph.reorder_kind);
-        auto &metrics = MetricsRegistry::global();
-        if (metrics.enabled())
-            metrics.counter_add("reorder.plan_rebuilds");
-    }
-    return graph.reorder;
-}
-
 void
 Server::execute_batch(Batch batch, WorkStealPool &pool)
 {
@@ -632,18 +587,6 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
     const GraphContext &graph = *batch.graph;
     const DeltaCsr &dyn = graph.dynamic;
     const CsrMatrix &a = graph.adjacency();
-    // Reorder-aware execution: when a plan is attached the SpMM walks
-    // the row-permuted matrix and scatters output rows back through
-    // the inverse permutation, so everything before and after the
-    // aggregation stays in the client's node order. A dynamic graph
-    // retires its plan on update and resolve_reorder_plan() rebuilds
-    // it lazily once clean, so the correction pass below never
-    // coexists with a scatter map.
-    std::shared_ptr<const ReorderPlan> reorder =
-        resolve_reorder_plan(graph);
-    const CsrMatrix &exec = reorder ? reorder->matrix : a;
-    const index_t *scatter =
-        reorder ? reorder->inverse.data() : nullptr;
     const bool has_delta = dyn.num_dirty_rows() > 0;
     const index_t n = a.rows();
     const int k = static_cast<int>(live.size());
@@ -680,17 +623,16 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
         const index_t in = layer.in_features();
         const DenseMatrix &w = layer.weights();
         const index_t wide_d = static_cast<index_t>(k) * h;
-        const index_t cost = serve_cost(exec, wide_d, pool);
-        auto hsched = preferred_hybrid(*cache_, exec, cost);
+        const index_t cost = serve_cost(a, wide_d, pool);
+        auto hsched = preferred_hybrid(*cache_, a, cost);
         std::shared_ptr<const MergePathSchedule> sched;
         if (hsched == nullptr)
-            sched = cache_->get_or_build_with_cost(exec, cost, 0);
-        SpmmLocality loc = default_fused_locality(
-            exec.cols(), wide_d, storage_elem_bytes(config_.precision));
-        loc.row_scatter = scatter;
+            sched = cache_->get_or_build_with_cost(a, cost, 0);
+        const SpmmLocality loc = default_fused_locality(
+            a.cols(), wide_d, storage_elem_bytes(config_.precision));
         FusedLayerPlan fplan =
-            hsched != nullptr ? FusedLayerPlan(exec, wide_d, hsched, loc)
-                              : FusedLayerPlan(exec, wide_d, sched, loc);
+            hsched != nullptr ? FusedLayerPlan(a, wide_d, hsched, loc)
+                              : FusedLayerPlan(a, wide_d, sched, loc);
         fplan.set_precision(config_.precision);
 
         // Each wide panel is produced on demand: a panel spanning
@@ -729,7 +671,7 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
             post = [&](index_t col0, index_t width,
                        const PanelSource &psrc) {
                 delta_correction_panel(dyn, *psrc.b, psrc.col_begin, out,
-                                       col0, width, pool, scatter);
+                                       col0, width, pool);
                 apply_activation_panel(out, layer.activation(), col0,
                                        width);
             };

@@ -7,13 +7,16 @@
  * implement the reorderings a practitioner might otherwise reach for —
  * degree sorting and BFS/Cuthill-McKee-style relabeling — so their
  * (in)effectiveness against load imbalance can be measured (see the
- * ablation bench): sorting by degree concentrates the evil rows in one
- * thread's chunk instead of removing the imbalance.
+ * ablation bench and `mps_tool reorder`): sorting by degree
+ * concentrates the evil rows in one thread's chunk instead of removing
+ * the imbalance. No SpMM path executes on a reordered matrix: a
+ * degree or RCM row order measured no faster than the natural one on
+ * either GCN benchmark graph (DESIGN §8), so every output row lands on
+ * its traversal row.
  */
 #ifndef MPS_SPARSE_REORDER_H
 #define MPS_SPARSE_REORDER_H
 
-#include <string>
 #include <vector>
 
 #include "mps/sparse/csr_matrix.h"
@@ -29,18 +32,6 @@ CsrMatrix permute_symmetric(const CsrMatrix &m,
                             const std::vector<index_t> &perm);
 
 /**
- * Reorder only the rows of @p m by @p perm (perm[old_id] == new_id);
- * column indices are left untouched. This is the permutation the
- * reorder-aware SpMM executes on: the dense operand stays in original
- * row order, so the gather needs no extra indirection, and the output
- * is scattered back through the inverse permutation at commit time.
- * Works for rectangular matrices; each row's contents are preserved
- * verbatim (same column order, same values).
- */
-CsrMatrix permute_rows(const CsrMatrix &m,
-                       const std::vector<index_t> &perm);
-
-/**
  * Permutation sorting nodes by degree (stable). @p descending puts the
  * evil rows first.
  */
@@ -49,76 +40,14 @@ std::vector<index_t> degree_sort_permutation(const CsrMatrix &m,
 
 /**
  * BFS relabeling from the minimum-degree node, visiting neighbors in
- * ascending-degree order and restarting on every connected component
- * (reverse it for classical RCM). Improves locality of banded-ish
- * graphs; does nothing for load balance.
+ * ascending-degree order and restarting on every connected component.
+ * Improves locality of banded-ish graphs; does nothing for load
+ * balance.
  */
 std::vector<index_t> bfs_permutation(const CsrMatrix &m);
 
-/** Reverse a permutation's order (new_id -> rows-1-new_id). */
-std::vector<index_t> reverse_permutation(std::vector<index_t> perm);
-
-/**
- * Inverse permutation: returns inv with inv[perm[i]] == i. Validates
- * @p perm first, so the result is always itself a valid permutation
- * (the round-trip invert(invert(p)) == p is guaranteed or we panic).
- */
-std::vector<index_t> invert_permutation(const std::vector<index_t> &perm);
-
 /** Panics unless @p perm is a valid permutation of [0, n). */
 void validate_permutation(const std::vector<index_t> &perm, index_t n);
-
-// ---------------------------------------------------------------------
-// Reorder plans: the packaged form the locality layer executes.
-// ---------------------------------------------------------------------
-
-/** Which relabeling a ReorderPlan applies. */
-enum class ReorderKind {
-    kNone,   ///< identity (no plan is built)
-    kDegree, ///< stable descending degree sort (Accel-GCN-style remap)
-    kBfs,    ///< BFS relabeling from min-degree seeds
-    kRcm,    ///< reverse Cuthill-McKee (reversed BFS order)
-};
-
-/** Stable name: "none", "degree", "bfs", "rcm". */
-const char *reorder_kind_name(ReorderKind kind);
-
-/**
- * Parse a ReorderKind name (the MPS_REORDER / --reorder vocabulary).
- * Panics on unknown values, listing the accepted ones.
- */
-ReorderKind parse_reorder_kind(const std::string &name);
-
-/**
- * Process-default reorder kind from MPS_REORDER (parsed once;
- * kNone when unset).
- */
-ReorderKind default_reorder_kind();
-
-/**
- * A row permutation prepared for reorder-aware SpMM execution:
- * the traversal runs over @p matrix (rows of the original relabeled by
- * @p perm, columns untouched) and commits traversal row r to original
- * row inverse[r]. Immutable after construction; shared read-only
- * across layers and requests via the ScheduleCache.
- */
-struct ReorderPlan
-{
-    ReorderKind kind = ReorderKind::kNone;
-    /** perm[old_id] == new_id. */
-    std::vector<index_t> perm;
-    /** inverse[new_id] == old_id — the commit-time scatter map. */
-    std::vector<index_t> inverse;
-    /** Row-permuted copy of the matrix the plan was built for. */
-    CsrMatrix matrix;
-};
-
-/**
- * Build a ReorderPlan of @p kind for square matrix @p m. Panics when
- * kind == kNone (callers skip plan-building for the identity) or the
- * matrix is not square.
- */
-ReorderPlan build_reorder_plan(const CsrMatrix &m, ReorderKind kind);
 
 } // namespace mps
 

@@ -1,7 +1,6 @@
 #include "mps/sparse/reorder.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <numeric>
 #include <queue>
 
@@ -57,33 +56,6 @@ permute_symmetric(const CsrMatrix &m, const std::vector<index_t> &perm)
             col_idx.push_back(c);
             values.push_back(v);
         }
-        row_ptr[static_cast<size_t>(new_row) + 1] =
-            static_cast<index_t>(col_idx.size());
-    }
-    return CsrMatrix(m.rows(), m.cols(), std::move(row_ptr),
-                     std::move(col_idx), std::move(values));
-}
-
-CsrMatrix
-permute_rows(const CsrMatrix &m, const std::vector<index_t> &perm)
-{
-    validate_permutation(perm, m.rows());
-    std::vector<index_t> inverse = invert_permutation(perm);
-
-    std::vector<index_t> row_ptr(static_cast<size_t>(m.rows()) + 1, 0);
-    std::vector<index_t> col_idx;
-    std::vector<value_t> values;
-    col_idx.reserve(static_cast<size_t>(m.nnz()));
-    values.reserve(static_cast<size_t>(m.nnz()));
-
-    for (index_t new_row = 0; new_row < m.rows(); ++new_row) {
-        index_t old_row = inverse[static_cast<size_t>(new_row)];
-        col_idx.insert(col_idx.end(),
-                       m.col_idx().begin() + m.row_begin(old_row),
-                       m.col_idx().begin() + m.row_end(old_row));
-        values.insert(values.end(),
-                      m.values().begin() + m.row_begin(old_row),
-                      m.values().begin() + m.row_end(old_row));
         row_ptr[static_cast<size_t>(new_row) + 1] =
             static_cast<index_t>(col_idx.size());
     }
@@ -158,102 +130,12 @@ bfs_permutation(const CsrMatrix &m)
     // Every node must have been labeled. Isolated vertices (degree 0)
     // are covered because they seed their own single-node component;
     // this guard turns any future traversal bug into a loud failure
-    // instead of a silent -1 that would crash the SpMM scatter.
+    // instead of a silent -1 in the relabeling.
     MPS_CHECK(next_label == n, "BFS labeled ", next_label, " of ", n,
               " nodes — unreached vertices in the traversal");
     for (index_t p : perm)
         MPS_CHECK(p >= 0, "BFS left an unlabeled vertex");
     return perm;
-}
-
-std::vector<index_t>
-reverse_permutation(std::vector<index_t> perm)
-{
-    const index_t n = static_cast<index_t>(perm.size());
-    for (index_t &p : perm)
-        p = n - 1 - p;
-    return perm;
-}
-
-std::vector<index_t>
-invert_permutation(const std::vector<index_t> &perm)
-{
-    const index_t n = static_cast<index_t>(perm.size());
-    validate_permutation(perm, n);
-    std::vector<index_t> inverse(perm.size());
-    for (index_t i = 0; i < n; ++i)
-        inverse[static_cast<size_t>(perm[static_cast<size_t>(i)])] = i;
-    return inverse;
-}
-
-const char *
-reorder_kind_name(ReorderKind kind)
-{
-    switch (kind) {
-    case ReorderKind::kNone:
-        return "none";
-    case ReorderKind::kDegree:
-        return "degree";
-    case ReorderKind::kBfs:
-        return "bfs";
-    case ReorderKind::kRcm:
-        return "rcm";
-    }
-    return "none";
-}
-
-ReorderKind
-parse_reorder_kind(const std::string &name)
-{
-    if (name == "none" || name.empty())
-        return ReorderKind::kNone;
-    if (name == "degree")
-        return ReorderKind::kDegree;
-    if (name == "bfs")
-        return ReorderKind::kBfs;
-    if (name == "rcm")
-        return ReorderKind::kRcm;
-    fatal("unknown reorder kind '" + name +
-          "'; known kinds: none degree bfs rcm");
-}
-
-ReorderKind
-default_reorder_kind()
-{
-    static const ReorderKind kind = [] {
-        const char *v = std::getenv("MPS_REORDER");
-        return v == nullptr ? ReorderKind::kNone
-                            : parse_reorder_kind(v);
-    }();
-    return kind;
-}
-
-ReorderPlan
-build_reorder_plan(const CsrMatrix &m, ReorderKind kind)
-{
-    MPS_CHECK(kind != ReorderKind::kNone,
-              "identity needs no reorder plan");
-    MPS_CHECK(m.rows() == m.cols(),
-              "reorder plans need a square matrix, got ", m.rows(), "x",
-              m.cols());
-    ReorderPlan plan;
-    plan.kind = kind;
-    switch (kind) {
-    case ReorderKind::kDegree:
-        plan.perm = degree_sort_permutation(m, /*descending=*/true);
-        break;
-    case ReorderKind::kBfs:
-        plan.perm = bfs_permutation(m);
-        break;
-    case ReorderKind::kRcm:
-        plan.perm = reverse_permutation(bfs_permutation(m));
-        break;
-    case ReorderKind::kNone:
-        break;
-    }
-    plan.inverse = invert_permutation(plan.perm);
-    plan.matrix = permute_rows(m, plan.perm);
-    return plan;
 }
 
 } // namespace mps

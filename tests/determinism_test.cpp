@@ -214,7 +214,7 @@ TEST(Determinism, FusedPlansAcrossPoolSizes)
         FusedLayerPlan plan(a, hidden, borrow_schedule(sched), loc);
         xw2.fill(0.0f);
         RankUpdateEpilogue rank = make_rank_update_epilogue(
-            Activation::kRelu, w2, xw2, nullptr);
+            Activation::kRelu, w2, xw2);
         plan.run_streaming(
             gemm_panel_source(x, w1, pool),
             [&rank](index_t col0, index_t width) {
@@ -256,7 +256,7 @@ TEST(Determinism, TileRankUpdateAcrossPoolSizes)
         plan.set_precision(StorageMode::kBf16);
         DenseMatrix xw2 = DenseMatrix::bf16_panel(a.rows(), classes);
         const RankUpdateEpilogue rank = make_rank_update_epilogue(
-            Activation::kRelu, w2, xw2, nullptr);
+            Activation::kRelu, w2, xw2);
         plan.run_streaming(gemm_panel_source(x, w1, pool), {}, pool,
                            &RankUpdateEpilogue::apply, &rank);
         return xw2;
@@ -318,7 +318,7 @@ TEST(Determinism, AggregateFirstAcrossPoolSizes)
                                 SpmmLocality{});
             out.fill(0.0f);
             const CombineEpilogue epi = make_combine_epilogue(
-                Activation::kRelu, w1, out, w_next, nullptr);
+                Activation::kRelu, w1, out, w_next);
             plan.run_streaming(slice_panel_source(x), {}, pool,
                                &CombineEpilogue::apply, &epi);
         };
@@ -361,7 +361,6 @@ TEST(Determinism, AggregateFirstAcrossPoolSizes)
 struct RowCensus
 {
     const DenseMatrix *c = nullptr;
-    const index_t *scatter = nullptr;
     index_t n = 0;
     index_t tile = 0;
     index_t panel = 0;
@@ -382,8 +381,7 @@ struct RowCensus
                 e.bad_rows.fetch_add(1);
                 continue;
             }
-            const index_t out = e.scatter != nullptr ? e.scatter[row] : row;
-            if (e.c != nullptr && rows[i].crow != e.c->row(out) + c_col0) {
+            if (e.c != nullptr && rows[i].crow != e.c->row(row) + c_col0) {
                 e.bad_rows.fetch_add(1);
                 continue;
             }
@@ -395,9 +393,8 @@ struct RowCensus
 /**
  * Every finished row reaches the epilogue exactly once per panel, in
  * calls of 1..kEpilogueBatchRows rows, whatever the batch fill: the
- * merge-path and hybrid plans, materialized and streamed, each with
- * and without a reorder scatter, on every pool size, over a schedule
- * with many split rows.
+ * merge-path and hybrid plans, materialized and streamed, on every
+ * pool size, over a schedule with many split rows.
  */
 TEST(Determinism, EpilogueSeesEveryRowOnce)
 {
@@ -407,57 +404,47 @@ TEST(Determinism, EpilogueSeesEveryRowOnce)
     ASSERT_FALSE(sched.split_row_list(a).empty());
     ASSERT_FALSE(hs.split_row_list(a).empty());
     const index_t n = a.rows(), dim = 32;
-    std::vector<index_t> reversed(static_cast<size_t>(n));
-    for (index_t r = 0; r < n; ++r)
-        reversed[static_cast<size_t>(r)] = n - 1 - r;
-    const index_t *const scatters[] = {nullptr, reversed.data()};
     DenseMatrix xw = random_dense(a.cols(), dim, 51);
     for (const bool hybrid : {false, true})
         for (const bool streamed : {false, true})
-            for (const index_t *scatter : scatters)
-                for (unsigned workers : kPoolSizes) {
-                    SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
-                                 (streamed ? " streamed" : "") +
-                                 (scatter != nullptr ? " scattered" : "") +
-                                 " on " + std::to_string(workers) +
-                                 " workers");
-                    WorkStealPool pool(workers);
-                    SpmmLocality loc;
-                    loc.tile_d = 16;
-                    loc.row_scatter = scatter;
-                    FusedLayerPlan plan =
-                        hybrid ? FusedLayerPlan(a, dim,
-                                                borrow_hybrid_schedule(hs), loc)
-                               : FusedLayerPlan(a, dim, borrow_schedule(sched),
-                                                loc);
-                    DenseMatrix out(n, dim);
-                    RowCensus census;
-                    census.c = streamed ? nullptr : &out;
-                    census.scatter = scatter;
-                    census.n = n;
-                    census.tile = streamed ? plan.tile() : plan.run_tile();
-                    const index_t panels =
-                        (dim + census.tile - 1) / census.tile;
-                    census.seen = std::vector<std::atomic<int>>(
-                        static_cast<size_t>(panels * n));
-                    if (streamed)
-                        plan.run_streaming(
-                            slice_panel_source(xw),
-                            [&census](index_t col0, index_t width) {
-                                census.panel = (col0 + width) / census.tile;
-                            },
-                            pool, &RowCensus::count, &census);
-                    else
-                        plan.run(slice_panel_source(xw), out, pool,
-                                 &RowCensus::count, &census);
-                    EXPECT_EQ(census.bad_counts.load(), 0);
-                    EXPECT_EQ(census.bad_rows.load(), 0);
-                    int wrong = 0;
-                    for (const std::atomic<int> &s : census.seen)
-                        wrong += s.load() != 1;
-                    EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
-                                        << " (panel, row) pairs";
-                }
+            for (unsigned workers : kPoolSizes) {
+                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
+                             (streamed ? " streamed" : "") + " on " +
+                             std::to_string(workers) + " workers");
+                WorkStealPool pool(workers);
+                SpmmLocality loc;
+                loc.tile_d = 16;
+                FusedLayerPlan plan =
+                    hybrid ? FusedLayerPlan(a, dim,
+                                            borrow_hybrid_schedule(hs), loc)
+                           : FusedLayerPlan(a, dim, borrow_schedule(sched),
+                                            loc);
+                DenseMatrix out(n, dim);
+                RowCensus census;
+                census.c = streamed ? nullptr : &out;
+                census.n = n;
+                census.tile = streamed ? plan.tile() : plan.run_tile();
+                const index_t panels = (dim + census.tile - 1) / census.tile;
+                census.seen = std::vector<std::atomic<int>>(
+                    static_cast<size_t>(panels * n));
+                if (streamed)
+                    plan.run_streaming(
+                        slice_panel_source(xw),
+                        [&census](index_t col0, index_t width) {
+                            census.panel = (col0 + width) / census.tile;
+                        },
+                        pool, &RowCensus::count, &census);
+                else
+                    plan.run(slice_panel_source(xw), out, pool,
+                             &RowCensus::count, &census);
+                EXPECT_EQ(census.bad_counts.load(), 0);
+                EXPECT_EQ(census.bad_rows.load(), 0);
+                int wrong = 0;
+                for (const std::atomic<int> &s : census.seen)
+                    wrong += s.load() != 1;
+                EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
+                                    << " (panel, row) pairs";
+            }
 }
 
 /**

@@ -594,68 +594,6 @@ TEST_F(DynamicServeFixture, IncrementalPolicyCompactsPastThreshold)
                         shadow.base(), features_)));
 }
 
-TEST_F(DynamicServeFixture, ReorderPlanDroppedOnFirstUpdate)
-{
-    ServeConfig cfg;
-    cfg.reorder = ReorderKind::kDegree;
-    Server server(cfg);
-    uint64_t gid = server.register_graph(graph_, layers_);
-    EXPECT_TRUE(server.infer(gid, features_)
-                    .output.approx_equal(
-                        reference_forward(graph_, features_)));
-
-    DeltaCsr shadow(graph_);
-    GraphDelta delta = mixed_delta(60, 8);
-    shadow.apply(delta);
-    ASSERT_TRUE(server.update_graph(gid, delta));
-    InferenceResult r = server.infer(gid, features_);
-    ASSERT_EQ(r.status, RequestStatus::kOk);
-    EXPECT_TRUE(r.output.approx_equal(
-        reference_forward(shadow.materialize(), features_)));
-}
-
-TEST_F(DynamicServeFixture, ReorderPlanRebuiltLazilyAfterCompaction)
-{
-    auto &metrics = MetricsRegistry::global();
-    metrics.set_enabled(true);
-    const int64_t rebuilds0 =
-        metrics.counter_value("reorder.plan_rebuilds");
-
-    ServeConfig cfg;
-    cfg.reorder = ReorderKind::kDegree;
-    cfg.delta_compact_ratio = 1e-6; // every update compacts -> clean
-    Server server(cfg);
-    uint64_t gid = server.register_graph(graph_, layers_);
-    EXPECT_TRUE(server.infer(gid, features_)
-                    .output.approx_equal(
-                        reference_forward(graph_, features_)));
-
-    DeltaCsr shadow(graph_);
-    shadow.set_compact_ratio(1e-6);
-    GraphDelta delta = mixed_delta(91, 10);
-    shadow.apply(delta);
-    shadow.compact();
-    ASSERT_TRUE(server.update_graph(gid, delta));
-
-    // The update retired the plan but left a clean overlay, so the
-    // next batch rebuilds it lazily — and still computes correctly
-    // through the rebuilt permutation.
-    InferenceResult r = server.infer(gid, features_);
-    ASSERT_EQ(r.status, RequestStatus::kOk);
-    EXPECT_TRUE(r.output.approx_equal(
-        reference_forward(shadow.base(), features_)));
-    EXPECT_GE(metrics.counter_value("reorder.plan_rebuilds"),
-              rebuilds0 + 1);
-
-    // A second batch reuses the rebuilt plan: no further rebuilds.
-    const int64_t after_first =
-        metrics.counter_value("reorder.plan_rebuilds");
-    ASSERT_EQ(server.infer(gid, features_).status, RequestStatus::kOk);
-    EXPECT_EQ(metrics.counter_value("reorder.plan_rebuilds"),
-              after_first);
-    metrics.set_enabled(false);
-}
-
 TEST_F(DynamicServeFixture, CacheCapHoldsUnderRepeatedUpdates)
 {
     ServeConfig cfg;

@@ -287,7 +287,7 @@ TEST(FusionBitIdentity, StreamingSinkMatchesMaterialized)
                 DenseMatrix got(n, classes);
                 got.fill(nan);
                 RankUpdateEpilogue rank = make_rank_update_epilogue(
-                    Activation::kRelu, w2, got, nullptr);
+                    Activation::kRelu, w2, got);
                 wide.run_streaming(
                     slice_panel_source(xw1),
                     [&rank](index_t col0, index_t width) {
@@ -309,7 +309,7 @@ TEST(FusionBitIdentity, StreamingSinkMatchesMaterialized)
                 DenseMatrix got_fold(n, classes);
                 got_fold.fill(nan);
                 const CombineEpilogue fold = make_combine_epilogue(
-                    Activation::kRelu, w1, got_fold, &w2, nullptr);
+                    Activation::kRelu, w1, got_fold, &w2);
                 narrow.run_streaming(slice_panel_source(x), {}, pool,
                                      &CombineEpilogue::apply, &fold);
                 expect_same_bits(got_fold, want_fold, "streamed fold");
@@ -344,9 +344,9 @@ TEST(FusionBitIdentity, AggregateFirstMatchesUnfused)
     ASSERT_EQ(plan.tile(), f);
     DenseMatrix got_h(a.rows(), hidden), got_hw2(a.rows(), classes);
     const CombineEpilogue store = make_combine_epilogue(
-        Activation::kRelu, w1, got_h, nullptr, nullptr);
+        Activation::kRelu, w1, got_h, nullptr);
     const CombineEpilogue fold = make_combine_epilogue(
-        Activation::kRelu, w1, got_hw2, &w2, nullptr);
+        Activation::kRelu, w1, got_hw2, &w2);
     for (const CombineEpilogue *epi : {&store, &fold})
         plan.run_streaming(slice_panel_source(x), {}, pool,
                            &CombineEpilogue::apply, epi);
@@ -623,7 +623,7 @@ TEST(GcnAssociation, TiledPlanCombinesFirst)
 
 /**
  * Models whose layers widen, on the fused merge-path and hybrid
- * pipelines with and without a reorder scatter, against the "reference"
+ * pipelines, against the "reference"
  * kernel (no fused plan: the classic loop, same association) and the
  * combine-first row-order reference. Covers every handoff:
  * aggregate-first into combine-first (16-48-7), aggregate-first into
@@ -651,23 +651,16 @@ TEST(GcnAssociation, FusedMatchesClassicAndReference)
         const DenseMatrix classic = gold.infer(a, x, pool);
         EXPECT_TRUE(classic.approx_equal(want, tol, tol))
             << "reference kernel, diff=" << classic.max_abs_diff(want);
-        for (const char *kernel : {"mergepath", "hybrid"})
-            for (ReorderKind reorder :
-                 {ReorderKind::kNone, ReorderKind::kDegree}) {
-                GcnModel model = chain_model(widths, kernel);
-                model.set_reorder(reorder);
-                const DenseMatrix got = model.infer(a, x, pool);
-                const std::string what =
-                    std::string(kernel) + " reorder=" +
-                    reorder_kind_name(reorder) + " in=" +
-                    std::to_string(widths[0]);
-                EXPECT_TRUE(got.approx_equal(classic, tol, tol))
-                    << what << " vs classic, diff="
-                    << got.max_abs_diff(classic);
-                EXPECT_TRUE(got.approx_equal(want, tol, tol))
-                    << what << " vs reference, diff="
-                    << got.max_abs_diff(want);
-            }
+        for (const char *kernel : {"mergepath", "hybrid"}) {
+            GcnModel model = chain_model(widths, kernel);
+            const DenseMatrix got = model.infer(a, x, pool);
+            const std::string what =
+                std::string(kernel) + " in=" + std::to_string(widths[0]);
+            EXPECT_TRUE(got.approx_equal(classic, tol, tol))
+                << what << " vs classic, diff=" << got.max_abs_diff(classic);
+            EXPECT_TRUE(got.approx_equal(want, tol, tol))
+                << what << " vs reference, diff=" << got.max_abs_diff(want);
+        }
     }
 }
 

@@ -159,17 +159,16 @@ TEST(Gemm, RankUpdateAcrossPanelsMatchesFullGemm)
     expect_bitwise(got, want, "rank updates");
 }
 
-/** Bit patterns agree: got's row scatter[r] against want's row r. */
+/** Bit patterns agree, NaN and the sign of zero included. */
 void
 expect_same_bits(const DenseMatrix &got, const DenseMatrix &want,
-                 const std::vector<index_t> &scatter, const std::string &what)
+                 const std::string &what)
 {
     ASSERT_EQ(got.rows(), want.rows()) << what;
     ASSERT_EQ(got.cols(), want.cols()) << what;
     for (index_t r = 0; r < want.rows(); ++r)
         for (index_t c = 0; c < want.cols(); ++c) {
-            const value_t *gv =
-                got.row(scatter[static_cast<size_t>(r)]) + c;
+            const value_t *gv = got.row(r) + c;
             uint32_t g = 0, w = 0;
             std::memcpy(&g, gv, sizeof g);
             std::memcpy(&w, want.row(r) + c, sizeof w);
@@ -216,8 +215,8 @@ feed_batches(DenseMatrix &m, index_t col0, index_t width,
  * activation) bit for bit: every batch fill from 1 to
  * kEpilogueBatchRows, each once with adjacent rows and once with
  * scattered per-row copies; a masked tail on every dimension (in 12,
- * 16, 33; hidden 37, 128; out 1, 9, 16); destination rows through a
- * reversing scatter; the rank update in one panel and across panels of
+ * 16, 33; hidden 37, 128; out 1, 9, 16); the rank update in one
+ * panel and across panels of
  * 5, 16 and 11 columns (w_row0 > 0 continues each row's chains, as in
  * RankUpdateAcrossPanelsMatchesFullGemm); ReLU and sigmoid. ReLU
  * inputs hold NaN and -0.0 (a product chain that underflows), which
@@ -232,9 +231,6 @@ TEST(Gemm, RowEpiloguesMatchWholeGemms)
     index_t n = 0;
     for (const int f : fills)
         n += f;
-    std::vector<index_t> reverse(static_cast<size_t>(n));
-    for (index_t r = 0; r < n; ++r)
-        reverse[static_cast<size_t>(r)] = n - 1 - r;
     const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
     const value_t tiny = std::numeric_limits<value_t>::denorm_min();
 
@@ -288,14 +284,14 @@ TEST(Gemm, RowEpiloguesMatchWholeGemms)
                 got_panels(n, out);
             for (DenseMatrix *m : {&got_h, &got_xw, &got_rank, &got_panels})
                 m->fill(nan); // every element must be stored
-            const CombineEpilogue store = make_combine_epilogue(
-                act, w, got_h, nullptr, reverse.data());
-            const CombineEpilogue fold = make_combine_epilogue(
-                act, w, got_xw, &w_next, reverse.data());
-            const RankUpdateEpilogue rank = make_rank_update_epilogue(
-                act, w_next, got_rank, reverse.data());
-            RankUpdateEpilogue panels = make_rank_update_epilogue(
-                act, w_next, got_panels, reverse.data());
+            const CombineEpilogue store =
+                make_combine_epilogue(act, w, got_h, nullptr);
+            const CombineEpilogue fold =
+                make_combine_epilogue(act, w, got_xw, &w_next);
+            const RankUpdateEpilogue rank =
+                make_rank_update_epilogue(act, w_next, got_rank);
+            RankUpdateEpilogue panels =
+                make_rank_update_epilogue(act, w_next, got_panels);
 
             feed_batches(t, 0, in, fills, [&](FinishedRow *rows, int count) {
                 CombineEpilogue::apply(rows, count, 0, in, &store);
@@ -319,12 +315,10 @@ TEST(Gemm, RowEpiloguesMatchWholeGemms)
                              });
                 k0 += width;
             }
-            expect_same_bits(got_h, h, reverse, what + " combine store");
-            expect_same_bits(got_xw, want_xw, reverse,
-                             what + " combine fold");
-            expect_same_bits(got_rank, want_rank, reverse,
-                             what + " rank update");
-            expect_same_bits(got_panels, want_rank, reverse,
+            expect_same_bits(got_h, h, what + " combine store");
+            expect_same_bits(got_xw, want_xw, what + " combine fold");
+            expect_same_bits(got_rank, want_rank, what + " rank update");
+            expect_same_bits(got_panels, want_rank,
                              what + " rank update across panels");
         }
 }
@@ -516,8 +510,8 @@ TEST(AmxGemm, RejectedShapesTakeFallback)
  * and W to bf16, 2^-9 relative each) + 2^-9 * |vector| (the output's
  * bf16 rounding) + 2^-14 * sum |act(h_k) w_kj| (both fp32 sums). Covers
  * every batch fill from 1 to 48, each once with adjacent rows and once
- * with scattered per-row copies; destination rows through a reversing
- * scatter; depths 32 and 128 (one and four B tiles) into 1, 9 and 16
+ * with scattered per-row copies; depths 32 and 128 (one and four B
+ * tiles) into 1, 9 and 16
  * outputs; ReLU with NaN and -0.0 inputs, which enter as +0, and
  * sigmoid. Each output row is the same bits whatever batch carries it,
  * and the handoff's padding lanes stay zero.
@@ -533,9 +527,6 @@ TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
     for (const int f : fills)
         n += f;
     const std::vector<int> singles(static_cast<size_t>(n), 1);
-    std::vector<index_t> reverse(static_cast<size_t>(n));
-    for (index_t r = 0; r < n; ++r)
-        reverse[static_cast<size_t>(r)] = n - 1 - r;
     const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
     uint64_t seed = 70;
     for (const Activation act : {Activation::kRelu, Activation::kSigmoid})
@@ -554,15 +545,15 @@ TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
                         h(7, k) = k % 2 == 0 ? nan : -0.0f;
                 }
                 DenseMatrix want(n, out);
-                const RankUpdateEpilogue vec = make_rank_update_epilogue(
-                    act, w, want, reverse.data());
+                const RankUpdateEpilogue vec =
+                    make_rank_update_epilogue(act, w, want);
                 DenseMatrix got = DenseMatrix::bf16_panel(n, out);
-                const RankUpdateEpilogue tiles = make_rank_update_epilogue(
-                    act, w, got, reverse.data());
+                const RankUpdateEpilogue tiles =
+                    make_rank_update_epilogue(act, w, got);
                 ASSERT_NE(tiles.w_tiles, nullptr) << what;
                 DenseMatrix one_by_one = DenseMatrix::bf16_panel(n, out);
-                const RankUpdateEpilogue singly = make_rank_update_epilogue(
-                    act, w, one_by_one, reverse.data());
+                const RankUpdateEpilogue singly =
+                    make_rank_update_epilogue(act, w, one_by_one);
                 feed_batches(h, 0, depth, fills,
                              [&](FinishedRow *rows, int count) {
                                  RankUpdateEpilogue::apply(rows, count, 0,
@@ -578,24 +569,23 @@ TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
                 DenseMatrix act_h = h;
                 apply_activation(act_h, act);
                 for (index_t r = 0; r < n; ++r) {
-                    const index_t dst = reverse[static_cast<size_t>(r)];
-                    ASSERT_EQ(std::memcmp(got.row_bf16(dst),
-                                          one_by_one.row_bf16(dst),
+                    ASSERT_EQ(std::memcmp(got.row_bf16(r),
+                                          one_by_one.row_bf16(r),
                                           static_cast<size_t>(
                                               got.padded_cols()) *
                                               sizeof(bf16_t)),
                               0)
                         << what << " row " << r << " depends on its batch";
                     for (index_t j = out; j < got.padded_cols(); ++j)
-                        ASSERT_EQ(got.row_bf16(dst)[j], 0)
+                        ASSERT_EQ(got.row_bf16(r)[j], 0)
                             << what << " padding lane " << j;
                     for (index_t j = 0; j < out; ++j) {
                         double mag = 0.0;
                         for (index_t k = 0; k < depth; ++k)
                             mag += std::abs(static_cast<double>(act_h(r, k)) *
                                             w(k, j));
-                        const double v = want(dst, j);
-                        const double t = bf16_decode(got.row_bf16(dst)[j]);
+                        const double v = want(r, j);
+                        const double t = bf16_decode(got.row_bf16(r)[j]);
                         ASSERT_TRUE(std::isfinite(t))
                             << what << " at (" << r << ", " << j << ")";
                         ASSERT_LE(std::abs(t - v),
@@ -607,7 +597,7 @@ TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
                 }
                 if (act == Activation::kRelu) {
                     for (index_t j = 0; j < out; ++j)
-                        ASSERT_EQ(bf16_decode(got.row_bf16(reverse[7])[j]),
+                        ASSERT_EQ(bf16_decode(got.row_bf16(7)[j]),
                                   0.0f)
                             << what << ": NaN and -0.0 enter as +0";
                 }
@@ -628,18 +618,16 @@ TEST(AmxRankUpdateDeathTest, NeedsOnePanelAndFittingShape)
     const DenseMatrix w = random_dense(64, 8, 81);
     DenseMatrix dst = DenseMatrix::bf16_panel(4, 8);
     if (!amx_rank_update_enabled()) {
-        EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, w, dst,
-                                               nullptr),
+        EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, w, dst),
                      "needs the AMX tiles");
         return;
     }
     const DenseMatrix deep = random_dense(160, 8, 82);
-    EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, deep, dst,
-                                           nullptr),
+    EXPECT_DEATH(make_rank_update_epilogue(Activation::kRelu, deep, dst),
                  "needs the AMX tiles");
     DenseMatrix h = random_dense(4, 64, 83);
     RankUpdateEpilogue e =
-        make_rank_update_epilogue(Activation::kRelu, w, dst, nullptr);
+        make_rank_update_epilogue(Activation::kRelu, w, dst);
     FinishedRow rows[] = {{h.row(0), 0}, {h.row(1), 1}};
     EXPECT_DEATH(RankUpdateEpilogue::apply(rows, 2, 0, 32, &e),
                  "whole row in one panel");

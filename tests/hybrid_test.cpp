@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -423,21 +422,6 @@ TEST(HybridScheduleRepair, MigratesAcrossDeltaCompaction)
     EXPECT_EQ(cache.hits(), hits_before + 1);
     EXPECT_EQ(moved->nnz(), cr.new_base->nnz());
     (void)cached;
-}
-
-TEST(HybridAdaptive, EnvTunableThresholds)
-{
-    setenv("MPS_ADAPTIVE_EVIL_FACTOR", "3.5", 1);
-    AdaptiveSpmm tuned;
-    EXPECT_DOUBLE_EQ(tuned.evil_factor(), 3.5);
-    unsetenv("MPS_ADAPTIVE_EVIL_FACTOR");
-    AdaptiveSpmm defaults;
-    EXPECT_DOUBLE_EQ(defaults.evil_factor(), 15.0);
-
-    setenv("MPS_ADAPTIVE_EVIL_FACTOR", "bogus", 1);
-    AdaptiveSpmm invalid;
-    EXPECT_DOUBLE_EQ(invalid.evil_factor(), 15.0);
-    unsetenv("MPS_ADAPTIVE_EVIL_FACTOR");
 }
 
 TEST(HybridAdaptive, SelectsHybridOnSkewedDenseBandMix)

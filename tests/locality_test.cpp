@@ -1,7 +1,6 @@
 /**
  * Tests for the cache-locality layer: column-tiled merge-path
- * traversal, software prefetch on the gather path, and reorder-aware
- * (row-permuted) execution with commit-time scatter.
+ * traversal and software prefetch on the gather path.
  */
 #include <gtest/gtest.h>
 
@@ -10,12 +9,9 @@
 #include <vector>
 
 #include "mps/core/locality.h"
-#include "mps/core/schedule_cache.h"
 #include "mps/core/spmm.h"
 #include "mps/kernels/adaptive.h"
-#include "mps/kernels/mergepath_kernel.h"
 #include "mps/sparse/generate.h"
-#include "mps/sparse/reorder.h"
 #include "mps/util/rng.h"
 #include "mps/util/work_steal_pool.h"
 
@@ -244,205 +240,6 @@ TEST(TiledSpmm, DefaultEntryPointsStillMatchReference)
     WorkStealPool pool(4);
     mergepath_spmm(a, b, got, pool);
     EXPECT_TRUE(got.approx_equal(expect, 1e-3, 1e-4));
-}
-
-// ---------------------------------------------------------------------
-// Reorder-aware execution: scatter at commit time.
-// ---------------------------------------------------------------------
-
-TEST(ReorderedSpmm, PermutedBitIdenticalToIdentityOnOneThread)
-{
-    // On a 1-thread schedule every row is owned by its thread (no
-    // split rows), so the permuted traversal + inverse scatter must
-    // reproduce the identity-order run bit for bit: each output row
-    // sees the same non-zeros in the same order. Covers 1-thread
-    // schedules only: the permuted matrix gets its own schedule, whose
-    // split rows differ from the identity order's.
-    CsrMatrix a = evil_graph(250, 2000, 200, 41);
-    DenseMatrix b = random_dense(a.cols(), 33, 43);
-
-    DenseMatrix identity(a.rows(), 33);
-    MergePathSchedule s1 = MergePathSchedule::build(a, 1);
-    mergepath_spmm_sequential(a, b, identity, s1);
-
-    for (ReorderKind kind :
-         {ReorderKind::kDegree, ReorderKind::kBfs, ReorderKind::kRcm}) {
-        ReorderPlan plan = build_reorder_plan(a, kind);
-        MergePathSchedule sp = MergePathSchedule::build(plan.matrix, 1);
-        SpmmLocality loc;
-        loc.row_scatter = plan.inverse.data();
-        DenseMatrix scattered(a.rows(), 33);
-        mergepath_spmm_sequential(plan.matrix, b, scattered, sp, loc);
-        EXPECT_TRUE(bit_identical(scattered, identity))
-            << "kind=" << reorder_kind_name(kind);
-    }
-}
-
-TEST(ReorderedSpmm, TiledPermutedParallelMatchesReference)
-{
-    CsrMatrix a = evil_graph(500, 5000, 400, 47);
-    DenseMatrix b = random_dense(a.cols(), 64, 53);
-    DenseMatrix expect(a.rows(), 64), got(a.rows(), 64);
-    reference_spmm(a, b, expect);
-
-    ReorderPlan plan = build_reorder_plan(a, ReorderKind::kBfs);
-    MergePathSchedule s = MergePathSchedule::build(plan.matrix, 128);
-    SpmmLocality loc;
-    loc.tile_d = 16;
-    loc.prefetch = 4;
-    loc.row_scatter = plan.inverse.data();
-    WorkStealPool pool(4);
-    mergepath_spmm_parallel(plan.matrix, b, got, s, pool, loc);
-    EXPECT_TRUE(got.approx_equal(expect, 1e-3, 1e-4))
-        << "diff=" << got.max_abs_diff(expect);
-}
-
-TEST(ReorderedSpmm, KernelWithReorderMatchesKernelWithout)
-{
-    CsrMatrix a = evil_graph(400, 3500, 300, 59);
-    DenseMatrix b = random_dense(a.cols(), 32, 61);
-    WorkStealPool pool(4);
-
-    MergePathSpmm plain_kernel;
-    plain_kernel.set_reorder(ReorderKind::kNone);
-    plain_kernel.prepare(a, 32);
-    EXPECT_EQ(plain_kernel.reorder_plan(), nullptr);
-    DenseMatrix plain(a.rows(), 32);
-    plain_kernel.run(a, b, plain, pool);
-
-    for (ReorderKind kind :
-         {ReorderKind::kDegree, ReorderKind::kBfs, ReorderKind::kRcm}) {
-        MergePathSpmm kernel;
-        kernel.set_reorder(kind);
-        kernel.prepare(a, 32);
-        ASSERT_NE(kernel.reorder_plan(), nullptr);
-        EXPECT_EQ(kernel.reorder_plan()->kind, kind);
-        DenseMatrix got(a.rows(), 32);
-        kernel.run(a, b, got, pool);
-        EXPECT_TRUE(got.approx_equal(plain, 1e-3, 1e-4))
-            << "kind=" << reorder_kind_name(kind)
-            << " diff=" << got.max_abs_diff(plain);
-    }
-}
-
-TEST(ReorderedSpmm, RectangularInputFallsBackToIdentity)
-{
-    // Reorderings are graph relabelings; a rectangular matrix cannot be
-    // relabeled symmetrically, so prepare() must keep identity order.
-    CsrMatrix a(4, 8, {0, 2, 3, 5, 6}, {0, 7, 3, 1, 6, 2},
-                {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f});
-    MergePathSpmm kernel;
-    kernel.set_reorder(ReorderKind::kDegree);
-    kernel.prepare(a, 16);
-    EXPECT_EQ(kernel.reorder_plan(), nullptr);
-
-    DenseMatrix b = random_dense(8, 16, 67);
-    DenseMatrix expect(4, 16), got(4, 16);
-    reference_spmm(a, b, expect);
-    WorkStealPool pool(2);
-    kernel.run(a, b, got, pool);
-    EXPECT_TRUE(got.approx_equal(expect, 1e-4, 1e-5));
-}
-
-TEST(ReorderedSpmm, PlanCacheSharesAcrossKernels)
-{
-    ScheduleCache cache;
-    CsrMatrix a = evil_graph(300, 2500, 250, 71);
-    EXPECT_EQ(cache.reorder_size(), 0u);
-
-    MergePathSpmm first, second;
-    first.set_schedule_cache(&cache);
-    first.set_reorder(ReorderKind::kBfs);
-    first.prepare(a, 32);
-    EXPECT_EQ(cache.reorder_size(), 1u);
-
-    second.set_schedule_cache(&cache);
-    second.set_reorder(ReorderKind::kBfs);
-    second.prepare(a, 64);
-    EXPECT_EQ(cache.reorder_size(), 1u); // reused, not rebuilt
-    EXPECT_EQ(first.reorder_plan(), second.reorder_plan());
-
-    // A different kind is a different plan.
-    MergePathSpmm third;
-    third.set_schedule_cache(&cache);
-    third.set_reorder(ReorderKind::kDegree);
-    third.prepare(a, 32);
-    EXPECT_EQ(cache.reorder_size(), 2u);
-
-    cache.clear();
-    EXPECT_EQ(cache.reorder_size(), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Reorder plans and permutation round-trips.
-// ---------------------------------------------------------------------
-
-TEST(ReorderPlan, RoundTripsRowsThroughInverse)
-{
-    CsrMatrix a = evil_graph(200, 1500, 150, 73);
-    for (ReorderKind kind :
-         {ReorderKind::kDegree, ReorderKind::kBfs, ReorderKind::kRcm}) {
-        ReorderPlan plan = build_reorder_plan(a, kind);
-        validate_permutation(plan.perm, a.rows());
-        validate_permutation(plan.inverse, a.rows());
-        EXPECT_EQ(invert_permutation(plan.inverse), plan.perm);
-
-        // Traversal row r of the plan is original row inverse[r],
-        // contents preserved verbatim (columns untouched).
-        for (index_t r = 0; r < a.rows(); ++r) {
-            index_t old = plan.inverse[static_cast<size_t>(r)];
-            ASSERT_EQ(plan.matrix.degree(r), a.degree(old));
-            index_t pk = plan.matrix.row_begin(r);
-            for (index_t k = a.row_begin(old); k < a.row_end(old);
-                 ++k, ++pk) {
-                ASSERT_EQ(plan.matrix.col_idx()[pk], a.col_idx()[k]);
-                ASSERT_EQ(plan.matrix.values()[pk], a.values()[k]);
-            }
-        }
-    }
-}
-
-TEST(ReorderPlan, HandlesIsolatedVertices)
-{
-    // Rows 1, 3 and 5 have no out- or in-edges at all; BFS must still
-    // label them and the executed SpMM must still match the reference.
-    CsrMatrix a(6, 6, {0, 2, 2, 3, 3, 4, 4}, {2, 4, 0, 2},
-                {1.0f, 2.0f, 3.0f, 4.0f});
-    for (ReorderKind kind :
-         {ReorderKind::kDegree, ReorderKind::kBfs, ReorderKind::kRcm}) {
-        ReorderPlan plan = build_reorder_plan(a, kind);
-        validate_permutation(plan.perm, 6);
-
-        DenseMatrix b = random_dense(6, 8, 79);
-        DenseMatrix expect(6, 8), got(6, 8);
-        reference_spmm(a, b, expect);
-        MergePathSchedule s = MergePathSchedule::build(plan.matrix, 3);
-        SpmmLocality loc;
-        loc.row_scatter = plan.inverse.data();
-        mergepath_spmm_sequential(plan.matrix, b, got, s, loc);
-        EXPECT_TRUE(got.approx_equal(expect, 1e-4, 1e-5))
-            << "kind=" << reorder_kind_name(kind);
-    }
-}
-
-TEST(ReorderPlanDeathTest, RejectsNoneAndRectangular)
-{
-    CsrMatrix square = erdos_renyi_graph(10, 30, 83);
-    EXPECT_DEATH(build_reorder_plan(square, ReorderKind::kNone),
-                 "identity");
-    CsrMatrix rect(2, 3, {0, 1, 2}, {0, 2}, {1.0f, 1.0f});
-    EXPECT_DEATH(build_reorder_plan(rect, ReorderKind::kDegree),
-                 "square");
-}
-
-TEST(ReorderKindNames, ParseAndNameRoundTrip)
-{
-    for (ReorderKind kind :
-         {ReorderKind::kNone, ReorderKind::kDegree, ReorderKind::kBfs,
-          ReorderKind::kRcm}) {
-        EXPECT_EQ(parse_reorder_kind(reorder_kind_name(kind)), kind);
-    }
-    EXPECT_DEATH(parse_reorder_kind("zigzag"), "reorder");
 }
 
 // ---------------------------------------------------------------------

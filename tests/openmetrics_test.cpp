@@ -241,7 +241,7 @@ TEST(OpenMetrics, EpilogueBatchCountersAppear)
     FusedLayerPlan plan(a, 16, borrow_schedule(sched), SpmmLocality{});
     DenseMatrix h(a.rows(), 24);
     const CombineEpilogue combine =
-        make_combine_epilogue(Activation::kRelu, w, h, nullptr, nullptr);
+        make_combine_epilogue(Activation::kRelu, w, h, nullptr);
     plan.run_streaming(slice_panel_source(x), {}, pool,
                        &CombineEpilogue::apply, &combine);
     const std::string text = to_openmetrics(metrics);

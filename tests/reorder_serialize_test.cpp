@@ -129,14 +129,6 @@ TEST(BfsPermutation, ImprovesBandwidthOfScrambledBandedGraph)
     EXPECT_LT(avg_band(relabeled), scrambled_band * 0.35);
 }
 
-TEST(ReversePermutation, Reverses)
-{
-    std::vector<index_t> perm{2, 0, 1};
-    std::vector<index_t> rev = reverse_permutation(perm);
-    EXPECT_EQ(rev, (std::vector<index_t>{0, 2, 1}));
-    validate_permutation(rev, 3);
-}
-
 TEST(BinaryCsr, RoundTrip)
 {
     CsrMatrix m = erdos_renyi_graph(80, 500, 21,

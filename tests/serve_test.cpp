@@ -26,7 +26,6 @@
 #include "mps/sparse/delta_csr.h"
 #include "mps/sparse/generate.h"
 #include "mps/sparse/quant.h"
-#include "mps/sparse/reorder.h"
 #include "mps/util/metrics.h"
 #include "mps/util/rng.h"
 
@@ -300,14 +299,13 @@ TEST_F(ServerFixture, InferMatchesSequentialReference)
 
 /**
  * Every request of a k-request batch against its own reference: on a
- * clean graph, behind a degree reorder plan (the batched row scatter)
- * and behind a dirty overlay of non-zero upserts and removes (the
+ * clean graph and behind a dirty overlay of non-zero upserts and removes (the
  * wide-panel delta correction).
  */
 TEST_F(ServerFixture, BatchedExecutionMatchesPerRequestResults)
 {
-    enum class Setup { kClean, kReorder, kDelta };
-    for (const Setup setup : {Setup::kClean, Setup::kReorder, Setup::kDelta})
+    enum class Setup { kClean, kDelta };
+    for (const Setup setup : {Setup::kClean, Setup::kDelta})
         for (const int k : {1, 3, 4, 8}) {
             SCOPED_TRACE(::testing::Message()
                          << "setup " << static_cast<int>(setup)
@@ -316,8 +314,6 @@ TEST_F(ServerFixture, BatchedExecutionMatchesPerRequestResults)
             cfg.batch.max_batch = k;
             cfg.batch.max_delay_us = 1000000; // only dispatch full batches
             cfg.autostart = false;
-            if (setup == Setup::kReorder)
-                cfg.reorder = ReorderKind::kDegree;
             Server server(cfg);
             uint64_t gid = server.register_graph(graph_, layers_);
             CsrMatrix adjacency = graph_;

@@ -231,15 +231,13 @@ check_sweep(const CsrMatrix &a, const Plan &plan, const DenseMatrix &b,
                     << "row " << r << " col " << k;
             continue;
         }
-        const index_t orow =
-            loc.row_scatter != nullptr ? loc.row_scatter[r] : r;
         for (index_t j = 0; j < c.cols(); ++j) {
             const index_t k = j - kCCol;
             if (k < 0 || k >= width)
-                ASSERT_TRUE(std::isnan(c(orow, j)))
+                ASSERT_TRUE(std::isnan(c(r, j)))
                     << "row " << r << " col " << j << " written";
             else
-                ASSERT_TRUE(same_bits(c(orow, j), want(r, k)))
+                ASSERT_TRUE(same_bits(c(r, j), want(r, k)))
                     << "row " << r << " col " << k;
         }
     }
@@ -253,7 +251,7 @@ check_sweep(const CsrMatrix &a, const Plan &plan, const DenseMatrix &b,
  * per-row fallback, f32 and bf16 operands, materialized sweeps (output
  * pre-filled with NaN; columns outside the panel must stay NaN) and
  * streamed ones (each row reaches the recording epilogue once), B and
- * C panels off column 0, identity and reversing scatter, split hub
+ * C panels off column 0, split hub
  * rows and empty rows, the hybrid plan's dense chunks and its
  * compacted tail, prefetch off and auto, on 1, 2 and 4 workers.
  */
@@ -296,10 +294,6 @@ TEST(ShareLoop, RowsBitIdenticalToAxpyChain)
     DenseMatrix b16 = b32;
     b16.quantize(StorageMode::kBf16);
 
-    std::vector<index_t> reverse(static_cast<size_t>(n));
-    for (index_t r = 0; r < n; ++r)
-        reverse[static_cast<size_t>(r)] = n - 1 - r;
-
     std::vector<index_t> widths = {9, 12, 20, 136};
     for (index_t w = 8; w <= 128; w += 8)
         widths.push_back(w);
@@ -315,31 +309,26 @@ TEST(ShareLoop, RowsBitIdenticalToAxpyChain)
                     plan.hybrid != nullptr ? hy_parts : mp_parts, *b, kBCol,
                     width);
                 for (const bool streamed : {false, true})
-                    for (const bool scatter : {false, true})
-                        for (const bool prefetch : {false, true})
-                            for (WorkStealPool *pool : pools) {
-                                SCOPED_TRACE(
-                                    ::testing::Message()
-                                    << (plan.hybrid ? "hybrid" : "mergepath")
-                                    << (b == &b16 ? " bf16" : " f32")
-                                    << " width " << width
-                                    << (streamed ? " streamed"
-                                                 : " materialized")
-                                    << (scatter ? " reversed" : "")
-                                    << " prefetch " << prefetch
-                                    << " pool " << pool->size());
-                                SpmmLocality loc = default_spmm_locality(
-                                    b->rows(), width,
-                                    storage_elem_bytes(b->storage()));
-                                if (!prefetch)
-                                    loc.prefetch = 0;
-                                loc.row_scatter =
-                                    scatter ? reverse.data() : nullptr;
-                                check_sweep(a, plan, *b, width, streamed,
-                                            loc, *pool, want);
-                                if (HasFatalFailure())
-                                    return;
-                            }
+                    for (const bool prefetch : {false, true})
+                        for (WorkStealPool *pool : pools) {
+                            SCOPED_TRACE(
+                                ::testing::Message()
+                                << (plan.hybrid ? "hybrid" : "mergepath")
+                                << (b == &b16 ? " bf16" : " f32") << " width "
+                                << width
+                                << (streamed ? " streamed" : " materialized")
+                                << " prefetch " << prefetch << " pool "
+                                << pool->size());
+                            SpmmLocality loc = default_spmm_locality(
+                                b->rows(), width,
+                                storage_elem_bytes(b->storage()));
+                            if (!prefetch)
+                                loc.prefetch = 0;
+                            check_sweep(a, plan, *b, width, streamed, loc,
+                                        *pool, want);
+                            if (HasFatalFailure())
+                                return;
+                        }
             }
 }
 

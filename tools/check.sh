@@ -160,7 +160,7 @@ echo "==> ctest build-avx2"
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
 (cd "$root/build-release" && \
     MPS_TILE_D=inf MPS_PREFETCH=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Spmm|Locality|Tiled|Reordered|Adaptive|Gcn|Serve' "$@")
+    -R 'Spmm|Locality|Tiled|Adaptive|Gcn|Serve' "$@")
 
 echo "==> ctest build-narrowtile (MPS_TILE_D=16)"
 (cd "$root/build-release" && \

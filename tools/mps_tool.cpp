@@ -257,9 +257,6 @@ cmd_spmm(int argc, char **argv)
     flags.add_string("kernel", "mergepath", "registry kernel name");
     flags.add_int("dim", 16, "dense dimension size");
     flags.add_int("repeat", 5, "timed repetitions");
-    flags.add_string("reorder", "",
-                     "locality row reordering: none|degree|bfs|rcm "
-                     "(default: MPS_REORDER)");
     flags.add_bool("check", false,
                    "verify against reference_spmm and report "
                    "max-abs-error");
@@ -287,9 +284,6 @@ cmd_spmm(int argc, char **argv)
     DenseMatrix c(m.rows(), dim);
     WorkStealPool pool;
     auto kernel = make_spmm_kernel(flags.get_string("kernel"));
-    if (!flags.get_string("reorder").empty())
-        kernel->set_reorder(
-            parse_reorder_kind(flags.get_string("reorder")));
     Timer prep;
     kernel->prepare(m, dim);
     double prep_ms = prep.elapsed_ms();
@@ -470,9 +464,9 @@ profile_fusion(const std::string &input_name, const CsrMatrix &m,
                 DenseMatrix out(n, dim);
                 if (agg_first) {
                     // Combines each batch of finished rows on the
-                    // 6-row GEMM tile.
-                    const CombineEpilogue combine = make_combine_epilogue(
-                        act, wt, out, nullptr, nullptr);
+                    // rows-in-lanes register tile.
+                    const CombineEpilogue combine =
+                        make_combine_epilogue(act, wt, out, nullptr);
                     plan.run_streaming(slice_panel_source(in), {}, pool,
                                        &CombineEpilogue::apply, &combine);
                 } else {
