@@ -342,12 +342,55 @@ load_x_block(const AmxGemm &g, index_t r0, bf16_t *xa)
 }
 
 /**
+ * The next block's X rows, fetched into L2 a few lines per k step while
+ * the current block's tiles multiply, so the next load_x_block finds
+ * them there instead of waiting on memory: the X stream and the tile
+ * math overlap instead of taking turns. A prefetch changes no result.
+ */
+struct XPrefetch
+{
+    const char *next = nullptr; ///< the next line to fetch
+    const char *end = nullptr;  ///< one past the last
+    size_t step = 0;            ///< bytes to fetch per k step
+
+    /**
+     * The rows of block @p blk + 1 of @p g, spread over the @p ksteps
+     * k steps of block @p blk's tile chains; nothing past the last row.
+     */
+    XPrefetch(const AmxGemm &g, uint64_t blk, index_t ksteps)
+    {
+        const index_t r1 = (static_cast<index_t>(blk) + 1) * kBlockRows;
+        const index_t rows = std::min(kBlockRows, g.x->rows() - r1);
+        if (rows <= 0)
+            return;
+        // Rows are padded to whole cache lines.
+        next = reinterpret_cast<const char *>(g.x->row(r1));
+        end = next + static_cast<size_t>(rows) *
+                         static_cast<size_t>(g.x->padded_cols()) *
+                         sizeof(value_t);
+        const auto lines = static_cast<size_t>(end - next) / kRowAlignBytes;
+        const auto k = static_cast<size_t>(ksteps);
+        step = (lines + k - 1) / k * kRowAlignBytes;
+    }
+
+    /** One k step's share of the lines. */
+    void fetch()
+    {
+        const char *stop = next + std::min<size_t>(step, end - next);
+        for (; next < stop; next += kRowAlignBytes)
+            _mm_prefetch(next, _MM_HINT_T1);
+    }
+};
+
+/**
  * The 32 x 16*kCTiles outputs at column j0 of the block in @p xa, as
- * fp32 into @p cbuf (32 rows of 32 floats).
+ * fp32 into @p cbuf (32 rows of 32 floats), fetching one share of @p pf
+ * per k step.
  */
 template <int kCTiles>
 void
-tile_block(const AmxGemm &g, const bf16_t *xa, index_t j0, float *cbuf)
+tile_block(const AmxGemm &g, const bf16_t *xa, index_t j0, float *cbuf,
+           XPrefetch &pf)
 {
     const long lda = static_cast<long>(g.depth * sizeof(bf16_t));
     const index_t ctiles = g.width / kTileRows;
@@ -371,6 +414,7 @@ tile_block(const AmxGemm &g, const bf16_t *xa, index_t j0, float *cbuf)
             _tile_dpbf16ps(1, 4, 7);
             _tile_dpbf16ps(3, 5, 7);
         }
+        pf.fetch();
     }
     constexpr long ldc = kBlockRows * sizeof(float);
     _tile_stored(0, cbuf, ldc);
@@ -432,17 +476,22 @@ amx_blocks(const AmxGemm &g, uint64_t begin, uint64_t end)
     const TileConfig cfg;
     tile_memory_fence();
     _tile_loadconfig(&cfg);
+    // k steps of one block: a chain of depth / 32 per 32-column pair
+    // and per 16-column remainder.
+    const index_t ksteps = (g.width + 2 * kTileRows - 1) /
+                           (2 * kTileRows) * (g.depth / kTileDepth);
     for (uint64_t blk = begin; blk < end; ++blk) {
         const auto r0 = static_cast<index_t>(blk) * kBlockRows;
         const index_t rows = std::min(kBlockRows, g.x->rows() - r0);
         load_x_block(g, r0, xa.data());
+        XPrefetch pf(g, blk, ksteps);
         index_t j = 0;
         for (; j + 2 * kTileRows <= g.width; j += 2 * kTileRows) {
-            tile_block<2>(g, xa.data(), j, cbuf);
+            tile_block<2>(g, xa.data(), j, cbuf, pf);
             store_block<2>(g, cbuf, r0, rows, j);
         }
         if (j < g.width) {
-            tile_block<1>(g, xa.data(), j, cbuf);
+            tile_block<1>(g, xa.data(), j, cbuf, pf);
             store_block<1>(g, cbuf, r0, rows, j);
         }
     }
@@ -1084,7 +1133,7 @@ gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
     auto buf = std::make_shared<DenseMatrix>();
     return [&x, &w, &pool, buf](index_t col0, index_t width) {
         if (buf->rows() != x.rows() || buf->cols() < width)
-            *buf = DenseMatrix(x.rows(), width);
+            *buf = DenseMatrix::for_overwrite(x.rows(), width);
         dense_gemm_panel(x, w, col0, width, *buf, pool);
         // fresh: the buffer was just rewritten for this panel, so a
         // quantizing plan must re-encode it (panel columns only).
@@ -1109,7 +1158,7 @@ gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
             return PanelSource{&buf, 0};
         }
         if (!buf.has_f32() || buf.rows() != x.rows() || buf.cols() < width)
-            buf = DenseMatrix(x.rows(), width);
+            buf = DenseMatrix::for_overwrite(x.rows(), width);
         dense_gemm_panel(x, w, col0, width, buf, pool);
         return PanelSource{&buf, 0, &buf, Freshness::kPanel};
     };

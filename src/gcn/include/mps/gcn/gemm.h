@@ -233,8 +233,9 @@ PanelSourceFn gemm_panel_source(const DenseMatrix &x, const DenseMatrix &w,
  * Same, but computing into @p buf owned by the caller — typically a
  * plan's gemm_scratch(), so a cached FusedLayerPlan reuses one buffer
  * across every forward instead of allocating per call. @p buf is
- * (re)sized on first use; the callable additionally must not outlive
- * @p buf.
+ * (re)allocated on first use, without a zero-fill: the product stores
+ * every element the plan reads. The callable additionally must not
+ * outlive @p buf.
  *
  * @p precision is the precision of the plan the source feeds. Under
  * kBf16, a panel that amx_gemm_fits() runs amx_gemm_panel() into a
@@ -271,8 +272,10 @@ bool amx_gemm_fits(index_t depth, index_t width);
  * on the block or thread that computes it, so the result is the same
  * on any pool size. @p panel must have bf16 rows (storage() == kBf16)
  * of at least x.rows() x width; its f32 rows, if any, are not touched.
- * Returns false, writing nothing, when !amx_gemm_enabled() or the
- * shape does not amx_gemm_fits().
+ * Every element of rows [0, x.rows()) x [0, width) is stored, so the
+ * panel may come unwritten from DenseMatrix::bf16_panel(). Returns
+ * false, writing nothing, when !amx_gemm_enabled() or the shape does
+ * not amx_gemm_fits().
  */
 bool amx_gemm_panel(const DenseMatrix &x, const DenseMatrix &w,
                     index_t w_col0, index_t width, DenseMatrix &panel,

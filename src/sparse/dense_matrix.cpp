@@ -25,8 +25,11 @@ DenseMatrix::bf16_panel(index_t rows, index_t cols)
     m.cols_ = cols;
     m.stride_ = padded_row_length(cols);
     m.mode_ = StorageMode::kBf16;
-    m.qb16_.assign(static_cast<size_t>(rows) * static_cast<size_t>(m.stride_),
-                   0);
+    m.qb16_.resize(static_cast<size_t>(rows) * static_cast<size_t>(m.stride_));
+    if (m.stride_ > cols)
+        for (index_t r = 0; r < rows; ++r)
+            std::fill(m.row_bf16_mut(r) + cols, m.row_bf16_mut(r) + m.stride_,
+                      bf16_t{0});
     return m;
 }
 

@@ -172,8 +172,13 @@ struct OverwriteAllocator : AlignedAllocator<T>
  */
 using OverwritableVector = std::vector<value_t, OverwriteAllocator<value_t>>;
 
-/** Cache-line-aligned vector of bf16 storage (see mps/sparse/quant.h). */
-using AlignedVectorB16 = std::vector<bf16_t, AlignedAllocator<bf16_t>>;
+/**
+ * Cache-line-aligned vector of bf16 storage (see mps/sparse/quant.h).
+ * Every user stores each element before reading it, so it is resizable
+ * without a zero-fill (DenseMatrix::bf16_panel); constructing or
+ * assigning from a value still writes it.
+ */
+using AlignedVectorB16 = std::vector<bf16_t, OverwriteAllocator<bf16_t>>;
 
 } // namespace mps
 

@@ -48,9 +48,12 @@ class DenseMatrix
     DenseMatrix(index_t rows, index_t cols);
 
     /**
-     * rows x cols of zeroed bf16 rows (storage() == kBf16) and no fp32
-     * rows: row(), data() and element access must not be used, and
-     * quantize()/set_storage() refuse it.
+     * rows x cols of bf16 rows (storage() == kBf16) and no fp32 rows,
+     * for a producer that stores every element before anything reads
+     * it: allocated, not zero-filled. The elements are unspecified
+     * until written; only the row padding is zeroed, as in
+     * for_overwrite(). row(), data() and element access must not be
+     * used, and quantize()/set_storage() refuse it.
      */
     static DenseMatrix bf16_panel(index_t rows, index_t cols);
 

@@ -453,6 +453,61 @@ TEST(AmxGemm, BitIdenticalAcrossPools)
     }
 }
 
+/** A bf16 NaN: no product of finite inputs stores this pattern. */
+constexpr bf16_t kUnwritten = 0x7FC1;
+
+/** Every element of @p m's rows [0, rows) x [0, width) reads @p v. */
+void
+fill_bf16(DenseMatrix &m, index_t rows, index_t width, bf16_t v)
+{
+    for (index_t r = 0; r < rows; ++r)
+        std::fill(m.row_bf16_mut(r), m.row_bf16_mut(r) + width, v);
+}
+
+/** How many of rows [0, rows) x [0, width) of @p m are bf16 NaNs. */
+index_t
+count_bf16_nans(const DenseMatrix &m, index_t rows, index_t width)
+{
+    index_t nans = 0;
+    for (index_t r = 0; r < rows; ++r)
+        for (index_t j = 0; j < width; ++j)
+            nans += std::isnan(bf16_decode(m.row_bf16(r)[j])) ? 1 : 0;
+    return nans;
+}
+
+/**
+ * The tile product stores every element of [0, n) x [0, width): a panel
+ * that starts out NaN everywhere holds none afterwards. bf16_panel()
+ * does not zero-fill, so a block or a column pair that were skipped
+ * would show here rather than read as zero. n covers a lone row, a
+ * partial first block, a partial last block, ten one-block task ranges
+ * and 94 blocks, whose ranges of several blocks end while the next
+ * block's X is being fetched; width 48 takes a 32-column pair and the
+ * 16-column remainder.
+ */
+TEST(AmxGemm, WritesEveryPanelElement)
+{
+    if (!amx_gemm_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    const index_t depth = 128;
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        WorkStealPool pool(workers);
+        for (const index_t n : {1, 31, 33, 301, 3001})
+            for (const index_t width : {48, 128}) {
+                const std::string what =
+                    std::to_string(workers) + " workers, n=" +
+                    std::to_string(n) + " width=" + std::to_string(width);
+                const DenseMatrix x = random_dense(n, depth, 91 + n);
+                const DenseMatrix w = random_dense(depth, width, 92);
+                DenseMatrix panel = DenseMatrix::bf16_panel(n, width);
+                fill_bf16(panel, n, width, kUnwritten);
+                ASSERT_TRUE(amx_gemm_panel(x, w, 0, width, panel, pool))
+                    << what;
+                EXPECT_EQ(count_bf16_nans(panel, n, width), 0) << what;
+            }
+    }
+}
+
 /**
  * Under ForceGemmFallback the bf16 source is the f32 product plus the
  * plan's encode, bit for bit — also into a buffer the tile product
@@ -602,6 +657,81 @@ TEST(AmxRankUpdate, MatchesVectorTileWithinBound)
                             << what << ": NaN and -0.0 enter as +0";
                 }
             }
+}
+
+/**
+ * A graph whose rows 0, 5, 10, ... have no non-zeros and whose row 1 is
+ * a hub over a third of the columns, so merge-path splits it across
+ * executors; the other rows hold four columns each.
+ */
+CsrMatrix
+graph_with_empty_rows(index_t n)
+{
+    std::vector<index_t> row_ptr{0}, cols;
+    Pcg32 rng(97);
+    for (index_t r = 0; r < n; ++r) {
+        const index_t deg = r % 5 == 0 ? 0 : r == 1 ? n / 3 : 4;
+        std::vector<index_t> row;
+        for (index_t k = 0; k < deg; ++k)
+            row.push_back(r == 1 ? 3 * k
+                                 : static_cast<index_t>(rng.next_below(
+                                       static_cast<uint32_t>(n))));
+        std::sort(row.begin(), row.end());
+        row.erase(std::unique(row.begin(), row.end()), row.end());
+        cols.insert(cols.end(), row.begin(), row.end());
+        row_ptr.push_back(static_cast<index_t>(cols.size()));
+    }
+    std::vector<value_t> vals(cols.size(), 1.0f);
+    CsrMatrix a(n, n, std::move(row_ptr), std::move(cols), std::move(vals));
+    a.normalize_gcn();
+    return a;
+}
+
+/**
+ * The streamed bf16 layer 0 as a model runs it — its XW panel from the
+ * tile product, its handoff from the tile rank update — stores every
+ * element the next layer reads, empty rows included: with both the
+ * panel and the handoff NaN everywhere at the start, the handoff holds
+ * no NaN afterwards and its padding lanes are zero (9 outputs: lanes
+ * 9-15 pad each row). On pools of 1, 2 and 4.
+ */
+TEST(AmxRankUpdate, StreamedSweepWritesEveryHandoffElement)
+{
+    if (!amx_rank_update_enabled() || !amx_gemm_enabled())
+        GTEST_SKIP() << "this host grants no AMX tiles";
+    const index_t n = 301, f = 64, hidden = 64, classes = 9;
+    const CsrMatrix a = graph_with_empty_rows(n);
+    const DenseMatrix x = random_dense(n, f, 98);
+    const DenseMatrix w1 = random_dense(f, hidden, 99);
+    const DenseMatrix w2 = random_dense(hidden, classes, 100);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        const std::string what = std::to_string(workers) + " workers";
+        WorkStealPool pool(workers);
+        const MergePathSchedule sched =
+            MergePathSchedule::build(a, 4 * workers);
+        FusedLayerPlan plan(a, hidden, borrow_schedule(sched),
+                            SpmmLocality{});
+        plan.set_precision(StorageMode::kBf16);
+        DenseMatrix xw = DenseMatrix::bf16_panel(n, hidden);
+        fill_bf16(xw, n, hidden, kUnwritten);
+        DenseMatrix handoff = DenseMatrix::bf16_panel(n, classes);
+        fill_bf16(handoff, n, classes, kUnwritten);
+        const RankUpdateEpilogue rank =
+            make_rank_update_epilogue(Activation::kRelu, w2, handoff);
+        plan.run_streaming(
+            gemm_panel_source(x, w1, pool, xw, StorageMode::kBf16), {}, pool,
+            &RankUpdateEpilogue::apply, &rank);
+        ASSERT_FALSE(xw.has_f32()) << what << ": the tile product ran";
+        EXPECT_EQ(count_bf16_nans(xw, n, hidden), 0) << what;
+        EXPECT_EQ(count_bf16_nans(handoff, n, classes), 0) << what;
+        for (index_t r = 0; r < n; ++r)
+            for (index_t j = classes; j < handoff.padded_cols(); ++j)
+                ASSERT_EQ(handoff.row_bf16(r)[j], 0)
+                    << what << " padding lane " << j << " of row " << r;
+        for (index_t j = 0; j < classes; ++j)
+            EXPECT_EQ(handoff.row_bf16(5)[j], 0)
+                << what << ": an empty row rank-updates to zero";
+    }
 }
 
 /**

@@ -1,7 +1,9 @@
 /** Tests for matrix containers, conversions and file IO. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "mps/sparse/aligned_buffer.h"
@@ -41,10 +43,18 @@ TEST(DenseMatrix, ConstructionAndAccess)
 /**
  * for_overwrite() leaves the elements to their producer but zeroes the
  * row padding (width 9: 7 padding lanes per row), so every lane a
- * row-wise kernel may read is defined.
+ * row-wise kernel may read is defined. A 64-row matrix (4 KiB, too
+ * large for glibc's per-thread cache) is dirtied and freed first, so
+ * the small matrix under test is likely carved from its bytes rather
+ * than from fresh zero pages.
  */
 TEST(DenseMatrix, ForOverwriteZeroesRowPadding)
 {
+    {
+        DenseMatrix dirty = DenseMatrix::for_overwrite(64, 9);
+        std::fill(dirty.data(), dirty.data() + 64 * dirty.padded_cols(),
+                  -1.0f);
+    }
     DenseMatrix m = DenseMatrix::for_overwrite(5, 9);
     EXPECT_EQ(m.rows(), 5);
     EXPECT_EQ(m.cols(), 9);
@@ -60,6 +70,41 @@ TEST(DenseMatrix, ForOverwriteZeroesRowPadding)
     EXPECT_EQ(m(4, 8), 44.0f);
     const DenseMatrix copy = m;
     EXPECT_EQ(copy.max_abs_diff(m), 0.0);
+}
+
+/**
+ * bf16_panel() leaves the elements to their producer, as
+ * for_overwrite() does, but zeroes the row padding (width 9: lanes 9-15
+ * of each row read 0), so a gather of whole 16-lane rows reads no
+ * undefined lane. A 64-row panel (2 KiB, too large for glibc's
+ * per-thread cache) is dirtied and freed first, so the small panel under
+ * test is likely carved from its bytes rather than from fresh zero pages.
+ */
+TEST(DenseMatrix, Bf16PanelZeroesRowPadding)
+{
+    {
+        DenseMatrix dirty = DenseMatrix::bf16_panel(64, 9);
+        std::fill(dirty.row_bf16_mut(0),
+                  dirty.row_bf16_mut(0) + 64 * dirty.padded_cols(),
+                  bf16_t{0xFFFF});
+    }
+    DenseMatrix m = DenseMatrix::bf16_panel(5, 9);
+    EXPECT_EQ(m.rows(), 5);
+    EXPECT_EQ(m.cols(), 9);
+    ASSERT_EQ(m.padded_cols(), 16);
+    EXPECT_FALSE(m.has_f32());
+    EXPECT_EQ(m.storage(), StorageMode::kBf16);
+    for (index_t r = 0; r < m.rows(); ++r) {
+        for (index_t c = m.cols(); c < m.padded_cols(); ++c)
+            EXPECT_EQ(m.row_bf16(r)[c], 0) << "(" << r << ", " << c << ")";
+        for (index_t c = 0; c < m.cols(); ++c)
+            m.row_bf16_mut(r)[c] = bf16_encode(static_cast<value_t>(c));
+    }
+    EXPECT_EQ(bf16_decode(m.row_bf16(4)[8]), 8.0f);
+    const DenseMatrix copy = m;
+    EXPECT_EQ(std::memcmp(copy.row_bf16(4), m.row_bf16(4),
+                          16 * sizeof(bf16_t)),
+              0);
 }
 
 /**

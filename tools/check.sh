@@ -32,6 +32,9 @@
 # scalar, AVX2, narrow-tile and no-hybrid stages too: the scalar build
 # has no share loop, so there every complete row is counted as a
 # fallback row, and the AVX2 build runs the 8-lane one.
+# The TSan stage also runs the AMX tile GEMM tests (AmxGemm), so the
+# per-thread X buffers of its pipelined blocks, and the prefetch of each
+# task's next block, run under the race detector.
 # A repeat stage reruns the determinism-sensitive release tests (fuzz
 # bit-identity, pool-size determinism, pool stress) and the serve
 # dispatch tests (batcher policy, server lifecycle, idle-worker
@@ -113,7 +116,7 @@ cmake --build "$root/build-tsan" -j "$jobs" --target \
     mps_gcn_test mps_sparse_test mps_share_loop_test fusion
 echo "==> ctest build-tsan"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxRank|Bf16Handoff|LargeBlocks|ShareLoop' \
+    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxGemm|AmxRank|Bf16Handoff|LargeBlocks|ShareLoop' \
     "$@")
 
 echo "==> fusion: panel-streaming smoke under TSan"
