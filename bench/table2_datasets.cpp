@@ -5,11 +5,10 @@
  * degree numbers are matched exactly (nodes, nnz, max degree) or to
  * rounding (average degree).
  *
- * --hybrid adds a measured row per graph: HybridSpmm vs the pre-hybrid
- * AdaptiveSpmm baseline and vs pure merge-path at the acceptance
- * dimension (d=128 by default), plus the dense-band fraction the
- * classifier found. --json=<path> writes the same rows as one JSON
- * document so the speedup claim is reproducible from a single file.
+ * --precision adds a measured row per graph: f32 vs bf16 merge-path
+ * SpMM and 2-layer GCN at --dim (d=128 by default), with accuracy
+ * against an fp64 reference. --json=<path> writes the same rows as one
+ * JSON document.
  */
 #include <algorithm>
 #include <cmath>
@@ -18,9 +17,6 @@
 #include <thread>
 
 #include "common.h"
-#include "mps/core/hybrid.h"
-#include "mps/kernels/adaptive.h"
-#include "mps/kernels/hybrid_kernel.h"
 #include "mps/kernels/mergepath_kernel.h"
 #include "mps/gcn/model.h"
 #include "mps/sparse/degree_stats.h"
@@ -47,54 +43,6 @@ best_of_reps(int reps, const Fn &run)
         best = std::min(best, timer.elapsed_ms());
     }
     return best;
-}
-
-struct HybridRow
-{
-    std::string name;
-    double dense_fraction = 0.0;
-    int64_t bands = 0;
-    double adaptive_ms = 0.0;
-    double mergepath_ms = 0.0;
-    double hybrid_ms = 0.0;
-    double vs_adaptive = 0.0;
-    double vs_mergepath = 0.0;
-};
-
-HybridRow
-bench_hybrid(const DatasetSpec &spec, index_t dim, int reps,
-             WorkStealPool &pool)
-{
-    CsrMatrix a = make_dataset(spec);
-    DenseMatrix b(a.cols(), dim);
-    Pcg32 rng(7);
-    b.fill_random(rng);
-    DenseMatrix c(a.rows(), dim);
-
-    // The pre-PR baseline: adaptive selection without the hybrid
-    // strategy reachable (what AdaptiveSpmm shipped before this
-    // change), so the speedup is against the previous best pick.
-    AdaptiveSpmm adaptive(0.7, /*enable_hybrid=*/false);
-    adaptive.prepare(a, dim);
-    MergePathSpmm mergepath;
-    mergepath.prepare(a, dim);
-    HybridSpmm hybrid;
-    hybrid.prepare(a, dim);
-
-    HybridRow row;
-    row.name = spec.name;
-    row.dense_fraction = hybrid.schedule().dense_fraction();
-    row.bands =
-        static_cast<int64_t>(hybrid.schedule().partition().bands.size());
-    row.adaptive_ms =
-        best_of_reps(reps, [&] { adaptive.run(a, b, c, pool); });
-    row.mergepath_ms =
-        best_of_reps(reps, [&] { mergepath.run(a, b, c, pool); });
-    row.hybrid_ms =
-        best_of_reps(reps, [&] { hybrid.run(a, b, c, pool); });
-    row.vs_adaptive = row.adaptive_ms / row.hybrid_ms;
-    row.vs_mergepath = row.mergepath_ms / row.hybrid_ms;
-    return row;
 }
 
 /** Mixed-precision timing + accuracy of one graph at dimension d. */
@@ -215,15 +163,13 @@ main(int argc, char **argv)
     FlagParser flags("Table II: evaluation graphs (generated vs published)");
     flags.add_string("graphs", "all", "graph selector");
     flags.add_bool("csv", false, "emit CSV instead of aligned text");
-    flags.add_bool("hybrid", false,
-                   "measure HybridSpmm vs adaptive/merge-path per graph");
     flags.add_bool("precision", false,
                    "measure f32/bf16 mergepath + 2-layer GCN with "
                    "accuracy vs an fp64 reference");
-    flags.add_int("dim", 128, "dense dimension for --hybrid");
-    flags.add_int("reps", 5, "timing repetitions for --hybrid");
-    flags.add_int("threads", 0, "pool threads for --hybrid (0 = hw)");
-    flags.add_string("json", "", "write --hybrid rows to this JSON file");
+    flags.add_int("dim", 128, "dense dimension for --precision");
+    flags.add_int("reps", 5, "timing repetitions for --precision");
+    flags.add_int("threads", 0, "pool threads for --precision (0 = hw)");
+    flags.add_string("json", "", "write --precision rows to this JSON file");
     flags.parse(argc, argv);
 
     auto specs = bench::select_graphs(flags.get_string("graphs"));
@@ -249,72 +195,6 @@ main(int argc, char **argv)
     table.print(flags.get_bool("csv"));
     std::printf("\n%d/%zu graphs match the published Table II numbers.\n",
                 static_cast<int>(specs.size()) - mismatches, specs.size());
-
-    if (flags.get_bool("hybrid")) {
-        const index_t dim = static_cast<index_t>(flags.get_int("dim"));
-        const int reps = static_cast<int>(flags.get_int("reps"));
-        unsigned threads =
-            static_cast<unsigned>(flags.get_int("threads"));
-        if (threads == 0)
-            threads =
-                std::max(1u, std::thread::hardware_concurrency());
-        WorkStealPool pool(threads);
-
-        Table ht({"graph", "dense_frac", "bands", "adaptive_ms",
-                  "mergepath_ms", "hybrid_ms", "vs_adaptive",
-                  "vs_mergepath"});
-        std::vector<HybridRow> rows;
-        int wins = 0;
-        for (const auto &spec : specs) {
-            HybridRow row = bench_hybrid(spec, dim, reps, pool);
-            wins += row.vs_adaptive >= 1.2;
-            ht.new_row();
-            ht.add(row.name);
-            ht.add(row.dense_fraction, 3);
-            ht.add_int(row.bands);
-            ht.add(row.adaptive_ms, 3);
-            ht.add(row.mergepath_ms, 3);
-            ht.add(row.hybrid_ms, 3);
-            ht.add(row.vs_adaptive, 2);
-            ht.add(row.vs_mergepath, 2);
-            rows.push_back(std::move(row));
-        }
-        std::printf("\nHybridSpmm vs AdaptiveSpmm (no-hybrid baseline) "
-                    "and pure merge-path, d=%lld, best of %d:\n",
-                    static_cast<long long>(dim), reps);
-        ht.print(flags.get_bool("csv"));
-        std::printf("\n%d/%zu graphs at >= 1.2x over the adaptive "
-                    "baseline.\n",
-                    wins, rows.size());
-
-        const std::string json_path = flags.get_string("json");
-        if (!json_path.empty()) {
-            JsonWriter w;
-            w.begin_object();
-            w.key("dim").value(static_cast<int64_t>(dim));
-            w.key("reps").value(reps);
-            w.key("threads").value(static_cast<int64_t>(threads));
-            w.key("hybrid_enabled").value(hybrid_enabled());
-            w.key("graphs").begin_array();
-            for (const auto &row : rows) {
-                w.begin_object();
-                w.key("graph").value(row.name);
-                w.key("dense_fraction").value(row.dense_fraction);
-                w.key("bands").value(row.bands);
-                w.key("adaptive_ms").value(row.adaptive_ms);
-                w.key("mergepath_ms").value(row.mergepath_ms);
-                w.key("hybrid_ms").value(row.hybrid_ms);
-                w.key("speedup_vs_adaptive").value(row.vs_adaptive);
-                w.key("speedup_vs_mergepath").value(row.vs_mergepath);
-                w.end_object();
-            }
-            w.end_array();
-            w.end_object();
-            std::ofstream out(json_path);
-            out << w.str() << "\n";
-            std::printf("wrote %s\n", json_path.c_str());
-        }
-    }
 
     if (flags.get_bool("precision")) {
         const index_t dim = static_cast<index_t>(flags.get_int("dim"));
@@ -355,7 +235,7 @@ main(int argc, char **argv)
                     gcn_wins, rows.size());
 
         const std::string json_path = flags.get_string("json");
-        if (!json_path.empty() && !flags.get_bool("hybrid")) {
+        if (!json_path.empty()) {
             JsonWriter w;
             w.begin_object();
             w.key("dim").value(static_cast<int64_t>(dim));

@@ -151,7 +151,7 @@ struct RegisterRows
 template <class Gather, bool kStreamed>
 void
 share_loop(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
-           const index_t *row_map, index_t t, SweepCount *count)
+           index_t t, SweepCount *count)
 {
     const Gather gather(p, m);
     EpilogueBatch batch(p, count);
@@ -161,16 +161,15 @@ share_loop(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
             gather(p.carries.slot(t), begin, end);
             return;
         }
-        const index_t id = row_map != nullptr ? row_map[row] : row;
         value_t *dst;
         if constexpr (kStreamed)
-            dst = partial ? p.carries.head(split_index(*p.split, id))
+            dst = partial ? p.carries.head(split_index(*p.split, row))
                           : batch.stage();
         else
-            dst = p.out_row(id);
+            dst = p.out_row(row);
         gather(dst, begin, end);
         if (!partial)
-            batch.add(dst, id);
+            batch.add(dst, row);
     };
 
     if (w.has_head())
@@ -179,14 +178,13 @@ share_loop(const PanelSweep &p, const CsrMatrix &m, const ResolvedWork &w,
     // through part, which the compiler keeps out of line.
     for (index_t row = w.first_complete_row; row < w.last_complete_row;
          ++row) {
-        const index_t id = row_map != nullptr ? row_map[row] : row;
         value_t *dst;
         if constexpr (kStreamed)
             dst = batch.stage();
         else
-            dst = p.out_row(id);
+            dst = p.out_row(row);
         gather(dst, m.row_begin(row), m.row_end(row));
-        batch.add(dst, id);
+        batch.add(dst, row);
     }
     if (w.has_tail())
         part(w.tail_row, w.tail_begin, w.tail_end, w.tail_atomic);
@@ -264,11 +262,11 @@ make_panel_sweep(const DenseMatrix &b, index_t b_col, DenseMatrix *c,
 
 void
 run_share(const PanelSweep &p, const CsrMatrix &m,
-          const MergePathSchedule &sched, const index_t *row_map,
-          index_t t, WriteCensus *census, SweepCount *count)
+          const MergePathSchedule &sched, index_t t, WriteCensus *census,
+          SweepCount *count)
 {
     const ResolvedWork w = sched.resolve(t, m);
-    p.loop(p, m, w, row_map, t, count);
+    p.loop(p, m, w, t, count);
 
     if (census == nullptr)
         return;
@@ -285,16 +283,6 @@ run_share(const PanelSweep &p, const CsrMatrix &m,
         (w.tail_atomic ? census->atomics : census->plains) += 1;
         census->nnz += w.tail_end - w.tail_begin;
     }
-}
-
-void
-run_rows(const PanelSweep &p, const CsrMatrix &m, index_t first,
-         index_t last, SweepCount *count)
-{
-    ResolvedWork w;
-    w.first_complete_row = first;
-    w.last_complete_row = last;
-    p.loop(p, m, w, nullptr, 0, count);
 }
 
 void

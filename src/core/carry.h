@@ -1,9 +1,8 @@
 /**
  * @file
- * What the merge-path sweep and the hybrid sweep share (internal to
- * mps_core): the share loop, which runs the thread share of Algorithm 2
- * and the hybrid dense chunks, the epilogue batch and the split-row
- * carry fix-up.
+ * The merge-path sweep's share machinery (internal to mps_core): the
+ * share loop, which runs the thread share of Algorithm 2, the epilogue
+ * batch and the split-row carry fix-up.
  *
  * A row split across schedule threads gets one partial sum per
  * contributing thread. Instead of committing each with a float atomic,
@@ -105,8 +104,8 @@ struct SweepCount;
  * non-zero, counted in SweepCount::fallback_rows.
  */
 using ShareLoop = void (*)(const PanelSweep &p, const CsrMatrix &m,
-                           const ResolvedWork &w, const index_t *row_map,
-                           index_t t, SweepCount *count);
+                           const ResolvedWork &w, index_t t,
+                           SweepCount *count);
 
 /**
  * One panel sweep of the gather/commit datapath, shared by every
@@ -271,23 +270,12 @@ class EpilogueBatch
  * part gathered in registers and put where @p p says (see PanelSweep),
  * its finished rows handed to the epilogue in batches, the last one
  * flushed before returning. A head that continues a split row goes to
- * carry slot t for the fix-up. @p row_map (nullptr = identity) maps
- * m's rows to the executed matrix's, whose ids the split list, the
- * output and the epilogue see: the hybrid tail sweeps a compacted
- * copy of its rows. @p census and @p count (each may be null) receive
- * the write and the sweep census.
+ * carry slot t for the fix-up. @p census and @p count (each may be
+ * null) receive the write and the sweep census.
  */
 void run_share(const PanelSweep &p, const CsrMatrix &m,
-               const MergePathSchedule &sched, const index_t *row_map,
-               index_t t, WriteCensus *census, SweepCount *count);
-
-/**
- * Gather rows [first, last) of @p m, each complete and owned by the
- * caller, with the sweep's share loop: the hybrid dense chunks. Census
- * into @p count (may be null).
- */
-void run_rows(const PanelSweep &p, const CsrMatrix &m, index_t first,
-              index_t last, SweepCount *count);
+               const MergePathSchedule &sched, index_t t,
+               WriteCensus *census, SweepCount *count);
 
 /**
  * The fix-up pass: for every split row of @p p, add its carries onto

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "mps/core/hybrid.h"
 #include "mps/core/precision.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
@@ -91,19 +90,6 @@ FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
     split_ = sched_->split_row_list(a);
 }
 
-FusedLayerPlan::FusedLayerPlan(const CsrMatrix &a, index_t dim,
-                               std::shared_ptr<const HybridSchedule> hybrid,
-                               SpmmLocality loc)
-    : a_(&a), dim_(dim), hybrid_(std::move(hybrid)), loc_(loc)
-{
-    MPS_CHECK(hybrid_ != nullptr, "fused plan needs a schedule");
-    MPS_CHECK(dim_ > 0, "fused plan needs a positive dimension");
-    derive_tiles();
-    // Only tail rows can be split across executors; dense-band rows
-    // are owned by exactly one dense chunk and epilogue inline.
-    split_ = hybrid_->split_row_list(a);
-}
-
 void
 FusedLayerPlan::quantize_source(const PanelSource &src, index_t col,
                                 index_t width, WorkStealPool &pool)
@@ -143,15 +129,9 @@ FusedLayerPlan::sweep_panel(const PanelSource &src, DenseMatrix *c,
                             PanelEpilogue epi, const void *epi_ctx,
                             bool count_census)
 {
-    if (hybrid_ != nullptr) {
-        hybrid_spmm_panel(*a_, *hybrid_, split_, *src.b, src.col_begin,
-                          c, c_col0, width, pool, loc, epi, epi_ctx,
-                          count_census);
-    } else {
-        mergepath_spmm_panel(*a_, *src.b, src.col_begin, c, c_col0,
-                             width, *sched_, split_, pool, loc, epi,
-                             epi_ctx, count_census);
-    }
+    mergepath_spmm_panel(*a_, *src.b, src.col_begin, c, c_col0, width,
+                         *sched_, split_, pool, loc, epi, epi_ctx,
+                         count_census);
 }
 
 void

@@ -57,7 +57,6 @@
 
 namespace mps {
 
-class HybridSchedule;
 class WorkStealPool;
 
 /**
@@ -162,18 +161,6 @@ class FusedLayerPlan
                    std::shared_ptr<const MergePathSchedule> sched,
                    SpmmLocality loc);
 
-    /**
-     * Hybrid-dispatch plan: every panel sweep routes through
-     * hybrid_spmm_panel() (dense-band row-GEMM + merge-path tail, see
-     * mps/core/hybrid.h) instead of the plain merge path. The split
-     * rows are the tail schedule's, mapped back to base row ids;
-     * dense-band rows are always epilogued inline since exactly one
-     * executor owns them.
-     */
-    FusedLayerPlan(const CsrMatrix &a, index_t dim,
-                   std::shared_ptr<const HybridSchedule> hybrid,
-                   SpmmLocality loc);
-
     index_t dim() const { return dim_; }
     /**
      * Resolved STREAMING panel width (== dim when running one
@@ -194,12 +181,7 @@ class FusedLayerPlan
      */
     index_t run_tile() const { return run_tile_; }
     const CsrMatrix &matrix() const { return *a_; }
-    /** Merge-path schedule; only valid when !uses_hybrid(). */
     const MergePathSchedule &schedule() const { return *sched_; }
-    /** True when panels route through hybrid_spmm_panel(). */
-    bool uses_hybrid() const { return hybrid_ != nullptr; }
-    /** Hybrid schedule (nullptr unless uses_hybrid()). */
-    const HybridSchedule *hybrid() const { return hybrid_.get(); }
     /** Streaming-mode locality (width tile(), its lookahead). */
     const SpmmLocality &locality() const { return loc_; }
     /** run()-mode locality (width run_tile(), its lookahead). */
@@ -302,7 +284,6 @@ class FusedLayerPlan
     index_t tile_;     ///< streaming panel width
     index_t run_tile_; ///< run() panel width (see run_tile())
     std::shared_ptr<const MergePathSchedule> sched_;
-    std::shared_ptr<const HybridSchedule> hybrid_;
     SpmmLocality loc_;     ///< streaming-mode locality
     SpmmLocality run_loc_; ///< run()-mode locality (re-derived prefetch)
     StorageMode precision_ = StorageMode::kF32;
@@ -320,14 +301,6 @@ borrow_schedule(const MergePathSchedule &sched)
 {
     return std::shared_ptr<const MergePathSchedule>(&sched,
                                                     [](const auto *) {});
-}
-
-/** borrow_schedule() analog for a caller-owned hybrid schedule. */
-inline std::shared_ptr<const HybridSchedule>
-borrow_hybrid_schedule(const HybridSchedule &hs)
-{
-    return std::shared_ptr<const HybridSchedule>(&hs,
-                                                 [](const auto *) {});
 }
 
 } // namespace mps

@@ -194,12 +194,9 @@ class MergePathSchedule
     /**
      * The split-row fix-up list of this schedule over @p a. Partial
      * rows are non-decreasing in thread order, so one walk over the
-     * threads yields the list already grouped by row. @p row_map, when
-     * non-null, translates each row id (the hybrid tail maps compacted
-     * tail rows back to base rows; the map must be increasing).
+     * threads yields the list already grouped by row.
      */
-    SplitRowList split_row_list(const CsrMatrix &a,
-                                const index_t *row_map = nullptr) const;
+    SplitRowList split_row_list(const CsrMatrix &a) const;
 
     /** Compute Figure-5-style write statistics for this schedule. */
     ScheduleCensus census(const CsrMatrix &a) const;

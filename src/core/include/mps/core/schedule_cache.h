@@ -28,6 +28,7 @@
 #ifndef MPS_CORE_SCHEDULE_CACHE_H
 #define MPS_CORE_SCHEDULE_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -39,8 +40,6 @@
 #include "mps/sparse/csr_matrix.h"
 
 namespace mps {
-
-class HybridSchedule;
 
 /**
  * Cheap structural fingerprint of a CSR matrix: mixes shape, nnz and a
@@ -117,30 +116,11 @@ class ScheduleCache
     uint64_t version_with_cost(const CsrMatrix &a, index_t cost,
                                index_t min_threads = 0) const;
 
-    /**
-     * Two-phase hybrid schedule (dense bands + merge-path tail, see
-     * mps/core/hybrid.h) for @p a at merge-path cost @p cost, built on
-     * first use with the env-resolved classification params and shared
-     * read-only afterwards. Hybrid entries live beside the merge-path
-     * ones: same fingerprint keying, same hit/miss counters, same LRU
-     * cap (the total across both kinds is bounded), and
-     * repair_for_update() migrates them through
-     * repair_hybrid_schedule().
-     */
-    std::shared_ptr<const HybridSchedule>
-    get_or_build_hybrid(const CsrMatrix &a, index_t cost,
-                        index_t min_threads = 0);
-
-    /**
-     * Plan version of the cached hybrid entry a get_or_build_hybrid(a,
-     * cost, min_threads) lookup would hit: 1 on first build, +1 per
-     * repair_for_update migration. 0 when not cached.
-     */
-    uint64_t hybrid_version_with_cost(const CsrMatrix &a, index_t cost,
-                                      index_t min_threads = 0) const;
-
-    /** Number of distinct (graph, cost, min_threads) hybrid entries. */
-    size_t hybrid_size() const;
+    /// Always null; goes when bench/e2e/probes.cpp drops it (ROADMAP 1(b)).
+    std::nullptr_t get_or_build_hybrid(const CsrMatrix &, index_t, index_t)
+    {
+        return nullptr;
+    }
 
     /** Number of distinct (graph, threads, cost) entries held. */
     size_t size() const;
@@ -179,15 +159,6 @@ class ScheduleCache
         std::vector<ScheduleCensusPart> census_chunks;
     };
 
-    struct HybridEntry
-    {
-        std::shared_ptr<const HybridSchedule> schedule;
-        index_t cost = 0;
-        index_t min_threads = 0;
-        uint64_t version = 1;
-        uint64_t last_used = 0; ///< LRU tick (shared with Entry)
-    };
-
     static constexpr index_t kCensusChunk = 64;
 
     std::shared_ptr<const MergePathSchedule>
@@ -201,7 +172,6 @@ class ScheduleCache
 
     mutable std::mutex mutex_;
     std::map<Key, Entry> entries_;
-    std::map<Key, HybridEntry> hybrids_;
     size_t max_entries_ = default_schedule_cache_max();
     uint64_t lru_tick_ = 0;
     int64_t hits_ = 0;

@@ -138,8 +138,7 @@ MergePathSchedule::resolve(index_t t, const CsrMatrix &a) const
 }
 
 SplitRowList
-MergePathSchedule::split_row_list(const CsrMatrix &a,
-                                  const index_t *row_map) const
+MergePathSchedule::split_row_list(const CsrMatrix &a) const
 {
     SplitRowList list;
     for (index_t t = 0; t < num_threads(); ++t) {
@@ -148,13 +147,11 @@ MergePathSchedule::split_row_list(const CsrMatrix &a,
         const ResolvedWork w = resolve(t, a);
         if (!w.has_head() || w.head_begin == a.row_begin(w.head_row))
             continue;
-        const index_t row =
-            row_map != nullptr ? row_map[w.head_row] : w.head_row;
-        if (list.rows.empty() || list.rows.back() != row) {
+        if (list.rows.empty() || list.rows.back() != w.head_row) {
             if (!list.rows.empty())
                 list.offsets.push_back(
                     static_cast<index_t>(list.slots.size()));
-            list.rows.push_back(row);
+            list.rows.push_back(w.head_row);
         }
         list.slots.push_back(t);
     }

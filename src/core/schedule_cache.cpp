@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "mps/core/hybrid.h"
 #include "mps/util/log.h"
 #include "mps/util/metrics.h"
 
@@ -102,28 +101,13 @@ void
 ScheduleCache::evict_to_cap_locked()
 {
     MetricsRegistry &metrics = MetricsRegistry::global();
-    // Merge-path and hybrid entries share one LRU budget: the cap
-    // bounds the TOTAL number of schedules held, and the globally
-    // least-recently-used entry goes first regardless of kind.
-    while (entries_.size() + hybrids_.size() > max_entries_) {
+    while (entries_.size() > max_entries_) {
         auto victim = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (victim == entries_.end() ||
-                it->second.last_used < victim->second.last_used)
+            if (it->second.last_used < victim->second.last_used)
                 victim = it;
         }
-        auto hybrid_victim = hybrids_.begin();
-        for (auto it = hybrids_.begin(); it != hybrids_.end(); ++it) {
-            if (hybrid_victim == hybrids_.end() ||
-                it->second.last_used < hybrid_victim->second.last_used)
-                hybrid_victim = it;
-        }
-        if (hybrid_victim != hybrids_.end() &&
-            (victim == entries_.end() ||
-             hybrid_victim->second.last_used < victim->second.last_used))
-            hybrids_.erase(hybrid_victim);
-        else
-            entries_.erase(victim);
+        entries_.erase(victim);
         ++evictions_;
         if (metrics.enabled())
             metrics.counter_add("schedule_cache.evictions");
@@ -238,60 +222,6 @@ ScheduleCache::version_with_cost(const CsrMatrix &a, index_t cost,
     return it == entries_.end() ? 0 : it->second.version;
 }
 
-std::shared_ptr<const HybridSchedule>
-ScheduleCache::get_or_build_hybrid(const CsrMatrix &a, index_t cost,
-                                   index_t min_threads)
-{
-    MPS_CHECK(cost >= 1, "merge-path cost must be >= 1");
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    const Key key{csr_fingerprint(a), cost, min_threads};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = hybrids_.find(key);
-    if (it != hybrids_.end()) {
-        it->second.last_used = ++lru_tick_;
-        ++hits_;
-        if (metrics.enabled())
-            metrics.counter_add("schedule.cache.hits");
-        return it->second.schedule;
-    }
-    // Built under the lock like the merge-path entries: classification
-    // is one structural pass, and serializing first-miss builds keeps
-    // the one-build-per-key invariant.
-    HybridEntry e;
-    e.schedule = std::make_shared<const HybridSchedule>(
-        HybridSchedule::build(a, cost, min_threads));
-    e.cost = cost;
-    e.min_threads = min_threads;
-    e.last_used = ++lru_tick_;
-    auto sched = e.schedule;
-    hybrids_.emplace(key, std::move(e));
-    evict_to_cap_locked();
-    ++misses_;
-    if (metrics.enabled()) {
-        metrics.counter_add("schedule.cache.misses");
-        metrics.gauge_set("schedule.cache.hybrid_size",
-                          static_cast<double>(hybrids_.size()));
-    }
-    return sched;
-}
-
-uint64_t
-ScheduleCache::hybrid_version_with_cost(const CsrMatrix &a, index_t cost,
-                                        index_t min_threads) const
-{
-    const Key key{csr_fingerprint(a), cost, min_threads};
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = hybrids_.find(key);
-    return it == hybrids_.end() ? 0 : it->second.version;
-}
-
-size_t
-ScheduleCache::hybrid_size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hybrids_.size();
-}
-
 size_t
 ScheduleCache::repair_for_update(const CsrMatrix &old_a,
                                  const CsrMatrix &new_a,
@@ -359,40 +289,11 @@ ScheduleCache::repair_for_update(const CsrMatrix &old_a,
         entries_.insert_or_assign(new_key, std::move(e));
     }
 
-    // Hybrid entries migrate the same way, through the hybrid repair
-    // (partition reclassified with the entry's own params, tail
-    // schedule repaired from the first dirty tail row). Their key is
-    // (fingerprint, cost, min_threads), so only the fingerprint moves.
-    std::vector<std::pair<Key, HybridEntry>> hybrid_migrated;
-    for (auto it = hybrids_.begin(); it != hybrids_.end();) {
-        if (std::get<0>(it->first) == old_fp) {
-            hybrid_migrated.emplace_back(it->first,
-                                         std::move(it->second));
-            it = hybrids_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto &[old_key, e] : hybrid_migrated) {
-        e.schedule = std::make_shared<const HybridSchedule>(
-            repair_hybrid_schedule(*e.schedule, old_a, new_a,
-                                   first_dirty_row));
-        ++e.version;
-        e.last_used = ++lru_tick_;
-        hybrids_.insert_or_assign(
-            Key{new_fp, std::get<1>(old_key), std::get<2>(old_key)},
-            std::move(e));
-    }
-
     evict_to_cap_locked();
-    if (metrics.enabled()) {
+    if (metrics.enabled())
         metrics.gauge_set("schedule.cache.size",
                           static_cast<double>(entries_.size()));
-        if (!hybrid_migrated.empty())
-            metrics.gauge_set("schedule.cache.hybrid_size",
-                              static_cast<double>(hybrids_.size()));
-    }
-    return migrated.size() + hybrid_migrated.size();
+    return migrated.size();
 }
 
 size_t
@@ -437,7 +338,6 @@ ScheduleCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    hybrids_.clear();
     hits_ = 0;
     misses_ = 0;
     evictions_ = 0;

@@ -86,7 +86,7 @@ mergepath_spmm_sequential(const CsrMatrix &a, const DenseMatrix &b,
             instrumented && col == 0 ? &census.writes : nullptr;
         SweepCount *sc = instrumented ? &census.sweep : nullptr;
         for (index_t t = 0; t < sched.num_threads(); ++t)
-            run_share(p, a, sched, nullptr, t, cs, sc);
+            run_share(p, a, sched, t, cs, sc);
         apply_carries(p, sc);
         ++sweeps;
     }
@@ -164,7 +164,7 @@ mergepath_spmm_parallel(const CsrMatrix &a, const DenseMatrix &b,
             static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
                 CommitCensus *slot =
                     instrumented ? &census[pool.current_slot()] : nullptr;
-                run_share(p, a, sched, nullptr, static_cast<index_t>(t),
+                run_share(p, a, sched, static_cast<index_t>(t),
                           count ? &slot->writes : nullptr,
                           slot != nullptr ? &slot->sweep : nullptr);
             });
@@ -245,7 +245,7 @@ mergepath_spmm_panel(const CsrMatrix &a, const DenseMatrix &b,
     pool.parallel_for(
         static_cast<uint64_t>(sched.num_threads()), [&](uint64_t t) {
             CommitCensus *cs = slot();
-            run_share(p, a, sched, nullptr, static_cast<index_t>(t),
+            run_share(p, a, sched, static_cast<index_t>(t),
                       count && cs != nullptr ? &cs->writes : nullptr,
                       cs != nullptr ? &cs->sweep : nullptr);
         });

@@ -79,7 +79,7 @@ class GcnLayer
      * @param precision aggregation operand storage: kF32 is the exact
      *        historical execution; kBf16 stores XW reduced-width
      *        for the SpMM gather (fp32 accumulate throughout). Only the
-     *        merge-path/hybrid aggregation honors it — other registry
+     *        merge-path aggregation honors it — other registry
      *        kernels keep reading the f32 master, which stays valid.
      *        An aggregate-first layer gathers @p x itself, which is
      *        const here, at whatever storage it already carries (the

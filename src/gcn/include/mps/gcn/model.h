@@ -52,8 +52,8 @@ struct LayerPlanInfo
     /**
      * Storage the traversal gathers at: the model's precision, except
      * kF32 for an aggregate-first layer 0, which gathers the caller's
-     * const features. (Only the merge-path and hybrid kernels honor a
-     * reduced precision; the others always read f32.)
+     * const features. (Only the merge-path kernel honors a reduced
+     * precision; the others always read f32.)
      */
     StorageMode precision = StorageMode::kF32;
 };

@@ -89,8 +89,8 @@ GcnLayer::forward(const CsrMatrix &a, const DenseMatrix &x,
         return;
     }
     // XW in one full-width panel of the fused path's source. Only the
-    // kernels with a fused plan (merge-path and hybrid) gather at the
-    // operand's storage; for every other one XW keeps its f32 rows.
+    // kernel with a fused plan (merge-path) gathers at the operand's
+    // storage; for every other one XW keeps its f32 rows.
     DenseMatrix xw;
     const StorageMode gemm_precision =
         precision == StorageMode::kBf16 &&

@@ -13,8 +13,8 @@
 
 namespace mps {
 
-AdaptiveSpmm::AdaptiveSpmm(double cv_threshold, bool enable_hybrid)
-    : cv_threshold_(cv_threshold), enable_hybrid_(enable_hybrid)
+AdaptiveSpmm::AdaptiveSpmm(double cv_threshold)
+    : cv_threshold_(cv_threshold)
 {
 }
 
@@ -27,34 +27,20 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
     bool skewed = stats.degree_cv > cv_threshold_ ||
                   (stats.avg_degree > 0.0 &&
                    stats.max_degree > kEvilFactor * stats.avg_degree);
-    const index_t cost = cpu_merge_path_cost(a.rows(), a.nnz(), dim);
     // Once the dense operand spills out of L2 (d wide, many columns),
     // locality beats scheduling: the column-tiled merge-path variant
     // keeps the gather working set panel-resident, which contiguous
     // row-splitting cannot, so it wins even on uniform inputs. Below
     // the tile width the untiled selection stands (and tiling would be
     // a no-op anyway).
-    if (default_spmm_locality(a.cols(), dim).tiled(dim)) {
+    if (default_spmm_locality(a.cols(), dim).tiled(dim))
         strategy_ = AdaptiveStrategy::kMergePathTiled;
-    } else if (skewed && enable_hybrid_ && hybrid_enabled()) {
-        // Skewed graphs are the hybrid dispatch's home turf when the
-        // long/clustered rows carry a real share of the nnz; with only
-        // scattered short rows the classification yields no bands and
-        // the plain merge path is the same thing without the detour.
-        HybridSchedule hs = HybridSchedule::build(a, cost);
-        if (hs.dense_fraction() >= kHybridDenseFractionMin) {
-            strategy_ = AdaptiveStrategy::kHybrid;
-            hybrid_ = std::move(hs);
-        } else {
-            strategy_ = AdaptiveStrategy::kMergePath;
-        }
-    } else {
+    else
         strategy_ = skewed ? AdaptiveStrategy::kMergePath
                            : AdaptiveStrategy::kRowSplit;
-    }
-    if (strategy_ == AdaptiveStrategy::kMergePath ||
-        strategy_ == AdaptiveStrategy::kMergePathTiled)
-        schedule_ = MergePathSchedule::build_with_cost(a, cost);
+    if (strategy_ != AdaptiveStrategy::kRowSplit)
+        schedule_ = MergePathSchedule::build_with_cost(
+            a, cpu_merge_path_cost(a.rows(), a.nnz(), dim));
 
     MetricsRegistry &metrics = MetricsRegistry::global();
     if (metrics.enabled()) {
@@ -62,10 +48,6 @@ AdaptiveSpmm::prepare(const CsrMatrix &a, index_t dim)
                           static_cast<double>(strategy_));
         metrics.gauge_set("adaptive.cv_threshold", cv_threshold_);
         metrics.gauge_set("adaptive.degree_cv", stats.degree_cv);
-        metrics.gauge_set("adaptive.dense_fraction",
-                          strategy_ == AdaptiveStrategy::kHybrid
-                              ? hybrid_.dense_fraction()
-                              : 0.0);
     }
 }
 
@@ -76,10 +58,6 @@ AdaptiveSpmm::run(const CsrMatrix &a, const DenseMatrix &b, DenseMatrix &c,
     MPS_CHECK(b.rows() == a.cols() && c.rows() == a.rows() &&
                   c.cols() == b.cols(),
               "shape mismatch in adaptive SpMM");
-    if (strategy_ == AdaptiveStrategy::kHybrid) {
-        hybrid_spmm_parallel(a, hybrid_, b, c, pool);
-        return;
-    }
     if (strategy_ != AdaptiveStrategy::kRowSplit) {
         // The parallel entry point resolves the process locality
         // defaults itself, so kMergePath and kMergePathTiled share one

@@ -3,7 +3,6 @@
 #include "mps/core/spmm.h"
 #include "mps/kernels/adaptive.h"
 #include "mps/kernels/column_split.h"
-#include "mps/kernels/hybrid_kernel.h"
 #include "mps/kernels/mergepath_kernel.h"
 #include "mps/kernels/mergepath_serial.h"
 #include "mps/kernels/nnz_split.h"
@@ -124,9 +123,8 @@ class InstrumentedSpmmKernel final : public SpmmKernel
 std::vector<std::string>
 spmm_kernel_names()
 {
-    return {"mergepath",        "hybrid",     "gnnadvisor",
-            "row_split",        "column_split", "adaptive",
-            "mergepath_serial", "reference"};
+    return {"mergepath", "gnnadvisor",       "row_split", "column_split",
+            "adaptive",  "mergepath_serial", "reference"};
 }
 
 std::unique_ptr<SpmmKernel>
@@ -142,8 +140,6 @@ make_spmm_kernel(const std::string &name, bool instrument)
     std::unique_ptr<SpmmKernel> kernel;
     if (name == "mergepath")
         kernel = std::make_unique<MergePathSpmm>();
-    else if (name == "hybrid")
-        kernel = std::make_unique<HybridSpmm>();
     else if (name == "gnnadvisor")
         kernel = std::make_unique<NnzSplitSpmm>();
     else if (name == "row_split")

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "mps/core/fusion.h"
-#include "mps/core/hybrid.h"
 #include "mps/core/locality.h"
 #include "mps/core/microkernel.h"
 #include "mps/core/policy.h"
@@ -44,26 +43,6 @@ serve_cost(const CsrMatrix &a, index_t dim, const WorkStealPool &pool)
 
 /** Flow-event name connecting one request's spans across threads. */
 constexpr const char *kRequestFlow = "serve.request";
-
-/**
- * The batch executor prefers the two-phase hybrid schedule whenever
- * the cached row classification routes at least kHybridDenseFractionMin
- * of the nnz to dense bands — the same adaptive threshold AdaptiveSpmm
- * applies (mps/core/hybrid.h). Returns nullptr when hybrid dispatch is
- * off or the graph is not skewed enough; the caller then executes the
- * plain merge path. The hybrid entry shares the ScheduleCache with the
- * merge-path ones, so the classification is paid once per (graph, d).
- */
-std::shared_ptr<const HybridSchedule>
-preferred_hybrid(ScheduleCache &cache, const CsrMatrix &a, index_t cost)
-{
-    if (!hybrid_enabled())
-        return nullptr;
-    auto hs = cache.get_or_build_hybrid(a, cost, 0);
-    if (hs != nullptr && hs->dense_fraction() >= kHybridDenseFractionMin)
-        return hs;
-    return nullptr;
-}
 
 /** ServerStats percentile block from a latency histogram snapshot. */
 PercentileSummary
@@ -624,15 +603,10 @@ Server::execute_batch(Batch batch, WorkStealPool &pool)
         const DenseMatrix &w = layer.weights();
         const index_t wide_d = static_cast<index_t>(k) * h;
         const index_t cost = serve_cost(a, wide_d, pool);
-        auto hsched = preferred_hybrid(*cache_, a, cost);
-        std::shared_ptr<const MergePathSchedule> sched;
-        if (hsched == nullptr)
-            sched = cache_->get_or_build_with_cost(a, cost, 0);
         const SpmmLocality loc = default_fused_locality(
             a.cols(), wide_d, storage_elem_bytes(config_.precision));
-        FusedLayerPlan fplan =
-            hsched != nullptr ? FusedLayerPlan(a, wide_d, hsched, loc)
-                              : FusedLayerPlan(a, wide_d, sched, loc);
+        FusedLayerPlan fplan(a, wide_d,
+                             cache_->get_or_build_with_cost(a, cost, 0), loc);
         fplan.set_precision(config_.precision);
 
         // Each wide panel is produced on demand: a panel spanning

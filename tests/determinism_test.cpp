@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mps/core/fusion.h"
-#include "mps/core/hybrid.h"
 #include "mps/core/spmm.h"
 #include "mps/gcn/activation.h"
 #include "mps/gcn/gemm.h"
@@ -124,7 +123,6 @@ TEST(Determinism, QuantizedOperandsAcrossPoolSizes)
 {
     CsrMatrix a = hub_graph();
     MergePathSchedule sched = MergePathSchedule::build(a, 97);
-    HybridSchedule hs = HybridSchedule::build(a, 40);
     DenseMatrix b = random_dense(a.cols(), 32, 9);
     b.quantize(StorageMode::kBf16);
     DenseMatrix want(a.rows(), 32);
@@ -133,46 +131,6 @@ TEST(Determinism, QuantizedOperandsAcrossPoolSizes)
         want, "mergepath bf16", [&](WorkStealPool &pool, DenseMatrix &out) {
             mergepath_spmm_parallel(a, b, out, sched, pool,
                                     SpmmLocality{});
-        });
-    DenseMatrix hwant(a.rows(), 32);
-    hybrid_spmm_sequential(a, hs, b, hwant);
-    expect_same_on_every_pool(
-        hwant, "hybrid bf16", [&](WorkStealPool &pool, DenseMatrix &out) {
-            hybrid_spmm_parallel(a, hs, b, out, pool, SpmmLocality{});
-        });
-}
-
-/** The two-phase hybrid: dense bands plus a split merge-path tail. */
-TEST(Determinism, HybridAcrossPoolSizes)
-{
-    CsrMatrix a = hub_graph();
-    HybridSchedule hs = HybridSchedule::build(a, 40);
-    ASSERT_TRUE(hs.has_tail());
-    ASSERT_FALSE(hs.split_row_list(a).empty());
-    DenseMatrix b = random_dense(a.cols(), 16, 11);
-    DenseMatrix want(a.rows(), 16);
-    hybrid_spmm_sequential(a, hs, b, want);
-    expect_same_on_every_pool(
-        want, "hybrid", [&](WorkStealPool &pool, DenseMatrix &out) {
-            hybrid_spmm_parallel(a, hs, b, out, pool, SpmmLocality{});
-        });
-
-    // The fused hybrid panel path, activation fired in the fix-up.
-    SpmmLocality loc;
-    loc.tile_d = 16;
-    DenseMatrix fwant(a.rows(), 32);
-    DenseMatrix xw = random_dense(a.cols(), 32, 12);
-    {
-        WorkStealPool pool(2);
-        FusedLayerPlan plan(a, 32, borrow_hybrid_schedule(hs), loc);
-        plan.run(slice_panel_source(xw), fwant, pool,
-                 activation_epilogue(Activation::kRelu));
-    }
-    expect_same_on_every_pool(
-        fwant, "fused hybrid", [&](WorkStealPool &pool, DenseMatrix &out) {
-            FusedLayerPlan plan(a, 32, borrow_hybrid_schedule(hs), loc);
-            plan.run(slice_panel_source(xw), out, pool,
-                     activation_epilogue(Activation::kRelu));
         });
 }
 
@@ -392,67 +350,59 @@ struct RowCensus
 
 /**
  * Every finished row reaches the epilogue exactly once per panel, in
- * calls of 1..kEpilogueBatchRows rows, whatever the batch fill: the
- * merge-path and hybrid plans, materialized and streamed, on every
- * pool size, over a schedule with many split rows.
+ * calls of 1..kEpilogueBatchRows rows, whatever the batch fill:
+ * materialized and streamed, on every pool size, over a schedule with
+ * many split rows.
  */
 TEST(Determinism, EpilogueSeesEveryRowOnce)
 {
     CsrMatrix a = hub_graph();
     MergePathSchedule sched = MergePathSchedule::build(a, 97);
-    HybridSchedule hs = HybridSchedule::build(a, 40);
     ASSERT_FALSE(sched.split_row_list(a).empty());
-    ASSERT_FALSE(hs.split_row_list(a).empty());
     const index_t n = a.rows(), dim = 32;
     DenseMatrix xw = random_dense(a.cols(), dim, 51);
-    for (const bool hybrid : {false, true})
-        for (const bool streamed : {false, true})
-            for (unsigned workers : kPoolSizes) {
-                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
-                             (streamed ? " streamed" : "") + " on " +
-                             std::to_string(workers) + " workers");
-                WorkStealPool pool(workers);
-                SpmmLocality loc;
-                loc.tile_d = 16;
-                FusedLayerPlan plan =
-                    hybrid ? FusedLayerPlan(a, dim,
-                                            borrow_hybrid_schedule(hs), loc)
-                           : FusedLayerPlan(a, dim, borrow_schedule(sched),
-                                            loc);
-                DenseMatrix out(n, dim);
-                RowCensus census;
-                census.c = streamed ? nullptr : &out;
-                census.n = n;
-                census.tile = streamed ? plan.tile() : plan.run_tile();
-                const index_t panels = (dim + census.tile - 1) / census.tile;
-                census.seen = std::vector<std::atomic<int>>(
-                    static_cast<size_t>(panels * n));
-                if (streamed)
-                    plan.run_streaming(
-                        slice_panel_source(xw),
-                        [&census](index_t col0, index_t width) {
-                            census.panel = (col0 + width) / census.tile;
-                        },
-                        pool, &RowCensus::count, &census);
-                else
-                    plan.run(slice_panel_source(xw), out, pool,
-                             &RowCensus::count, &census);
-                EXPECT_EQ(census.bad_counts.load(), 0);
-                EXPECT_EQ(census.bad_rows.load(), 0);
-                int wrong = 0;
-                for (const std::atomic<int> &s : census.seen)
-                    wrong += s.load() != 1;
-                EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
-                                    << " (panel, row) pairs";
-            }
+    for (const bool streamed : {false, true})
+        for (unsigned workers : kPoolSizes) {
+            SCOPED_TRACE(std::string(streamed ? "streamed" : "stored") +
+                         " on " + std::to_string(workers) + " workers");
+            WorkStealPool pool(workers);
+            SpmmLocality loc;
+            loc.tile_d = 16;
+            FusedLayerPlan plan(a, dim, borrow_schedule(sched), loc);
+            DenseMatrix out(n, dim);
+            RowCensus census;
+            census.c = streamed ? nullptr : &out;
+            census.n = n;
+            census.tile = streamed ? plan.tile() : plan.run_tile();
+            const index_t panels = (dim + census.tile - 1) / census.tile;
+            census.seen = std::vector<std::atomic<int>>(
+                static_cast<size_t>(panels * n));
+            if (streamed)
+                plan.run_streaming(
+                    slice_panel_source(xw),
+                    [&census](index_t col0, index_t width) {
+                        census.panel = (col0 + width) / census.tile;
+                    },
+                    pool, &RowCensus::count, &census);
+            else
+                plan.run(slice_panel_source(xw), out, pool,
+                         &RowCensus::count, &census);
+            EXPECT_EQ(census.bad_counts.load(), 0);
+            EXPECT_EQ(census.bad_rows.load(), 0);
+            int wrong = 0;
+            for (const std::atomic<int> &s : census.seen)
+                wrong += s.load() != 1;
+            EXPECT_EQ(wrong, 0) << "of " << census.seen.size()
+                                << " (panel, row) pairs";
+        }
 }
 
 /**
  * A materialized run stores every element of C rather than adding onto
  * it: run() into a C pre-filled with NaN gives the same bits as into a
- * zeroed C. Covers the merge-path and hybrid plans, 16-wide panels
- * (the last one 8 wide) and one full-width panel, on pools of 1, 2 and
- * 4 workers, over a graph with many split rows and one with empty rows.
+ * zeroed C. Covers 16-wide panels (the last one 8 wide) and one
+ * full-width panel, on pools of 1, 2 and 4 workers, over a graph with
+ * many split rows and one with empty rows.
  */
 TEST(Determinism, RunStoresEveryElement)
 {
@@ -466,35 +416,28 @@ TEST(Determinism, RunStoresEveryElement)
     const CsrMatrix graphs[] = {hub_graph(), std::move(sparse)};
     for (const CsrMatrix &a : graphs) {
         const MergePathSchedule sched = MergePathSchedule::build(a, 97);
-        const HybridSchedule hs = HybridSchedule::build(a, 40);
         const DenseMatrix xw = random_dense(a.cols(), dim, 71);
-        for (const bool hybrid : {false, true})
-            for (const index_t tile_d : {16, 0})
-                for (unsigned workers : {1u, 2u, 4u}) {
-                    SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
-                                 " tile_d=" + std::to_string(tile_d) + " on " +
-                                 std::to_string(workers) + " workers, n=" +
-                                 std::to_string(a.rows()));
-                    WorkStealPool pool(workers);
-                    SpmmLocality loc;
-                    loc.tile_d = tile_d;
-                    FusedLayerPlan plan =
-                        hybrid ? FusedLayerPlan(a, dim,
-                                                borrow_hybrid_schedule(hs), loc)
-                               : FusedLayerPlan(a, dim, borrow_schedule(sched),
-                                                loc);
-                    DenseMatrix zeroed(a.rows(), dim);
-                    DenseMatrix poisoned(a.rows(), dim);
-                    poisoned.fill(std::numeric_limits<value_t>::quiet_NaN());
-                    plan.run(slice_panel_source(xw), zeroed, pool);
-                    plan.run(slice_panel_source(xw), poisoned, pool);
-                    for (index_t r = 0; r < a.rows(); ++r)
-                        ASSERT_EQ(std::memcmp(poisoned.row(r), zeroed.row(r),
-                                              static_cast<size_t>(dim) *
-                                                  sizeof(value_t)),
-                                  0)
-                            << "row " << r;
-                }
+        for (const index_t tile_d : {16, 0})
+            for (unsigned workers : {1u, 2u, 4u}) {
+                SCOPED_TRACE("tile_d=" + std::to_string(tile_d) + " on " +
+                             std::to_string(workers) + " workers, n=" +
+                             std::to_string(a.rows()));
+                WorkStealPool pool(workers);
+                SpmmLocality loc;
+                loc.tile_d = tile_d;
+                FusedLayerPlan plan(a, dim, borrow_schedule(sched), loc);
+                DenseMatrix zeroed(a.rows(), dim);
+                DenseMatrix poisoned(a.rows(), dim);
+                poisoned.fill(std::numeric_limits<value_t>::quiet_NaN());
+                plan.run(slice_panel_source(xw), zeroed, pool);
+                plan.run(slice_panel_source(xw), poisoned, pool);
+                for (index_t r = 0; r < a.rows(); ++r)
+                    ASSERT_EQ(std::memcmp(poisoned.row(r), zeroed.row(r),
+                                          static_cast<size_t>(dim) *
+                                              sizeof(value_t)),
+                              0)
+                        << "row " << r;
+            }
     }
 }
 

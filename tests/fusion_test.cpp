@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "mps/core/fusion.h"
-#include "mps/core/hybrid.h"
 #include "mps/core/locality.h"
 #include "mps/core/precision.h"
 #include "mps/core/schedule.h"
@@ -234,17 +233,15 @@ empty_and_hub_rows_graph()
  * for bit. Their destinations start as NaN, so a row the sweep never
  * hands over, or a first panel that adds instead of storing, shows.
  * Covers: a graph with empty rows and hub rows split across a
- * 97-thread merge-path schedule and a cost-40 hybrid schedule, panel
- * width 16 (four panels for the rank update) and one full-width panel,
- * on pools of 1, 2 and 4 workers.
+ * 97-thread merge-path schedule, panel width 16 (four panels for the
+ * rank update) and one full-width panel, on pools of 1, 2 and 4
+ * workers.
  */
 TEST(FusionBitIdentity, StreamingSinkMatchesMaterialized)
 {
     const CsrMatrix a = empty_and_hub_rows_graph();
     const MergePathSchedule sched = MergePathSchedule::build(a, 97);
-    const HybridSchedule hs = HybridSchedule::build(a, 40);
     ASSERT_FALSE(sched.split_row_list(a).empty());
-    ASSERT_FALSE(hs.split_row_list(a).empty());
     ASSERT_EQ(a.row_begin(3), a.row_end(3));
     const index_t n = a.rows(), f = 16, hidden = 64, classes = 24;
     const DenseMatrix x = random_dense(n, f, 81);
@@ -258,62 +255,52 @@ TEST(FusionBitIdentity, StreamingSinkMatchesMaterialized)
     }();
     const value_t nan = std::numeric_limits<value_t>::quiet_NaN();
 
-    for (const bool hybrid : {false, true})
-        for (const index_t tile : {index_t{16}, index_t{0}})
-            for (const unsigned workers : {1u, 2u, 4u}) {
-                SCOPED_TRACE(std::string(hybrid ? "hybrid" : "mergepath") +
-                             (tile > 0 ? ", 16-wide panels" : ", one panel") +
-                             " on " + std::to_string(workers) + " workers");
-                WorkStealPool pool(workers);
-                SpmmLocality loc;
-                loc.tile_d = tile;
-                const auto plan = [&](index_t dim) {
-                    return hybrid ? FusedLayerPlan(
-                                        a, dim, borrow_hybrid_schedule(hs),
-                                        loc)
-                                  : FusedLayerPlan(a, dim,
-                                                   borrow_schedule(sched),
-                                                   loc);
-                };
+    for (const index_t tile : {index_t{16}, index_t{0}})
+        for (const unsigned workers : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(tile > 0 ? "16-wide panels"
+                                              : "one panel") +
+                         " on " + std::to_string(workers) + " workers");
+            WorkStealPool pool(workers);
+            SpmmLocality loc;
+            loc.tile_d = tile;
 
-                // Rank update: relu(A * XW1) * W2.
-                FusedLayerPlan wide = plan(hidden);
-                ASSERT_EQ(wide.tile(), tile > 0 ? tile : hidden);
-                DenseMatrix h(n, hidden), want(n, classes);
-                wide.run(slice_panel_source(xw1), h, pool,
-                         activation_epilogue(Activation::kRelu));
-                want.fill(0.0f);
-                dense_gemm_rank_update(h, hidden, w2, 0, want, pool);
-                DenseMatrix got(n, classes);
-                got.fill(nan);
-                RankUpdateEpilogue rank = make_rank_update_epilogue(
-                    Activation::kRelu, w2, got);
-                wide.run_streaming(
-                    slice_panel_source(xw1),
-                    [&rank](index_t col0, index_t width) {
-                        rank.w_row0 = col0 + width;
-                    },
-                    pool, &RankUpdateEpilogue::apply, &rank);
-                expect_same_bits(got, want, "streamed rank update");
+            // Rank update: relu(A * XW1) * W2.
+            FusedLayerPlan wide(a, hidden, borrow_schedule(sched), loc);
+            ASSERT_EQ(wide.tile(), tile > 0 ? tile : hidden);
+            DenseMatrix h(n, hidden), want(n, classes);
+            wide.run(slice_panel_source(xw1), h, pool,
+                     activation_epilogue(Activation::kRelu));
+            want.fill(0.0f);
+            dense_gemm_rank_update(h, hidden, w2, 0, want, pool);
+            DenseMatrix got(n, classes);
+            got.fill(nan);
+            RankUpdateEpilogue rank =
+                make_rank_update_epilogue(Activation::kRelu, w2, got);
+            wide.run_streaming(
+                slice_panel_source(xw1),
+                [&rank](index_t col0, index_t width) {
+                    rank.w_row0 = col0 + width;
+                },
+                pool, &RankUpdateEpilogue::apply, &rank);
+            expect_same_bits(got, want, "streamed rank update");
 
-                // Fold: relu((A * X) * W1) * W2, aggregated first.
-                FusedLayerPlan narrow = plan(f);
-                ASSERT_EQ(narrow.tile(), f);
-                DenseMatrix ax(n, f), h_fold(n, hidden), want_fold(n, classes);
-                narrow.run(slice_panel_source(x), ax, pool);
-                dense_gemm(ax, w1, h_fold, pool);
-                apply_activation(h_fold, Activation::kRelu);
-                want_fold.fill(0.0f);
-                dense_gemm_rank_update(h_fold, hidden, w2, 0, want_fold,
-                                       pool);
-                DenseMatrix got_fold(n, classes);
-                got_fold.fill(nan);
-                const CombineEpilogue fold = make_combine_epilogue(
-                    Activation::kRelu, w1, got_fold, &w2);
-                narrow.run_streaming(slice_panel_source(x), {}, pool,
-                                     &CombineEpilogue::apply, &fold);
-                expect_same_bits(got_fold, want_fold, "streamed fold");
-            }
+            // Fold: relu((A * X) * W1) * W2, aggregated first.
+            FusedLayerPlan narrow(a, f, borrow_schedule(sched), loc);
+            ASSERT_EQ(narrow.tile(), f);
+            DenseMatrix ax(n, f), h_fold(n, hidden), want_fold(n, classes);
+            narrow.run(slice_panel_source(x), ax, pool);
+            dense_gemm(ax, w1, h_fold, pool);
+            apply_activation(h_fold, Activation::kRelu);
+            want_fold.fill(0.0f);
+            dense_gemm_rank_update(h_fold, hidden, w2, 0, want_fold, pool);
+            DenseMatrix got_fold(n, classes);
+            got_fold.fill(nan);
+            const CombineEpilogue fold = make_combine_epilogue(
+                Activation::kRelu, w1, got_fold, &w2);
+            narrow.run_streaming(slice_panel_source(x), {}, pool,
+                                 &CombineEpilogue::apply, &fold);
+            expect_same_bits(got_fold, want_fold, "streamed fold");
+        }
 }
 
 /**
@@ -622,9 +609,9 @@ TEST(GcnAssociation, TiledPlanCombinesFirst)
 }
 
 /**
- * Models whose layers widen, on the fused merge-path and hybrid
- * pipelines, against the "reference"
- * kernel (no fused plan: the classic loop, same association) and the
+ * Models whose layers widen, on the fused merge-path pipeline, against
+ * the "reference" kernel (no fused plan: the classic loop, same
+ * association) and the
  * combine-first row-order reference. Covers every handoff:
  * aggregate-first into combine-first (16-48-7), aggregate-first into
  * aggregate-first (8-32-64-4) and combine-first into aggregate-first
@@ -651,16 +638,13 @@ TEST(GcnAssociation, FusedMatchesClassicAndReference)
         const DenseMatrix classic = gold.infer(a, x, pool);
         EXPECT_TRUE(classic.approx_equal(want, tol, tol))
             << "reference kernel, diff=" << classic.max_abs_diff(want);
-        for (const char *kernel : {"mergepath", "hybrid"}) {
-            GcnModel model = chain_model(widths, kernel);
-            const DenseMatrix got = model.infer(a, x, pool);
-            const std::string what =
-                std::string(kernel) + " in=" + std::to_string(widths[0]);
-            EXPECT_TRUE(got.approx_equal(classic, tol, tol))
-                << what << " vs classic, diff=" << got.max_abs_diff(classic);
-            EXPECT_TRUE(got.approx_equal(want, tol, tol))
-                << what << " vs reference, diff=" << got.max_abs_diff(want);
-        }
+        GcnModel model = chain_model(widths, "mergepath");
+        const DenseMatrix got = model.infer(a, x, pool);
+        const std::string what = "in=" + std::to_string(widths[0]);
+        EXPECT_TRUE(got.approx_equal(classic, tol, tol))
+            << what << " vs classic, diff=" << got.max_abs_diff(classic);
+        EXPECT_TRUE(got.approx_equal(want, tol, tol))
+            << what << " vs reference, diff=" << got.max_abs_diff(want);
     }
 }
 
@@ -672,24 +656,21 @@ TEST(GcnAssociation, SigmoidAggregateFirstCoversEmptyRows)
     CsrMatrix a(3, 3, {0, 0, 1, 2}, {0, 1}, {1.0f, 1.0f});
     DenseMatrix x(3, 4);
     x.fill(1.0f);
-    for (const char *kernel : {"mergepath", "hybrid"}) {
-        GcnModel model(kernel);
-        model.add_layer(GcnLayer(random_layer_weights(4, 16, 131),
-                                 Activation::kSigmoid));
-        ASSERT_TRUE(model.layer_plans(a)[0].aggregate_first);
-        const DenseMatrix out = model.infer(a, x, pool);
-        for (index_t c = 0; c < 16; ++c)
-            ASSERT_FLOAT_EQ(out(0, c), 0.5f)
-                << kernel << ": empty row, col " << c;
-    }
+    GcnModel model("mergepath");
+    model.add_layer(GcnLayer(random_layer_weights(4, 16, 131),
+                             Activation::kSigmoid));
+    ASSERT_TRUE(model.layer_plans(a)[0].aggregate_first);
+    const DenseMatrix out = model.infer(a, x, pool);
+    for (index_t c = 0; c < 16; ++c)
+        ASSERT_FLOAT_EQ(out(0, c), 0.5f) << "empty row, col " << c;
 }
 
 
 /**
  * A fused plan sizes an auto panel width at the bytes its panels
  * store. On an operand whose n rows make 128 f32 columns too wide for
- * the width's cache budget while 128 bf16 columns fit it, the plans
- * the merge-path and hybrid kernels build sweep 128 columns in one
+ * the width's cache budget while 128 bf16 columns fit it, the plan
+ * the merge-path kernel builds sweeps 128 columns in one
  * panel at kBf16 and in narrower ones at kF32, back and forth as the
  * precision changes; the lookahead follows the same rule. An explicit
  * MPS_TILE_D width holds at both precisions. Only an n-row diagonal
@@ -738,21 +719,19 @@ TEST(FusionTileWidth, SizedAtStoredBytes)
         }
         return p == StorageMode::kBf16 ? dim : narrow;
     };
-    for (const char *name : {"mergepath", "hybrid"}) {
-        auto kernel = make_spmm_kernel(name);
-        kernel->prepare(a, dim);
-        FusedLayerPlan *plan = kernel->fused_plan(a, dim);
-        ASSERT_NE(plan, nullptr) << name;
-        // A new plan runs at kF32.
-        for (StorageMode p : {StorageMode::kF32, StorageMode::kBf16,
-                              StorageMode::kF32, StorageMode::kBf16}) {
-            plan->set_precision(p);
-            const index_t eb = storage_elem_bytes(p);
-            EXPECT_EQ(plan->tile(), want(p)) << name << " at " << eb;
-            EXPECT_EQ(plan->locality().prefetch,
-                      default_fused_locality(n, dim, eb).prefetch)
-                << name << " at " << eb;
-        }
+    auto kernel = make_spmm_kernel("mergepath");
+    kernel->prepare(a, dim);
+    FusedLayerPlan *plan = kernel->fused_plan(a, dim);
+    ASSERT_NE(plan, nullptr);
+    // A new plan runs at kF32.
+    for (StorageMode p : {StorageMode::kF32, StorageMode::kBf16,
+                          StorageMode::kF32, StorageMode::kBf16}) {
+        plan->set_precision(p);
+        const index_t eb = storage_elem_bytes(p);
+        EXPECT_EQ(plan->tile(), want(p)) << "at " << eb;
+        EXPECT_EQ(plan->locality().prefetch,
+                  default_fused_locality(n, dim, eb).prefetch)
+            << "at " << eb;
     }
 }
 

@@ -83,7 +83,7 @@ TEST(NeighborGroups, DefaultSizeIsAverageDegree)
 TEST(Registry, ListsAllKernels)
 {
     auto names = spmm_kernel_names();
-    EXPECT_EQ(names.size(), 8u);
+    EXPECT_EQ(names.size(), 7u);
     for (const auto &n : names) {
         auto k = make_spmm_kernel(n);
         ASSERT_NE(k, nullptr);
@@ -139,19 +139,10 @@ TEST(Adaptive, PicksMergePathForPowerLaw)
     p.max_degree = 700;
     p.seed = 4;
     CsrMatrix a = power_law_graph(p);
-    // With the hybrid path disabled, skew still routes to merge-path.
-    AdaptiveSpmm baseline(0.7, /*enable_hybrid=*/false);
-    baseline.prepare(a, 16);
-    EXPECT_EQ(baseline.strategy(), AdaptiveStrategy::kMergePath);
-    // The default kernel upgrades to hybrid when the evil rows carry
-    // enough of the nnz to be worth an atomics-free dense phase.
+    // Skew routes to merge-path.
     AdaptiveSpmm kernel;
     kernel.prepare(a, 16);
-    if (hybrid_enabled()) {
-        EXPECT_EQ(kernel.strategy(), AdaptiveStrategy::kHybrid);
-    } else {
-        EXPECT_EQ(kernel.strategy(), AdaptiveStrategy::kMergePath);
-    }
+    EXPECT_EQ(kernel.strategy(), AdaptiveStrategy::kMergePath);
 }
 
 /**
@@ -257,8 +248,7 @@ TEST_P(KernelCorrectnessTest, MatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelCorrectnessTest,
-    testing::Combine(testing::Values("mergepath", "hybrid",
-                                     "gnnadvisor", "row_split",
+    testing::Combine(testing::Values("mergepath", "gnnadvisor", "row_split",
                                      "column_split", "adaptive",
                                      "mergepath_serial", "reference"),
                      testing::Values(0, 1, 2),

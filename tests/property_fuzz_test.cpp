@@ -11,9 +11,9 @@
 #include <cmath>
 #include <iterator>
 #include <numeric>
+#include <string>
 
 #include "mps/core/fusion.h"
-#include "mps/core/hybrid.h"
 #include "mps/core/spmm.h"
 #include "mps/core/spmv.h"
 #include "mps/gcn/activation.h"
@@ -80,9 +80,19 @@ fuzz_dim(Pcg32 &rng)
     return 1 + static_cast<index_t>(rng.next_below(20));
 }
 
+/**
+ * Merge-path schedules against the reference on random shapes (empty
+ * rows, evil rows, unsorted columns), built both ways the library
+ * builds them: by thread count, and from a merge-path cost (1-60
+ * items per thread, the build_with_cost path of FusedLayerPlan, serve
+ * and every kernel). Each schedule runs sequentially and on a pool.
+ */
 TEST_P(FuzzTest, ScheduleAndSpmmAgainstReference)
 {
     Pcg32 rng(static_cast<uint64_t>(GetParam()) * 7919 + 1);
+    // The costs draw from their own stream, so the shapes and thread
+    // counts above stay the ones each seed has always produced.
+    Pcg32 cost_rng(static_cast<uint64_t>(GetParam()) * 4099 + 7);
     WorkStealPool pool(3);
     for (int iter = 0; iter < 8; ++iter) {
         CsrMatrix a = random_csr(rng);
@@ -93,74 +103,27 @@ TEST_P(FuzzTest, ScheduleAndSpmmAgainstReference)
         reference_spmm(a, b, expect);
 
         index_t threads = 1 + static_cast<index_t>(rng.next_below(300));
-        MergePathSchedule sched = MergePathSchedule::build(a, threads);
-        sched.validate(a);
+        const index_t cost =
+            1 + static_cast<index_t>(cost_rng.next_below(60));
+        for (const bool by_cost : {false, true}) {
+            SCOPED_TRACE(by_cost ? "cost " + std::to_string(cost)
+                                 : "threads " + std::to_string(threads));
+            MergePathSchedule sched =
+                by_cost ? MergePathSchedule::build_with_cost(a, cost)
+                        : MergePathSchedule::build(a, threads);
+            sched.validate(a);
 
-        ScheduleCensus census = sched.census(a);
-        ASSERT_EQ(census.atomic_nnz + census.plain_nnz, a.nnz());
+            ScheduleCensus census = sched.census(a);
+            ASSERT_EQ(census.atomic_nnz + census.plain_nnz, a.nnz());
 
-        DenseMatrix seq(a.rows(), dim), par(a.rows(), dim);
-        mergepath_spmm_sequential(a, b, seq, sched);
-        ASSERT_TRUE(seq.approx_equal(expect, 1e-3, 1e-3))
-            << "seed " << GetParam() << " iter " << iter;
-        mergepath_spmm_parallel(a, b, par, sched, pool);
-        ASSERT_TRUE(par.approx_equal(expect, 1e-3, 1e-3))
-            << "seed " << GetParam() << " iter " << iter;
-    }
-}
-
-/**
- * Hybrid-dispatch parity across random degree mixes: the two-phase
- * schedule (dense bands + compacted tail) must agree with the
- * reference on arbitrary shapes, including empty rows, evil rows and
- * unsorted columns. Runs under MPS_HYBRID=0 too, where the schedule
- * degenerates to plain merge-path — parity must hold either way.
- */
-TEST_P(FuzzTest, HybridSpmmAgainstReference)
-{
-    Pcg32 rng(static_cast<uint64_t>(GetParam()) * 4099 + 7);
-    WorkStealPool pool(3);
-    for (int iter = 0; iter < 8; ++iter) {
-        CsrMatrix a = random_csr(rng);
-        index_t dim = fuzz_dim(rng);
-        DenseMatrix b(a.cols(), dim);
-        b.fill_random(rng);
-        DenseMatrix expect(a.rows(), dim);
-        reference_spmm(a, b, expect);
-
-        // Random costs push rows across the long-row threshold and
-        // vary the tail share count.
-        index_t cost = 1 + static_cast<index_t>(rng.next_below(60));
-        HybridSchedule hs = HybridSchedule::build(a, cost);
-
-        // Partition invariants: bands sorted, disjoint, counts add up.
-        index_t band_rows = 0;
-        int64_t band_nnz = 0;
-        index_t prev_end = 0;
-        for (const RowBand &band : hs.partition().bands) {
-            ASSERT_LE(prev_end, band.begin);
-            ASSERT_LT(band.begin, band.end);
-            ASSERT_LE(band.end, a.rows());
-            band_rows += band.end - band.begin;
-            band_nnz += a.row_begin(band.end) - a.row_begin(band.begin);
-            prev_end = band.end;
+            DenseMatrix seq(a.rows(), dim), par(a.rows(), dim);
+            mergepath_spmm_sequential(a, b, seq, sched);
+            ASSERT_TRUE(seq.approx_equal(expect, 1e-3, 1e-3))
+                << "seed " << GetParam() << " iter " << iter;
+            mergepath_spmm_parallel(a, b, par, sched, pool);
+            ASSERT_TRUE(par.approx_equal(expect, 1e-3, 1e-3))
+                << "seed " << GetParam() << " iter " << iter;
         }
-        ASSERT_EQ(band_rows, hs.partition().dense_rows);
-        ASSERT_EQ(band_nnz, hs.partition().dense_nnz);
-        if (hs.has_tail() && !hs.tail_is_base()) {
-            ASSERT_EQ(hs.tail().rows() + hs.partition().dense_rows,
-                      a.rows());
-            ASSERT_EQ(hs.tail().nnz() + hs.partition().dense_nnz,
-                      a.nnz());
-        }
-
-        DenseMatrix seq(a.rows(), dim), par(a.rows(), dim);
-        hybrid_spmm_sequential(a, hs, b, seq);
-        ASSERT_TRUE(seq.approx_equal(expect, 1e-3, 1e-3))
-            << "seed " << GetParam() << " iter " << iter;
-        hybrid_spmm_parallel(a, hs, b, par, pool);
-        ASSERT_TRUE(par.approx_equal(expect, 1e-3, 1e-3))
-            << "seed " << GetParam() << " iter " << iter;
     }
 }
 

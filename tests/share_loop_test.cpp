@@ -1,7 +1,7 @@
 /**
  * The sweep's share loop (src/core/carry.cpp): every output element of
- * a merge-path or hybrid panel sweep against the zero-then-axpy chain
- * of the row's parts, bit for bit, and the count of complete rows that
+ * a merge-path panel sweep against the zero-then-axpy chain of the
+ * row's parts, bit for bit, and the count of complete rows that
  * take the per-row fallback instead of the share loop.
  */
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "mps/core/hybrid.h"
 #include "mps/core/locality.h"
 #include "mps/core/microkernel.h"
 #include "mps/core/schedule.h"
@@ -61,8 +60,8 @@ sorted_columns(Pcg32 &rng, index_t n, index_t cols)
 
 /**
  * A graph with every row shape the share loop meets: a band of long
- * column-clustered rows (a hybrid plan's dense chunks), two hub rows
- * that a many-thread schedule splits, empty rows, and short rows.
+ * column-clustered rows, two hub rows that a many-thread schedule
+ * splits, empty rows, and short rows.
  */
 CsrMatrix
 share_graph()
@@ -104,17 +103,15 @@ struct Part
 
 /**
  * Append each share's parts of @p s over @p m, in share order, to the
- * parts of their output rows (m's rows through @p row_map, if any).
+ * parts of their output rows.
  */
 void
 add_schedule_parts(const MergePathSchedule &s, const CsrMatrix &m,
-                   const index_t *row_map, std::vector<std::vector<Part>> &parts)
+                   std::vector<std::vector<Part>> &parts)
 {
     const auto add = [&](index_t row, index_t begin, index_t end) {
         if (end > begin)
-            parts[static_cast<size_t>(row_map != nullptr ? row_map[row]
-                                                         : row)]
-                .push_back({&m, begin, end});
+            parts[static_cast<size_t>(row)].push_back({&m, begin, end});
     };
     for (index_t t = 0; t < s.num_threads(); ++t) {
         const ResolvedWork w = s.resolve(t, m);
@@ -188,26 +185,19 @@ same_bits(value_t got, value_t want)
     return ::testing::AssertionFailure() << got << " vs " << want;
 }
 
-/** A plan to sweep: merge-path or hybrid, with its split rows. */
-struct Plan
-{
-    const MergePathSchedule *sched = nullptr;
-    const HybridSchedule *hybrid = nullptr;
-    const SplitRowList *split = nullptr;
-};
-
 constexpr index_t kBCol = 24, kCCol = 8;
 
 /**
- * One panel sweep of @p plan over @p a and B columns [kBCol, kBCol +
- * width), materialized into C columns [kCCol, ...) of a NaN-filled C,
- * or streamed into a recording epilogue; every element checked
- * against @p want.
+ * One panel sweep of @p sched (split rows @p split) over @p a and B
+ * columns [kBCol, kBCol + width), materialized into C columns [kCCol,
+ * ...) of a NaN-filled C, or streamed into a recording epilogue; every
+ * element checked against @p want.
  */
 void
-check_sweep(const CsrMatrix &a, const Plan &plan, const DenseMatrix &b,
-            index_t width, bool streamed, const SpmmLocality &loc,
-            WorkStealPool &pool, const DenseMatrix &want)
+check_sweep(const CsrMatrix &a, const MergePathSchedule &sched,
+            const SplitRowList &split, const DenseMatrix &b, index_t width,
+            bool streamed, const SpmmLocality &loc, WorkStealPool &pool,
+            const DenseMatrix &want)
 {
     const index_t n = a.rows();
     DenseMatrix c(n, kCCol + width + 8);
@@ -216,12 +206,8 @@ check_sweep(const CsrMatrix &a, const Plan &plan, const DenseMatrix &b,
                   std::vector<int>(static_cast<size_t>(n))};
     DenseMatrix *out = streamed ? nullptr : &c;
     const PanelEpilogue epi = streamed ? record_rows : nullptr;
-    if (plan.hybrid != nullptr)
-        hybrid_spmm_panel(a, *plan.hybrid, *plan.split, b, kBCol, out,
-                          kCCol, width, pool, loc, epi, &rec);
-    else
-        mergepath_spmm_panel(a, b, kBCol, out, kCCol, width, *plan.sched,
-                             *plan.split, pool, loc, epi, &rec, false);
+    mergepath_spmm_panel(a, b, kBCol, out, kCCol, width, sched, split, pool,
+                         loc, epi, &rec, false);
 
     for (index_t r = 0; r < n; ++r) {
         if (streamed) {
@@ -244,16 +230,15 @@ check_sweep(const CsrMatrix &a, const Plan &plan, const DenseMatrix &b,
 }
 
 /**
- * Every output element of a merge-path and a hybrid panel sweep is
- * bit-equal to the zero-then-axpy chain of its row's parts: every
+ * Every output element of a merge-path panel sweep is bit-equal to
+ * the zero-then-axpy chain of its row's parts: every
  * width the share loop specialises (8 to 128) and one past a whole
  * chunk (136), widths off the 8-column grid (9, 12, 20) that take the
  * per-row fallback, f32 and bf16 operands, materialized sweeps (output
  * pre-filled with NaN; columns outside the panel must stay NaN) and
  * streamed ones (each row reaches the recording epilogue once), B and
- * C panels off column 0, split hub
- * rows and empty rows, the hybrid plan's dense chunks and its
- * compacted tail, prefetch off and auto, on 1, 2 and 4 workers.
+ * C panels off column 0, split hub rows, column-clustered rows and
+ * empty rows, prefetch off and auto, on 1, 2 and 4 workers.
  */
 TEST(ShareLoop, RowsBitIdenticalToAxpyChain)
 {
@@ -264,25 +249,9 @@ TEST(ShareLoop, RowsBitIdenticalToAxpyChain)
     const MergePathSchedule sched = MergePathSchedule::build(a, 24);
     const SplitRowList split = sched.split_row_list(a);
     ASSERT_FALSE(split.empty()) << "no split rows to cover";
-    // With MPS_HYBRID=0 the hybrid plan is all tail, over the base rows.
-    const HybridSchedule hs = HybridSchedule::build(a, 400, 16);
-    const SplitRowList hsplit = hs.split_row_list(a);
-    if (hybrid_enabled()) {
-        ASSERT_FALSE(hs.dense_chunks().empty()) << "no dense chunks";
-        ASSERT_FALSE(hs.tail_is_base()) << "no compacted tail";
-    }
-    ASSERT_FALSE(hsplit.empty()) << "no split tail rows to cover";
 
-    std::vector<std::vector<Part>> mp_parts(static_cast<size_t>(n));
-    add_schedule_parts(sched, a, nullptr, mp_parts);
-    std::vector<std::vector<Part>> hy_parts(static_cast<size_t>(n));
-    for (const RowBand &chunk : hs.dense_chunks())
-        for (index_t r = chunk.begin; r < chunk.end; ++r)
-            hy_parts[static_cast<size_t>(r)].push_back(
-                {&a, a.row_begin(r), a.row_end(r)});
-    add_schedule_parts(hs.tail_schedule(), hs.tail_is_base() ? a : hs.tail(),
-                       hs.tail_is_base() ? nullptr : hs.tail_rows().data(),
-                       hy_parts);
+    std::vector<std::vector<Part>> parts(static_cast<size_t>(n));
+    add_schedule_parts(sched, a, parts);
     bool has_empty = false;
     for (index_t r = 0; r < n; ++r)
         has_empty |= a.row_begin(r) == a.row_end(r);
@@ -299,37 +268,31 @@ TEST(ShareLoop, RowsBitIdenticalToAxpyChain)
         widths.push_back(w);
     WorkStealPool pool1(1), pool2(2), pool4(4);
     WorkStealPool *pools[] = {&pool1, &pool2, &pool4};
-    const Plan plans[] = {{&sched, nullptr, &split},
-                          {nullptr, &hs, &hsplit}};
 
-    for (const Plan &plan : plans)
-        for (const DenseMatrix *b : {&b32, &b16})
-            for (const index_t width : widths) {
-                const DenseMatrix want = expected_panel(
-                    plan.hybrid != nullptr ? hy_parts : mp_parts, *b, kBCol,
-                    width);
-                for (const bool streamed : {false, true})
-                    for (const bool prefetch : {false, true})
-                        for (WorkStealPool *pool : pools) {
-                            SCOPED_TRACE(
-                                ::testing::Message()
-                                << (plan.hybrid ? "hybrid" : "mergepath")
-                                << (b == &b16 ? " bf16" : " f32") << " width "
-                                << width
-                                << (streamed ? " streamed" : " materialized")
-                                << " prefetch " << prefetch << " pool "
-                                << pool->size());
-                            SpmmLocality loc = default_spmm_locality(
-                                b->rows(), width,
-                                storage_elem_bytes(b->storage()));
-                            if (!prefetch)
-                                loc.prefetch = 0;
-                            check_sweep(a, plan, *b, width, streamed, loc,
-                                        *pool, want);
-                            if (HasFatalFailure())
-                                return;
-                        }
-            }
+    for (const DenseMatrix *b : {&b32, &b16})
+        for (const index_t width : widths) {
+            const DenseMatrix want = expected_panel(parts, *b, kBCol, width);
+            for (const bool streamed : {false, true})
+                for (const bool prefetch : {false, true})
+                    for (WorkStealPool *pool : pools) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << (b == &b16 ? "bf16" : "f32")
+                                     << " width " << width
+                                     << (streamed ? " streamed"
+                                                  : " materialized")
+                                     << " prefetch " << prefetch << " pool "
+                                     << pool->size());
+                        SpmmLocality loc = default_spmm_locality(
+                            b->rows(), width,
+                            storage_elem_bytes(b->storage()));
+                        if (!prefetch)
+                            loc.prefetch = 0;
+                        check_sweep(a, sched, split, *b, width, streamed,
+                                    loc, *pool, want);
+                        if (HasFatalFailure())
+                            return;
+                    }
+        }
 }
 
 /** Complete rows of @p sched over @p a, summed over its shares. */

@@ -29,7 +29,7 @@
 # The share-loop tests (ShareLoop: bit identity of every sweep width,
 # storage mode and sink against the zero-then-axpy chain, and the
 # count of rows that take the per-row fallback) run in the TSan,
-# scalar, AVX2, narrow-tile and no-hybrid stages too: the scalar build
+# scalar, AVX2 and narrow-tile stages too: the scalar build
 # has no share loop, so there every complete row is counted as a
 # fallback row, and the AVX2 build runs the 8-lane one.
 # The TSan stage also runs the AMX tile GEMM tests (AmxGemm), so the
@@ -60,9 +60,6 @@
 # A churn stage reruns the dynamic-graph tests (delta-CSR overlay,
 # schedule repair, concurrent update_graph vs inference) under the
 # TSan build to shake out update/serve races.
-# A no-hybrid stage reruns the kernel-facing tests with MPS_HYBRID=0,
-# proving the per-row-class hybrid dispatch is opt-out clean: every
-# matrix degenerates to the plain merge-path tail and still passes.
 # A bf16 stage reruns the kernel/GCN-facing tests with
 # MPS_PRECISION=bf16, driving the narrow-operand storage through every
 # inference path whose assertions hold at reduced precision (the
@@ -75,6 +72,11 @@
 # A final telemetry stage scrapes a live serve-bench run through the
 # embedded /metrics endpoint and validates the OpenMetrics exposition
 # with `mps_tool top --strict`.
+# Every stage that runs a subset of the tests first checks its -R
+# filter: each |-separated token must match at least one test of the
+# stage's build (`ctest -N`), so a token whose tests were deleted or
+# renamed fails the script by name instead of silently matching
+# nothing.
 # Run from anywhere; build trees land in build-release/, build-asan/,
 # build-tsan/, build-scalar/ and build-avx2/ next to the source tree.
 #
@@ -84,6 +86,25 @@ set -eu
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 
+# check_filter DIR FILTER: fail unless every |-separated token of the
+# ctest -R regex FILTER matches a test of the build in DIR. Tests of
+# targets the build skipped (listed as <target>_NOT_BUILT) do not count.
+check_filter() {
+    (
+        cd "$1"
+        IFS='|'
+        set -f
+        for token in $2; do
+            if ! ctest -N -R "$token" | grep 'Test *#' |
+                grep -v '_NOT_BUILT' | grep -q .; then
+                echo "check.sh: -R token '$token' matches no test" \
+                    "in $1" >&2
+                exit 1
+            fi
+        done
+    )
+}
+
 echo "==> configure build-release"
 cmake -S "$root" -B "$root/build-release" -DCMAKE_BUILD_TYPE=Release
 echo "==> build build-release"
@@ -92,9 +113,10 @@ echo "==> ctest build-release"
 (cd "$root/build-release" && ctest --output-on-failure -j "$jobs" "$@")
 
 echo "==> ctest build-release x20 (determinism-sensitive and dispatch tests)"
+filter='FuzzTest|Determinism|WorkStealPool|ServerFixture|Batcher'
+check_filter "$root/build-release" "$filter"
 (cd "$root/build-release" && ctest --output-on-failure -j "$jobs" \
-    --repeat until-fail:20 \
-    -R 'FuzzTest|Determinism|WorkStealPool|ServerFixture|Batcher' "$@")
+    --repeat until-fail:20 -R "$filter" "$@")
 
 echo "==> configure build-asan"
 cmake -S "$root" -B "$root/build-asan" \
@@ -111,13 +133,14 @@ echo "==> build build-tsan (concurrency tests only)"
 cmake --build "$root/build-tsan" -j "$jobs" --target \
     mps_serve_queue_test mps_serve_test mps_schedule_cache_test \
     mps_metrics_test mps_work_steal_pool_test mps_telemetry_test \
-    mps_dynamic_graph_test mps_fusion_test mps_hybrid_test \
+    mps_dynamic_graph_test mps_fusion_test \
     mps_microkernel_test mps_property_fuzz_test mps_determinism_test \
     mps_gcn_test mps_sparse_test mps_share_loop_test fusion
 echo "==> ctest build-tsan"
+filter='MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Quantiz|MixedPrecision|Atomic|Determinism|AmxGemm|AmxRank|Bf16Handoff|LargeBlocks|ShareLoop'
+check_filter "$root/build-tsan" "$filter"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'MpscQueue|Batcher|ServerFixture|ScheduleCacheTest|Metrics|Histogram|Trace|Telemetry|WorkStealPool|Fusion|Hybrid|Quantiz|MixedPrecision|Atomic|Determinism|AmxGemm|AmxRank|Bf16Handoff|LargeBlocks|ShareLoop' \
-    "$@")
+    -R "$filter" "$@")
 
 echo "==> fusion: panel-streaming smoke under TSan"
 # The fused pipeline fires its rank-update epilogue from worker
@@ -128,9 +151,10 @@ echo "==> fusion: panel-streaming smoke under TSan"
 "$root/build-tsan/bench/fusion" --smoke > /dev/null
 
 echo "==> churn: dynamic-graph update/inference races under TSan"
+filter='DynamicServe|DeltaCsr|ScheduleRepair|ScheduleCensus|ScheduleCacheDynamic'
+check_filter "$root/build-tsan" "$filter"
 (cd "$root/build-tsan" && ctest --output-on-failure -j "$jobs" \
-    -R 'DynamicServe|DeltaCsr|ScheduleRepair|ScheduleCensus|ScheduleCacheDynamic' \
-    "$@")
+    -R "$filter" "$@")
 
 echo "==> configure build-scalar"
 cmake -S "$root" -B "$root/build-scalar" \
@@ -142,9 +166,10 @@ cmake --build "$root/build-scalar" -j "$jobs" --target \
     mps_determinism_test mps_sparse_test mps_serve_test \
     mps_share_loop_test
 echo "==> ctest build-scalar"
+filter='Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest|ShareLoop'
+check_filter "$root/build-scalar" "$filter"
 (cd "$root/build-scalar" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest|ShareLoop' \
-    "$@")
+    -R "$filter" "$@")
 
 echo "==> configure build-avx2"
 cmake -S "$root" -B "$root/build-avx2" \
@@ -156,34 +181,38 @@ cmake --build "$root/build-avx2" -j "$jobs" --target \
     mps_determinism_test mps_sparse_test mps_serve_test \
     mps_share_loop_test
 echo "==> ctest build-avx2"
+# The scalar stage's filter: the same kernel tests on the 8-lane build.
+check_filter "$root/build-avx2" "$filter"
 (cd "$root/build-avx2" && ctest --output-on-failure -j "$jobs" \
-    -R 'Microkernel|Spmm|Kernel|Fuzz|Gemm|FusionBitIdentity|GcnAssociation|Determinism|AmxRank|Bf16Handoff|LargeBlocks|LoneRequest|ShareLoop' \
-    "$@")
+    -R "$filter" "$@")
 
 echo "==> ctest build-notile (MPS_TILE_D=inf MPS_PREFETCH=0)"
+filter='Spmm|Locality|Tiled|Adaptive|Gcn|Serve'
+check_filter "$root/build-release" "$filter"
 (cd "$root/build-release" && \
     MPS_TILE_D=inf MPS_PREFETCH=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Spmm|Locality|Tiled|Adaptive|Gcn|Serve' "$@")
+    -R "$filter" "$@")
 
 echo "==> ctest build-narrowtile (MPS_TILE_D=16)"
+filter='Serve|Fusion|Determinism|GcnModel|AmxRank|LargeBlocks|ShareLoop'
+check_filter "$root/build-release" "$filter"
 (cd "$root/build-release" && \
     MPS_TILE_D=16 ctest --output-on-failure -j "$jobs" \
-    -R 'Serve|Fusion|Determinism|GcnModel|AmxRank|LargeBlocks|ShareLoop' "$@")
-
-echo "==> ctest build-nohybrid (MPS_HYBRID=0)"
-(cd "$root/build-release" && \
-    MPS_HYBRID=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Hybrid|Kernel|Spmm|Adaptive|Fuzz|ShareLoop' "$@")
+    -R "$filter" "$@")
 
 echo "==> ctest build-bf16 (MPS_PRECISION=bf16)"
+filter='Gcn|Microkernel|Spmm|Fuzz|Fusion|AmxGemm|AmxRank'
+check_filter "$root/build-release" "$filter"
 (cd "$root/build-release" && \
     MPS_PRECISION=bf16 ctest --output-on-failure -j "$jobs" \
-    -R 'Gcn|Microkernel|Spmm|Fuzz|Hybrid|Fusion|AmxGemm|AmxRank' "$@")
+    -R "$filter" "$@")
 
 echo "==> ctest build-nofuse (MPS_FUSE=0)"
+filter='Gcn|Fusion|Train|Serve'
+check_filter "$root/build-release" "$filter"
 (cd "$root/build-release" && \
     MPS_FUSE=0 ctest --output-on-failure -j "$jobs" \
-    -R 'Gcn|Fusion|Train|Serve' "$@")
+    -R "$filter" "$@")
 
 echo "==> telemetry: live /metrics scrape during serve-bench"
 tool="$root/build-release/tools/mps_tool"

@@ -19,7 +19,7 @@
  *   mps_tool top      --url=http://127.0.0.1:9464/metrics
  *                     [--interval-ms=1000] [--once] [--strict]
  *   mps_tool hash     --powerlaw=250000 --model=16-128-16 --precision=f32
- *                     --kernel=mergepath --seed=1
+ *                     --seed=1
  *
  * Containers: .bin (this library's binary CSR), .mtx (MatrixMarket),
  * .el (edge list, read-only), or a Table II dataset name via
@@ -302,19 +302,6 @@ cmd_spmm(int argc, char **argv)
                 " (%.2f GFLOP/s), checksum %.6g\n",
                 kernel->name().c_str(), prep_ms, ms, repeat,
                 2.0 * m.nnz() * dim / (ms * 1e6), checksum);
-
-    if (kernel->name() == "hybrid" && metrics.enabled()) {
-        // The classifier publishes its split at prepare() time; echo
-        // it so --kernel=hybrid runs explain where the nnz went.
-        std::printf("dispatch: %.0f dense rows / %.0f tail rows, "
-                    "%.0f dense nnz in %.0f bands (%.1f%% of nnz)\n",
-                    metrics.gauge_value("dispatch.dense_rows"),
-                    metrics.gauge_value("dispatch.tail_rows"),
-                    metrics.gauge_value("dispatch.dense_nnz"),
-                    metrics.gauge_value("dispatch.bands"),
-                    100.0 *
-                        metrics.gauge_value("dispatch.dense_fraction"));
-    }
 
     int status = 0;
     if (flags.get_bool("check")) {
@@ -1442,8 +1429,6 @@ cmd_hash(int argc, char **argv)
     flags.add_string("model", "16-128-16",
                      "layer widths f-h-c of a two-layer GCN");
     flags.add_string("precision", "f32", "operand precision: f32|bf16");
-    flags.add_string("kernel", "mergepath",
-                     "aggregation kernel: mergepath|hybrid");
     flags.add_int("seed", 1, "feature seed");
     flags.add_int("workers", 0,
                   "pool workers (0: one per core but the caller's)");
@@ -1480,10 +1465,6 @@ cmd_hash(int argc, char **argv)
                             &precision))
         fatal("--precision wants f32 or bf16, got '" +
               flags.get_string("precision") + "'");
-    const std::string &kernel = flags.get_string("kernel");
-    if (kernel != "mergepath" && kernel != "hybrid")
-        fatal("--kernel wants mergepath or hybrid, got '" + kernel + "'");
-
     constexpr int64_t kMaxWorkers = 256;
     int64_t workers = flags.get_int("workers");
     if (workers < 0 || workers > kMaxWorkers)
@@ -1494,7 +1475,7 @@ cmd_hash(int argc, char **argv)
         workers = std::clamp<int64_t>(hw - 1, 1, kMaxWorkers);
     }
     WorkStealPool pool(static_cast<unsigned>(workers));
-    GcnModel model = GcnModel::two_layer(f[0], f[1], f[2], 1, kernel);
+    GcnModel model = GcnModel::two_layer(f[0], f[1], f[2], 1);
     model.set_precision(precision);
     DenseMatrix x(a.rows(), f[0]);
     Pcg32 rng(static_cast<uint64_t>(flags.get_int("seed")));
@@ -1510,10 +1491,10 @@ cmd_hash(int argc, char **argv)
             h *= 1099511628211ull;
         }
     }
-    std::printf("fnv1a %016llx  %d x %d  %s %s %s seed %lld\n",
+    std::printf("fnv1a %016llx  %d x %d  %s %s seed %lld\n",
                 static_cast<unsigned long long>(h), out.rows(), out.cols(),
                 flags.get_string("model").c_str(),
-                storage_mode_name(precision), kernel.c_str(),
+                storage_mode_name(precision),
                 static_cast<long long>(flags.get_int("seed")));
     return 0;
 }
